@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import FeatureSchema
 from .data import Dataset, NormStats
-from .nn import Mlp, MlpConfig, _sigmoid, train_mlp
+from .nn import Mlp, MlpConfig, forward, train_mlp
 
 ON_ERROR = "on-error"
 END_TO_END = "end-to-end"
@@ -342,12 +342,9 @@ class MlpModel(CalibrationModel):
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
-        a = X
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = _sigmoid(a @ w + b)
-        out = a @ self.weights[-1] + self.biases[-1]
+        out = forward(self.weights, self.biases, X)
         if self._rep is not None:
-            out = out + X[:, list(self._rep)]
+            out += X[:, list(self._rep)]
         return out
 
     def payload(self) -> dict:

@@ -12,6 +12,14 @@ Loss definition (what the gradients implement):
       + sum_layers kernel_l2 * sum(W^2) + kernel_l1 * sum(|W|)
       + bias_l2 * sum(b^2)
       + activity_l2 * sum(hidden^2) / batch_size
+
+Bit-for-bit reproducibility is part of the contract: ``_sigmoid``, ``forward``,
+``Mlp.loss_and_grads`` and ``Adam.step`` must return exactly the floats of the
+plain out-of-place reference formulas (kept in ``tests/test_nn.py``), so a
+seeded fit writes the same model bytes on every release. The hot path is
+therefore written in place -- fewer temporaries, the same operations in the
+same order -- rather than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
+sigmoid was rejected because it changes trained bits.
 """
 
 from __future__ import annotations
@@ -56,11 +64,39 @@ LARGE_CONFIG = MlpConfig(hidden=(600, 500, 400), kernel_l2=1e-4, kernel_l1=1e-5,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """Overflow-free logistic of ``z``, written over ``z`` and returned.
+
+    Equal bit for bit to the two-branch form 1/(1+e^-z) for z >= 0 and
+    e^z/(1+e^z) otherwise (-0.0 and +-inf included; NaN maps to NaN):
+    ``exp(-|z|)`` is ``exp(-z)`` on the first branch and ``exp(z)`` on the
+    second, so one exponential serves both and no boolean-mask gather or
+    scatter is needed. Working in place leaves one float temporary and one
+    boolean mask per call.
+    """
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    den = z + 1.0
+    # numerator: 1 where z >= 0 (there e <= 1), e elsewhere (there e >= 0)
+    np.maximum(z, pos, out=z)
+    z /= den
+    return z
+
+
+def forward(weights: list, biases: list, X: np.ndarray,
+            hidden: Optional[list] = None) -> np.ndarray:
+    """Network output for the rows of ``X``: sigmoid hidden layers, linear
+    output. Each hidden activation is appended to ``hidden`` when given."""
+    a = X
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = a @ w
+        z += b
+        a = _sigmoid(z)                         # in place: a is z
+        if hidden is not None:
+            hidden.append(a)
+    out = a @ weights[-1]
+    out += biases[-1]
     return out
 
 
@@ -89,22 +125,14 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        a = X
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = _sigmoid(a @ w + b)
-        return a @ self.weights[-1] + self.biases[-1]
-
     def loss_and_grads(self, X: np.ndarray, Y: np.ndarray) -> tuple:
         """Total loss and gradients in parameters() order."""
         cfg = self.config
         n, k_out = Y.shape
         acts = [X]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(_sigmoid(acts[-1] @ w + b))
-        pred = acts[-1] @ self.weights[-1] + self.biases[-1]
+        resid = forward(self.weights, self.biases, X, hidden=acts)
+        resid -= Y
 
-        resid = pred - Y
         loss = float(np.mean(resid ** 2))
         loss += sum(cfg.kernel_l2 * float(np.sum(w ** 2)) for w in self.weights)
         if cfg.kernel_l1:
@@ -115,41 +143,32 @@ class Mlp:
             loss += cfg.activity_l2 * sum(float(np.sum(a ** 2)) for a in acts[1:]) / n
 
         grads = [None] * (2 * len(self.weights))
-        delta = 2.0 * resid / (n * k_out)            # d loss / d pred
+        delta = resid                                # d loss / d pred
+        delta *= 2.0
+        delta /= n * k_out
         for li in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[li]
-            gw = a_prev.T @ delta + 2.0 * cfg.kernel_l2 * self.weights[li]
+            w = self.weights[li]
+            gw = acts[li].T @ delta
+            gw += 2.0 * cfg.kernel_l2 * w
             if cfg.kernel_l1:
-                gw += cfg.kernel_l1 * np.sign(self.weights[li])
+                gw += cfg.kernel_l1 * np.sign(w)
             gb = delta.sum(axis=0)
             if cfg.bias_l2:
-                gb = gb + 2.0 * cfg.bias_l2 * self.biases[li]
+                gb += 2.0 * cfg.bias_l2 * self.biases[li]
             grads[2 * li] = gw
             grads[2 * li + 1] = gb
             if li > 0:
-                da = delta @ self.weights[li].T
+                # acts[li] (li > 0) is a hidden activation owned here, never X
+                a = acts[li]
+                delta = delta @ w.T
                 if cfg.activity_l2:
-                    da = da + 2.0 * cfg.activity_l2 * acts[li] / n
-                delta = da * acts[li] * (1.0 - acts[li])   # sigmoid'
+                    pen = 2.0 * cfg.activity_l2 * a
+                    pen /= n
+                    delta += pen
+                delta *= a                            # sigmoid' = a (1 - a)
+                np.subtract(1.0, a, out=a)
+                delta *= a
         return loss, grads
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "config": self.config.to_dict(),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        cfg = MlpConfig.from_dict(d["config"])
-        net = cls(d["dims"][0], d["dims"][-1], cfg, seed=0)
-        net.weights = [np.array(w, dtype=float) for w in d["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in d["biases"]]
-        return net
 
 
 class Adam:
@@ -167,11 +186,21 @@ class Adam:
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
+            # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), one temporary pair
+            tmp = g * (1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += tmp
+            np.square(g, out=tmp)
+            tmp *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * g ** 2
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            v += tmp
+            np.divide(m, b1c, out=tmp)
+            tmp *= self.lr
+            den = v / b2c
+            np.sqrt(den, out=den)
+            den += self.eps
+            tmp /= den
+            p -= tmp
 
 
 def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0,

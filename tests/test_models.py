@@ -18,7 +18,7 @@ from cablecal.models import (END_TO_END, ON_ERROR, FixedOffsetModel,
                              LinearModel, ModelError, _poly2_expand,
                              deserialize, fit_linear, fit_mlp, fit_offset,
                              fit_poly2, predict, predict_batch, serialize)
-from cablecal.nn import MlpConfig, train_mlp
+from cablecal.nn import MlpConfig, forward, train_mlp
 
 REP = (0, 1, 2)        # joint_position_j1..j3 within the selected columns
 TORQUE = (8, 9, 10)    # motor_torque_j1..j3
@@ -218,7 +218,8 @@ def test_fit_mlp_matches_unfolded_training_chain():
     Y = ds.errors
     tnorm = NormStats.fit(Y)
     net, _ = train_mlp(norm.apply(ds.inputs), tnorm.apply(Y), SMALL_CFG, seed=3)
-    want = tnorm.sd * net.forward(norm.apply(ds.inputs)) + tnorm.mean + ds.reported
+    want = (tnorm.sd * forward(net.weights, net.biases, norm.apply(ds.inputs))
+            + tnorm.mean + ds.reported)
     got = m.predict_batch(ds.inputs)
     assert np.max(np.abs(got - want)) < 1e-9
 

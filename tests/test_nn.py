@@ -1,8 +1,77 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cablecal.nn import (LARGE_CONFIG, Adam, Mlp, MlpConfig, TrainingDivergedError,
-                         _sigmoid, train_mlp)
+                         _sigmoid, forward, train_mlp)
+
+
+# --- out-of-place reference formulas ---------------------------------------
+# The engine computes these in place; it must reproduce them bit for bit.
+
+def sigmoid_ref(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def forward_ref(net, X):
+    a = X
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = sigmoid_ref(a @ w + b)
+    return a @ net.weights[-1] + net.biases[-1]
+
+
+def loss_and_grads_ref(net, X, Y):
+    cfg = net.config
+    n, k_out = Y.shape
+    acts = [X]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        acts.append(sigmoid_ref(acts[-1] @ w + b))
+    pred = acts[-1] @ net.weights[-1] + net.biases[-1]
+    resid = pred - Y
+    loss = float(np.mean(resid ** 2))
+    loss += sum(cfg.kernel_l2 * float(np.sum(w ** 2)) for w in net.weights)
+    if cfg.kernel_l1:
+        loss += sum(cfg.kernel_l1 * float(np.sum(np.abs(w))) for w in net.weights)
+    if cfg.bias_l2:
+        loss += sum(cfg.bias_l2 * float(np.sum(b ** 2)) for b in net.biases)
+    if cfg.activity_l2:
+        loss += cfg.activity_l2 * sum(float(np.sum(a ** 2)) for a in acts[1:]) / n
+    grads = [None] * (2 * len(net.weights))
+    delta = 2.0 * resid / (n * k_out)
+    for li in range(len(net.weights) - 1, -1, -1):
+        gw = acts[li].T @ delta + 2.0 * cfg.kernel_l2 * net.weights[li]
+        if cfg.kernel_l1:
+            gw = gw + cfg.kernel_l1 * np.sign(net.weights[li])
+        gb = delta.sum(axis=0)
+        if cfg.bias_l2:
+            gb = gb + 2.0 * cfg.bias_l2 * net.biases[li]
+        grads[2 * li] = gw
+        grads[2 * li + 1] = gb
+        if li > 0:
+            da = delta @ net.weights[li].T
+            if cfg.activity_l2:
+                da = da + 2.0 * cfg.activity_l2 * acts[li] / n
+            delta = da * acts[li] * (1.0 - acts[li])
+    return loss, grads
+
+
+def adam_step_ref(opt, params, grads):
+    opt.t += 1
+    b1c = 1.0 - opt.beta1 ** opt.t
+    b2c = 1.0 - opt.beta2 ** opt.t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
+        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * g ** 2
+        p -= opt.lr * (opt.m[i] / b1c) / (np.sqrt(opt.v[i] / b2c) + opt.eps)
 
 
 # --- gradient oracle: central finite differences ---------------------------
@@ -179,20 +248,126 @@ def test_default_hyperparameters():
     assert LARGE_CONFIG.activity_l2 == pytest.approx(1e-5)
 
 
-# --- numerics / serialization -------------------------------------------------------
+# --- numerics ----------------------------------------------------------------
 
 def test_sigmoid_stable_at_extremes():
-    z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
-    s = _sigmoid(z)
+    z = np.array([-1e308, -1e3, -800.0, -40.0, 0.0, 40.0, 800.0, 1e3, 1e308])
+    with np.errstate(over="raise", invalid="raise"):   # underflow to 0 is fine
+        s = _sigmoid(z.copy())
     assert np.all(np.isfinite(s))
-    assert s[0] == 0.0 and s[-1] == 1.0
-    assert s[2] == 0.5
+    assert np.all(s[:3] == 0.0) and np.all(s[-3:] == 1.0)
+    assert s[4] == 0.5
 
 
-def test_round_trip_identical_predictions():
-    X, Y = small_problem()
-    cfg = MlpConfig(hidden=(8, 8), epochs=3, batch_size=64)
-    net, _ = train_mlp(X, Y, cfg, seed=2)
-    back = Mlp.from_dict(net.to_dict())
-    probe = np.random.default_rng(9).normal(size=(50, 4))
-    assert np.array_equal(net.forward(probe), back.forward(probe))
+# --- bit identity with the reference formulas -------------------------------
+
+SPECIAL = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+           5e-324, -5e-324]
+ALL_PENALTIES = MlpConfig(hidden=(7, 5), kernel_l2=1e-4, kernel_l1=1e-5,
+                          bias_l2=1e-4, activity_l2=1e-5)
+
+
+def _bits_equal(a, b):
+    """Same dtype, shape and NaN positions, and the same bytes everywhere else
+    (so -0.0 != 0.0); a NaN's sign and payload carry no value and may differ."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=7),
+                  elements=st.one_of(st.floats(), st.sampled_from(SPECIAL))))
+@example(np.array(SPECIAL))
+@example(np.empty((0, 3)))
+def test_sigmoid_matches_masked_reference_bitwise(z):
+    want = sigmoid_ref(z)
+    buf = z.copy()
+    got = _sigmoid(buf)
+    assert got is buf                          # computed in place
+    assert _bits_equal(got, want)
+
+
+def _nudged_net(config, dims=(6, 3), seed=5):
+    net = Mlp(dims[0], dims[1], config, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for b in net.biases:
+        b += rng.normal(scale=0.1, size=b.shape)
+    return net
+
+
+@pytest.mark.parametrize("config", [MlpConfig(hidden=(7, 5)), ALL_PENALTIES,
+                                    MlpConfig(hidden=())])
+def test_loss_and_grads_match_reference_bitwise(config):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(33, 6))
+    Y = rng.normal(size=(33, 3))
+    net = _nudged_net(config)
+    loss, grads = net.loss_and_grads(X, Y)
+    want_loss, want_grads = loss_and_grads_ref(net, X, Y)
+    assert loss == want_loss
+    assert len(grads) == len(want_grads)
+    for g, w in zip(grads, want_grads):
+        assert _bits_equal(g, w)
+    assert _bits_equal(forward(net.weights, net.biases, X), forward_ref(net, X))
+
+
+def test_adam_steps_match_reference_bitwise():
+    rng = np.random.default_rng(22)
+    net = _nudged_net(ALL_PENALTIES)
+    ref = _nudged_net(ALL_PENALTIES)
+    params, ref_params = net.parameters(), ref.parameters()
+    opt = Adam(params, lr=3e-3)
+    opt_ref = Adam(ref_params, lr=3e-3)
+    for _ in range(3):
+        X = rng.normal(size=(17, 6))
+        Y = rng.normal(size=(17, 3))
+        _, grads = net.loss_and_grads(X, Y)
+        snapshot = [g.copy() for g in grads]
+        opt.step(params, grads)
+        adam_step_ref(opt_ref, ref_params, snapshot)
+        for g, g0 in zip(grads, snapshot):
+            assert _bits_equal(g, g0)        # step leaves the gradients alone
+        for a, b in zip(params + opt.m + opt.v, ref_params + opt_ref.m + opt_ref.v):
+            assert _bits_equal(a, b)
+
+
+def test_training_matches_reference_loop_bitwise():
+    X, Y = small_problem(n=150)
+    cfg = replace(ALL_PENALTIES, epochs=3, batch_size=64)
+    net, curve = train_mlp(X, Y, cfg, seed=4)
+
+    ref = Mlp(X.shape[1], Y.shape[1], cfg, seed=4)
+    rng = np.random.default_rng(4)
+    params = ref.parameters()
+    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    want_curve = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(X))
+        losses = []
+        for start in range(0, len(X), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            loss, grads = loss_and_grads_ref(ref, X[idx], Y[idx])
+            adam_step_ref(opt, params, grads)
+            losses.append(loss)
+        want_curve.append(float(np.mean(losses)))
+    assert np.array_equal(curve, np.array(want_curve))
+    for a, b in zip(net.parameters(), params):
+        assert _bits_equal(a, b)
+
+
+# --- no mutation -------------------------------------------------------------
+
+@pytest.mark.parametrize("config", [ALL_PENALTIES, MlpConfig(hidden=())])
+def test_loss_and_grads_leaves_inputs_and_parameters_unmodified(config):
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(20, 6))
+    Y = rng.normal(size=(20, 3))
+    net = _nudged_net(config)
+    before = [a.copy() for a in [X, Y, *net.parameters()]]
+    net.loss_and_grads(X, Y)
+    forward(net.weights, net.biases, X)
+    for a, b in zip([X, Y, *net.parameters()], before):
+        assert _bits_equal(a, b)
