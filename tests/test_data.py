@@ -1,5 +1,14 @@
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cablecal.core import FULL_SCHEMA
 from cablecal import data as dt
@@ -205,3 +214,261 @@ def test_dataset_round_trip_without_norm(tmp_path):
     back = dt.load_dataset(tmp_path / "d.csv")
     assert back.norm is None
     assert np.array_equal(back.inputs, ds.inputs)
+
+
+# --- synchronize against the reference loop ---------------------------------------
+
+def synchronize_ref(bag, tolerance=dt.SYNC_TOLERANCE_S, full_features=False):
+    """The original loop form of ``dt.synchronize``, kept as its oracle."""
+    ts, tt = bag.state.t, bag.truth.t
+    if len(ts) == 0 or len(tt) == 0:
+        raise dt.EmptyDatasetError("cannot synchronize empty streams")
+    pos = np.searchsorted(tt, ts)
+    left = np.clip(pos - 1, 0, len(tt) - 1)
+    right = np.clip(pos, 0, len(tt) - 1)
+    d_left = np.abs(ts - tt[left])
+    d_right = np.abs(ts - tt[right])
+    nearest = np.where(d_left <= d_right, left, right)
+    dist = np.minimum(d_left, d_right)
+    ok = dist <= tolerance
+    order = np.lexsort((np.arange(len(ts)), dist))
+    chosen = np.zeros(len(ts), dtype=bool)
+    used = set()
+    for i in order:
+        if not ok[i]:
+            continue
+        k = int(nearest[i])
+        if k not in used:
+            used.add(k)
+            chosen[i] = True
+    if not np.any(chosen):
+        raise dt.EmptyDatasetError(
+            f"no state/truth pairs within tolerance {tolerance}s")
+    idx = np.flatnonzero(chosen)
+    schema = bag.schema.with_all_selected() if full_features else bag.schema
+    X = bag.state.features[idx][:, schema.selected_indices()]
+    targets = bag.truth.q[nearest[idx]]
+    rep_cols = [bag.schema.index_of(f"joint_position_j{j}") for j in (1, 2, 3)]
+    reported = bag.state.features[idx][:, rep_cols]
+    meta = dict(bag.metadata)
+    meta["sync_tolerance_s"] = tolerance
+    return dt.Dataset(bag.state.t[idx], X, targets, reported, schema, None, meta)
+
+
+@st.composite
+def stream_times(draw, max_len=30):
+    """Strictly increasing times: on a 1/1024 s grid, where distances are
+    exact, so equidistant ties occur (a state sample midway between two
+    truth samples, two state samples equally far from one truth sample),
+    or continuous."""
+    n = draw(st.integers(1, max_len))
+    if draw(st.booleans()):
+        offset = draw(st.integers(0, 1024))
+        steps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+        return (offset + np.cumsum(steps)) / 1024.0
+    offset = draw(st.floats(0.0, 1.0))
+    steps = draw(st.lists(st.floats(1e-4, 0.1), min_size=n, max_size=n))
+    return offset + np.cumsum(steps)
+
+
+def _same_array(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes()
+            and a.flags.c_contiguous == b.flags.c_contiguous
+            and a.flags.f_contiguous == b.flags.f_contiguous)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=stream_times(), tt=stream_times(),
+       tolerance=st.sampled_from([0.0, 0.001, 4 / 1024, 0.010, 0.05, 100.0]),
+       full_features=st.booleans(), strided=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sync_matches_reference_loop(ts, tt, tolerance, full_features, strided,
+                                     seed):
+    rng = np.random.default_rng(seed)
+    n, m = len(ts), len(tt)
+    # a loaded bag's features are a strided view of the state.csv matrix
+    feats = rng.standard_normal((n, FULL_SCHEMA.dim_full + 1))
+    feats = feats[:, 1:] if strided else np.ascontiguousarray(feats[:, 1:])
+    # column 0 of the truth rows is its index, to read the pairing back
+    q = np.column_stack([np.arange(m, dtype=float), rng.standard_normal((m, 2))])
+    bag = dt.RecordedBag(sm.StateStream(ts, feats), sm.TruthStream(tt, q),
+                         FULL_SCHEMA, {"seed": seed})
+    try:
+        want = synchronize_ref(bag, tolerance, full_features)
+    except dt.EmptyDatasetError as exc:
+        with pytest.raises(dt.EmptyDatasetError, match=re.escape(str(exc))):
+            dt.synchronize(bag, tolerance, full_features)
+        return
+    got = dt.synchronize(bag, tolerance, full_features)
+    for name in ("t", "inputs", "targets", "reported"):
+        assert _same_array(getattr(got, name), getattr(want, name)), name
+    assert got.schema == want.schema and got.meta == want.meta
+    k = got.targets[:, 0].astype(int)
+    assert len(set(k.tolist())) == len(k)
+    assert np.all(np.abs(got.t - tt[k]) <= tolerance)
+
+
+# --- CSV writer against np.savetxt -------------------------------------------------
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+           1e308, -1e308, 1.0, -7.0, 12345678901234567.0, 0.1]
+
+
+def savetxt_ref(path, header, blocks):
+    np.savetxt(path, np.column_stack(blocks), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+
+
+@st.composite
+def column_blocks(draw):
+    chunk = dt._CSV_CHUNK_ROWS
+    rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1])
+                | st.integers(0, 3 * chunk))
+    values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL)
+    shapes = st.just((rows,)) | st.tuples(st.just(rows), st.integers(1, 4))
+    return draw(st.lists(hnp.arrays(np.float64, shapes, elements=values),
+                         min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=column_blocks())
+def test_write_matrix_matches_savetxt(blocks):
+    width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+    header = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d) / "got.csv", Path(d) / "want.csv"
+        dt._write_matrix(got, header, blocks)
+        savetxt_ref(want, header, blocks)
+        assert got.read_bytes() == want.read_bytes()
+        assert sorted(p.name for p in Path(d).iterdir()) == ["got.csv", "want.csv"]
+
+
+def _json_ref(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def test_saved_bag_and_dataset_bytes_match_savetxt(tmp_path):
+    bag = make_bag(seed=11)
+    dt.save_bag(bag, tmp_path / "bag")
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    savetxt_ref(ref / "state.csv", ["t"] + list(bag.schema.names),
+                [bag.state.t, bag.state.features])
+    savetxt_ref(ref / "truth.csv", ["t", "q1", "q2", "q3"], [bag.truth.t, bag.truth.q])
+    _json_ref(ref / "metadata.json",
+              {"schema": bag.schema.to_dict(), "metadata": bag.metadata})
+    for name in ("state.csv", "truth.csv", "metadata.json"):
+        assert (tmp_path / "bag" / name).read_bytes() == (ref / name).read_bytes(), name
+
+    train, _ = dt.split_and_normalize(dt.synchronize(bag, full_features=True))
+    dt.save_dataset(train, tmp_path / "train.csv")
+    D = train.inputs.shape[1]
+    savetxt_ref(ref / "train.csv",
+                ["t"] + [f"x_{i}" for i in range(D)]
+                + ["q1_true", "q2_true", "q3_true", "q1_rep", "q2_rep", "q3_rep"],
+                [train.t, train.inputs, train.targets, train.reported])
+    _json_ref(ref / "train.json", {"schema": train.schema.to_dict(),
+                                   "norm": train.norm.to_dict(), "meta": train.meta})
+    for name in ("train.csv", "train.json"):
+        assert (tmp_path / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+# --- atomic writes ------------------------------------------------------------------
+
+class _Unformattable:
+    def __float__(self):
+        raise RuntimeError("cannot format")
+
+
+def test_failed_matrix_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "m.csv"
+    dt._write_matrix(path, ["a", "b"], [np.arange(3.0), np.ones(3)])
+    before = path.read_bytes()
+    # fails on a row after the first chunks are already written
+    bad = np.arange(4.0 * dt._CSV_CHUNK_ROWS).astype(object)
+    bad[3 * dt._CSV_CHUNK_ROWS] = _Unformattable()
+    with pytest.raises(RuntimeError, match="cannot format"):
+        dt._write_matrix(path, ["a", "b"], [np.zeros(len(bad)), bad])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_failed_sidecar_write_keeps_previous_bag(tmp_path):
+    bag = make_bag(duration=5.0)
+    dt.save_bag(bag, tmp_path / "bag")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "bag").iterdir()}
+    bad = dt.RecordedBag(bag.state, bag.truth, bag.schema, {"not_json": object()})
+    with pytest.raises(TypeError):
+        dt.save_bag(bad, tmp_path / "bag")
+    after = {p.name: p.read_bytes() for p in (tmp_path / "bag").iterdir()}
+    assert after == before
+
+
+# --- load boundary ------------------------------------------------------------------
+
+def _saved(tmp_path):
+    bag = make_bag(duration=5.0)
+    dt.save_bag(bag, tmp_path / "bag")
+    train, _ = dt.split_and_normalize(dt.synchronize(bag))
+    dt.save_dataset(train, tmp_path / "d.csv")
+
+
+def _load(tmp_path, name):
+    """Load the bag or the dataset that file ``name`` belongs to."""
+    if name.startswith("bag/"):
+        return dt.load_bag(tmp_path / "bag")
+    return dt.load_dataset(tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("name", ["bag/metadata.json", "d.json"])
+def test_load_rejects_sidecar_without_schema(tmp_path, name):
+    _saved(tmp_path)
+    path = tmp_path / name
+    side = json.loads(path.read_text())
+    del side["schema"]
+    path.write_text(json.dumps(side))
+    with pytest.raises(dt.DataError, match=f"{path.name}.*schema"):
+        _load(tmp_path, name)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("bag/state.csv", lambda cells: cells[:-1]),
+    ("bag/truth.csv", lambda cells: cells + ["1.5"]),
+    ("d.csv", lambda cells: cells + ["1.5"]),
+])
+def test_load_rejects_csv_width_not_matching_schema(tmp_path, name, edit):
+    _saved(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(
+        ",".join(edit(line.rstrip("\n").split(","))) + "\n" for line in lines))
+    with pytest.raises(dt.DataError, match=f"{path.name}.*columns"):
+        _load(tmp_path, name)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["bag/state.csv", "bag/truth.csv", "d.csv"])
+def test_load_rejects_non_finite_csv_values(tmp_path, name, value):
+    _saved(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[2] = value
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(dt.DataError, match=f"{path.name}.*NaN or infinite"):
+        _load(tmp_path, name)
+
+
+@pytest.mark.parametrize("field", ["mean", "sd"])
+def test_load_dataset_rejects_non_finite_norm(tmp_path, field):
+    _saved(tmp_path)
+    path = tmp_path / "d.json"
+    side = json.loads(path.read_text())
+    side["norm"][field][0] = math.nan
+    path.write_text(json.dumps(side))
+    with pytest.raises(dt.DataError, match="d.json.*NaN or infinite"):
+        dt.load_dataset(tmp_path / "d.csv")
