@@ -18,8 +18,7 @@ from .evaluate import (LatencyReport, RmseReport, SweepTable, bench_latency,
 from .manifest import RunManifest, load_manifest
 from .models import (END_TO_END, ON_ERROR, CalibrationModel, FixedOffsetModel,
                      LinearModel, MlpModel, PolyModel, deserialize, fit_linear,
-                     fit_mlp, fit_offset, fit_poly2, predict, predict_batch,
-                     serialize)
+                     fit_mlp, fit_offset, fit_poly2, serialize)
 from .nn import LARGE_CONFIG, Mlp, MlpConfig, train_mlp
 from .sim import CableErrorModel, SimSession, default_error_model
 from .trajectory import (DIRECTIONS, Trajectory, generate, load, save,
@@ -37,8 +36,8 @@ __all__ = [
     "concat", "decay_curve", "default_config", "default_error_model",
     "deserialize", "direction_sweep", "evaluate_model", "feature_robustness",
     "fit_linear", "fit_mlp", "fit_offset", "fit_poly2", "generate", "load",
-    "load_bag", "load_config", "load_dataset", "load_manifest", "predict",
-    "predict_batch", "record", "rmse", "save", "save_bag", "save_dataset",
+    "load_bag", "load_config", "load_dataset", "load_manifest", "record",
+    "rmse", "save", "save_bag", "save_dataset",
     "serialize", "split_and_normalize", "synchronize", "train_mlp",
     "trajectory_duration", "__version__",
 ]

@@ -7,6 +7,11 @@ accuracy (optionally hour-by-hour), ``bench`` its servo-budget latency,
 ``sweep`` directions, and ``pipeline`` to run the whole chain. Every
 command writes a run manifest next to its artifacts.
 
+Each stage function writes its artifacts and returns its product. A
+subcommand loads its input files and runs one stage; ``pipeline`` hands
+each product to the next stage in memory and reads back nothing it wrote
+(a reloaded dataset is C-ordered, unlike ``synchronize``'s F-ordered one).
+
 Exit codes: 0 success, 2 configuration/usage error, 3 stage failure.
 """
 
@@ -52,7 +57,6 @@ class CliState:
 
 def _cleanup(paths) -> None:
     for p in paths:
-        p = Path(p)
         if p.is_dir():
             shutil.rmtree(p, ignore_errors=True)
         elif p.exists():
@@ -60,12 +64,17 @@ def _cleanup(paths) -> None:
 
 
 def _stage(manifest: RunManifest, name: str, outputs, fn, sim_s=None):
-    """Run one stage; on failure remove its partial outputs and re-raise."""
+    """Run one stage and hash its outputs into the manifest.
+
+    On failure, remove the outputs this run created and re-raise; an output
+    that existed before the stage (an earlier run's artifact) is kept.
+    """
+    fresh = [p for p in outputs if not p.exists()]
     t0 = time.perf_counter()
     try:
         result = fn()
     except Exception as exc:
-        _cleanup(outputs)
+        _cleanup(fresh)
         click.echo(f"stage '{name}' failed: {exc}", err=True)
         raise StageError(name) from exc
     wall = time.perf_counter() - t0
@@ -73,11 +82,40 @@ def _stage(manifest: RunManifest, name: str, outputs, fn, sim_s=None):
     manifest.add_stage(name, wall, sim)
     note = f" (simulated {sim:.0f} s)" if sim else ""
     click.echo(f"[{name}] done in {wall:.2f} s{note}")
+    for p in outputs:
+        manifest.add_output(p)
     return result
 
 
 def _sparsity_tag(s: float) -> str:
     return f"{s:g}"
+
+
+def _sidecars(*csv_paths) -> list:
+    """Each CSV artifact followed by its JSON sidecar."""
+    return [p for csv in csv_paths for p in (csv, csv.with_suffix(".json"))]
+
+
+def _report_paths(out: Path, stem: str, plot_data: bool = False) -> list:
+    """``<stem>.csv`` and ``<stem>.json``, then ``plot_data.csv`` if asked."""
+    paths = [out / f"{stem}.csv", out / f"{stem}.json"]
+    return paths + ([out / "plot_data.csv"] if plot_data else [])
+
+
+def _write_rows(rows, paths) -> None:
+    """Rows as CSV and JSON, and as a plot-data CSV when a third path is given."""
+    write_rows_csv(rows, paths[0])
+    write_json(rows, paths[1])
+    for p in paths[2:]:
+        write_rows_csv(rows, p)
+
+
+def _load_arg(load, cfg: Config):
+    """``--load`` as grams when numeric; ``[eval] load`` when not given."""
+    try:
+        return cfg.eval.load if load is None else float(load)
+    except ValueError:
+        return load
 
 
 def _finish(state: CliState, manifest: RunManifest) -> None:
@@ -104,6 +142,101 @@ def _guard(fn):
             sys.exit(EXIT_STAGE)
 
     return wrapper
+
+
+# ---------------------------------------------------------------------------
+# stages
+
+
+def _generate(cfg: Config, direction, sparsity, path):
+    traj = traj_mod.generate(direction, sparsity, cfg.limits,
+                             cfg.trajectory.step)
+    traj_mod.save(traj, path)
+    dur = traj_mod.trajectory_duration(traj, cfg.trajectory.speeds)
+    click.echo(f"  {direction} sparsity {sparsity:g}: "
+               f"{len(traj.waypoints)} waypoints, {dur:.0f} s to follow")
+    return traj
+
+
+def _record(cfg: Config, traj, load, seed, time_scale, bag_dir):
+    bag = data_mod.record(
+        traj, cfg.error_model, load=load, rates=cfg.eval.rates, seed=seed,
+        time_scale=time_scale, limits=cfg.limits,
+        speeds=cfg.trajectory.speeds)
+    data_mod.save_bag(bag, bag_dir)
+    click.echo(f"  {len(bag.state.t)} state / {len(bag.truth.t)} truth "
+               f"samples -> {bag_dir}")
+    return bag
+
+
+def _process(bags, tolerance, full_features, train_frac, train_path,
+             test_path):
+    """Pair each bag's streams, concatenate and split; ``bags`` is iterated
+    once, so a generator loads one bag at a time."""
+    parts = [data_mod.synchronize(b, tolerance, full_features) for b in bags]
+    ds = data_mod.concat(parts) if len(parts) > 1 else parts[0]
+    train_ds, test_ds = data_mod.split_and_normalize(ds, train_frac)
+    data_mod.save_dataset(train_ds, train_path)
+    data_mod.save_dataset(test_ds, test_path)
+    click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows "
+               f"({ds.inputs.shape[1]} input columns)")
+    return train_ds, test_ds
+
+
+def _train(cfg: Config, ds, kind, mode, seed, path, epochs=None, ridge=None):
+    ridge = cfg.training.ridge if ridge is None else ridge
+    if kind == "offset":
+        model = fit_offset(ds, mode)
+    elif kind == "linear":
+        model = fit_linear(ds, mode, ridge)
+    elif kind == "poly2":
+        model = fit_poly2(ds, mode, ridge)
+    else:
+        mlp_cfg = cfg.training.mlp_config()
+        if epochs is not None:
+            mlp_cfg = replace(mlp_cfg, epochs=epochs)
+        model = fit_mlp(ds, mode, mlp_cfg, seed)
+    serialize(model, path)
+    click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {path}")
+    return model
+
+
+def _evaluate(model, ds, base_ds, bucket_s, paths):
+    """Score ``model`` on ``ds`` against a fixed offset fit on ``base_ds``;
+    a ``bucket_s`` adds hour-bucket decay rows."""
+    model.check_compatible(ds.schema)
+    offset = fit_offset(base_ds, model.mode)
+    report = evaluate_model(model, ds, offset)
+    rows = report.to_rows()
+    if bucket_s is not None:
+        for rep in decay_curve(model, ds, offset, bucket_s):
+            rows.extend(rep.to_rows())
+    for row in rows:
+        row["model"] = model.kind
+        row["mode"] = model.mode
+    _write_rows(rows, paths)
+    for row in report.to_rows():
+        click.echo(f"  {row['joint']}: raw {row['raw_rmse']:.3f}  "
+                   f"offset {row['fixed_offset_rmse']:.3f}  "
+                   f"{model.kind} {row['model_rmse']:.3f} "
+                   f"({100 * row['percentage']:.1f}% of offset)")
+    return rows
+
+
+def _bench(models, ds, samples, budget_hz, repeats, paths):
+    rows, dicts = [], []
+    for model in models:
+        model.check_compatible(ds.schema)
+        rep = bench_latency(model, ds.inputs, samples, budget_hz, repeats)
+        rows.extend(rep.to_rows())
+        dicts.append(rep.to_dict())
+        verdict = "PASS" if rep.passed else "FAIL"
+        click.echo(f"  {model.kind}: p50 {rep.p50_s * 1e3:.4f} ms  "
+                   f"p99 {rep.p99_s * 1e3:.4f} ms  "
+                   f"[{verdict} vs {budget_hz:.0f} Hz]")
+    write_rows_csv(rows, paths[0])
+    write_json(dicts, paths[1])
+    return rows
 
 
 @click.group()
@@ -133,10 +266,6 @@ def main(ctx, config_path, seed, out_dir, repeats):
     )
 
 
-# ---------------------------------------------------------------------------
-# generate
-
-
 @main.command("generate")
 @click.option("--direction", type=click.Choice(DIRECTIONS + ("all",)),
               default=None, help="Sweep direction (default from config).")
@@ -152,26 +281,9 @@ def generate_command(state, direction, sparsity):
     manifest = _manifest(state, "generate")
     for d in (DIRECTIONS if direction == "all" else (direction,)):
         path = state.out_dir / f"traj_{d}_{_sparsity_tag(sparsity)}.csv"
-        sidecar = path.with_suffix(".json")
-
-        def run(d=d, path=path):
-            traj = traj_mod.generate(d, sparsity, cfg.limits,
-                                     cfg.trajectory.step)
-            traj_mod.save(traj, path)
-            dur = traj_mod.trajectory_duration(traj, cfg.trajectory.speeds)
-            click.echo(f"  {d} sparsity {sparsity:g}: "
-                       f"{len(traj.waypoints)} waypoints, "
-                       f"{dur:.0f} s to follow")
-            return traj
-
-        _stage(manifest, f"generate[{d},{sparsity:g}]", [path, sidecar], run)
-        manifest.add_output(path)
-        manifest.add_output(sidecar)
+        _stage(manifest, f"generate[{d},{sparsity:g}]", _sidecars(path),
+               lambda: _generate(cfg, d, sparsity, path))
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# record
 
 
 @main.command("record")
@@ -179,8 +291,9 @@ def generate_command(state, direction, sparsity):
               default=None, help="Trajectory CSV to follow (else generated).")
 @click.option("--direction", type=click.Choice(DIRECTIONS), default=None)
 @click.option("--sparsity", type=float, default=None)
-@click.option("--load", default="unloaded", show_default=True,
-              help="'unloaded', 'loaded', 'idle' or grams.")
+@click.option("--load", default=None,
+              help="'unloaded', 'loaded', 'idle' or grams "
+                   "(default: eval.load).")
 @click.option("--time-scale", type=float, default=None,
               help="Emit 1/k of the samples while keeping simulated time.")
 @click.option("--name", default=None, help="Bag directory name.")
@@ -193,38 +306,22 @@ def record_command(state, traj_path, direction, sparsity, load, time_scale,
     direction = direction or cfg.trajectory.direction
     sparsity = cfg.trajectory.sparsity if sparsity is None else sparsity
     time_scale = cfg.eval.time_scale if time_scale is None else time_scale
-    try:
-        load_arg = float(load)
-    except ValueError:
-        load_arg = load
     manifest = _manifest(state, "record")
+    if traj_path is not None:
+        manifest.add_input(traj_path)
     bag_dir = state.out_dir / (
         name or f"bag_{direction}_{_sparsity_tag(sparsity)}")
 
     def run():
-        if traj_path is not None:
-            traj = traj_mod.load(traj_path)
-            manifest.add_input(traj_path)
-        else:
-            traj = traj_mod.generate(direction, sparsity, cfg.limits,
-                                     cfg.trajectory.step)
-        bag = data_mod.record(
-            traj, cfg.error_model, load=load_arg, rates=cfg.eval.rates,
-            seed=state.seed, time_scale=time_scale, limits=cfg.limits,
-            speeds=cfg.trajectory.speeds)
-        data_mod.save_bag(bag, bag_dir)
-        click.echo(f"  {len(bag.state.t)} state / {len(bag.truth.t)} truth "
-                   f"samples -> {bag_dir}")
-        return bag
+        traj = (traj_mod.load(traj_path) if traj_path is not None else
+                traj_mod.generate(direction, sparsity, cfg.limits,
+                                  cfg.trajectory.step))
+        return _record(cfg, traj, _load_arg(load, cfg), state.seed,
+                       time_scale, bag_dir)
 
     _stage(manifest, "record", [bag_dir], run,
            sim_s=lambda b: b.metadata.get("duration_s"))
-    manifest.add_output(bag_dir)
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# process
 
 
 @main.command("process")
@@ -243,48 +340,15 @@ def process_command(state, bags, full_features, train_frac, tolerance):
     train_frac = cfg.training.train_frac if train_frac is None else train_frac
     tolerance = cfg.eval.sync_tolerance_s if tolerance is None else tolerance
     manifest = _manifest(state, "process")
+    for b in bags:
+        manifest.add_input(b)
     train_path = state.out_dir / "train.csv"
     test_path = state.out_dir / "test.csv"
-    outputs = [train_path, train_path.with_suffix(".json"),
-               test_path, test_path.with_suffix(".json")]
-
-    def run():
-        parts = []
-        for b in bags:
-            manifest.add_input(b)
-            parts.append(data_mod.synchronize(data_mod.load_bag(b),
-                                              tolerance, full_features))
-        ds = data_mod.concat(parts) if len(parts) > 1 else parts[0]
-        train_ds, test_ds = data_mod.split_and_normalize(ds, train_frac)
-        data_mod.save_dataset(train_ds, train_path)
-        data_mod.save_dataset(test_ds, test_path)
-        click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows "
-                   f"({ds.inputs.shape[1]} input columns)")
-        return train_ds, test_ds
-
-    _stage(manifest, "process", outputs, run)
-    for p in outputs:
-        manifest.add_output(p)
+    _stage(manifest, "process", _sidecars(train_path, test_path),
+           lambda: _process((data_mod.load_bag(b) for b in bags), tolerance,
+                            full_features, train_frac, train_path,
+                            test_path))
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# train
-
-
-def _fit_from_config(cfg: Config, ds, kind, mode, seed, epochs=None,
-                     ridge=None):
-    ridge = cfg.training.ridge if ridge is None else ridge
-    if kind == "offset":
-        return fit_offset(ds, mode)
-    if kind == "linear":
-        return fit_linear(ds, mode, ridge)
-    if kind == "poly2":
-        return fit_poly2(ds, mode, ridge)
-    mlp_cfg = cfg.training.mlp_config()
-    if epochs is not None:
-        mlp_cfg = replace(mlp_cfg, epochs=epochs)
-    return fit_mlp(ds, mode, mlp_cfg, seed)
 
 
 @main.command("train")
@@ -308,22 +372,10 @@ def train_command(state, dataset_path, kind, mode, epochs, ridge, name):
     manifest = _manifest(state, "train")
     manifest.add_input(dataset_path)
     model_path = state.out_dir / name
-
-    def run():
-        ds = data_mod.load_dataset(dataset_path)
-        model = _fit_from_config(cfg, ds, kind, mode, state.seed, epochs,
-                                 ridge)
-        serialize(model, model_path)
-        click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {model_path}")
-        return model
-
-    _stage(manifest, f"train[{kind}]", [model_path], run)
-    manifest.add_output(model_path)
+    _stage(manifest, f"train[{kind}]", [model_path],
+           lambda: _train(cfg, data_mod.load_dataset(dataset_path), kind,
+                          mode, state.seed, model_path, epochs, ridge))
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# evaluate
 
 
 @main.command("evaluate")
@@ -344,49 +396,20 @@ def evaluate_command(state, model_file, dataset_path, train_dataset, decay,
     manifest = _manifest(state, "evaluate")
     manifest.add_input(model_file)
     manifest.add_input(dataset_path)
-    csv_path = state.out_dir / "rmse_report.csv"
-    json_path = state.out_dir / "rmse_report.json"
-    outputs = [csv_path, json_path]
+    if train_dataset is not None:
+        manifest.add_input(train_dataset)
+    paths = _report_paths(state.out_dir, "rmse_report", emit_plot_data)
 
     def run():
         model = deserialize(model_file)
         ds = data_mod.load_dataset(dataset_path)
-        model.check_compatible(ds.schema)
-        if train_dataset is not None:
-            manifest.add_input(train_dataset)
-            base_ds = data_mod.load_dataset(train_dataset)
-        else:
-            base_ds = ds
-        offset = fit_offset(base_ds, model.mode)
-        report = evaluate_model(model, ds, offset)
-        rows = report.to_rows()
-        if decay:
-            for rep in decay_curve(model, ds, offset, bucket_s):
-                rows.extend(rep.to_rows())
-        for row in rows:
-            row["model"] = model.kind
-            row["mode"] = model.mode
-        write_rows_csv(rows, csv_path)
-        write_json(rows, json_path)
-        for row in report.to_rows():
-            click.echo(f"  {row['joint']}: raw {row['raw_rmse']:.3f}  "
-                       f"offset {row['fixed_offset_rmse']:.3f}  "
-                       f"{model.kind} {row['model_rmse']:.3f} "
-                       f"({100 * row['percentage']:.1f}% of offset)")
-        return rows
+        base_ds = (ds if train_dataset is None
+                   else data_mod.load_dataset(train_dataset))
+        return _evaluate(model, ds, base_ds, bucket_s if decay else None,
+                         paths)
 
-    rows = _stage(manifest, "evaluate", outputs, run)
-    if emit_plot_data:
-        plot_path = state.out_dir / "plot_data.csv"
-        write_rows_csv(rows, plot_path)
-        manifest.add_output(plot_path)
-    for p in outputs:
-        manifest.add_output(p)
+    _stage(manifest, "evaluate", paths, run)
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# bench
 
 
 @main.command("bench")
@@ -406,36 +429,14 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
     budget_hz = cfg.eval.budget_hz if budget_hz is None else budget_hz
     manifest = _manifest(state, "bench")
     manifest.add_input(dataset_path)
-    csv_path = state.out_dir / "latency.csv"
-    json_path = state.out_dir / "latency.json"
-
-    def run():
-        ds = data_mod.load_dataset(dataset_path)
-        rows, dicts = [], []
-        for mf in model_files:
-            manifest.add_input(mf)
-            model = deserialize(mf)
-            model.check_compatible(ds.schema)
-            rep = bench_latency(model, ds.inputs, samples, budget_hz,
-                                state.repeats)
-            rows.extend(rep.to_rows())
-            dicts.append(rep.to_dict())
-            verdict = "PASS" if rep.passed else "FAIL"
-            click.echo(f"  {model.kind}: p50 {rep.p50_s * 1e3:.4f} ms  "
-                       f"p99 {rep.p99_s * 1e3:.4f} ms  "
-                       f"[{verdict} vs {budget_hz:.0f} Hz]")
-        write_rows_csv(rows, csv_path)
-        write_json(dicts, json_path)
-        return rows
-
-    _stage(manifest, "bench", [csv_path, json_path], run)
-    manifest.add_output(csv_path)
-    manifest.add_output(json_path)
+    for mf in model_files:
+        manifest.add_input(mf)
+    paths = _report_paths(state.out_dir, "latency")
+    _stage(manifest, "bench", paths,
+           lambda: _bench([deserialize(mf) for mf in model_files],
+                          data_mod.load_dataset(dataset_path), samples,
+                          budget_hz, state.repeats, paths))
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# sweep
 
 
 @main.command("sweep")
@@ -446,7 +447,9 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
 @click.option("--time-scale", type=float, default=None)
 @click.option("--with-mlp", is_flag=True,
               help="Also fit the MLP per direction.")
-@click.option("--load", default="unloaded", show_default=True)
+@click.option("--load", default=None,
+              help="'unloaded', 'loaded', 'idle' or grams "
+                   "(default: eval.load).")
 @click.option("--emit-plot-data", is_flag=True)
 @click.pass_obj
 @_guard
@@ -464,8 +467,7 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load,
     else:
         sp_list = tuple(float(s) for s in sparsities.split(",") if s.strip())
     manifest = _manifest(state, "sweep")
-    csv_path = state.out_dir / "sweep.csv"
-    json_path = state.out_dir / "sweep.json"
+    paths = _report_paths(state.out_dir, "sweep", emit_plot_data)
 
     def run():
         fits = {"linear": lambda ds: fit_linear(ds, cfg.training.mode,
@@ -478,28 +480,17 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load,
             cfg.error_model, fits, directions=dir_list, sparsities=sp_list,
             limits=cfg.limits, rates=cfg.eval.rates, seed=state.seed,
             time_scale=time_scale, train_frac=cfg.training.train_frac,
-            load=load)
+            load=_load_arg(load, cfg))
         rows = table.to_rows()
-        write_rows_csv(rows, csv_path)
-        write_json(rows, json_path)
+        _write_rows(rows, paths)
         for model in table.model_names():
             best = [table.best_direction(model, j) for j in range(3)]
             click.echo(f"  best direction per joint [{model}]: "
                        f"j1={best[0]} j2={best[1]} j3={best[2]}")
         return rows
 
-    rows = _stage(manifest, "sweep", [csv_path, json_path], run)
-    if emit_plot_data:
-        plot_path = state.out_dir / "plot_data.csv"
-        write_rows_csv(rows, plot_path)
-        manifest.add_output(plot_path)
-    manifest.add_output(csv_path)
-    manifest.add_output(json_path)
+    _stage(manifest, "sweep", paths, run)
     _finish(state, manifest)
-
-
-# ---------------------------------------------------------------------------
-# pipeline
 
 
 @main.command("pipeline")
@@ -511,98 +502,35 @@ def pipeline_command(state, time_scale, epochs):
     """Run generate -> record -> process -> train -> evaluate -> bench."""
     cfg = state.config
     time_scale = cfg.eval.time_scale if time_scale is None else time_scale
-    direction = cfg.trajectory.direction
-    sparsity = cfg.trajectory.sparsity
-    manifest = _manifest(state, "pipeline")
-    out = state.out_dir
-
-    traj_path = out / f"traj_{direction}_{_sparsity_tag(sparsity)}.csv"
-    bag_dir = out / f"bag_{direction}_{_sparsity_tag(sparsity)}"
+    direction, sparsity = cfg.trajectory.direction, cfg.trajectory.sparsity
+    kind, out = cfg.training.model, state.out_dir
+    tag = f"{direction}_{_sparsity_tag(sparsity)}"
+    traj_path, bag_dir = out / f"traj_{tag}.csv", out / f"bag_{tag}"
     train_path, test_path = out / "train.csv", out / "test.csv"
     model_path = out / "model.ccm"
+    report_paths = _report_paths(out, "rmse_report")
+    latency_paths = _report_paths(out, "latency")
+    manifest = _manifest(state, "pipeline")
 
-    def gen():
-        traj = traj_mod.generate(direction, sparsity, cfg.limits,
-                                 cfg.trajectory.step)
-        traj_mod.save(traj, traj_path)
-        return traj
-
-    traj = _stage(manifest, "generate",
-                  [traj_path, traj_path.with_suffix(".json")], gen)
-    manifest.add_output(traj_path)
-
-    def rec():
-        bag = data_mod.record(
-            traj, cfg.error_model, load=cfg.eval.load, rates=cfg.eval.rates,
-            seed=state.seed, time_scale=time_scale, limits=cfg.limits,
-            speeds=cfg.trajectory.speeds)
-        data_mod.save_bag(bag, bag_dir)
-        return bag
-
-    bag = _stage(manifest, "record", [bag_dir], rec,
+    traj = _stage(manifest, "generate", _sidecars(traj_path),
+                  lambda: _generate(cfg, direction, sparsity, traj_path))
+    bag = _stage(manifest, "record", [bag_dir],
+                 lambda: _record(cfg, traj, cfg.eval.load, state.seed,
+                                 time_scale, bag_dir),
                  sim_s=lambda b: b.metadata.get("duration_s"))
-    manifest.add_output(bag_dir)
-
-    def proc():
-        ds = data_mod.synchronize(bag, cfg.eval.sync_tolerance_s)
-        train_ds, test_ds = data_mod.split_and_normalize(
-            ds, cfg.training.train_frac)
-        data_mod.save_dataset(train_ds, train_path)
-        data_mod.save_dataset(test_ds, test_path)
-        click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows")
-        return train_ds, test_ds
-
     train_ds, test_ds = _stage(
-        manifest, "process",
-        [train_path, train_path.with_suffix(".json"),
-         test_path, test_path.with_suffix(".json")], proc)
-    manifest.add_output(train_path)
-    manifest.add_output(test_path)
-
-    def fit():
-        model = _fit_from_config(cfg, train_ds, cfg.training.model,
-                                 cfg.training.mode, state.seed, epochs)
-        serialize(model, model_path)
-        return model
-
-    model = _stage(manifest, f"train[{cfg.training.model}]", [model_path],
-                   fit)
-    manifest.add_output(model_path)
-
-    def ev():
-        offset = fit_offset(train_ds, model.mode)
-        report = evaluate_model(model, test_ds, offset)
-        rows = report.to_rows()
-        for row in rows:
-            row["model"] = model.kind
-            row["mode"] = model.mode
-        write_rows_csv(rows, out / "rmse_report.csv")
-        write_json(rows, out / "rmse_report.json")
-        for row in rows:
-            click.echo(f"  {row['joint']}: raw {row['raw_rmse']:.3f}  "
-                       f"offset {row['fixed_offset_rmse']:.3f}  "
-                       f"{model.kind} {row['model_rmse']:.3f}")
-        return rows
-
-    _stage(manifest, "evaluate",
-           [out / "rmse_report.csv", out / "rmse_report.json"], ev)
-    manifest.add_output(out / "rmse_report.csv")
-    manifest.add_output(out / "rmse_report.json")
-
-    def bn():
-        rep = bench_latency(model, test_ds.inputs,
-                            min(cfg.eval.latency_samples, 5000),
-                            cfg.eval.budget_hz, state.repeats)
-        write_rows_csv(rep.to_rows(), out / "latency.csv")
-        write_json([rep.to_dict()], out / "latency.json")
-        verdict = "PASS" if rep.passed else "FAIL"
-        click.echo(f"  {model.kind}: p99 {rep.p99_s * 1e3:.4f} ms "
-                   f"[{verdict} vs {cfg.eval.budget_hz:.0f} Hz]")
-        return rep
-
-    _stage(manifest, "bench", [out / "latency.csv", out / "latency.json"], bn)
-    manifest.add_output(out / "latency.csv")
-    manifest.add_output(out / "latency.json")
+        manifest, "process", _sidecars(train_path, test_path),
+        lambda: _process([bag], cfg.eval.sync_tolerance_s, False,
+                         cfg.training.train_frac, train_path, test_path))
+    model = _stage(manifest, f"train[{kind}]", [model_path],
+                   lambda: _train(cfg, train_ds, kind, cfg.training.mode,
+                                  state.seed, model_path, epochs))
+    _stage(manifest, "evaluate", report_paths,
+           lambda: _evaluate(model, test_ds, train_ds, None, report_paths))
+    _stage(manifest, "bench", latency_paths,
+           lambda: _bench([model], test_ds,
+                          min(cfg.eval.latency_samples, 5000),
+                          cfg.eval.budget_hz, state.repeats, latency_paths))
     _finish(state, manifest)
 
 

@@ -89,11 +89,6 @@ class JointLimits:
 DEFAULT_LIMITS = JointLimits(JointVector(0.0, 0.0, 0.0), JointVector(90.0, 90.0, 250.0))
 
 
-def validate_joint_vector(v: JointVector, lim: JointLimits) -> bool:
-    """True iff every component of ``v`` lies inside ``lim`` (inclusive)."""
-    return lim.contains(v)
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
     """Ordered robot-state feature catalog plus the model-input selection mask.

@@ -50,8 +50,10 @@ class RecordedBag:
     def __post_init__(self):
         if self.state.features.shape[1] != self.schema.dim_full:
             raise DataError("state feature width does not match schema")
-        if np.any(np.diff(self.state.t) <= 0) or np.any(np.diff(self.truth.t) <= 0):
-            raise DataError("stream timestamps must be strictly increasing")
+        for t in (self.state.t, self.truth.t):
+            if not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
+                raise DataError(
+                    "stream timestamps must be finite and strictly increasing")
 
 
 def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
@@ -258,6 +260,13 @@ class Dataset:
             raise DataError("dataset has no normalization stats attached")
         return self.norm.apply(self.inputs)
 
+    def take(self, idx) -> "Dataset":
+        """The rows at ``idx`` (a slice, a boolean mask or an index array),
+        with this dataset's ``norm`` and a copy of its ``meta``."""
+        return Dataset(self.t[idx], self.inputs[idx], self.targets[idx],
+                       self.reported[idx], self.schema, self.norm,
+                       dict(self.meta))
+
 
 def synchronize(bag: RecordedBag, tolerance: float = SYNC_TOLERANCE_S,
                 full_features: bool = False) -> Dataset:
@@ -318,22 +327,8 @@ def split_and_normalize(ds: Dataset, train_frac: float = 0.8) -> tuple:
     if not (0.0 < train_frac < 1.0):
         raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
     n_train = min(max(int(round(len(ds) * train_frac)), 1), len(ds) - 1)
-    norm = NormStats.fit(ds.inputs[:n_train])
-
-    def _slice(sl) -> Dataset:
-        return Dataset(ds.t[sl], ds.inputs[sl], ds.targets[sl],
-                       ds.reported[sl], ds.schema, norm, dict(ds.meta))
-
-    return _slice(slice(0, n_train)), _slice(slice(n_train, None))
-
-
-def with_norm_from(ds: Dataset, stats_source: Dataset) -> Dataset:
-    """Attach another dataset's (train) normalization stats to ``ds``."""
-    if stats_source.norm is None:
-        raise DataError("stats source has no normalization stats")
-    if stats_source.schema != ds.schema:
-        raise DataError("schema mismatch between dataset and stats source")
-    return replace(ds, norm=stats_source.norm)
+    ds = replace(ds, norm=NormStats.fit(ds.inputs[:n_train]))
+    return ds.take(slice(0, n_train)), ds.take(slice(n_train, None))
 
 
 def concat(datasets: list) -> Dataset:

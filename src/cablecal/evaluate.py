@@ -119,10 +119,8 @@ def decay_curve(model: CalibrationModel, ds: Dataset,
     hours = np.floor((ds.t - origin) / bucket_s).astype(int)
     reports = []
     for h in np.unique(hours):
-        sel = hours == h
-        sub = Dataset(ds.t[sel], ds.inputs[sel], ds.targets[sel],
-                      ds.reported[sel], ds.schema, ds.norm, dict(ds.meta))
-        reports.append(evaluate_model(model, sub, offset_model, bucket_hour=int(h)))
+        reports.append(evaluate_model(model, ds.take(hours == h), offset_model,
+                                      bucket_hour=int(h)))
     return reports
 
 
@@ -364,11 +362,7 @@ def _subsample(ds: Dataset, n: int) -> Dataset:
     # thinned version of the whole session: thinning would still cover the
     # full workspace and time span, hiding the failure mode this study is
     # supposed to expose.
-    if n >= len(ds):
-        return ds
-    idx = np.arange(n)
-    return Dataset(ds.t[idx], ds.inputs[idx], ds.targets[idx],
-                   ds.reported[idx], ds.schema, ds.norm, dict(ds.meta))
+    return ds if n >= len(ds) else ds.take(np.arange(n))
 
 
 def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FeatureSchema
-from .data import Dataset, NormStats
+from .data import Dataset, NormStats, _replacing
 from .nn import Mlp, MlpConfig, forward, train_mlp
 
 ON_ERROR = "on-error"
@@ -450,16 +450,6 @@ def fit_mlp(ds: Dataset, mode: str = ON_ERROR,
                     train_curve=curve.tolist(), seed=seed)
 
 
-def predict(model: CalibrationModel, x: Sequence) -> list:
-    """Corrected (q1, q2, q3) for one raw feature row (pure-Python path)."""
-    return model.predict(x)
-
-
-def predict_batch(model: CalibrationModel, X) -> np.ndarray:
-    """Corrected positions for a (N, D) feature matrix (numpy path)."""
-    return model.predict_batch(X)
-
-
 # --------------------------------------------------------------------------
 # serialization
 
@@ -482,7 +472,7 @@ def serialize(model: CalibrationModel, path) -> None:
         "payload": model.payload(),
     }
     doc["checksum"] = _checksum(doc)
-    with open(Path(path), "w") as fh:
+    with _replacing(Path(path)) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -299,11 +299,6 @@ class RandomSinusoidPolicy(MotionPolicy):
         return out
 
 
-def random_sinusoid_policy(limits: JointLimits = DEFAULT_LIMITS, seed: int = 0,
-                           horizon: float = 7200.0) -> RandomSinusoidPolicy:
-    return RandomSinusoidPolicy(limits, seed, horizon)
-
-
 # --------------------------------------------------------------------------
 # robot plumbing constants (feature synthesis)
 
@@ -619,19 +614,3 @@ class SimSession:
         for i, name in enumerate(FULL_SCHEMA.names):
             out[:, i] = cols[name]
         return out
-
-
-def simulate_session(policy_or_traj, error_model: CableErrorModel,
-                     load="unloaded", rates=(30.0, 100.0), *,
-                     limits: JointLimits = DEFAULT_LIMITS, seed: int = 0,
-                     time_scale: float = 1.0, duration: Optional[float] = None,
-                     speeds=DEFAULT_SPEEDS) -> tuple:
-    """One-shot session: returns (StateStream, TruthStream).
-
-    ``policy_or_traj`` may be a scaled Trajectory (followed at ``speeds``)
-    or any MotionPolicy.
-    """
-    policy = (TrajectoryFollower(policy_or_traj, speeds)
-              if isinstance(policy_or_traj, Trajectory) else policy_or_traj)
-    session = SimSession(error_model, limits, rates, seed, time_scale)
-    return session.run(policy, duration, load)

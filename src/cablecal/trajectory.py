@@ -93,9 +93,6 @@ class DirectionTransform:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return (pts @ self.rotation.T + self.translation) * self.shrink
 
-    def invert(self, pts: np.ndarray) -> np.ndarray:
-        return (pts / self.shrink - self.translation) @ self.rotation
-
     def matrix(self) -> np.ndarray:
         """The full map as a single 4x4 homogeneous matrix."""
         m = np.eye(4)

@@ -145,6 +145,37 @@ def test_pipeline_end_to_end(runner, fast_cfg, tmp_path):
     assert record_stage["sim_s"] > record_stage["wall_s"]  # time-scaled
 
 
+def test_stage_by_stage_matches_pipeline(runner, tmp_path):
+    # no [eval] load: record must default to it, as pipeline does
+    cfg = tmp_path / "noload.toml"
+    cfg.write_text(FAST_TOML.replace('load = "unloaded"\n', ""))
+    a, b = tmp_path / "stages", tmp_path / "pipe"
+    base = ["--config", str(cfg), "--out-dir", str(a)]
+    invoke(runner, base + ["generate"])
+    traj = a / "traj_j1j2j3_0.5.csv"
+    invoke(runner, base + ["record", "--trajectory", str(traj)])
+    invoke(runner, base + ["process", "--bag", str(a / "bag_j1j2j3_0.5")])
+    invoke(runner, base + ["train", "--dataset", str(a / "train.csv")])
+    invoke(runner, base + ["evaluate", "--model-file", str(a / "model.ccm"),
+                           "--dataset", str(a / "test.csv"),
+                           "--train-dataset", str(a / "train.csv")])
+    invoke(runner, ["--config", str(cfg), "--out-dir", str(b), "pipeline"])
+    names = ["traj_j1j2j3_0.5.csv", "traj_j1j2j3_0.5.json", "train.csv",
+             "train.json", "test.csv", "test.json", "model.ccm",
+             "bag_j1j2j3_0.5/state.csv", "bag_j1j2j3_0.5/truth.csv",
+             "bag_j1j2j3_0.5/metadata.json"]
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # evaluate scores test.csv as loaded back (C-ordered inputs), pipeline
+    # the F-ordered arrays synchronize returned: the last digits may differ
+    a_rows, b_rows = (json.loads((d / "rmse_report.json").read_text())
+                      for d in (a, b))
+    assert ([r["model_rmse"] for r in a_rows]
+            == pytest.approx([r["model_rmse"] for r in b_rows], rel=1e-12))
+    assert set(load_manifest(b).outputs) >= {
+        "traj_j1j2j3_0.5.json", "train.json", "test.json"}
+
+
 # ---------------------------------------------------------------------------
 # exit codes and failure handling
 
@@ -185,6 +216,28 @@ def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
     text = result.output + (result.stderr or "")
     assert "stage 'evaluate' failed" in text
     assert not (out / "rmse_report.csv").exists()
+
+
+def test_failed_train_keeps_earlier_model(runner, fast_cfg, tmp_path):
+    out = tmp_path / "o"
+    base = out_args(fast_cfg, out)
+    invoke(runner, base + ["record", "--name", "bag0"])
+    invoke(runner, base + ["process", "--bag", str(out / "bag0")])
+    invoke(runner, base + ["train", "--dataset", str(out / "train.csv")])
+    before = (out / "model.ccm").read_bytes()
+    bad = tmp_path / "bad" / "train.csv"
+    bad.parent.mkdir()
+    bad.write_bytes((out / "train.csv").read_bytes())
+    side = json.loads((out / "train.json").read_text())
+    del side["schema"]
+    bad.with_suffix(".json").write_text(json.dumps(side))
+    result = runner.invoke(main, base + ["train", "--dataset", str(bad)])
+    assert result.exit_code == 3
+    assert str(bad.with_suffix(".json")) in result.output + (result.stderr or "")
+    assert (out / "model.ccm").read_bytes() == before
+    # the earlier run's manifest still describes the file on disk
+    assert (load_manifest(out).outputs["model.ccm"]["sha256"]
+            == hash_file(out / "model.ccm"))
 
 
 def test_missing_artifact_is_usage_error(runner, fast_cfg, tmp_path):

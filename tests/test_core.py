@@ -11,7 +11,6 @@ from cablecal.core import (
     JointVector,
     SchemaError,
     build_full_schema,
-    validate_joint_vector,
 )
 
 
@@ -44,14 +43,14 @@ def test_limits_reject_inverted():
         JointLimits(JointVector(0, 5, 0), JointVector(90, 5, 250))
 
 
-def test_validate_joint_vector_boundaries():
+def test_limits_contain_boundaries():
     lim = DEFAULT_LIMITS
-    assert validate_joint_vector(lim.min, lim)
-    assert validate_joint_vector(lim.max, lim)
-    assert validate_joint_vector(JointVector(45, 45, 125), lim)
+    assert lim.contains(lim.min)
+    assert lim.contains(lim.max)
+    assert lim.contains(JointVector(45, 45, 125))
     eps = 1e-9
-    assert not validate_joint_vector(JointVector(0 - eps, 0, 0), lim)
-    assert not validate_joint_vector(JointVector(0, 0, 250 + eps), lim)
+    assert not lim.contains(JointVector(0 - eps, 0, 0))
+    assert not lim.contains(JointVector(0, 0, 250 + eps))
 
 
 def test_full_schema_dimensions():

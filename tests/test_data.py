@@ -53,6 +53,18 @@ def test_bag_rejects_wrong_width():
                        sm.TruthStream(np.array([0.0]), np.zeros((1, 3))), FULL_SCHEMA)
 
 
+@pytest.mark.parametrize("stream", ["state", "truth"])
+@pytest.mark.parametrize("at, value", [(1, math.nan), (3, math.inf),
+                                       (0, -math.inf)])
+def test_bag_rejects_non_finite_timestamps(stream, at, value):
+    t = np.array([0.0, 0.1, 0.2, 0.3])
+    bad = t.copy()
+    bad[at] = value
+    ts, tt = (bad, t) if stream == "state" else (t, bad)
+    with pytest.raises(dt.DataError, match="finite"):
+        synthetic_bag(ts, tt)
+
+
 def test_record_metadata():
     bag = make_bag(seed=3)
     assert bag.metadata["seed"] == 3
@@ -161,13 +173,19 @@ def test_degenerate_features_flagged_and_zeroed():
     assert train.norm.sd[j5] == 1.0
 
 
-def test_with_norm_from():
-    bag = make_bag(duration=30.0)
-    ds = dt.synchronize(bag)
-    train, _ = dt.split_and_normalize(ds, 0.8)
-    other = dt.synchronize(make_bag(duration=10.0, seed=5))
-    attached = dt.with_norm_from(other, train)
-    assert attached.norm is train.norm
+@pytest.mark.parametrize("kind", ["slice", "mask", "arange"])
+def test_take_keeps_values_layout_norm_and_meta(kind):
+    ds, _ = dt.split_and_normalize(dt.synchronize(make_bag(duration=10.0)))
+    idx = {"slice": slice(5, 60), "mask": np.arange(len(ds)) % 3 == 1,
+           "arange": np.arange(40)}[kind]
+    sub = ds.take(idx)
+    for name in ("t", "inputs", "targets", "reported"):
+        got, want = getattr(sub, name), getattr(ds, name)[idx]
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert sub.norm is ds.norm and sub.schema == ds.schema
+    assert sub.meta == ds.meta and sub.meta is not ds.meta
 
 
 # --- concat ---------------------------------------------------------------------

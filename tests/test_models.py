@@ -8,16 +8,18 @@ normalize-train-unfold chain for the MLP.
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cablecal import models as models_mod
 from cablecal.core import FULL_SCHEMA
 from cablecal.data import Dataset, NormStats
 from cablecal.models import (END_TO_END, ON_ERROR, FixedOffsetModel,
                              LinearModel, ModelError, _poly2_expand,
                              deserialize, fit_linear, fit_mlp, fit_offset,
-                             fit_poly2, predict, predict_batch, serialize)
+                             fit_poly2, serialize)
 from cablecal.nn import MlpConfig, forward, train_mlp
 
 REP = (0, 1, 2)        # joint_position_j1..j3 within the selected columns
@@ -314,16 +316,26 @@ def test_rep_columns_required_only_when_correcting():
     assert m.predict_batch(X).shape == (100, 3)
 
 
-def test_module_level_predict_delegates():
-    ds = make_dataset(const_err([1.0, 0.0, -1.0]), n=40)
-    m = fit_offset(ds)
-    row = ds.inputs[0].tolist()
-    assert predict(m, row) == m.predict(row)
-    assert np.array_equal(predict_batch(m, ds.inputs), m.predict_batch(ds.inputs))
-
-
 # --------------------------------------------------------------------------
 # serialization
+
+
+def test_failed_serialize_keeps_previous_file(tmp_path, monkeypatch):
+    ds = make_dataset(const_err([1.0, 0.0, -1.0]), n=40)
+    path = tmp_path / "model.ccm"
+    serialize(fit_offset(ds), path)
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(models_mod, "json",
+                        SimpleNamespace(dumps=json.dumps, dump=dump_then_fail))
+    with pytest.raises(OSError, match="disk full"):
+        serialize(fit_linear(ds), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ccm"]
 
 
 def test_round_trip_preserves_predictions_exactly(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cablecal.core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits, JointVector
+from cablecal import data
 from cablecal import sim as sm
 from cablecal import trajectory as tj
 
@@ -25,19 +26,25 @@ def short_traj():
     return tj.generate("j2j3", 0.5, step=0.02)
 
 
+def session(policy_or_traj, em, **kwargs):
+    """The (state, truth) streams of one recorded session."""
+    bag = data.record(policy_or_traj, em, **kwargs)
+    return bag.state, bag.truth
+
+
 # --- identity / offset-only oracles ---------------------------------------
 
 def test_zero_model_reports_truth():
-    state, truth = sm.simulate_session(short_traj(), sm.CableErrorModel(),
-                                       rates=(50.0, 50.0), seed=1, duration=10.0)
+    state, truth = session(short_traj(), sm.CableErrorModel(),
+                           rates=(50.0, 50.0), seed=1, duration=10.0)
     assert np.array_equal(state.t, truth.t)
     assert np.max(np.abs(reported(state) - truth.q)) < 1e-12
 
 
 def test_offset_only_model():
     em = sm.CableErrorModel(offset=(1.0, -2.0, 3.0))
-    state, truth = sm.simulate_session(short_traj(), em, rates=(50.0, 50.0),
-                                       seed=1, duration=10.0)
+    state, truth = session(short_traj(), em, rates=(50.0, 50.0),
+                           seed=1, duration=10.0)
     err = reported(state) - truth.q
     assert np.max(np.abs(err - [1.0, -2.0, 3.0])) < 1e-12
 
@@ -45,8 +52,8 @@ def test_offset_only_model():
 def test_noiseless_linear_identity():
     # with hysteresis/drift/noise off, error == offset + P@rep + S@tau exactly
     em = sm.noiseless_linear_model()
-    state, truth = sm.simulate_session(short_traj(), em, rates=(40.0, 40.0),
-                                       seed=3, duration=30.0)
+    state, truth = session(short_traj(), em, rates=(40.0, 40.0),
+                           seed=3, duration=30.0)
     err = reported(state) - truth.q
     pred = em.b + reported(state) @ em.P.T + torques(state) @ em.S.T
     assert np.max(np.abs(err - pred)) < 1e-9
@@ -56,8 +63,8 @@ def test_noiseless_linear_identity():
 
 def test_bit_identical_given_seed():
     em = sm.default_error_model()
-    a = sm.simulate_session(short_traj(), em, seed=7, duration=20.0)
-    b = sm.simulate_session(short_traj(), em, seed=7, duration=20.0)
+    a = session(short_traj(), em, seed=7, duration=20.0)
+    b = session(short_traj(), em, seed=7, duration=20.0)
     assert np.array_equal(a[0].features, b[0].features)
     assert np.array_equal(a[0].t, b[0].t)
     assert np.array_equal(a[1].q, b[1].q)
@@ -65,15 +72,15 @@ def test_bit_identical_given_seed():
 
 def test_seed_changes_noise():
     em = sm.default_error_model()
-    a = sm.simulate_session(short_traj(), em, seed=7, duration=20.0)
-    b = sm.simulate_session(short_traj(), em, seed=8, duration=20.0)
+    a = session(short_traj(), em, seed=7, duration=20.0)
+    b = session(short_traj(), em, seed=8, duration=20.0)
     assert not np.array_equal(a[0].features, b[0].features)
     assert np.array_equal(a[1].q, b[1].q)  # truth is noise-free
 
 
 def test_truth_independent_of_error_model():
-    a = sm.simulate_session(short_traj(), sm.CableErrorModel(), seed=1, duration=20.0)
-    b = sm.simulate_session(short_traj(), sm.default_error_model(), seed=1, duration=20.0)
+    a = session(short_traj(), sm.CableErrorModel(), seed=1, duration=20.0)
+    b = session(short_traj(), sm.default_error_model(), seed=1, duration=20.0)
     assert np.array_equal(a[1].q, b[1].q)
 
 
@@ -84,7 +91,7 @@ def test_hysteresis_jump_on_reversal():
     # triangle wave on j1: forward then backward
     pts = np.array([[0.0, 45, 125], [30.0, 45, 125], [0.0, 45, 125]])
     traj = tj.Trajectory(pts, "j1", 0.5, False, DEFAULT_LIMITS)
-    state, truth = sm.simulate_session(traj, em, rates=(50.0, 50.0), seed=0)
+    state, truth = session(traj, em, rates=(50.0, 50.0), seed=0)
     err = reported(state)[:, 0] - truth.q[:, 0]
     tau1 = torques(state)[:, 0]
     fric = sm.DEFAULT_ROBOT.torque_friction[0]
@@ -173,14 +180,14 @@ def test_session_homing_leaves_truth_untouched():
 # --- random policy ------------------------------------------------------------
 
 def test_random_policy_deterministic():
-    a = sm.random_sinusoid_policy(seed=9, horizon=60.0)
-    b = sm.random_sinusoid_policy(seed=9, horizon=60.0)
+    a = sm.RandomSinusoidPolicy(seed=9, horizon=60.0)
+    b = sm.RandomSinusoidPolicy(seed=9, horizon=60.0)
     t = np.linspace(0, 60, 500)
     assert np.array_equal(a.positions(t), b.positions(t))
 
 
 def test_random_policy_covers_limits():
-    pol = sm.random_sinusoid_policy(seed=4, horizon=1200.0)
+    pol = sm.RandomSinusoidPolicy(seed=4, horizon=1200.0)
     t = np.arange(0, 1200.0, 0.2)
     q = pol.positions(t)
     lim = DEFAULT_LIMITS
@@ -193,7 +200,7 @@ def test_random_policy_covers_limits():
 
 
 def test_random_policy_velocity_bounded():
-    pol = sm.random_sinusoid_policy(seed=4, horizon=300.0)
+    pol = sm.RandomSinusoidPolicy(seed=4, horizon=300.0)
     v = pol.velocities(np.arange(0, 300.0, 0.05))
     for j in range(3):
         assert np.max(np.abs(v[:, j])) <= tj.DEFAULT_SPEEDS[j] + 1e-9
@@ -202,8 +209,8 @@ def test_random_policy_velocity_bounded():
 def test_limit_violation_raises():
     small = JointLimits(JointVector(20, 20, 50), JointVector(70, 70, 200))
     with pytest.raises(sm.LimitViolationError):
-        sm.simulate_session(short_traj(), sm.CableErrorModel(), seed=0,
-                            limits=small, duration=30.0)
+        session(short_traj(), sm.CableErrorModel(), seed=0,
+                limits=small, duration=30.0)
 
 
 # --- torque proxy ---------------------------------------------------------------
@@ -229,8 +236,8 @@ def test_torque_carries_direction_sign():
 # --- streams, rates, time scale -------------------------------------------------
 
 def test_dual_rates_and_counts():
-    state, truth = sm.simulate_session(short_traj(), sm.CableErrorModel(),
-                                       rates=(30.0, 100.0), seed=0, duration=20.0)
+    state, truth = session(short_traj(), sm.CableErrorModel(),
+                           rates=(30.0, 100.0), seed=0, duration=20.0)
     assert len(state.t) == 600
     assert len(truth.t) == 2000
     assert np.all(np.diff(state.t) > 0)
@@ -279,7 +286,7 @@ def test_drift_continues_across_chunks():
 
 def test_feature_schema_blocks():
     em = sm.default_error_model()
-    state, _ = sm.simulate_session(short_traj(), em, seed=0, duration=20.0)
+    state, _ = session(short_traj(), em, seed=0, duration=20.0)
     assert state.features.shape[1] == 138
     sel = state.features[:, FULL_SCHEMA.selected_indices()]
     assert sel.shape[1] == 16
@@ -290,7 +297,7 @@ def test_feature_schema_blocks():
 
 def test_placeholders_constant_without_aux_noise():
     em = sm.noiseless_linear_model()
-    state, _ = sm.simulate_session(short_traj(), em, seed=0, duration=20.0)
+    state, _ = session(short_traj(), em, seed=0, duration=20.0)
     for name in ("joint_position_j5", "motor_torque_grasper", "encoder_value_j7"):
         col = feat(state, name)
         assert np.all(col == col[0])
@@ -298,13 +305,13 @@ def test_placeholders_constant_without_aux_noise():
 
 def test_placeholders_noisy_with_aux_noise():
     em = sm.default_error_model()
-    state, _ = sm.simulate_session(short_traj(), em, seed=0, duration=20.0)
+    state, _ = session(short_traj(), em, seed=0, duration=20.0)
     assert np.std(feat(state, "joint_position_j5")) > 0
 
 
 def test_desired_positions_derive_from_reported():
     em = sm.default_error_model()
-    state, _ = sm.simulate_session(short_traj(), em, seed=0, duration=20.0)
+    state, _ = session(short_traj(), em, seed=0, duration=20.0)
     v = np.stack([feat(state, f"joint_velocity_j{j}") for j in (1, 2, 3)], axis=1)
     want = reported(state) + sm.DEFAULT_ROBOT.lookahead_s * v
     got = np.stack([feat(state, f"desired_joint_position_j{j}") for j in (1, 2, 3)], axis=1)
@@ -315,7 +322,7 @@ def test_monotone_leak_features_present():
     # timestamp and last_sequence are strictly increasing (the deliberately
     # dangerous columns for full-feature robustness studies)
     em = sm.default_error_model()
-    state, _ = sm.simulate_session(short_traj(), em, seed=0, duration=20.0)
+    state, _ = session(short_traj(), em, seed=0, duration=20.0)
     assert np.all(np.diff(feat(state, "timestamp")) > 0)
     assert np.all(np.diff(feat(state, "last_sequence")) > 0)
 
