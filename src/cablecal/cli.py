@@ -110,6 +110,17 @@ def _write_rows(rows, paths) -> None:
         write_rows_csv(rows, p)
 
 
+def _float_list(ctx, param, value):
+    """Comma-separated numbers as a tuple; None (not given) stays None."""
+    if value is None:
+        return None
+    try:
+        return tuple(float(s) for s in value.split(",") if s.strip())
+    except ValueError:
+        raise click.BadParameter(
+            f"expected comma-separated numbers, got {value!r}")
+
+
 def _load_arg(load, cfg: Config):
     """``--load`` as grams when numeric; ``[eval] load`` when not given."""
     try:
@@ -442,7 +453,7 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
 @main.command("sweep")
 @click.option("--directions", default=",".join(DIRECTIONS), show_default=True,
               help="Comma-separated direction list.")
-@click.option("--sparsities", default=None,
+@click.option("--sparsities", default=None, callback=_float_list,
               help="Comma-separated sparsity list (default from config).")
 @click.option("--time-scale", type=float, default=None)
 @click.option("--with-mlp", is_flag=True,
@@ -462,10 +473,7 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load,
     bad = [d for d in dir_list if d not in DIRECTIONS]
     if bad:
         raise ConfigError(f"unknown direction(s): {', '.join(bad)}")
-    if sparsities is None:
-        sp_list = cfg.trajectory.sparsities
-    else:
-        sp_list = tuple(float(s) for s in sparsities.split(",") if s.strip())
+    sp_list = cfg.trajectory.sparsities if sparsities is None else sparsities
     manifest = _manifest(state, "sweep")
     paths = _report_paths(state.out_dir, "sweep", emit_plot_data)
 

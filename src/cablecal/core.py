@@ -3,13 +3,19 @@
 Units are fixed across the whole toolkit: joint 1 and joint 2 are revolute
 (degrees), joint 3 is prismatic (millimetres). Every position-like quantity
 that crosses a module boundary uses this (deg, deg, mm) convention.
+
+The module also holds ``_replacing``, the atomic text writer that every
+artifact file goes through.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -210,3 +216,18 @@ def build_full_schema() -> FeatureSchema:
 
 #: Canonical schema instance shared by recorder, datasets and models.
 FULL_SCHEMA = build_full_schema()
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temporary sibling of ``path``, moved over ``path``
+    only when the block completes: a failed write leaves the previous file
+    as it was and no partial file behind. Newlines are written untranslated,
+    so every artifact has the same bytes on every platform."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -11,15 +11,13 @@ for model fitting.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import FULL_SCHEMA, FeatureSchema
+from .core import FULL_SCHEMA, FeatureSchema, _replacing
 from .sim import (CableErrorModel, MotionPolicy, SimSession, StateStream,
                   TrajectoryFollower, TruthStream)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
@@ -85,20 +83,6 @@ def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
 #: on a 139-column bag (per-row calls are 2x slower on 4-column truth),
 #: and a 16-row chunk holds about 0.16 MB of text and float objects.
 _CSV_CHUNK_ROWS = 16
-
-
-@contextmanager
-def _replacing(path: Path):
-    """Text handle on a temporary sibling of ``path``, moved over ``path``
-    only when the block completes: a failed write leaves the previous file
-    as it was and no partial file behind."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_matrix(path: Path, header: list, blocks) -> None:

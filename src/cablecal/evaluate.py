@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, JointLimits
+from .core import DEFAULT_LIMITS, JointLimits, _replacing
 from .data import Dataset, concat, record, split_and_normalize, synchronize
 from .models import CalibrationModel, fit_linear, fit_offset
 from .nn import LARGE_CONFIG, MlpConfig
@@ -434,13 +434,13 @@ def write_rows_csv(rows: list, path) -> None:
     """Long-format CSV from a list of same-keyed dicts."""
     if not rows:
         raise EvalError("no rows to write")
-    with open(Path(path), "w", newline="") as fh:
+    with _replacing(Path(path)) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
 
 
 def write_json(obj, path) -> None:
-    with open(Path(path), "w") as fh:
+    with _replacing(Path(path)) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

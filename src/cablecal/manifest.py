@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .core import _replacing
+
 TOOL_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 
@@ -94,7 +96,7 @@ class RunManifest:
 
     def write(self, out_dir) -> Path:
         out = Path(out_dir) / MANIFEST_NAME
-        with open(out, "w") as fh:
+        with _replacing(out) as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return out

@@ -24,14 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from functools import cached_property
 from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureSchema
-from .data import Dataset, NormStats, _replacing
+from .core import FeatureSchema, _replacing
+from .data import Dataset, NormStats
 from .nn import Mlp, MlpConfig, forward, train_mlp
 
 ON_ERROR = "on-error"
@@ -107,6 +108,12 @@ class CalibrationModel:
         if X.ndim != 2 or X.shape[1] != self.dim_in:
             raise ModelError(
                 f"expected inputs of shape (N, {self.dim_in}), got {X.shape}")
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ModelError(
+                f"inputs must be finite: {len(bad)} row(s) hold NaN or inf, "
+                f"first row {bad[0]}")
         return X
 
     def predict(self, x: Sequence) -> list:
@@ -287,6 +294,12 @@ class MlpModel(CalibrationModel):
     The first layer absorbs the input statistics and the output layer the
     target statistics, so the stored network maps raw features straight to
     (mode-dependent) raw outputs.
+
+    The scalar ``predict`` path runs on nested-list copies of the parameters
+    (about 19 MB for ``LARGE_CONFIG``). They are built on the first
+    ``predict`` call, not at construction, so a model that is only fit,
+    evaluated in batch or serialized never holds them. A real-time loop
+    should call ``predict`` once before its first deadline.
     """
 
     kind = "mlp"
@@ -306,22 +319,26 @@ class MlpModel(CalibrationModel):
         self.seed = seed
         self._rep = _rep_indices(schema) if mode == ON_ERROR else None
         self._dim = schema.dim_selected
-        # python-native copies for the scalar path
-        self._hidden = [(w.T.tolist(), b.tolist())
-                        for w, b in zip(self.weights[:-1], self.biases[:-1])]
-        self._out_w = self.weights[-1].T.tolist()
-        self._out_b = self.biases[-1].tolist()
 
     @property
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """Python-native (hidden layers, output rows, output bias) for the
+        scalar path: per hidden layer, its weight rows and bias as lists."""
+        hidden = [(w.T.tolist(), b.tolist())
+                  for w, b in zip(self.weights[:-1], self.biases[:-1])]
+        return hidden, self.weights[-1].T.tolist(), self.biases[-1].tolist()
+
     def predict(self, x: Sequence) -> list:
         if len(x) != self._dim:
             raise ModelError(f"expected {self._dim} features, got {len(x)}")
+        hidden, out_w, out_b = self._tables
         exp = math.exp
         a = x
-        for rows, bias in self._hidden:
+        for rows, bias in hidden:
             nxt = []
             for row, b0 in zip(rows, bias):
                 s = b0 + sum(map(mul, row, a))
@@ -331,8 +348,7 @@ class MlpModel(CalibrationModel):
                     e = exp(s)
                     nxt.append(e / (1.0 + e))
             a = nxt
-        out = [b0 + sum(map(mul, row, a))
-               for row, b0 in zip(self._out_w, self._out_b)]
+        out = [b0 + sum(map(mul, row, a)) for row, b0 in zip(out_w, out_b)]
         r = self._rep
         if r is not None:
             out[0] += x[r[0]]
@@ -440,12 +456,15 @@ def fit_mlp(ds: Dataset, mode: str = ON_ERROR,
     tnorm = NormStats.fit(Y)
     net, curve = train_mlp(norm.apply(ds.inputs), tnorm.apply(Y), config, seed)
 
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
-    weights[0] = weights[0] / norm.sd[:, None]
-    biases[0] = biases[0] - (norm.mean / norm.sd) @ net.weights[0]
-    weights[-1] = weights[-1] * tnorm.sd[None, :]
-    biases[-1] = biases[-1] * tnorm.sd + tnorm.mean
+    # fold in place, as net is discarded: the bias reads weights[0] before
+    # it is divided, and with no hidden layer weights[0] is weights[-1] and
+    # takes both folds in this order
+    weights, biases = net.weights, net.biases
+    biases[0] -= (norm.mean / norm.sd) @ weights[0]
+    weights[0] /= norm.sd[:, None]
+    weights[-1] *= tnorm.sd[None, :]
+    biases[-1] *= tnorm.sd
+    biases[-1] += tnorm.mean
     return MlpModel(mode, ds.schema, weights, biases, config,
                     train_curve=curve.tolist(), seed=seed)
 
@@ -477,6 +496,18 @@ def serialize(model: CalibrationModel, path) -> None:
         fh.write("\n")
 
 
+def _finite(value) -> bool:
+    """Every number in a JSON value is finite (``json`` reads NaN/Infinity)."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if value is None or isinstance(value, str):
+        return True
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    except (TypeError, ValueError):     # ragged nesting, e.g. per-layer lists
+        return all(_finite(v) for v in value)
+
+
 def deserialize(path) -> CalibrationModel:
     try:
         with open(Path(path)) as fh:
@@ -496,4 +527,10 @@ def deserialize(path) -> CalibrationModel:
         cls = _KINDS[doc["kind"]]
     except KeyError:
         raise ModelError(f"unknown model kind {doc.get('kind')!r}")
-    return cls.from_payload(doc["payload"], doc["mode"], schema)
+    payload = doc.get("payload")
+    if not isinstance(payload, dict):
+        raise ModelError("model payload must be a JSON object")
+    for key, value in payload.items():
+        if not _finite(value):
+            raise ModelError(f"non-finite value in model payload entry {key!r}")
+    return cls.from_payload(payload, doc["mode"], schema)

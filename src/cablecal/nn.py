@@ -20,6 +20,13 @@ seeded fit writes the same model bytes on every release. The hot path is
 therefore written in place -- fewer temporaries, the same operations in the
 same order -- rather than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
 sigmoid was rejected because it changes trained bits.
+
+Activations are released right after their last use, with no change to the
+arithmetic. ``forward`` lets go of a layer's input once its GEMM is done
+(unless the caller collects the activations), so it never holds more than
+two adjacent layers' outputs; the backward pass of ``Mlp.loss_and_grads``
+lets go of each hidden activation once the delta has gone through its
+sigmoid derivative.
 """
 
 from __future__ import annotations
@@ -90,9 +97,9 @@ def forward(weights: list, biases: list, X: np.ndarray,
     output. Each hidden activation is appended to ``hidden`` when given."""
     a = X
     for w, b in zip(weights[:-1], biases[:-1]):
-        z = a @ w
-        z += b
-        a = _sigmoid(z)                         # in place: a is z
+        a = a @ w                   # rebinding releases the layer input
+        a += b
+        a = _sigmoid(a)                         # in place
         if hidden is not None:
             hidden.append(a)
     out = a @ weights[-1]
@@ -158,16 +165,20 @@ class Mlp:
             grads[2 * li] = gw
             grads[2 * li + 1] = gb
             if li > 0:
-                # acts[li] (li > 0) is a hidden activation owned here, never X
+                # acts[li] (li > 0) is a hidden activation owned here, never
+                # X; this is its last use, so the list lets go of it
                 a = acts[li]
+                acts[li] = None
                 delta = delta @ w.T
                 if cfg.activity_l2:
                     pen = 2.0 * cfg.activity_l2 * a
                     pen /= n
                     delta += pen
+                    del pen
                 delta *= a                            # sigmoid' = a (1 - a)
                 np.subtract(1.0, a, out=a)
                 delta *= a
+                del a
         return loss, grads
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import JointLimits, DEFAULT_LIMITS
+from .core import DEFAULT_LIMITS, JointLimits, _replacing
 
 DIRECTIONS = ("j1", "j2", "j3", "j1j2", "j2j3", "j1j3", "j1j2j3")
 
@@ -283,11 +283,6 @@ def save(traj: Trajectory, csv_path) -> None:
     use repr so a load round-trips bit-identically.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_index", "j1", "j2", "j3"])
-        for i, p in enumerate(traj.waypoints):
-            w.writerow([i] + [repr(float(x)) for x in p])
     sidecar = {
         "direction": traj.direction,
         "sparsity": traj.sparsity,
@@ -295,9 +290,15 @@ def save(traj: Trajectory, csv_path) -> None:
         "limits": traj.limits.to_dict() if traj.limits is not None else None,
         "meta": traj.meta,
     }
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # both files are complete before either replaces its predecessor
+    with _replacing(csv_path) as fh, \
+            _replacing(csv_path.with_suffix(".json")) as side_fh:
+        w = csv.writer(fh)
+        w.writerow(["t_index", "j1", "j2", "j3"])
+        for i, p in enumerate(traj.waypoints):
+            w.writerow([i] + [repr(float(x)) for x in p])
+        json.dump(sidecar, side_fh, indent=2, sort_keys=True)
+        side_fh.write("\n")
 
 
 def load(csv_path) -> Trajectory:

@@ -200,6 +200,14 @@ def test_bad_sweep_direction_exits_2(runner, fast_cfg, tmp_path):
     assert result.exit_code == 2
 
 
+def test_bad_sweep_sparsities_exits_2(runner, fast_cfg, tmp_path):
+    result = runner.invoke(main, out_args(fast_cfg, tmp_path / "o") +
+                           ["sweep", "--sparsities", "0.5,abc"])
+    assert result.exit_code == 2
+    assert "--sparsities" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
     out = tmp_path / "o"
     out.mkdir()

@@ -7,6 +7,9 @@ normalize-train-unfold chain for the MLP.
 """
 
 import json
+import math
+import tracemalloc
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,10 +20,10 @@ from cablecal import models as models_mod
 from cablecal.core import FULL_SCHEMA
 from cablecal.data import Dataset, NormStats
 from cablecal.models import (END_TO_END, ON_ERROR, FixedOffsetModel,
-                             LinearModel, ModelError, _poly2_expand,
+                             LinearModel, MlpModel, ModelError, _poly2_expand,
                              deserialize, fit_linear, fit_mlp, fit_offset,
                              fit_poly2, serialize)
-from cablecal.nn import MlpConfig, forward, train_mlp
+from cablecal.nn import LARGE_CONFIG, MlpConfig, forward, train_mlp
 
 REP = (0, 1, 2)        # joint_position_j1..j3 within the selected columns
 TORQUE = (8, 9, 10)    # motor_torque_j1..j3
@@ -286,6 +289,17 @@ def test_scalar_path_returns_python_floats():
         assert all(type(v) is float for v in out), m.kind
 
 
+def test_non_finite_input_row_rejected():
+    ds = make_dataset(nonlin_err, n=100, seed=25)
+    fitted = all_fitted_models(ds)
+    for bad in (np.nan, np.inf, -np.inf):
+        X = ds.inputs[:6].copy()
+        X[3, 5] = bad
+        for m in fitted:
+            with pytest.raises(ModelError, match="first row 3"):
+                m.predict_batch(X)
+
+
 def test_wrong_width_rejected():
     ds = make_dataset(const_err([0, 0, 0]), n=30)
     m = fit_linear(ds)
@@ -346,6 +360,74 @@ def test_round_trip_preserves_predictions_exactly(tmp_path):
         m2 = deserialize(p)
         assert m2.kind == m.kind and m2.mode == m.mode
         assert np.array_equal(m2.predict_batch(ds.inputs), m.predict_batch(ds.inputs))
+
+
+def _scalar_predict_ref(model, x):
+    """The scalar MLP path over tables built eagerly from the stored arrays."""
+    exp = math.exp
+    a = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        nxt = []
+        for row, b0 in zip(w.T.tolist(), b.tolist()):
+            s = b0 + sum(map(mul, row, a))
+            if s >= 0.0:
+                nxt.append(1.0 / (1.0 + exp(-s)))
+            else:
+                e = exp(s)
+                nxt.append(e / (1.0 + e))
+        a = nxt
+    out = [b0 + sum(map(mul, row, a))
+           for row, b0 in zip(model.weights[-1].T.tolist(), model.biases[-1].tolist())]
+    if model.mode == ON_ERROR:
+        for j, r in enumerate(models_mod._rep_indices(model.schema)):
+            out[j] += x[r]
+    return out
+
+
+def test_large_mlp_holds_scalar_tables_only_after_first_predict():
+    schema = FULL_SCHEMA.with_all_selected()
+    dims = (schema.dim_selected, *LARGE_CONFIG.hidden, 3)
+    rng = np.random.default_rng(30)
+    weights = [rng.normal(scale=0.05, size=shape) for shape in zip(dims[:-1], dims[1:])]
+    biases = [rng.normal(scale=0.05, size=d) for d in dims[1:]]
+    X = rng.normal(size=(3, dims[0]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = MlpModel(ON_ERROR, schema, weights, biases, LARGE_CONFIG)
+        m.predict_batch(X)
+        m.payload()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the parameter arrays are shared, not copied; nested-list tables for
+    # the scalar path would hold ~19 MB here
+    assert retained < 1e6
+    for row in X.tolist():
+        assert m.predict(row) == _scalar_predict_ref(m, row)
+
+
+NON_FINITE_PARAMETER = [
+    ("offset", "offsets", lambda p: p["offsets"].__setitem__(0, float("nan"))),
+    ("linear", "weights", lambda p: p["weights"][3].__setitem__(1, float("inf"))),
+    ("poly2", "norm", lambda p: p["norm"]["sd"].__setitem__(2, float("-inf"))),
+    ("mlp", "biases", lambda p: p["biases"][0].__setitem__(4, float("nan"))),
+]
+
+
+@pytest.mark.parametrize("kind, entry, corrupt", NON_FINITE_PARAMETER)
+def test_non_finite_parameter_rejected_on_load(tmp_path, kind, entry, corrupt):
+    ds = make_dataset(nonlin_err, n=120, seed=24)
+    model = {m.kind: m for m in all_fitted_models(ds)}[kind]
+    path = tmp_path / "m.ccm"
+    serialize(model, path)
+
+    def mutate(doc):
+        corrupt(doc["payload"])
+        return True                     # the checksum vouches for the NaN
+
+    with pytest.raises(ModelError, match=f"non-finite.*'{entry}'"):
+        deserialize(_tampered(path, mutate))
 
 
 def test_round_trip_is_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -356,6 +357,26 @@ def test_training_matches_reference_loop_bitwise():
     assert np.array_equal(curve, np.array(want_curve))
     for a, b in zip(net.parameters(), params):
         assert _bits_equal(a, b)
+
+
+# --- memory ----------------------------------------------------------------
+
+def test_forward_releases_each_layer_input_before_its_sigmoid():
+    net = Mlp(138, 3, LARGE_CONFIG, seed=31)
+    X = np.random.default_rng(31).normal(size=(2000, 138))
+    tracemalloc.start()
+    try:
+        forward(net.weights, net.biases, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # live at once, per hidden layer: its input and its GEMM output, or that
+    # output with the sigmoid's float denominator and boolean sign mask;
+    # holding the input through the sigmoid as well exceeds this bound
+    n, f8 = len(X), X.itemsize
+    bound = max(max(n * p * f8 + n * q * f8, n * q * (2 * f8 + 1))
+                for p, q in zip(net.dims[:-2], net.dims[1:-1]))
+    assert peak < 1.1 * bound
 
 
 # --- no mutation -------------------------------------------------------------

@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,6 +286,39 @@ def test_save_load_round_trip(tmp_path):
     assert back.normalized == traj.normalized
     assert back.limits == traj.limits
     assert (tmp_path / "traj.json").exists()
+
+
+class _FailingWriter:
+    """csv writer that raises after ``rows`` rows."""
+
+    def __init__(self, fh, rows):
+        self._w, self._left = csv.writer(fh), rows
+
+    def writerow(self, row):
+        if self._left == 0:
+            raise OSError("disk full")
+        self._left -= 1
+        self._w.writerow(row)
+
+
+def _fail_sidecar(obj, fh, **kwargs):
+    fh.write('{"direction": ')
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("broken", [
+    SimpleNamespace(csv=SimpleNamespace(writer=lambda fh: _FailingWriter(fh, 100))),
+    SimpleNamespace(json=SimpleNamespace(dump=_fail_sidecar, load=json.load)),
+], ids=["csv", "sidecar"])
+def test_failed_save_keeps_previous_files(tmp_path, monkeypatch, broken):
+    path = tmp_path / "traj.csv"
+    tj.save(tj.generate("j1j3", 1 / 3), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for name, stub in vars(broken).items():
+        monkeypatch.setattr(tj, name, stub)
+    with pytest.raises(OSError, match="disk full"):
+        tj.save(tj.generate("j2j3", 0.5), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_save_load_normalized(tmp_path):
