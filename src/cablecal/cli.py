@@ -29,8 +29,9 @@ import click
 from . import data as data_mod
 from . import trajectory as traj_mod
 from .config import Config, ConfigError, load_config
+from .core import write_json
 from .evaluate import (bench_latency, decay_curve, direction_sweep,
-                       evaluate_model, write_json, write_rows_csv)
+                       evaluate_model, write_rows_csv)
 from .manifest import RunManifest
 from .models import (deserialize, fit_linear, fit_mlp, fit_offset, fit_poly2,
                      serialize)

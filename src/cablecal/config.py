@@ -10,14 +10,15 @@ running with defaults. Recognized sections:
   [training]     model family, output mode, ridge, split, MLP hyperparameters
   [eval]         stream rates, sync tolerance, time scale, latency budget
 
-The stdlib TOML parser is used when present; otherwise a small in-package
-subset reader handles the same files. JSON configs (same structure, one
-object with the five sections) are accepted via the ``.json`` extension.
+Files are read with the stdlib TOML parser. JSON configs (same structure,
+one object with the five sections) are accepted via the ``.json`` extension.
+Every error raised for a file names that file.
 """
 
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -155,22 +156,6 @@ def default_config() -> Config:
     return Config()
 
 
-def _read_toml(path: Path) -> dict:
-    text = path.read_text()
-    try:
-        import tomllib
-    except ModuleNotFoundError:
-        from . import _toml
-        try:
-            return _toml.loads(text)
-        except _toml.TomlError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
     unknown = set(overrides) - set(defaults)
     if unknown:
@@ -192,23 +177,23 @@ def load_config(path=None) -> Config:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    if path.suffix.lower() == ".json":
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    else:
-        raw = _read_toml(path)
+    parse = json.loads if path.suffix.lower() == ".json" else tomllib.loads
+    try:
+        raw = parse(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            tomllib.TOMLDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a table/object")
 
     known = ("limits", "error_model", "trajectory", "training", "eval")
     unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(
+            f"{path}: unknown config section(s): {', '.join(sorted(unknown))}")
     for section in known:
         if section in raw and not isinstance(raw[section], dict):
-            raise ConfigError(f"[{section}] must be a table of keys")
+            raise ConfigError(f"{path}: [{section}] must be a table of keys")
 
     base = default_config()
     try:
@@ -228,8 +213,6 @@ def load_config(path=None) -> Config:
         eval_cfg = EvalConfig(**_listify(
             _merge_section("eval", base.eval.to_dict(), raw.get("eval", {})),
             ("rates",)))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:     # ConfigError too: name the file
         raise ConfigError(f"{path}: {exc}") from exc
     return Config(limits, error_model, trajectory, training, eval_cfg)

@@ -5,7 +5,8 @@ Units are fixed across the whole toolkit: joint 1 and joint 2 are revolute
 that crosses a module boundary uses this (deg, deg, mm) convention.
 
 The module also holds ``_replacing``, the atomic text writer that every
-artifact file goes through.
+artifact file goes through, and ``write_json``, the one JSON layout on top
+of it.
 """
 
 from __future__ import annotations
@@ -231,3 +232,10 @@ def _replacing(path: Path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(obj, path) -> None:
+    """Indented, key-sorted JSON plus a trailing newline, written atomically."""
+    with _replacing(Path(path)) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FULL_SCHEMA, FeatureSchema, _replacing
+from .core import FULL_SCHEMA, FeatureSchema, _replacing, write_json
 from .sim import (CableErrorModel, MotionPolicy, SimSession, StateStream,
                   TrajectoryFollower, TruthStream)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
@@ -103,12 +103,6 @@ def _write_matrix(path: Path, header: list, blocks) -> None:
             fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _write_json(path: Path, obj) -> None:
-    with _replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_sidecar(path: Path) -> tuple:
     """A JSON header and the feature schema it carries."""
     with open(path) as fh:
@@ -151,8 +145,8 @@ def save_bag(bag: RecordedBag, bag_dir) -> None:
                   [bag.state.t, bag.state.features])
     _write_matrix(bag_dir / "truth.csv", ["t", "q1", "q2", "q3"],
                   [bag.truth.t, bag.truth.q])
-    _write_json(bag_dir / "metadata.json",
-                {"schema": bag.schema.to_dict(), "metadata": bag.metadata})
+    write_json({"schema": bag.schema.to_dict(), "metadata": bag.metadata},
+               bag_dir / "metadata.json")
 
 
 def load_bag(bag_dir) -> RecordedBag:
@@ -342,11 +336,11 @@ def save_dataset(ds: Dataset, csv_path) -> None:
     header = (["t"] + [f"x_{i}" for i in range(D)]
               + ["q1_true", "q2_true", "q3_true", "q1_rep", "q2_rep", "q3_rep"])
     _write_matrix(csv_path, header, [ds.t, ds.inputs, ds.targets, ds.reported])
-    _write_json(csv_path.with_suffix(".json"), {
+    write_json({
         "schema": ds.schema.to_dict(),
         "norm": ds.norm.to_dict() if ds.norm is not None else None,
         "meta": ds.meta,
-    })
+    }, csv_path.with_suffix(".json"))
 
 
 def load_dataset(csv_path) -> Dataset:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -377,7 +376,7 @@ def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,
     linear on both masks, the standard MLP on the selected mask and the
     large regularized MLP on the full mask.
     """
-    from .models import fit_mlp, fit_poly2  # noqa: F401  (poly kept importable)
+    from .models import fit_mlp
 
     mlp_config = mlp_config if mlp_config is not None else MlpConfig()
     large_config = large_config if large_config is not None else LARGE_CONFIG
@@ -438,9 +437,3 @@ def write_rows_csv(rows: list, path) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_json(obj, path) -> None:
-    with _replacing(Path(path)) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import _replacing
+from .core import write_json
 
 TOOL_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
@@ -69,11 +69,11 @@ class RunManifest:
 
     def add_input(self, path) -> None:
         path = Path(path)
-        self.inputs[path.name] = {"path": str(path), "sha256": _hash_artifact(path)}
+        self.inputs[str(path)] = {"path": str(path), "sha256": _hash_artifact(path)}
 
     def add_output(self, path) -> None:
         path = Path(path)
-        self.outputs[path.name] = {"path": str(path), "sha256": _hash_artifact(path)}
+        self.outputs[str(path)] = {"path": str(path), "sha256": _hash_artifact(path)}
 
     def add_stage(self, name: str, wall_s: float, sim_s=None) -> None:
         stage = {"name": name, "wall_s": float(wall_s)}
@@ -96,9 +96,7 @@ class RunManifest:
 
     def write(self, out_dir) -> Path:
         out = Path(out_dir) / MANIFEST_NAME
-        with _replacing(out) as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), out)
         return out
 
     @classmethod

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureSchema, _replacing
+from .core import FeatureSchema, write_json
 from .data import Dataset, NormStats
 from .nn import Mlp, MlpConfig, forward, train_mlp
 
@@ -117,6 +117,12 @@ class CalibrationModel:
         return X
 
     def predict(self, x: Sequence) -> list:
+        """Corrected joints for one feature row, in pure Python.
+
+        This is the servo path, so it deliberately skips the finiteness
+        check that ``predict_batch`` applies: a NaN or inf in ``x`` raises
+        no ``ModelError``, and the caller owns that check.
+        """
         raise NotImplementedError
 
     def predict_batch(self, X) -> np.ndarray:
@@ -491,9 +497,7 @@ def serialize(model: CalibrationModel, path) -> None:
         "payload": model.payload(),
     }
     doc["checksum"] = _checksum(doc)
-    with _replacing(Path(path)) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def _finite(value) -> bool:
@@ -514,18 +518,16 @@ def deserialize(path) -> CalibrationModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelError(f"not a model file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelError("not a model file: top level must be a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"not a model file: format tag {doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"unsupported model file version {doc.get('version')!r}")
     if doc.get("checksum") != _checksum(doc):
         raise ModelError("model file checksum mismatch (corrupted or edited)")
-    schema = FeatureSchema.from_dict(doc["schema"])
-    if doc.get("schema_hash") != schema.hash():
-        raise ModelError("schema hash does not match embedded schema")
-    try:
-        cls = _KINDS[doc["kind"]]
-    except KeyError:
+    cls = _KINDS.get(doc.get("kind"))
+    if cls is None:
         raise ModelError(f"unknown model kind {doc.get('kind')!r}")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
@@ -533,4 +535,10 @@ def deserialize(path) -> CalibrationModel:
     for key, value in payload.items():
         if not _finite(value):
             raise ModelError(f"non-finite value in model payload entry {key!r}")
-    return cls.from_payload(payload, doc["mode"], schema)
+    try:
+        schema = FeatureSchema.from_dict(doc["schema"])
+        if doc.get("schema_hash") != schema.hash():
+            raise ModelError("schema hash does not match embedded schema")
+        return cls.from_payload(payload, doc["mode"], schema)
+    except KeyError as exc:
+        raise ModelError(f"model file lacks entry {exc}") from exc

@@ -65,7 +65,7 @@ def test_generate_writes_loadable_trajectory(runner, fast_cfg, tmp_path):
     traj = traj_mod.load(csv)
     assert traj.direction == "j2"
     m = load_manifest(out)
-    assert "traj_j2_0.5.csv" in m.outputs
+    assert str(out / "traj_j2_0.5.csv") in m.outputs
     assert m.command == "generate"
 
 
@@ -116,7 +116,7 @@ def test_process_multiple_bags_concatenates(runner, fast_cfg, tmp_path):
     _, text = invoke(runner, base + ["process", "--bag", str(out / "a"),
                                      "--bag", str(out / "b")])
     m = load_manifest(out)
-    assert set(m.inputs) == {"a", "b"}
+    assert set(m.inputs) == {str(out / "a"), str(out / "b")}
 
 
 def test_sweep_small(runner, fast_cfg, tmp_path):
@@ -173,7 +173,7 @@ def test_stage_by_stage_matches_pipeline(runner, tmp_path):
     assert ([r["model_rmse"] for r in a_rows]
             == pytest.approx([r["model_rmse"] for r in b_rows], rel=1e-12))
     assert set(load_manifest(b).outputs) >= {
-        "traj_j1j2j3_0.5.json", "train.json", "test.json"}
+        str(b / n) for n in ("traj_j1j2j3_0.5.json", "train.json", "test.json")}
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,16 @@ def test_unknown_section_exits_2(runner, tmp_path):
     p.write_text("[nope]\nx = 1\n")
     result = runner.invoke(main, ["--config", str(p), "generate"])
     assert result.exit_code == 2
+
+
+def test_malformed_config_exits_2_naming_file(runner, tmp_path):
+    p = tmp_path / "bad.toml"
+    p.write_text("a = 1\nb = 2\nc = ?\n")
+    result = runner.invoke(main, ["--config", str(p), "generate"])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"config error: {p}: " in text
+    assert "line 3" in text
 
 
 def test_bad_sweep_direction_exits_2(runner, fast_cfg, tmp_path):
@@ -244,7 +254,7 @@ def test_failed_train_keeps_earlier_model(runner, fast_cfg, tmp_path):
     assert str(bad.with_suffix(".json")) in result.output + (result.stderr or "")
     assert (out / "model.ccm").read_bytes() == before
     # the earlier run's manifest still describes the file on disk
-    assert (load_manifest(out).outputs["model.ccm"]["sha256"]
+    assert (load_manifest(out).outputs[str(out / "model.ccm")]["sha256"]
             == hash_file(out / "model.ccm"))
 
 
@@ -322,4 +332,17 @@ def test_manifest_round_trip(tmp_path):
     again = load_manifest(path)          # by file
     assert back.to_dict() == again.to_dict() == m.to_dict()
     assert back.config_hash == m.config_hash
-    assert back.inputs["input.txt"]["sha256"] == hash_file(f)
+    assert back.inputs[str(f)]["sha256"] == hash_file(f)
+
+
+def test_manifest_keeps_same_named_files_apart(tmp_path):
+    paths = [tmp_path / d / "t.csv" for d in ("a", "b")]
+    m = RunManifest(command="evaluate", seed=0, config={})
+    for p in paths:
+        p.parent.mkdir()
+        p.write_text(p.parent.name)
+        m.add_input(p)
+        m.add_output(p)
+    want = {str(p): hash_file(p) for p in paths}
+    assert {k: v["sha256"] for k, v in m.inputs.items()} == want
+    assert {k: v["sha256"] for k, v in m.outputs.items()} == want

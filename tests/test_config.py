@@ -1,10 +1,10 @@
-"""Config loading: defaults, file overrides, strict validation, TOML subset."""
+"""Config loading: defaults, file overrides, strict validation."""
 
 import json
+import re
 
 import pytest
 
-from cablecal import _toml
 from cablecal.config import (Config, ConfigError, default_config, load_config)
 from cablecal.models import ON_ERROR
 
@@ -131,62 +131,30 @@ def test_config_is_frozen():
         cfg.training.epochs = 7
 
 
-# ---------------------------------------------------------------------------
-# the bundled TOML subset reader (used when stdlib tomllib is unavailable)
-
-
-def test_toml_scalars_and_tables():
-    doc = _toml.loads("""
-top = 1
-[a]
-s = "hi #not a comment"
-f = 1.5e-3
-neg = -2
-yes = true
-no = false
-[a.b]
-x = 10
-""")
-    assert doc["top"] == 1
-    assert doc["a"]["s"] == "hi #not a comment"
-    assert doc["a"]["f"] == 1.5e-3
-    assert doc["a"]["neg"] == -2
-    assert doc["a"]["yes"] is True and doc["a"]["no"] is False
-    assert doc["a"]["b"]["x"] == 10
-
-
-def test_toml_arrays_inline_and_multiline():
-    doc = _toml.loads("""
-a = [1, 2, 3]
-b = [
-  "x",
-  "y",
-]
-c = [[1, 2], [3, 4]]
-""")
-    assert doc["a"] == [1, 2, 3]
-    assert doc["b"] == ["x", "y"]
-    assert doc["c"] == [[1, 2], [3, 4]]
-
-
-def test_toml_string_escapes():
-    doc = _toml.loads(r's = "line\nbreak \"quoted\" tab\t"')
-    assert doc["s"] == 'line\nbreak "quoted" tab\t'
-
-
 @pytest.mark.parametrize("text", [
     "x = ",                      # missing value
     "x = 1\nx = 2",              # duplicate key
     '[("bad")]\n',               # malformed header
-    "[[points]]\nx = 1\n",       # array-of-tables unsupported
+    "[[points]]\nx = 1\n",       # valid TOML, but not a config section
     's = "unterminated',         # dangling string
     "just a bare line",          # not key = value
+    "training = 3\n",            # a section that is not a table
+    "[training]\nmodle = 1\n",   # a key the section does not have
 ])
-def test_toml_errors(text):
-    with pytest.raises(_toml.TomlError):
-        _toml.loads(text)
+def test_malformed_file_rejected_naming_it(tmp_path, text):
+    p = write(tmp_path, "bad.toml", text)
+    with pytest.raises(ConfigError, match=re.escape(str(p))):
+        load_config(p)
 
 
-def test_toml_error_carries_line_number():
-    with pytest.raises(_toml.TomlError, match="line 3"):
-        _toml.loads("a = 1\nb = 2\nc = ?\n")
+def test_non_utf8_file_rejected_naming_it(tmp_path):
+    p = tmp_path / "bad.toml"
+    p.write_bytes(b"\xff[training]\n")
+    with pytest.raises(ConfigError, match=re.escape(str(p))):
+        load_config(p)
+
+
+def test_parse_error_carries_line_number(tmp_path):
+    p = write(tmp_path, "c.toml", "a = 1\nb = 2\nc = ?\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        load_config(p)

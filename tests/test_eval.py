@@ -11,12 +11,12 @@ import json
 import numpy as np
 import pytest
 
-from cablecal.core import FULL_SCHEMA
+from cablecal.core import FULL_SCHEMA, write_json
 from cablecal.data import Dataset, record, synchronize
 from cablecal.evaluate import (LatencyReport, RmseReport, bench_latency,
                                decay_curve, direction_sweep, evaluate_model,
                                feature_robustness, rmse, segment_rmse,
-                               write_json, write_rows_csv)
+                               write_rows_csv)
 from cablecal.models import (FixedOffsetModel, fit_linear, fit_mlp,
                              fit_offset)
 from cablecal.nn import MlpConfig

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cablecal import core as core_mod
 from cablecal import models as models_mod
 from cablecal.core import FULL_SCHEMA
 from cablecal.data import Dataset, NormStats
@@ -344,7 +345,8 @@ def test_failed_serialize_keeps_previous_file(tmp_path, monkeypatch):
         fh.write('{"format": ')
         raise OSError("disk full")
 
-    monkeypatch.setattr(models_mod, "json",
+    # every JSON artifact is written by core.write_json
+    monkeypatch.setattr(core_mod, "json",
                         SimpleNamespace(dumps=json.dumps, dump=dump_then_fail))
     with pytest.raises(OSError, match="disk full"):
         serialize(fit_linear(ds), path)
@@ -501,6 +503,22 @@ def test_bad_mode_in_file_rejected(offset_file):
 
     with pytest.raises(ModelError, match="mode"):
         deserialize(_tampered(offset_file, mutate))
+
+
+@pytest.mark.parametrize("entry", ["mode", "schema", "offsets"])
+def test_missing_entry_rejected(offset_file, entry):
+    def mutate(doc):
+        del (doc["payload"] if entry == "offsets" else doc)[entry]
+        return True
+
+    with pytest.raises(ModelError, match=f"'{entry}'"):
+        deserialize(_tampered(offset_file, mutate))
+
+
+def test_top_level_list_rejected(offset_file):
+    offset_file.write_text(json.dumps([json.loads(offset_file.read_text())]))
+    with pytest.raises(ModelError, match="JSON object"):
+        deserialize(offset_file)
 
 
 def test_check_compatible_rejects_other_mask():
