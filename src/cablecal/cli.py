@@ -33,8 +33,8 @@ from .core import write_json
 from .evaluate import (bench_latency, decay_curve, direction_sweep,
                        evaluate_model, write_rows_csv)
 from .manifest import RunManifest
-from .models import (deserialize, fit_linear, fit_mlp, fit_offset, fit_poly2,
-                     serialize)
+from .models import (MODEL_KINDS, MODES, deserialize, fit_linear, fit_mlp,
+                     fit_offset, fit_poly2, serialize)
 from .trajectory import DIRECTIONS
 
 EXIT_CONFIG = 2
@@ -97,18 +97,15 @@ def _sidecars(*csv_paths) -> list:
     return [p for csv in csv_paths for p in (csv, csv.with_suffix(".json"))]
 
 
-def _report_paths(out: Path, stem: str, plot_data: bool = False) -> list:
-    """``<stem>.csv`` and ``<stem>.json``, then ``plot_data.csv`` if asked."""
-    paths = [out / f"{stem}.csv", out / f"{stem}.json"]
-    return paths + ([out / "plot_data.csv"] if plot_data else [])
+def _report_paths(out: Path, stem: str) -> list:
+    """``<stem>.csv`` and ``<stem>.json``."""
+    return [out / f"{stem}.csv", out / f"{stem}.json"]
 
 
 def _write_rows(rows, paths) -> None:
-    """Rows as CSV and JSON, and as a plot-data CSV when a third path is given."""
+    """Rows as CSV and as JSON."""
     write_rows_csv(rows, paths[0])
     write_json(rows, paths[1])
-    for p in paths[2:]:
-        write_rows_csv(rows, p)
 
 
 def _float_list(ctx, param, value):
@@ -204,7 +201,7 @@ def _train(cfg: Config, ds, kind, mode, seed, path, epochs=None, ridge=None):
     elif kind == "poly2":
         model = fit_poly2(ds, mode, ridge)
     else:
-        mlp_cfg = cfg.training.mlp_config()
+        mlp_cfg = cfg.training.mlp
         if epochs is not None:
             mlp_cfg = replace(mlp_cfg, epochs=epochs)
         model = fit_mlp(ds, mode, mlp_cfg, seed)
@@ -366,11 +363,9 @@ def process_command(state, bags, full_features, train_frac, tolerance):
 @main.command("train")
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True),
               required=True, help="Training dataset CSV.")
-@click.option("--model", "kind",
-              type=click.Choice(("offset", "linear", "poly2", "mlp")),
-              default=None, help="Model family (default from config).")
-@click.option("--mode", type=click.Choice(("on-error", "end-to-end")),
-              default=None)
+@click.option("--model", "kind", type=click.Choice(MODEL_KINDS), default=None,
+              help="Model family (default from config).")
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--epochs", type=int, default=None, help="MLP epoch override.")
 @click.option("--ridge", type=float, default=None)
 @click.option("--name", default="model.ccm", show_default=True)
@@ -398,19 +393,17 @@ def train_command(state, dataset_path, kind, mode, epochs, ridge, name):
               help="Dataset for the fixed-offset baseline (default: eval set).")
 @click.option("--decay", is_flag=True, help="Also emit hour-bucket decay rows.")
 @click.option("--bucket-s", type=float, default=3600.0, show_default=True)
-@click.option("--emit-plot-data", is_flag=True,
-              help="Write plot-ready long-format CSV alongside the report.")
 @click.pass_obj
 @_guard
 def evaluate_command(state, model_file, dataset_path, train_dataset, decay,
-                     bucket_s, emit_plot_data):
+                     bucket_s):
     """Score a model file: per-joint RMSE vs raw and fixed-offset baselines."""
     manifest = _manifest(state, "evaluate")
     manifest.add_input(model_file)
     manifest.add_input(dataset_path)
     if train_dataset is not None:
         manifest.add_input(train_dataset)
-    paths = _report_paths(state.out_dir, "rmse_report", emit_plot_data)
+    paths = _report_paths(state.out_dir, "rmse_report")
 
     def run():
         model = deserialize(model_file)
@@ -462,11 +455,9 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
 @click.option("--load", default=None,
               help="'unloaded', 'loaded', 'idle' or grams "
                    "(default: eval.load).")
-@click.option("--emit-plot-data", is_flag=True)
 @click.pass_obj
 @_guard
-def sweep_command(state, directions, sparsities, time_scale, with_mlp, load,
-                  emit_plot_data):
+def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
     """Fit models per trajectory direction and tabulate test RMSE."""
     cfg = state.config
     time_scale = cfg.eval.time_scale if time_scale is None else time_scale
@@ -476,15 +467,14 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load,
         raise ConfigError(f"unknown direction(s): {', '.join(bad)}")
     sp_list = cfg.trajectory.sparsities if sparsities is None else sparsities
     manifest = _manifest(state, "sweep")
-    paths = _report_paths(state.out_dir, "sweep", emit_plot_data)
+    paths = _report_paths(state.out_dir, "sweep")
 
     def run():
         fits = {"linear": lambda ds: fit_linear(ds, cfg.training.mode,
                                                 cfg.training.ridge)}
         if with_mlp:
             fits["mlp"] = lambda ds: fit_mlp(ds, cfg.training.mode,
-                                             cfg.training.mlp_config(),
-                                             state.seed)
+                                             cfg.training.mlp, state.seed)
         table = direction_sweep(
             cfg.error_model, fits, directions=dir_list, sparsities=sp_list,
             limits=cfg.limits, rates=cfg.eval.rates, seed=state.seed,

@@ -8,6 +8,7 @@ running with defaults. Recognized sections:
   [error_model]  simulator transmission-error parameters
   [trajectory]   direction, sparsity/sparsities, step, follow speeds
   [training]     model family, output mode, ridge, split, MLP hyperparameters
+                 (flat keys; those naming ``nn.MlpConfig`` fields set it)
   [eval]         stream rates, sync tolerance, time scale, latency budget
 
 Files are read with the stdlib TOML parser. JSON configs (same structure,
@@ -19,16 +20,15 @@ from __future__ import annotations
 
 import json
 import tomllib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .core import DEFAULT_LIMITS, JointLimits
-from .models import MODES, ON_ERROR
+from .data import SYNC_TOLERANCE_S
+from .models import MODEL_KINDS, MODES, ON_ERROR
 from .nn import MlpConfig
 from .sim import CableErrorModel, default_error_model
 from .trajectory import DEFAULT_SPEEDS, DEFAULT_STEP, DIRECTIONS
-
-MODEL_KINDS = ("offset", "linear", "poly2", "mlp")
 
 
 class ConfigError(ValueError):
@@ -55,11 +55,6 @@ class TrajectoryConfig:
         if len(self.speeds) != 3 or any(v <= 0 for v in self.speeds):
             raise ConfigError(f"trajectory.speeds must be 3 positive values, got {self.speeds}")
 
-    def to_dict(self) -> dict:
-        return {"direction": self.direction, "sparsity": self.sparsity,
-                "sparsities": list(self.sparsities), "step": self.step,
-                "speeds": list(self.speeds)}
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -68,17 +63,7 @@ class TrainingConfig:
     ridge: float = 0.0
     train_frac: float = 0.8
     seed: int = 0
-    hidden: tuple = (100, 100)
-    epochs: int = 200
-    lr: float = 1e-3
-    batch_size: int = 1024
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    kernel_l2: float = 5e-4
-    kernel_l1: float = 0.0
-    bias_l2: float = 0.0
-    activity_l2: float = 0.0
+    mlp: MlpConfig = MlpConfig()
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -89,31 +74,16 @@ class TrainingConfig:
             raise ConfigError(f"training.ridge must be >= 0, got {self.ridge}")
         if not (0.0 < self.train_frac < 1.0):
             raise ConfigError(f"training.train_frac must be in (0, 1), got {self.train_frac}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("training.epochs and training.batch_size must be >= 1")
-
-    def mlp_config(self) -> MlpConfig:
-        return MlpConfig(
-            hidden=tuple(self.hidden), epochs=self.epochs, lr=self.lr,
-            batch_size=self.batch_size, beta1=self.beta1, beta2=self.beta2,
-            eps=self.eps, kernel_l2=self.kernel_l2, kernel_l1=self.kernel_l1,
-            bias_l2=self.bias_l2, activity_l2=self.activity_l2)
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["hidden"] = list(self.hidden)
-        return d
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     rates: tuple = (30.0, 100.0)
-    sync_tolerance_s: float = 0.010
+    sync_tolerance_s: float = SYNC_TOLERANCE_S
     time_scale: float = 1.0
     budget_hz: float = 1000.0
     latency_samples: int = 10_000
     repeats: int = 3
-    hours: float = 6.0
     load: str = "loaded"
 
     def __post_init__(self):
@@ -125,13 +95,6 @@ class EvalConfig:
             raise ConfigError(f"eval.time_scale must be >= 1, got {self.time_scale}")
         if self.budget_hz <= 0 or self.latency_samples < 1 or self.repeats < 1:
             raise ConfigError("eval latency settings must be positive")
-        if self.hours <= 0:
-            raise ConfigError(f"eval.hours must be positive, got {self.hours}")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["rates"] = list(self.rates)
-        return d
 
 
 @dataclass(frozen=True)
@@ -143,13 +106,39 @@ class Config:
     eval: EvalConfig = EvalConfig()
 
     def to_dict(self) -> dict:
-        return {
-            "limits": self.limits.to_dict(),
-            "error_model": self.error_model.to_dict(),
-            "trajectory": self.trajectory.to_dict(),
-            "training": self.training.to_dict(),
-            "eval": self.eval.to_dict(),
-        }
+        return {name: dump(getattr(self, name))
+                for name, (dump, _) in _SECTIONS.items()}
+
+
+def _jsonable(obj):
+    """A frozen dataclass as JSON-ready data: its fields, tuples as lists."""
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def _training_dict(training: TrainingConfig) -> dict:
+    """The flat ``[training]`` table: the ``mlp`` fields sit beside the rest."""
+    d = _jsonable(training)
+    d.update(d.pop("mlp"))
+    return d
+
+
+def _training(d: dict) -> TrainingConfig:
+    mlp = MlpConfig(**{f.name: d.pop(f.name) for f in fields(MlpConfig)})
+    return TrainingConfig(**d, mlp=mlp)
+
+
+#: Each config section: its JSON-ready form and its builder from that form.
+_SECTIONS = {
+    "limits": (JointLimits.to_dict, JointLimits.from_dict),
+    "error_model": (_jsonable, lambda d: CableErrorModel(**d)),
+    "trajectory": (_jsonable, lambda d: TrajectoryConfig(**d)),
+    "training": (_training_dict, _training),
+    "eval": (_jsonable, lambda d: EvalConfig(**d)),
+}
 
 
 def default_config() -> Config:
@@ -157,17 +146,14 @@ def default_config() -> Config:
 
 
 def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
+    """``defaults`` updated by ``overrides``, with every list as a tuple."""
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
-
-
-def _listify(d: dict, keys: tuple) -> dict:
-    return {k: (tuple(v) if k in keys else v) for k, v in d.items()}
+    merged = {**defaults, **overrides}
+    return {k: tuple(v) if isinstance(v, list) else v
+            for k, v in merged.items()}
 
 
 def load_config(path=None) -> Config:
@@ -175,8 +161,9 @@ def load_config(path=None) -> Config:
     if path is None:
         return default_config()
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        what = "is not a file" if path.exists() else "not found"
+        raise ConfigError(f"config file {what}: {path}")
     parse = json.loads if path.suffix.lower() == ".json" else tomllib.loads
     try:
         raw = parse(path.read_text())
@@ -186,33 +173,19 @@ def load_config(path=None) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a table/object")
 
-    known = ("limits", "error_model", "trajectory", "training", "eval")
-    unknown = set(raw) - set(known)
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(
             f"{path}: unknown config section(s): {', '.join(sorted(unknown))}")
-    for section in known:
+    for section in _SECTIONS:
         if section in raw and not isinstance(raw[section], dict):
             raise ConfigError(f"{path}: [{section}] must be a table of keys")
 
     base = default_config()
     try:
-        limits = JointLimits.from_dict(
-            _merge_section("limits", base.limits.to_dict(), raw.get("limits", {})))
-        error_model = CableErrorModel.from_dict(
-            _merge_section("error_model", base.error_model.to_dict(),
-                           raw.get("error_model", {})))
-        trajectory = TrajectoryConfig(**_listify(
-            _merge_section("trajectory", base.trajectory.to_dict(),
-                           raw.get("trajectory", {})),
-            ("sparsities", "speeds")))
-        training = TrainingConfig(**_listify(
-            _merge_section("training", base.training.to_dict(),
-                           raw.get("training", {})),
-            ("hidden",)))
-        eval_cfg = EvalConfig(**_listify(
-            _merge_section("eval", base.eval.to_dict(), raw.get("eval", {})),
-            ("rates",)))
+        return Config(**{
+            name: build(_merge_section(name, dump(getattr(base, name)),
+                                       raw.get(name, {})))
+            for name, (dump, build) in _SECTIONS.items()})
     except (ValueError, TypeError) as exc:     # ConfigError too: name the file
         raise ConfigError(f"{path}: {exc}") from exc
-    return Config(limits, error_model, trajectory, training, eval_cfg)

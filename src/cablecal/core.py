@@ -20,13 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-N_POSITIONING_JOINTS = 3
-
 #: Channel suffixes for the 8 motor/joint channels of one arm
 #: (7 arm joints plus the grasper channel).
 CHANNELS = ("j1", "j2", "j3", "j4", "j5", "j6", "j7", "grasper")
-
-JOINT_UNITS = ("deg", "deg", "mm")
 
 
 class SchemaError(ValueError):
@@ -137,9 +133,6 @@ class FeatureSchema:
             separators=(",", ":"),
         ).encode()
         return hashlib.sha256(blob).hexdigest()
-
-    def with_mask(self, mask) -> "FeatureSchema":
-        return FeatureSchema(self.names, tuple(bool(m) for m in mask))
 
     def with_all_selected(self) -> "FeatureSchema":
         return FeatureSchema(self.names, tuple(True for _ in self.names))

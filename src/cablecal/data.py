@@ -17,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FULL_SCHEMA, FeatureSchema, _replacing, write_json
-from .sim import (CableErrorModel, MotionPolicy, SimSession, StateStream,
-                  TrajectoryFollower, TruthStream)
+from .core import (DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, _replacing,
+                   write_json)
+from .sim import (CableErrorModel, SimSession, StateStream, TrajectoryFollower,
+                  TruthStream)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
 
 #: Default pairing tolerance: well under half a 30 Hz state period.
@@ -58,7 +59,6 @@ def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
            load="unloaded", rates=(30.0, 100.0), seed=0, time_scale=1.0,
            limits=None, speeds=DEFAULT_SPEEDS, metadata: Optional[dict] = None) -> RecordedBag:
     """Run one simulated session and package the streams as a bag."""
-    from .core import DEFAULT_LIMITS
     limits = limits if limits is not None else DEFAULT_LIMITS
     policy = (TrajectoryFollower(policy_or_traj, speeds)
               if isinstance(policy_or_traj, Trajectory) else policy_or_traj)
@@ -232,11 +232,6 @@ class Dataset:
     def errors(self) -> np.ndarray:
         """Per-row joint error: truth - reported (the on-error target)."""
         return self.targets - self.reported
-
-    def normalized_inputs(self) -> np.ndarray:
-        if self.norm is None:
-            raise DataError("dataset has no normalization stats attached")
-        return self.norm.apply(self.inputs)
 
     def take(self, idx) -> "Dataset":
         """The rows at ``idx`` (a slice, a boolean mask or an index array),

@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import FeatureSchema, write_json
 from .data import Dataset, NormStats
-from .nn import Mlp, MlpConfig, forward, train_mlp
+from .nn import MlpConfig, forward, train_mlp
 
 ON_ERROR = "on-error"
 END_TO_END = "end-to-end"
@@ -390,6 +390,7 @@ class MlpModel(CalibrationModel):
 
 _KINDS = {cls.kind: cls for cls in
           (FixedOffsetModel, LinearModel, PolyModel, MlpModel)}
+MODEL_KINDS = tuple(_KINDS)
 
 
 # --------------------------------------------------------------------------
@@ -540,5 +541,9 @@ def deserialize(path) -> CalibrationModel:
         if doc.get("schema_hash") != schema.hash():
             raise ModelError("schema hash does not match embedded schema")
         return cls.from_payload(payload, doc["mode"], schema)
+    except ModelError:
+        raise
     except KeyError as exc:
         raise ModelError(f"model file lacks entry {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ModelError(f"malformed model file entry: {exc}") from exc

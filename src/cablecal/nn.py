@@ -55,6 +55,14 @@ class MlpConfig:
     bias_l2: float = 0.0
     activity_l2: float = 0.0
 
+    def __post_init__(self):
+        if not (isinstance(self.hidden, tuple)
+                and all(isinstance(n, int) and n >= 1 for n in self.hidden)):
+            raise ValueError(
+                f"hidden must be a tuple of layer widths >= 1, got {self.hidden!r}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
 

@@ -26,7 +26,7 @@ is how multi-hour decay studies and homing sequences are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -117,25 +117,6 @@ class CableErrorModel:
         lo = np.array(self.drift_rate_unloaded)
         hi = np.array(self.drift_rate_loaded)
         return (lo + (hi - lo) * (g / self.load_ref_g)) / 3600.0
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": list(self.offset),
-            "position_gain": [list(r) for r in self.position_gain],
-            "stiffness_gain": [list(r) for r in self.stiffness_gain],
-            "hysteresis_width": list(self.hysteresis_width),
-            "drift_rate_unloaded": list(self.drift_rate_unloaded),
-            "drift_rate_loaded": list(self.drift_rate_loaded),
-            "drift_rate_idle": list(self.drift_rate_idle),
-            "noise_sd": list(self.noise_sd),
-            "aux_noise_sd": self.aux_noise_sd,
-            "homing_offset_sd": list(self.homing_offset_sd),
-            "load_ref_g": self.load_ref_g,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CableErrorModel":
-        return cls(**d)
 
 
 def default_error_model() -> CableErrorModel:
@@ -246,19 +227,23 @@ class HoldPolicy(MotionPolicy):
         return np.zeros((len(np.asarray(t)), 3))
 
 
+#: Average segment speed of ``RandomSinusoidPolicy`` as a fraction of the
+#: joint's maximum speed.
+SINUSOID_SPEED_RANGE = (0.25, 2.0 / math.pi)
+
+
 class RandomSinusoidPolicy(MotionPolicy):
     """Each joint independently chases random targets with cosine easing.
 
     Targets are uniform over the joint limits; average segment speeds are
-    uniform in [speed_lo, speed_hi] * max_speed per joint. Cosine easing
-    peaks at pi/2 times the average speed, so the default speed_hi of 2/pi
-    keeps instantaneous velocity within max_speed. Position and velocity
-    are continuous (velocity is zero at every target).
+    uniform in ``SINUSOID_SPEED_RANGE`` times the joint's ``DEFAULT_SPEEDS``
+    entry. Cosine easing peaks at pi/2 times the average speed, so the upper
+    fraction of 2/pi keeps instantaneous velocity within the maximum speed.
+    Position and velocity are continuous (velocity is zero at every target).
     """
 
     def __init__(self, limits: JointLimits = DEFAULT_LIMITS, seed: int = 0,
-                 horizon: float = 7200.0, max_speeds=DEFAULT_SPEEDS,
-                 speed_range=(0.25, 2.0 / math.pi)):
+                 horizon: float = 7200.0):
         rng = np.random.default_rng(seed)
         self.duration = float(horizon)
         lo, hi = limits.min.as_array(), limits.max.as_array()
@@ -268,7 +253,7 @@ class RandomSinusoidPolicy(MotionPolicy):
             t, q = [0.0], [float(rng.uniform(lo[j], hi[j]))]
             while t[-1] < horizon:
                 target = float(rng.uniform(lo[j], hi[j]))
-                v = float(rng.uniform(*speed_range)) * max_speeds[j]
+                v = float(rng.uniform(*SINUSOID_SPEED_RANGE)) * DEFAULT_SPEEDS[j]
                 seg = max(abs(target - q[-1]) / v, 1e-3)
                 t.append(t[-1] + seg)
                 q.append(target)
@@ -337,14 +322,15 @@ class RobotParams:
 DEFAULT_ROBOT = RobotParams()
 
 
-def motor_torques(q: np.ndarray, dirsign: np.ndarray, grams: np.ndarray,
-                  robot: RobotParams = DEFAULT_ROBOT) -> np.ndarray:
+def motor_torques(q: np.ndarray, dirsign: np.ndarray,
+                  grams: np.ndarray) -> np.ndarray:
     """Gravity/load torque proxy plus direction-dependent friction.
 
     Monotone in load mass and in arm extension (q3) at the default
     coefficients; the friction term carries the motion-direction sign so
     torque features contain (nonlinearly mixed) hysteresis information.
     """
+    robot = DEFAULT_ROBOT
     q1, q2 = np.radians(q[:, 0]), np.radians(q[:, 1])
     ext = q[:, 2] / robot.ext_ref_mm
     basis = np.stack([np.ones_like(q1), np.sin(q1), np.cos(q1),
@@ -466,8 +452,7 @@ class SimSession:
     """
 
     def __init__(self, error_model: CableErrorModel, limits: JointLimits = DEFAULT_LIMITS,
-                 rates=(30.0, 100.0), seed: int = 0, time_scale: float = 1.0,
-                 robot: RobotParams = DEFAULT_ROBOT):
+                 rates=(30.0, 100.0), seed: int = 0, time_scale: float = 1.0):
         if rates[0] <= 0 or rates[1] <= 0:
             raise SimError(f"rates must be positive, got {rates}")
         if time_scale < 1.0:
@@ -476,7 +461,6 @@ class SimSession:
         self.limits = limits
         self.rates = (float(rates[0]), float(rates[1]))
         self.time_scale = float(time_scale)
-        self.robot = robot
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0
         self._last_dir = np.zeros(3)
@@ -522,7 +506,7 @@ class SimSession:
         em = self.error_model
         grams = profile.grams_at(ts) if load != "idle" else np.zeros(n_state)
         dirsign = _forward_fill_sign(v_true_s, self._last_dir)
-        tau = motor_torques(q_true_s, dirsign, grams, self.robot)
+        tau = motor_torques(q_true_s, dirsign, grams)
         drift = profile.drift_at(ts, em)
         noise = self.rng.normal(0.0, 1.0, (n_state, 3)) * np.array(em.noise_sd)
 
@@ -548,7 +532,7 @@ class SimSession:
 
     def _features(self, ts, q_rep, tau, grams) -> np.ndarray:
         """Assemble the (N, 138) state matrix per FULL_SCHEMA order."""
-        robot = self.robot
+        robot = DEFAULT_ROBOT
         n = len(ts)
         if n >= 2:
             v_rep = np.gradient(q_rep, ts, axis=0)

@@ -95,10 +95,9 @@ def test_record_process_train_evaluate_bench(runner, fast_cfg, tmp_path):
     _, text = invoke(runner, base + [
         "evaluate", "--model-file", str(out / "model.ccm"),
         "--dataset", str(out / "test.csv"),
-        "--train-dataset", str(out / "train.csv"), "--emit-plot-data"])
+        "--train-dataset", str(out / "train.csv")])
     assert (out / "rmse_report.csv").exists()
     assert (out / "rmse_report.json").exists()
-    assert (out / "plot_data.csv").exists()
     assert "j3:" in text
 
     _, text = invoke(runner, base + [
@@ -122,13 +121,11 @@ def test_process_multiple_bags_concatenates(runner, fast_cfg, tmp_path):
 def test_sweep_small(runner, fast_cfg, tmp_path):
     out = tmp_path / "o"
     _, text = invoke(runner, out_args(fast_cfg, out) + [
-        "sweep", "--directions", "j1,j1j2j3", "--sparsities", "0.5",
-        "--emit-plot-data"])
+        "sweep", "--directions", "j1,j1j2j3", "--sparsities", "0.5"])
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     # header + 2 directions x 2 models (offset baseline + linear) x 3 joints
     assert len(rows) == 1 + 2 * 2 * 3
     assert "best direction per joint" in text
-    assert (out / "plot_data.csv").exists()
 
 
 def test_pipeline_end_to_end(runner, fast_cfg, tmp_path):
@@ -202,6 +199,13 @@ def test_malformed_config_exits_2_naming_file(runner, tmp_path):
     text = result.output + (result.stderr or "")
     assert f"config error: {p}: " in text
     assert "line 3" in text
+
+
+def test_directory_as_config_exits_2_naming_it(runner, tmp_path):
+    result = runner.invoke(main, ["--config", str(tmp_path), "generate"])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"config error: config file is not a file: {tmp_path}" in text
 
 
 def test_bad_sweep_direction_exits_2(runner, fast_cfg, tmp_path):

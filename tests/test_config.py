@@ -2,11 +2,16 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cablecal.config import (Config, ConfigError, default_config, load_config)
-from cablecal.models import ON_ERROR
+from cablecal.config import ConfigError, default_config, load_config
+from cablecal.models import MODES, ON_ERROR
+from cablecal.trajectory import DIRECTIONS
 
 
 def write(tmp_path, name, text):
@@ -19,8 +24,8 @@ def test_defaults_when_no_file():
     cfg = load_config(None)
     assert cfg.training.model == "mlp"
     assert cfg.training.mode == ON_ERROR
-    assert cfg.training.hidden == (100, 100)
-    assert cfg.training.epochs == 200
+    assert cfg.training.mlp.hidden == (100, 100)
+    assert cfg.training.mlp.epochs == 200
     assert cfg.eval.rates == (30.0, 100.0)
     assert cfg.eval.budget_hz == 1000.0
     assert cfg.trajectory.direction == "j2j3"
@@ -56,7 +61,7 @@ noise_sd = 0.0
     assert cfg.error_model.noise_sd == (0.0, 0.0, 0.0)  # scalar broadcast
     # untouched sections keep defaults
     assert cfg.eval.time_scale == 1.0
-    assert cfg.training.epochs == 200
+    assert cfg.training.mlp.epochs == 200
 
 
 def test_limits_section(tmp_path):
@@ -78,7 +83,7 @@ kernel_l2 = 1e-4
 kernel_l1 = 1e-5
 epochs = 50
 """)
-    mc = load_config(p).training.mlp_config()
+    mc = load_config(p).training.mlp
     assert mc.hidden == (600, 500, 400)
     assert mc.kernel_l2 == 1e-4
     assert mc.kernel_l1 == 1e-5
@@ -116,6 +121,8 @@ def test_missing_file_rejected(tmp_path):
     ("[training]\nmode = \"sideways\"\n", "mode"),
     ("[training]\nridge = -1.0\n", "ridge"),
     ("[training]\ntrain_frac = 1.5\n", "train_frac"),
+    ("[training]\nepochs = 0\n", "epochs"),
+    ("[training]\nhidden = 100\n", "hidden"),
     ("[eval]\ntime_scale = 0.5\n", "time_scale"),
     ("[eval]\nrates = [30.0]\n", "rates"),
 ])
@@ -128,7 +135,7 @@ def test_invalid_values_rejected(tmp_path, body, needle):
 def test_config_is_frozen():
     cfg = default_config()
     with pytest.raises(AttributeError):
-        cfg.training.epochs = 7
+        cfg.training.mlp.epochs = 7
 
 
 @pytest.mark.parametrize("text", [
@@ -158,3 +165,72 @@ def test_parse_error_carries_line_number(tmp_path):
     p = write(tmp_path, "c.toml", "a = 1\nb = 2\nc = ?\n")
     with pytest.raises(ConfigError, match="line 3"):
         load_config(p)
+
+
+_floats = st.floats(-1e3, 1e3, allow_nan=False)
+_positive = st.floats(1e-3, 1e3, allow_nan=False)
+_triple = st.lists(_floats, min_size=3, max_size=3)
+
+
+@st.composite
+def _limits(draw):
+    lo = draw(_triple)
+    span = draw(st.lists(_positive, min_size=3, max_size=3))
+    return {"min": lo, "max": [a + b for a, b in zip(lo, span)]}
+
+
+_SECTION_OVERRIDES = {
+    "limits": _limits(),
+    "error_model": st.fixed_dictionaries({}, optional={
+        "offset": _triple,
+        "position_gain": st.lists(_triple, min_size=3, max_size=3),
+        "noise_sd": st.lists(_positive, min_size=3, max_size=3),
+        "aux_noise_sd": _positive,
+        "load_ref_g": _positive,
+    }),
+    "trajectory": st.fixed_dictionaries({}, optional={
+        "direction": st.sampled_from(DIRECTIONS),
+        "sparsity": st.floats(0.01, 0.5),
+        "sparsities": st.lists(st.floats(0.01, 0.5), min_size=1, max_size=4),
+        "step": _positive,
+        "speeds": st.lists(_positive, min_size=3, max_size=3),
+    }),
+    "training": st.fixed_dictionaries({}, optional={
+        "model": st.sampled_from(("offset", "linear", "poly2", "mlp")),
+        "mode": st.sampled_from(MODES),
+        "ridge": st.floats(0.0, 1e3),
+        "train_frac": st.floats(0.05, 0.95),
+        "seed": st.integers(0, 2 ** 31),
+        "hidden": st.lists(st.integers(1, 600), min_size=1, max_size=3),
+        "epochs": st.integers(1, 500),
+        "lr": _positive,
+        "batch_size": st.integers(1, 4096),
+        "kernel_l1": st.floats(0.0, 1.0),
+    }),
+    "eval": st.fixed_dictionaries({}, optional={
+        "rates": st.lists(_positive, min_size=2, max_size=2),
+        "sync_tolerance_s": st.floats(0.0, 1.0),
+        "time_scale": st.floats(1.0, 100.0),
+        "latency_samples": st.integers(1, 10 ** 5),
+        "load": st.sampled_from(("loaded", "unloaded", "idle")),
+    }),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_SECTION_OVERRIDES))
+def test_to_dict_reloads_to_an_equal_config(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, back = Path(tmp) / "src.json", Path(tmp) / "back.json"
+        src.write_text(json.dumps(overrides))
+        cfg = load_config(src)
+        back.write_text(json.dumps(cfg.to_dict()))
+        assert load_config(back) == cfg
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    block = re.search(r"```toml\n(.*?)```", section, re.S).group(1)
+    cfg = load_config(write(tmp_path, "readme.toml", block))
+    assert cfg.error_model.noise_sd == (0.06, 0.07, 0.10)

@@ -160,7 +160,7 @@ def test_norm_stats_from_train_only():
     want_mean = ds.inputs[: len(train)].mean(axis=0)
     assert np.allclose(train.norm.mean, want_mean)
     # normalized train is centered; normalized test generally is not
-    assert np.max(np.abs(train.normalized_inputs().mean(axis=0))) < 1e-9
+    assert np.max(np.abs(train.norm.apply(train.inputs).mean(axis=0))) < 1e-9
 
 
 def test_degenerate_features_flagged_and_zeroed():
@@ -169,7 +169,7 @@ def test_degenerate_features_flagged_and_zeroed():
     train, _ = dt.split_and_normalize(ds, 0.8)
     j5 = list(ds.schema.selected_names()).index("joint_position_j5")
     assert train.norm.degenerate[j5]
-    assert np.all(train.normalized_inputs()[:, j5] == 0.0)
+    assert np.all(train.norm.apply(train.inputs)[:, j5] == 0.0)
     assert train.norm.sd[j5] == 1.0
 
 

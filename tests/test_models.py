@@ -18,7 +18,7 @@ import pytest
 
 from cablecal import core as core_mod
 from cablecal import models as models_mod
-from cablecal.core import FULL_SCHEMA
+from cablecal.core import FULL_SCHEMA, FeatureSchema
 from cablecal.data import Dataset, NormStats
 from cablecal.models import (END_TO_END, ON_ERROR, FixedOffsetModel,
                              LinearModel, MlpModel, ModelError, _poly2_expand,
@@ -318,7 +318,7 @@ def test_invalid_mode_rejected():
 
 def test_rep_columns_required_only_when_correcting():
     mask = tuple(n.startswith("motor_torque_") for n in FULL_SCHEMA.names)
-    schema = FULL_SCHEMA.with_mask(mask)
+    schema = FeatureSchema(FULL_SCHEMA.names, mask)
     rng = np.random.default_rng(18)
     X = rng.normal(size=(100, 8))
     tgt = rng.normal(size=(100, 3)) + 5.0
@@ -519,6 +519,30 @@ def test_top_level_list_rejected(offset_file):
     offset_file.write_text(json.dumps([json.loads(offset_file.read_text())]))
     with pytest.raises(ModelError, match="JSON object"):
         deserialize(offset_file)
+
+
+def test_wrong_typed_schema_rejected(offset_file):
+    def mutate(doc):
+        doc["schema"] = [doc["schema"]]
+        return True
+
+    with pytest.raises(ModelError, match="malformed"):
+        deserialize(_tampered(offset_file, mutate))
+
+
+@pytest.mark.parametrize("weights", [3, [[0.0] * 16] * 2], ids=["int", "1d"])
+def test_wrong_typed_mlp_weights_rejected(tmp_path, weights):
+    ds = make_dataset(const_err([1.0, 2.0, 3.0]), n=40)
+    p = tmp_path / "m.ccm"
+    serialize(fit_mlp(ds, ON_ERROR, MlpConfig(hidden=(4,), epochs=1,
+                                              batch_size=16), seed=0), p)
+
+    def mutate(doc):
+        doc["payload"]["weights"] = weights
+        return True
+
+    with pytest.raises(ModelError, match="malformed"):
+        deserialize(_tampered(p, mutate))
 
 
 def test_check_compatible_rejects_other_mask():
