@@ -7,6 +7,8 @@ offset, linear, quadratic, MLP) in reported-error or absolute modes, and
 evaluation of accuracy, drift decay, and servo-budget latency.
 """
 
+__version__ = "0.1.0"    # set before the submodules, as manifest reads it
+
 from .config import Config, ConfigError, default_config, load_config
 from .core import DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, JointLimits
 from .data import (Dataset, NormStats, RecordedBag, concat, load_bag,
@@ -23,8 +25,6 @@ from .nn import LARGE_CONFIG, Mlp, MlpConfig, train_mlp
 from .sim import CableErrorModel, SimSession, default_error_model
 from .trajectory import (DIRECTIONS, Trajectory, generate, load, save,
                          trajectory_duration)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CableErrorModel", "CalibrationModel", "Config", "ConfigError",

@@ -76,10 +76,6 @@ class JointLimits:
     def range(self) -> np.ndarray:
         return self.max.as_array() - self.min.as_array()
 
-    def contains(self, v: JointVector) -> bool:
-        a = v.as_array()
-        return bool(np.all(a >= self.min.as_array()) and np.all(a <= self.max.as_array()))
-
     def to_dict(self) -> dict:
         return {"min": self.min.as_array().tolist(), "max": self.max.as_array().tolist()}
 

@@ -57,7 +57,7 @@ class RecordedBag:
 
 def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
            load="unloaded", rates=(30.0, 100.0), seed=0, time_scale=1.0,
-           limits=None, speeds=DEFAULT_SPEEDS, metadata: Optional[dict] = None) -> RecordedBag:
+           limits=None, speeds=DEFAULT_SPEEDS) -> RecordedBag:
     """Run one simulated session and package the streams as a bag."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     policy = (TrajectoryFollower(policy_or_traj, speeds)
@@ -74,8 +74,6 @@ def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
     if isinstance(policy_or_traj, Trajectory):
         meta["trajectory"] = {"direction": policy_or_traj.direction,
                               "sparsity": policy_or_traj.sparsity}
-    if metadata:
-        meta.update(metadata)
     return RecordedBag(state, truth, FULL_SCHEMA, meta)
 
 

@@ -232,19 +232,9 @@ class SweepCell:
 class SweepTable:
     cells: tuple
 
-    def directions(self) -> tuple:
-        seen = dict.fromkeys(c.direction for c in self.cells)
-        return tuple(seen)
-
     def model_names(self) -> tuple:
         seen = dict.fromkeys(c.model for c in self.cells)
         return tuple(seen)
-
-    def cell(self, direction: str, model: str) -> SweepCell:
-        for c in self.cells:
-            if c.direction == direction and c.model == model:
-                return c
-        raise KeyError((direction, model))
 
     def best_direction(self, model: str, joint: int) -> str:
         cells = [c for c in self.cells if c.model == model]
@@ -253,16 +243,17 @@ class SweepTable:
         return min(cells, key=lambda c: c.rmse[joint]).direction
 
     def to_rows(self) -> list:
-        rows = []
-        for c in self.cells:
-            for j, joint in enumerate(JOINTS):
-                rows.append({
-                    "direction": c.direction, "model": c.model, "joint": joint,
-                    "rmse": float(c.rmse[j]),
-                    "percentage": float(c.percentage[j]),
-                    "n_train": c.n_train, "n_test": c.n_test,
-                })
-        return rows
+        return _per_joint_rows(self.cells, lambda c: {"direction": c.direction,
+                                                      "model": c.model})
+
+
+def _per_joint_rows(scores, labels) -> list:
+    """One row per score and joint: the ``labels(score)`` columns, then the
+    joint's rmse, percentage and the row counts."""
+    return [{**labels(s), "joint": joint, "rmse": float(s.rmse[j]),
+             "percentage": float(s.percentage[j]),
+             "n_train": s.n_train, "n_test": s.n_test}
+            for s in scores for j, joint in enumerate(JOINTS)]
 
 
 def _cell_seed(seed: int, i: int, j: int) -> int:
@@ -337,23 +328,8 @@ class RobustnessEntry:
 class RobustnessReport:
     entries: tuple
 
-    def entry(self, name: str) -> RobustnessEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_rows(self) -> list:
-        rows = []
-        for e in self.entries:
-            for j, joint in enumerate(JOINTS):
-                rows.append({
-                    "fit": e.name, "mask": e.mask, "joint": joint,
-                    "rmse": float(e.rmse[j]),
-                    "percentage": float(e.percentage[j]),
-                    "n_train": e.n_train, "n_test": e.n_test,
-                })
-        return rows
+        return _per_joint_rows(self.entries, lambda e: {"fit": e.name, "mask": e.mask})
 
 
 def _subsample(ds: Dataset, n: int) -> Dataset:

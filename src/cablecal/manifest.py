@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .core import write_json
 
-TOOL_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -58,7 +58,7 @@ class RunManifest:
     command: str
     seed: int
     config: dict
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     stages: list = field(default_factory=list)

@@ -17,6 +17,13 @@ Two prediction paths exist deliberately. ``predict`` takes one feature row
 and runs in pure Python -- this is the path a servo-loop deployment would
 take, and the one the latency benchmarks measure. ``predict_batch`` is the
 vectorized numpy path for offline evaluation over whole datasets.
+
+``CalibrationModel`` holds what the kinds share: ``predict`` checks the row
+length, runs the kind's ``_row(x)`` and adds the reported joints. Each
+kind's ``predict_batch`` runs ``_check_batch``, its own numpy arithmetic,
+then ``_add_reported``; every class defines its own, so that a tracer can
+wrap one kind's batch path alone. Linear and poly2 share ``_AffineModel``
+and differ only in their basis.
 """
 
 from __future__ import annotations
@@ -74,27 +81,26 @@ def _input_norm(ds: Dataset) -> NormStats:
     return ds.norm if ds.norm is not None else NormStats.fit(ds.inputs)
 
 
-def _dot(row: list, x) -> float:
-    return sum(map(mul, row, x))
-
-
 # --------------------------------------------------------------------------
 # model classes
 
 
 class CalibrationModel:
-    """Shared mode/schema bookkeeping and the serialization contract."""
+    """Shared mode/schema bookkeeping, the row contract and serialization.
+
+    ``_rep`` holds the reported joints' input positions in the modes whose
+    output adds onto them, else None. Each kind supplies ``_row``,
+    ``predict_batch``, ``payload`` and ``from_payload``."""
 
     kind: str = "base"
+    _correcting_modes = (ON_ERROR,)
 
     def __init__(self, mode: str, schema: FeatureSchema):
         _check_mode(mode)
         self.mode = mode
         self.schema = schema
-
-    @property
-    def dim_in(self) -> int:
-        return self.schema.dim_selected
+        self._dim = schema.dim_selected
+        self._rep = _rep_indices(schema) if mode in self._correcting_modes else None
 
     def check_compatible(self, schema: FeatureSchema) -> None:
         """Refuse feature layouts other than the one the model was fit on."""
@@ -105,9 +111,9 @@ class CalibrationModel:
 
     def _check_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim_in:
+        if X.ndim != 2 or X.shape[1] != self._dim:
             raise ModelError(
-                f"expected inputs of shape (N, {self.dim_in}), got {X.shape}")
+                f"expected inputs of shape (N, {self._dim}), got {X.shape}")
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             bad = np.flatnonzero(~finite)
@@ -116,6 +122,11 @@ class CalibrationModel:
                 f"first row {bad[0]}")
         return X
 
+    def _add_reported(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self._rep is not None:
+            out += X[:, list(self._rep)]
+        return out
+
     def predict(self, x: Sequence) -> list:
         """Corrected joints for one feature row, in pure Python.
 
@@ -123,46 +134,39 @@ class CalibrationModel:
         check that ``predict_batch`` applies: a NaN or inf in ``x`` raises
         no ``ModelError``, and the caller owns that check.
         """
-        raise NotImplementedError
-
-    def predict_batch(self, X) -> np.ndarray:
-        raise NotImplementedError
-
-    def payload(self) -> dict:
-        raise NotImplementedError
-
-    @classmethod
-    def from_payload(cls, payload: dict, mode: str, schema: FeatureSchema):
-        raise NotImplementedError
+        if len(x) != self._dim:
+            raise ModelError(f"expected {self._dim} features, got {len(x)}")
+        out = self._row(x)
+        r = self._rep
+        if r is not None:
+            out[0] += x[r[0]]
+            out[1] += x[r[1]]
+            out[2] += x[r[2]]
+        return out
 
 
 class FixedOffsetModel(CalibrationModel):
     """Corrected position = reported position + a constant per-joint offset.
 
-    The functional form references the reported joints directly, so the
-    on-error and end-to-end framings coincide: either way the best constant
-    is the mean training error.
+    The offset adds onto the reported joints in both modes, so the on-error
+    and end-to-end fits coincide: either way it is the mean training error.
     """
 
     kind = "offset"
+    _correcting_modes = MODES
 
     def __init__(self, mode: str, schema: FeatureSchema, offsets):
         super().__init__(mode, schema)
         self.offsets = [float(v) for v in offsets]
         if len(self.offsets) != 3:
             raise ModelError(f"expected 3 offsets, got {len(self.offsets)}")
-        self._rep = _rep_indices(schema)
-        self._dim = schema.dim_selected
 
-    def predict(self, x: Sequence) -> list:
-        if len(x) != self._dim:
-            raise ModelError(f"expected {self._dim} features, got {len(x)}")
-        r, c = self._rep, self.offsets
-        return [x[r[0]] + c[0], x[r[1]] + c[1], x[r[2]] + c[2]]
+    def _row(self, x) -> list:
+        return self.offsets.copy()
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
-        return X[:, list(self._rep)] + np.asarray(self.offsets)
+        return self._add_reported(X, np.tile(self.offsets, (len(X), 1)))
 
     def payload(self) -> dict:
         return {"offsets": self.offsets}
@@ -172,7 +176,32 @@ class FixedOffsetModel(CalibrationModel):
         return cls(mode, schema, payload["offsets"])
 
 
-class LinearModel(CalibrationModel):
+class _AffineModel(CalibrationModel):
+    """y = intercept + weights.T @ phi(x) in a subclass's basis phi, given
+    for one row by ``_basis(x)`` and for a matrix in ``predict_batch``."""
+
+    def __init__(self, mode: str, schema: FeatureSchema, weights, intercept,
+                 n_terms: int):
+        super().__init__(mode, schema)
+        self.weights = np.asarray(weights, dtype=float)     # (n_terms, 3)
+        self.intercept = np.asarray(intercept, dtype=float)  # (3,)
+        if self.weights.shape != (n_terms, 3) or self.intercept.shape != (3,):
+            raise ModelError(f"bad {self.kind} parameter shapes "
+                             f"{self.weights.shape}, {self.intercept.shape}")
+        self._wt = self.weights.T.tolist()   # 3 rows of n_terms floats
+        self._b = self.intercept.tolist()
+
+    def _row(self, x) -> list:
+        # unrolled: a comprehension adds a call frame to every servo-path row
+        phi, wt, b = self._basis(x), self._wt, self._b
+        return [b[0] + sum(map(mul, wt[0], phi)), b[1] + sum(map(mul, wt[1], phi)),
+                b[2] + sum(map(mul, wt[2], phi))]
+
+    def _affine(self, phi: np.ndarray) -> np.ndarray:
+        return phi @ self.weights + self.intercept
+
+
+class LinearModel(_AffineModel):
     """Affine model in raw feature space: y = intercept + weights.T @ x.
 
     Fitting runs on normalized inputs for conditioning; the stored weights
@@ -183,35 +212,14 @@ class LinearModel(CalibrationModel):
     kind = "linear"
 
     def __init__(self, mode: str, schema: FeatureSchema, weights, intercept):
-        super().__init__(mode, schema)
-        self.weights = np.asarray(weights, dtype=float)     # (D, 3)
-        self.intercept = np.asarray(intercept, dtype=float)  # (3,)
-        if self.weights.shape != (schema.dim_selected, 3) or self.intercept.shape != (3,):
-            raise ModelError(
-                f"bad linear parameter shapes {self.weights.shape}, {self.intercept.shape}")
-        self._rep = _rep_indices(schema) if mode == ON_ERROR else None
-        self._dim = schema.dim_selected
-        self._wt = self.weights.T.tolist()   # 3 rows of D floats
-        self._b = self.intercept.tolist()
+        super().__init__(mode, schema, weights, intercept, schema.dim_selected)
 
-    def predict(self, x: Sequence) -> list:
-        if len(x) != self._dim:
-            raise ModelError(f"expected {self._dim} features, got {len(x)}")
-        wt, b = self._wt, self._b
-        out = [b[0] + _dot(wt[0], x), b[1] + _dot(wt[1], x), b[2] + _dot(wt[2], x)]
-        r = self._rep
-        if r is not None:
-            out[0] += x[r[0]]
-            out[1] += x[r[1]]
-            out[2] += x[r[2]]
-        return out
+    def _basis(self, x):
+        return x
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
-        out = X @ self.weights + self.intercept
-        if self._rep is not None:
-            out += X[:, list(self._rep)]
-        return out
+        return self._add_reported(X, self._affine(X))
 
     def payload(self) -> dict:
         return {"weights": self.weights.tolist(), "intercept": self.intercept.tolist()}
@@ -234,58 +242,39 @@ def _poly2_expand(Z: np.ndarray) -> np.ndarray:
     return np.hstack(cols)
 
 
-class PolyModel(CalibrationModel):
+class PolyModel(_AffineModel):
     """Degree-2 polynomial on normalized features.
 
     Unlike the linear model the normalization cannot be folded into the
     coefficients (the quadratic terms mix it), so the stats travel with the
-    model and are applied inside predict.
+    model and are applied inside predict. The file stores ``weights`` under
+    the payload key ``coef``.
     """
 
     kind = "poly2"
 
     def __init__(self, mode: str, schema: FeatureSchema, norm: NormStats,
                  coef, intercept):
-        super().__init__(mode, schema)
-        d = schema.dim_selected
+        super().__init__(mode, schema, coef, intercept,
+                         _poly2_n_terms(schema.dim_selected))
         self.norm = norm
-        self.coef = np.asarray(coef, dtype=float)            # (P, 3)
-        self.intercept = np.asarray(intercept, dtype=float)  # (3,)
-        if self.coef.shape != (_poly2_n_terms(d), 3) or self.intercept.shape != (3,):
-            raise ModelError(
-                f"bad poly2 parameter shapes {self.coef.shape}, {self.intercept.shape}")
-        self._rep = _rep_indices(schema) if mode == ON_ERROR else None
-        self._dim = d
-        self._ct = self.coef.T.tolist()
-        self._b = self.intercept.tolist()
         self._mean = norm.mean.tolist()
         self._sd = norm.sd.tolist()
 
-    def predict(self, x: Sequence) -> list:
-        if len(x) != self._dim:
-            raise ModelError(f"expected {self._dim} features, got {len(x)}")
+    def _basis(self, x) -> list:
         z = [(v - m) / s for v, m, s in zip(x, self._mean, self._sd)]
         phi = list(z)
         for i, zi in enumerate(z):
             phi.extend(zi * zj for zj in z[i:])
-        out = [b + _dot(row, phi) for b, row in zip(self._b, self._ct)]
-        r = self._rep
-        if r is not None:
-            out[0] += x[r[0]]
-            out[1] += x[r[1]]
-            out[2] += x[r[2]]
-        return out
+        return phi
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
-        phi = _poly2_expand(self.norm.apply(X))
-        out = phi @ self.coef + self.intercept
-        if self._rep is not None:
-            out += X[:, list(self._rep)]
-        return out
+        return self._add_reported(
+            X, self._affine(_poly2_expand(self.norm.apply(X))))
 
     def payload(self) -> dict:
-        return {"norm": self.norm.to_dict(), "coef": self.coef.tolist(),
+        return {"norm": self.norm.to_dict(), "coef": self.weights.tolist(),
                 "intercept": self.intercept.tolist()}
 
     @classmethod
@@ -323,12 +312,6 @@ class MlpModel(CalibrationModel):
         self.config = config
         self.train_curve = list(train_curve) if train_curve is not None else None
         self.seed = seed
-        self._rep = _rep_indices(schema) if mode == ON_ERROR else None
-        self._dim = schema.dim_selected
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     @cached_property
     def _tables(self) -> tuple:
@@ -338,9 +321,7 @@ class MlpModel(CalibrationModel):
                   for w, b in zip(self.weights[:-1], self.biases[:-1])]
         return hidden, self.weights[-1].T.tolist(), self.biases[-1].tolist()
 
-    def predict(self, x: Sequence) -> list:
-        if len(x) != self._dim:
-            raise ModelError(f"expected {self._dim} features, got {len(x)}")
+    def _row(self, x) -> list:
         hidden, out_w, out_b = self._tables
         exp = math.exp
         a = x
@@ -354,20 +335,11 @@ class MlpModel(CalibrationModel):
                     e = exp(s)
                     nxt.append(e / (1.0 + e))
             a = nxt
-        out = [b0 + sum(map(mul, row, a)) for row, b0 in zip(out_w, out_b)]
-        r = self._rep
-        if r is not None:
-            out[0] += x[r[0]]
-            out[1] += x[r[1]]
-            out[2] += x[r[2]]
-        return out
+        return [b0 + sum(map(mul, row, a)) for row, b0 in zip(out_w, out_b)]
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
-        out = forward(self.weights, self.biases, X)
-        if self._rep is not None:
-            out += X[:, list(self._rep)]
-        return out
+        return self._add_reported(X, forward(self.weights, self.biases, X))
 
     def payload(self) -> dict:
         out = {
@@ -383,7 +355,10 @@ class MlpModel(CalibrationModel):
 
     @classmethod
     def from_payload(cls, payload, mode, schema):
-        return cls(mode, schema, payload["weights"], payload["biases"],
+        weights = payload["weights"]
+        if not (isinstance(weights, list) and all(np.ndim(w) == 2 for w in weights)):
+            raise ModelError("malformed model file entry 'weights': expected a list of matrices")
+        return cls(mode, schema, weights, payload["biases"],
                    MlpConfig.from_dict(payload["config"]),
                    payload.get("train_curve"), payload.get("seed"))
 
@@ -419,7 +394,6 @@ def _solve_affine(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> tuple:
 
 def fit_offset(ds: Dataset, mode: str = ON_ERROR) -> FixedOffsetModel:
     """Constant per-joint correction: the mean training error."""
-    _check_mode(mode)
     return FixedOffsetModel(mode, ds.schema, ds.errors.mean(axis=0))
 
 
@@ -536,14 +510,16 @@ def deserialize(path) -> CalibrationModel:
     for key, value in payload.items():
         if not _finite(value):
             raise ModelError(f"non-finite value in model payload entry {key!r}")
+    entry = "schema"
     try:
         schema = FeatureSchema.from_dict(doc["schema"])
         if doc.get("schema_hash") != schema.hash():
             raise ModelError("schema hash does not match embedded schema")
+        entry = "payload"
         return cls.from_payload(payload, doc["mode"], schema)
     except ModelError:
         raise
     except KeyError as exc:
         raise ModelError(f"model file lacks entry {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
-        raise ModelError(f"malformed model file entry: {exc}") from exc
+        raise ModelError(f"malformed model file entry {entry!r}: {exc}") from exc

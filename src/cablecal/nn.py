@@ -62,6 +62,14 @@ class MlpConfig:
                 f"hidden must be a tuple of layer widths >= 1, got {self.hidden!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        # written so that NaN fails every rule
+        for names, ok, rule in ((("lr", "eps"), lambda v: v > 0, "> 0"),
+                                (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
+                                (("kernel_l2", "kernel_l1", "bias_l2", "activity_l2"),
+                                 lambda v: v >= 0, ">= 0")):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
@@ -128,10 +136,6 @@ class Mlp:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-limit, limit, (fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def parameters(self) -> list:
         """Flat list of parameter arrays (weights then bias per layer)."""
@@ -222,8 +226,7 @@ class Adam:
             p -= tmp
 
 
-def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0,
-              net: Optional[Mlp] = None) -> tuple:
+def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0) -> tuple:
     """Mini-batch Adam training; returns (net, per-epoch mean batch loss).
 
     Each epoch shuffles all rows; the final short batch is kept. Fully
@@ -233,8 +236,7 @@ def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0,
     if n == 0 or len(Y) != n:
         raise ValueError("X and Y must be non-empty with matching rows")
     rng = np.random.default_rng(seed)
-    if net is None:
-        net = Mlp(X.shape[1], Y.shape[1], config, seed=seed)
+    net = Mlp(X.shape[1], Y.shape[1], config, seed=seed)
     opt = Adam(net.parameters(), config.lr, config.beta1, config.beta2, config.eps)
     curve = []
     params = net.parameters()

@@ -390,10 +390,6 @@ class LoadProfile:
                 raise SimError(f"negative load {load!r}")
             prev_end = t1
 
-    @classmethod
-    def constant(cls, load, t0: float, t1: float) -> "LoadProfile":
-        return cls(((float(t0), float(t1), load),))
-
     def grams_at(self, t: np.ndarray) -> np.ndarray:
         g = np.zeros(len(t))
         for t0, t1, load in self.intervals:
@@ -531,7 +527,8 @@ class SimSession:
             )
 
     def _features(self, ts, q_rep, tau, grams) -> np.ndarray:
-        """Assemble the (N, 138) state matrix per FULL_SCHEMA order."""
+        """Assemble the (N, 138) state matrix, block by block in FULL_SCHEMA
+        order; the placeholder channels draw aux noise in that order too."""
         robot = DEFAULT_ROBOT
         n = len(ts)
         if n >= 2:
@@ -543,58 +540,39 @@ class SimSession:
         gear = np.array(robot.gear_ratio)
         counts = np.array(robot.counts_per_unit)
         enc_off = np.array(robot.encoder_offset_counts)
-        zeros = np.zeros(n)
+        aux_sd = self.error_model.aux_noise_sd
 
         def pad8(main3, fill5):
             """(N,3) block padded with placeholder channels for joints 4-7+grasper."""
-            pads = [np.full(n, v) + (self.rng.normal(0.0, self.error_model.aux_noise_sd, n)
-                                     if self.error_model.aux_noise_sd > 0 else 0.0)
+            pads = [np.full(n, v) + (self.rng.normal(0.0, aux_sd, n) if aux_sd > 0 else 0.0)
                     for v in fill5]
             return np.column_stack([main3] + pads)
 
-        ph = robot.placeholder_positions
-        cols = {
-            "timestamp": ts,
-            "run_level": np.full(n, robot.run_level),
-            "sublevel": zeros,
-            "last_sequence": self._seq + np.arange(n, dtype=float),
-            "arm_type": np.full(n, robot.arm_type),
-            "grasper_desired": np.full(n, robot.grasper_desired),
-        }
-
-        def put8(prefix, block):
-            for k, ch in enumerate(("j1", "j2", "j3", "j4", "j5", "j6", "j7", "grasper")):
-                cols[f"{prefix}_{ch}"] = block[:, k]
-
-        put8("encoder_value", pad8(q_rep * counts + enc_off, ph))
-        put8("encoder_offset", pad8(np.tile(enc_off, (n, 1)), (0.0,) * 5))
-        put8("motor_position", pad8(q_rep * gear, ph))
-        put8("joint_position", pad8(q_rep, ph))
-        put8("motor_velocity", pad8(v_rep * gear, (0.0,) * 5))
-        put8("joint_velocity", pad8(v_rep, (0.0,) * 5))
-        put8("desired_joint_position", pad8(desired, ph))
-        put8("desired_motor_position", pad8(desired * gear, ph))
-        put8("desired_joint_velocity", pad8(v_rep, (0.0,) * 5))
-        put8("desired_motor_velocity", pad8(v_rep * gear, (0.0,) * 5))
-        put8("motor_current", pad8(tau * 0.8 + 0.1, (0.05,) * 5))
-        put8("motor_torque", pad8(tau, (0.0,) * 5))
-
-        jv = v_rep @ np.array(robot.jacobian_velocity_map).T
-        jf = tau @ np.array(robot.jacobian_force_map).T
-        for i in range(6):
-            cols[f"jacobian_velocity_{i}"] = jv[:, i]
-            cols[f"jacobian_force_{i}"] = jf[:, i]
-
-        ee = _ee_pose(q_rep)
-        ee_des = _ee_pose(desired)
-        for which, block in (("ee", ee), ("desired_ee", ee_des)):
-            for k, ax in enumerate("xyz"):
-                cols[f"{which}_pos_{ax}"] = block[:, k]
-            for r in range(3):
-                for c in range(3):
-                    cols[f"{which}_rot_{r}{c}"] = block[:, 3 + 3 * r + c]
-
-        out = np.empty((n, FULL_SCHEMA.dim_full))
-        for i, name in enumerate(FULL_SCHEMA.names):
-            out[:, i] = cols[name]
+        ph, zero5 = robot.placeholder_positions, (0.0,) * 5
+        status = np.column_stack([    # timestamp, run_level, sublevel, ...
+            ts, np.full(n, robot.run_level), np.zeros(n),
+            self._seq + np.arange(n, dtype=float),
+            np.full(n, robot.arm_type), np.full(n, robot.grasper_desired)])
+        out = np.hstack([
+            status,
+            pad8(q_rep * counts + enc_off, ph),             # encoder_value
+            pad8(np.tile(enc_off, (n, 1)), zero5),          # encoder_offset
+            pad8(q_rep * gear, ph),                         # motor_position
+            pad8(q_rep, ph),                                # joint_position
+            pad8(v_rep * gear, zero5),                      # motor_velocity
+            pad8(v_rep, zero5),                             # joint_velocity
+            pad8(desired, ph),                              # desired_joint_position
+            pad8(desired * gear, ph),                       # desired_motor_position
+            pad8(v_rep, zero5),                             # desired_joint_velocity
+            pad8(v_rep * gear, zero5),                      # desired_motor_velocity
+            pad8(tau * 0.8 + 0.1, (0.05,) * 5),             # motor_current
+            pad8(tau, zero5),                               # motor_torque
+            v_rep @ np.array(robot.jacobian_velocity_map).T,  # jacobian_velocity_*
+            tau @ np.array(robot.jacobian_force_map).T,       # jacobian_force_*
+            _ee_pose(q_rep),                                # ee_pos_*, ee_rot_*
+            _ee_pose(desired),                              # desired_ee_*
+        ])
+        if out.shape[1] != FULL_SCHEMA.dim_full:
+            raise SimError(f"assembled {out.shape[1]} feature columns, "
+                           f"schema has {FULL_SCHEMA.dim_full}")
         return out

@@ -93,14 +93,6 @@ class DirectionTransform:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return (pts @ self.rotation.T + self.translation) * self.shrink
 
-    def matrix(self) -> np.ndarray:
-        """The full map as a single 4x4 homogeneous matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        m[:3, :] *= self.shrink[:, None]
-        return m
-
 
 def direction_transform(direction: str) -> DirectionTransform:
     """Map from the centered base raster frame into the unit cube.
@@ -302,19 +294,29 @@ def save(traj: Trajectory, csv_path) -> None:
 
 
 def load(csv_path) -> Trajectory:
-    """Read a trajectory written by :func:`save` (sidecar required)."""
+    """Read a trajectory written by :func:`save` (sidecar required).
+
+    A malformed file raises ``TrajectoryError`` naming the file, and the
+    missing entry or the non-finite waypoint where there is one.
+    """
     csv_path = Path(csv_path)
-    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise TrajectoryError(f"{csv_path}: expected numeric columns ({exc})") from exc
     if rows.shape[1] != 4:
-        raise TrajectoryError(f"expected columns t_index,j1,j2,j3; got {rows.shape[1]} columns")
-    with open(csv_path.with_suffix(".json")) as fh:
-        side = json.load(fh)
-    limits = JointLimits.from_dict(side["limits"]) if side.get("limits") else None
-    return Trajectory(
-        rows[:, 1:4],
-        side["direction"],
-        float(side["sparsity"]),
-        bool(side["normalized"]),
-        limits,
-        side.get("meta", {}),
-    )
+        raise TrajectoryError(
+            f"{csv_path}: expected columns t_index,j1,j2,j3; got {rows.shape[1]} columns")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise TrajectoryError(f"{csv_path}: waypoint {bad[0]} is not finite")
+    side_path = csv_path.with_suffix(".json")
+    try:
+        side = json.loads(side_path.read_text())
+        limits = JointLimits.from_dict(side["limits"]) if side.get("limits") else None
+        return Trajectory(rows[:, 1:4], side["direction"], float(side["sparsity"]),
+                          bool(side["normalized"]), limits, side.get("meta", {}))
+    except KeyError as exc:
+        raise TrajectoryError(f"{side_path}: missing entry {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise TrajectoryError(f"{side_path}: malformed sidecar ({exc})") from exc

@@ -184,6 +184,16 @@ def test_bad_config_value_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_bad_optimizer_value_exits_2_naming_file(runner, tmp_path):
+    p = tmp_path / "bad.toml"
+    p.write_text("[training]\nbeta1 = 1.5\n")
+    result = runner.invoke(main, ["--config", str(p), "generate"])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"config error: {p}: " in text
+    assert "beta1" in text
+
+
 def test_unknown_section_exits_2(runner, tmp_path):
     p = tmp_path / "bad.toml"
     p.write_text("[nope]\nx = 1\n")
@@ -238,6 +248,20 @@ def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
     text = result.output + (result.stderr or "")
     assert "stage 'evaluate' failed" in text
     assert not (out / "rmse_report.csv").exists()
+
+
+def test_record_names_a_sidecar_without_direction(runner, fast_cfg, tmp_path):
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + ["generate", "--direction", "j2"])
+    side = out / "traj_j2_0.5.json"
+    doc = json.loads(side.read_text())
+    del doc["direction"]
+    side.write_text(json.dumps(doc))
+    result = runner.invoke(main, out_args(fast_cfg, out) + [
+        "record", "--trajectory", str(out / "traj_j2_0.5.csv")])
+    assert result.exit_code == 3
+    text = result.output + (result.stderr or "")
+    assert f"stage 'record' failed: {side}: missing entry 'direction'" in text
 
 
 def test_failed_train_keeps_earlier_model(runner, fast_cfg, tmp_path):

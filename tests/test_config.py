@@ -123,6 +123,17 @@ def test_missing_file_rejected(tmp_path):
     ("[training]\ntrain_frac = 1.5\n", "train_frac"),
     ("[training]\nepochs = 0\n", "epochs"),
     ("[training]\nhidden = 100\n", "hidden"),
+    ("[training]\nlr = -1.0\n", "lr"),
+    ("[training]\nlr = 0.0\n", "lr"),
+    ("[training]\nlr = nan\n", "lr"),
+    ("[training]\neps = -1e-8\n", "eps"),
+    ("[training]\nbeta1 = 1.5\n", "beta1"),
+    ("[training]\nbeta2 = 1.0\n", "beta2"),
+    ("[training]\nbeta1 = -0.1\n", "beta1"),
+    ("[training]\nkernel_l2 = -0.1\n", "kernel_l2"),
+    ("[training]\nkernel_l1 = -1e-5\n", "kernel_l1"),
+    ("[training]\nbias_l2 = nan\n", "bias_l2"),
+    ("[training]\nactivity_l2 = -1.0\n", "activity_l2"),
     ("[eval]\ntime_scale = 0.5\n", "time_scale"),
     ("[eval]\nrates = [30.0]\n", "rates"),
 ])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cablecal.core import (
-    DEFAULT_LIMITS,
     FULL_SCHEMA,
     FeatureSchema,
     JointLimits,
@@ -41,16 +40,6 @@ def test_limits_reject_inverted():
         JointLimits(JointVector(0, 0, 0), JointVector(90, -1, 250))
     with pytest.raises(ValueError):
         JointLimits(JointVector(0, 5, 0), JointVector(90, 5, 250))
-
-
-def test_limits_contain_boundaries():
-    lim = DEFAULT_LIMITS
-    assert lim.contains(lim.min)
-    assert lim.contains(lim.max)
-    assert lim.contains(JointVector(45, 45, 125))
-    eps = 1e-9
-    assert not lim.contains(JointVector(0 - eps, 0, 0))
-    assert not lim.contains(JointVector(0, 0, 250 + eps))
 
 
 def test_full_schema_dimensions():

@@ -206,12 +206,12 @@ def test_direction_sweep_table_shape_and_exact_linear():
     table = direction_sweep(noiseless_linear_model(),
                             directions=("j1", "j2"), sparsities=(1 / 2,),
                             seed=1, time_scale=15.0)
-    assert table.directions() == ("j1", "j2")
+    assert tuple(dict.fromkeys(c.direction for c in table.cells)) == ("j1", "j2")
     assert set(table.model_names()) == {"offset", "linear"}
     assert len(table.cells) == 4
+    cell = {(c.direction, c.model): c for c in table.cells}
     for d in ("j1", "j2"):
-        off = table.cell(d, "offset")
-        lin = table.cell(d, "linear")
+        off, lin = cell[d, "offset"], cell[d, "linear"]
         assert np.allclose(off.percentage, 1.0)
         assert np.all(lin.rmse < 1e-6)       # exactly linear error model
         assert np.all(lin.rmse <= off.rmse)
@@ -228,8 +228,7 @@ def test_sweep_gapless_direction_not_worse_for_its_joint():
                          noise_sd=(0.05, 0.05, 0.05))
     table = direction_sweep(em, directions=("j1", "j2", "j3", "j2j3"),
                             sparsities=(1 / 2,), seed=3, time_scale=10.0)
-    j1_rmse = {d: table.cell(d, "linear").rmse[0]
-               for d in ("j1", "j2", "j3", "j2j3")}
+    j1_rmse = {c.direction: c.rmse[0] for c in table.cells if c.model == "linear"}
     for gap_dir in ("j2", "j3", "j2j3"):
         assert j1_rmse["j1"] <= 1.15 * j1_rmse[gap_dir]
 
@@ -257,7 +256,7 @@ def test_feature_robustness_report_structure():
                      "mlp-selected", "mlp-large-full"]
     masks = {e.name: e.mask for e in rep.entries}
     assert masks["linear-full"] == "full138" and masks["mlp-selected"] == "selected16"
-    assert np.allclose(rep.entry("offset").percentage, 1.0)
+    assert np.allclose(rep.entries[names.index("offset")].percentage, 1.0)
     for e in rep.entries:
         assert np.all(e.rmse >= 0) and e.n_test > 0
     assert len(rep.to_rows()) == 15

@@ -8,6 +8,7 @@ normalize-train-unfold chain for the MLP.
 
 import json
 import math
+import tempfile
 import tracemalloc
 from operator import mul
 from pathlib import Path
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablecal import core as core_mod
 from cablecal import models as models_mod
@@ -198,7 +201,7 @@ def test_poly2_refuses_wide_inputs_without_override():
     with pytest.raises(ModelError, match="allow_large"):
         fit_poly2(ds)
     m = fit_poly2(ds, allow_large=True)
-    assert m.coef.shape[0] == 138 + 138 * 139 // 2
+    assert m.weights.shape[0] == 138 + 138 * 139 // 2
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +444,49 @@ def test_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+REP_NAMES = tuple(f"joint_position_j{j}" for j in (1, 2, 3))
+PROPERTY_CFG = MlpConfig(hidden=(5,), epochs=3, batch_size=32)
+
+
+@st.composite
+def selection_schemas(draw):
+    """FULL_SCHEMA under a random mask that keeps joint_position_j1..j3."""
+    extra = draw(st.one_of(st.sets(st.integers(0, 137), max_size=4),
+                           st.sets(st.integers(0, 137), max_size=40)))
+    keep = extra | {FULL_SCHEMA.index_of(n) for n in REP_NAMES}
+    return FeatureSchema(FULL_SCHEMA.names,
+                         tuple(i in keep for i in range(FULL_SCHEMA.dim_full)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(schema=selection_schemas(), seed=st.integers(0, 2**16))
+def test_every_kind_and_mode_round_trips_and_paths_agree(schema, seed):
+    rng = np.random.default_rng(seed)
+    d = schema.dim_selected
+    X = rng.normal(size=(120, d)) * rng.uniform(0.5, 40.0, d) + rng.uniform(-5.0, 60.0, d)
+    reported = X[:, [schema.selected_names().index(n) for n in REP_NAMES]]
+    err = 0.5 * np.tanh(reported / 30.0) + rng.normal(scale=0.01, size=(120, 3))
+    ds = Dataset(np.arange(120) * 0.03, X, reported + err, reported, schema)
+    fits = [fit_offset, fit_linear, lambda ds, mode: fit_mlp(ds, mode, PROPERTY_CFG, seed)]
+    if d <= 7:
+        fits.append(fit_poly2)
+    rows = X[:10].tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / "a.ccm", Path(tmp) / "b.ccm"
+        for fit in fits:
+            for mode in (ON_ERROR, END_TO_END):
+                m = fit(ds, mode)
+                serialize(m, p1)
+                back = deserialize(p1)
+                serialize(back, p2)
+                assert p1.read_bytes() == p2.read_bytes(), m.kind
+                batch = m.predict_batch(X)
+                assert np.array_equal(back.predict_batch(X), batch), m.kind
+                scalar = [m.predict(r) for r in rows]
+                assert [back.predict(r) for r in rows] == scalar, m.kind
+                assert np.max(np.abs(np.array(scalar) - batch[:10])) < 1e-9, m.kind
+
+
 def _tampered(path: Path, mutate) -> Path:
     doc = json.loads(path.read_text())
     recompute = mutate(doc)
@@ -526,7 +572,7 @@ def test_wrong_typed_schema_rejected(offset_file):
         doc["schema"] = [doc["schema"]]
         return True
 
-    with pytest.raises(ModelError, match="malformed"):
+    with pytest.raises(ModelError, match="malformed model file entry 'schema'"):
         deserialize(_tampered(offset_file, mutate))
 
 
@@ -541,7 +587,7 @@ def test_wrong_typed_mlp_weights_rejected(tmp_path, weights):
         doc["payload"]["weights"] = weights
         return True
 
-    with pytest.raises(ModelError, match="malformed"):
+    with pytest.raises(ModelError, match="malformed model file entry 'weights'"):
         deserialize(_tampered(p, mutate))
 
 

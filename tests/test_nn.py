@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cablecal import nn as nn_mod
 from cablecal.nn import (LARGE_CONFIG, Adam, Mlp, MlpConfig, TrainingDivergedError,
                          _sigmoid, forward, train_mlp)
 
@@ -194,14 +195,21 @@ def test_training_reduces_loss():
     assert curve[-1] < 0.25 * curve[0]
 
 
-def test_zero_weights_zero_targets_stay_at_zero_loss():
+def test_zero_weights_zero_targets_stay_at_zero_loss(monkeypatch):
+    class ZeroMlp(Mlp):
+        """The network ``train_mlp`` builds, started from all-zero weights."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            for w in self.weights:
+                w[:] = 0.0
+
+    monkeypatch.setattr(nn_mod, "Mlp", ZeroMlp)
     cfg = MlpConfig(hidden=(6,), epochs=3, batch_size=16)
-    net = Mlp(3, 2, cfg, seed=0)
-    for w in net.weights:
-        w[:] = 0.0
     X = np.random.default_rng(0).normal(size=(32, 3))
     Y = np.zeros((32, 2))
-    net, curve = train_mlp(X, Y, cfg, seed=0, net=net)
+    net, curve = train_mlp(X, Y, cfg, seed=0)
+    assert isinstance(net, ZeroMlp)
     assert np.all(curve == 0.0)
     for w in net.weights:
         assert np.all(w == 0.0)
@@ -230,8 +238,11 @@ def test_final_short_batch_is_used():
 # --- architecture facts -----------------------------------------------------------
 
 def test_parameter_counts():
-    assert Mlp(16, 3, MlpConfig()).n_params == 12103
-    assert Mlp(138, 3, LARGE_CONFIG).n_params == 585503
+    def n_params(net):
+        return sum(p.size for p in net.parameters())
+
+    assert n_params(Mlp(16, 3, MlpConfig())) == 12103
+    assert n_params(Mlp(138, 3, LARGE_CONFIG)) == 585503
 
 
 def test_default_hyperparameters():

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -115,7 +116,7 @@ def test_no_hysteresis_before_motion_starts():
 
 def test_drift_matches_analytic_integral():
     em = sm.default_error_model()
-    prof = sm.LoadProfile.constant(500.0, 0.0, 7200.0)
+    prof = sm.LoadProfile(((0.0, 7200.0, 500.0),))
     t = np.array([0.0, 1800.0, 3600.0, 7200.0])
     got = prof.drift_at(t, em)
     want = np.outer(t / 3600.0, em.drift_rate_loaded)
@@ -125,8 +126,8 @@ def test_drift_matches_analytic_integral():
 def test_drift_monotone_in_load():
     em = sm.default_error_model()
     t = np.linspace(0, 6 * 3600.0, 25)
-    loaded = sm.LoadProfile.constant(500.0, 0.0, t[-1]).drift_at(t, em)
-    unloaded = sm.LoadProfile.constant(0.0, 0.0, t[-1]).drift_at(t, em)
+    loaded = sm.LoadProfile(((0.0, t[-1], 500.0),)).drift_at(t, em)
+    unloaded = sm.LoadProfile(((0.0, t[-1], 0.0),)).drift_at(t, em)
     assert np.all(loaded >= unloaded - 1e-15)
 
 
@@ -140,7 +141,7 @@ def test_drift_interpolates_between_loads():
 
 def test_idle_accrues_idle_rate_only():
     em = replace(sm.default_error_model(), drift_rate_idle=(1.0, 0.0, 0.0))
-    prof = sm.LoadProfile.constant("idle", 0.0, 3600.0)
+    prof = sm.LoadProfile(((0.0, 3600.0, "idle"),))
     got = prof.drift_at(np.array([3600.0]), em)
     assert got[0, 0] == pytest.approx(1.0)
     assert got[0, 1] == got[0, 2] == 0.0
@@ -344,3 +345,88 @@ def test_load_profile_validation():
         sm.LoadProfile(((0.0, 10.0, 0.0), (5.0, 15.0, 0.0)))  # overlap
     with pytest.raises(sm.SimError):
         sm.LoadProfile(((10.0, 5.0, 0.0),))  # inverted
+
+
+# --- every feature column, by name -------------------------------------------
+
+def _channel_blocks(q, v, desired, tau):
+    """The twelve 8-channel blocks in the order their placeholder channels
+    draw aux noise: (prefix, the three joints' values, the five fills)."""
+    robot = sm.DEFAULT_ROBOT
+    gear, counts, enc_off = (np.array(a) for a in (
+        robot.gear_ratio, robot.counts_per_unit, robot.encoder_offset_counts))
+    ph, zero5 = robot.placeholder_positions, (0.0,) * 5
+    return [
+        ("encoder_value", q * counts + enc_off, ph),
+        ("encoder_offset", np.tile(enc_off, (len(q), 1)), zero5),
+        ("motor_position", q * gear, ph),
+        ("joint_position", q, ph),
+        ("motor_velocity", v * gear, zero5),
+        ("joint_velocity", v, zero5),
+        ("desired_joint_position", desired, ph),
+        ("desired_motor_position", desired * gear, ph),
+        ("desired_joint_velocity", v, zero5),
+        ("desired_motor_velocity", v * gear, zero5),
+        ("motor_current", tau * 0.8 + 0.1, (0.05,) * 5),
+        ("motor_torque", tau, zero5),
+    ]
+
+
+def _expected_columns(ts, q, tau, seq, rng, aux_sd) -> dict:
+    """Every FULL_SCHEMA column by name, from its definition; ``rng`` is the
+    session's generator as it stood before the features were drawn."""
+    robot = sm.DEFAULT_ROBOT
+    n = len(ts)
+    v = np.gradient(q, ts, axis=0)
+    desired = q + robot.lookahead_s * v
+    cols = {
+        "timestamp": ts,
+        "run_level": np.full(n, robot.run_level),
+        "sublevel": np.zeros(n),
+        "last_sequence": seq + np.arange(n, dtype=float),
+        "arm_type": np.full(n, robot.arm_type),
+        "grasper_desired": np.full(n, robot.grasper_desired),
+    }
+    for prefix, main, fill in _channel_blocks(q, v, desired, tau):
+        for j in range(3):
+            cols[f"{prefix}_j{j + 1}"] = main[:, j]
+        for ch, value in zip(("j4", "j5", "j6", "j7", "grasper"), fill):
+            noise = rng.normal(0.0, aux_sd, n) if aux_sd > 0 else 0.0
+            cols[f"{prefix}_{ch}"] = np.full(n, value) + noise
+    jv = v @ np.array(robot.jacobian_velocity_map).T
+    jf = tau @ np.array(robot.jacobian_force_map).T
+    for i in range(6):
+        cols[f"jacobian_velocity_{i}"] = jv[:, i]
+        cols[f"jacobian_force_{i}"] = jf[:, i]
+    for which, pose in (("ee", sm._ee_pose(q)), ("desired_ee", sm._ee_pose(desired))):
+        for k, ax in enumerate("xyz"):
+            cols[f"{which}_pos_{ax}"] = pose[:, k]
+        for r in range(3):
+            for c in range(3):
+                cols[f"{which}_rot_{r}{c}"] = pose[:, 3 + 3 * r + c]
+    return cols
+
+
+@pytest.mark.parametrize("em", [sm.default_error_model(), sm.noiseless_linear_model()],
+                         ids=["aux-noise", "no-aux-noise"])
+def test_every_feature_column_matches_its_definition(monkeypatch, em):
+    seen = {}
+    features = sm.SimSession._features
+
+    def spy(self, ts, q_rep, tau, grams):
+        seen.update(ts=ts, q=q_rep, tau=tau, seq=self._seq,
+                    rng=copy.deepcopy(self.rng))
+        return features(self, ts, q_rep, tau, grams)
+
+    monkeypatch.setattr(sm.SimSession, "_features", spy)
+    sess = sm.SimSession(em, seed=11)
+    pol = sm.RandomSinusoidPolicy(seed=4, horizon=100.0)
+    sess.run(pol, duration=5.0)
+    state, _ = sess.run(pol, duration=10.0, load="loaded")   # seq starts > 0
+    assert seen["seq"] == 150
+    want = _expected_columns(seen["ts"], seen["q"], seen["tau"], seen["seq"],
+                             seen["rng"], em.aux_noise_sd)
+    assert sorted(want) == sorted(FULL_SCHEMA.names)
+    assert state.features.shape == (300, FULL_SCHEMA.dim_full)
+    for i, name in enumerate(FULL_SCHEMA.names):
+        assert np.array_equal(state.features[:, i], want[name]), name

@@ -72,6 +72,14 @@ def oracle_matrix(direction):
     raise AssertionError(direction)
 
 
+def homogeneous(tr):
+    """A DirectionTransform's map as one 4x4 homogeneous matrix."""
+    m = np.eye(4)
+    m[:3, :3] = tr.shrink[:, None] * tr.rotation
+    m[:3, 3] = tr.shrink * tr.translation
+    return m
+
+
 def oracle_apply(direction, pts):
     m = oracle_matrix(direction)
     homo = np.hstack([pts, np.ones((len(pts), 1))])
@@ -85,7 +93,7 @@ def test_transform_matches_homogeneous_oracle(direction):
     got = tj.direction_transform(direction).apply(pts)
     want = oracle_apply(direction, pts)
     assert np.max(np.abs(got - want)) < 1e-12
-    assert np.max(np.abs(tj.direction_transform(direction).matrix() - oracle_matrix(direction))) < 1e-12
+    assert np.max(np.abs(homogeneous(tj.direction_transform(direction)) - oracle_matrix(direction))) < 1e-12
 
 
 @pytest.mark.parametrize("direction", tj.DIRECTIONS)
@@ -101,7 +109,7 @@ def test_transform_is_invertible(direction):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, size=(200, 3))
     tr = tj.direction_transform(direction)
-    m = tr.matrix()  # apply(p) == m[:3, :3] @ p + m[:3, 3]
+    m = homogeneous(tr)  # apply(p) == m[:3, :3] @ p + m[:3, 3]
     back = np.linalg.solve(m[:3, :3], (tr.apply(pts) - m[:3, 3]).T).T
     assert np.max(np.abs(back - pts)) < 1e-12
 
@@ -328,3 +336,35 @@ def test_save_load_normalized(tmp_path):
     back = tj.load(path)
     assert np.array_equal(back.waypoints, base.waypoints)
     assert back.normalized and back.limits is None
+
+
+def _drop_direction(csv_path):
+    side = csv_path.with_suffix(".json")
+    doc = json.loads(side.read_text())
+    del doc["direction"]
+    side.write_text(json.dumps(doc))
+
+
+def _replace_line(csv_path, lineno, text):
+    lines = csv_path.read_text().splitlines(keepends=True)
+    lines[lineno] = text
+    csv_path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("corrupt, bad_file, entry", [
+    (_drop_direction, "traj.json", "'direction'"),
+    (lambda p: p.with_suffix(".json").write_text("not json\n"), "traj.json", "line 1"),
+    (lambda p: p.with_suffix(".json").write_text("[1, 2]\n"), "traj.json", "malformed sidecar"),
+    (lambda p: _replace_line(p, 4, "3,inf,1.0,2.0\n"), "traj.csv", "waypoint 3"),
+    (lambda p: _replace_line(p, 2, "1,abc,1.0,2.0\n"), "traj.csv", "abc"),
+    (lambda p: p.write_text("t_index,j1,j2\n0,1.0,2.0\n1,2.0,3.0\n"), "traj.csv", "3 columns"),
+], ids=["no-direction", "sidecar-not-json", "sidecar-list", "inf-waypoint",
+        "non-numeric", "three-columns"])
+def test_load_error_names_file_and_entry(tmp_path, corrupt, bad_file, entry):
+    path = tmp_path / "traj.csv"
+    tj.save(tj.generate("j1j3", 1 / 3), path)
+    corrupt(path)
+    with pytest.raises(tj.TrajectoryError) as info:
+        tj.load(path)
+    assert str(tmp_path / bad_file) in str(info.value)
+    assert entry in str(info.value)
