@@ -29,9 +29,8 @@ import click
 from . import data as data_mod
 from . import trajectory as traj_mod
 from .config import Config, ConfigError, load_config
-from .core import write_json
 from .evaluate import (bench_latency, decay_curve, direction_sweep,
-                       evaluate_model, write_rows_csv)
+                       evaluate_model, write_report)
 from .manifest import RunManifest
 from .models import (MODEL_KINDS, MODES, deserialize, fit_linear, fit_mlp,
                      fit_offset, fit_poly2, serialize)
@@ -95,17 +94,6 @@ def _sparsity_tag(s: float) -> str:
 def _sidecars(*csv_paths) -> list:
     """Each CSV artifact followed by its JSON sidecar."""
     return [p for csv in csv_paths for p in (csv, csv.with_suffix(".json"))]
-
-
-def _report_paths(out: Path, stem: str) -> list:
-    """``<stem>.csv`` and ``<stem>.json``."""
-    return [out / f"{stem}.csv", out / f"{stem}.json"]
-
-
-def _write_rows(rows, paths) -> None:
-    """Rows as CSV and as JSON."""
-    write_rows_csv(rows, paths[0])
-    write_json(rows, paths[1])
 
 
 def _float_list(ctx, param, value):
@@ -210,7 +198,7 @@ def _train(cfg: Config, ds, kind, mode, seed, path, epochs=None, ridge=None):
     return model
 
 
-def _evaluate(model, ds, base_ds, bucket_s, paths):
+def _evaluate(model, ds, base_ds, bucket_s, csv_path):
     """Score ``model`` on ``ds`` against a fixed offset fit on ``base_ds``;
     a ``bucket_s`` adds hour-bucket decay rows."""
     model.check_compatible(ds.schema)
@@ -223,7 +211,7 @@ def _evaluate(model, ds, base_ds, bucket_s, paths):
     for row in rows:
         row["model"] = model.kind
         row["mode"] = model.mode
-    _write_rows(rows, paths)
+    write_report(rows, rows, csv_path)
     for row in report.to_rows():
         click.echo(f"  {row['joint']}: raw {row['raw_rmse']:.3f}  "
                    f"offset {row['fixed_offset_rmse']:.3f}  "
@@ -232,7 +220,7 @@ def _evaluate(model, ds, base_ds, bucket_s, paths):
     return rows
 
 
-def _bench(models, ds, samples, budget_hz, repeats, paths):
+def _bench(models, ds, samples, budget_hz, repeats, csv_path):
     rows, dicts = [], []
     for model in models:
         model.check_compatible(ds.schema)
@@ -243,8 +231,7 @@ def _bench(models, ds, samples, budget_hz, repeats, paths):
         click.echo(f"  {model.kind}: p50 {rep.p50_s * 1e3:.4f} ms  "
                    f"p99 {rep.p99_s * 1e3:.4f} ms  "
                    f"[{verdict} vs {budget_hz:.0f} Hz]")
-    write_rows_csv(rows, paths[0])
-    write_json(dicts, paths[1])
+    write_report(rows, dicts, csv_path)
     return rows
 
 
@@ -403,7 +390,7 @@ def evaluate_command(state, model_file, dataset_path, train_dataset, decay,
     manifest.add_input(dataset_path)
     if train_dataset is not None:
         manifest.add_input(train_dataset)
-    paths = _report_paths(state.out_dir, "rmse_report")
+    report_csv = state.out_dir / "rmse_report.csv"
 
     def run():
         model = deserialize(model_file)
@@ -411,9 +398,9 @@ def evaluate_command(state, model_file, dataset_path, train_dataset, decay,
         base_ds = (ds if train_dataset is None
                    else data_mod.load_dataset(train_dataset))
         return _evaluate(model, ds, base_ds, bucket_s if decay else None,
-                         paths)
+                         report_csv)
 
-    _stage(manifest, "evaluate", paths, run)
+    _stage(manifest, "evaluate", _sidecars(report_csv), run)
     _finish(state, manifest)
 
 
@@ -436,11 +423,11 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
     manifest.add_input(dataset_path)
     for mf in model_files:
         manifest.add_input(mf)
-    paths = _report_paths(state.out_dir, "latency")
-    _stage(manifest, "bench", paths,
+    latency_csv = state.out_dir / "latency.csv"
+    _stage(manifest, "bench", _sidecars(latency_csv),
            lambda: _bench([deserialize(mf) for mf in model_files],
                           data_mod.load_dataset(dataset_path), samples,
-                          budget_hz, state.repeats, paths))
+                          budget_hz, state.repeats, latency_csv))
     _finish(state, manifest)
 
 
@@ -467,7 +454,7 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
         raise ConfigError(f"unknown direction(s): {', '.join(bad)}")
     sp_list = cfg.trajectory.sparsities if sparsities is None else sparsities
     manifest = _manifest(state, "sweep")
-    paths = _report_paths(state.out_dir, "sweep")
+    sweep_csv = state.out_dir / "sweep.csv"
 
     def run():
         fits = {"linear": lambda ds: fit_linear(ds, cfg.training.mode,
@@ -481,14 +468,14 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
             time_scale=time_scale, train_frac=cfg.training.train_frac,
             load=_load_arg(load, cfg))
         rows = table.to_rows()
-        _write_rows(rows, paths)
+        write_report(rows, rows, sweep_csv)
         for model in table.model_names():
             best = [table.best_direction(model, j) for j in range(3)]
             click.echo(f"  best direction per joint [{model}]: "
                        f"j1={best[0]} j2={best[1]} j3={best[2]}")
         return rows
 
-    _stage(manifest, "sweep", paths, run)
+    _stage(manifest, "sweep", _sidecars(sweep_csv), run)
     _finish(state, manifest)
 
 
@@ -507,8 +494,7 @@ def pipeline_command(state, time_scale, epochs):
     traj_path, bag_dir = out / f"traj_{tag}.csv", out / f"bag_{tag}"
     train_path, test_path = out / "train.csv", out / "test.csv"
     model_path = out / "model.ccm"
-    report_paths = _report_paths(out, "rmse_report")
-    latency_paths = _report_paths(out, "latency")
+    report_csv, latency_csv = out / "rmse_report.csv", out / "latency.csv"
     manifest = _manifest(state, "pipeline")
 
     traj = _stage(manifest, "generate", _sidecars(traj_path),
@@ -524,12 +510,12 @@ def pipeline_command(state, time_scale, epochs):
     model = _stage(manifest, f"train[{kind}]", [model_path],
                    lambda: _train(cfg, train_ds, kind, cfg.training.mode,
                                   state.seed, model_path, epochs))
-    _stage(manifest, "evaluate", report_paths,
-           lambda: _evaluate(model, test_ds, train_ds, None, report_paths))
-    _stage(manifest, "bench", latency_paths,
+    _stage(manifest, "evaluate", _sidecars(report_csv),
+           lambda: _evaluate(model, test_ds, train_ds, None, report_csv))
+    _stage(manifest, "bench", _sidecars(latency_csv),
            lambda: _bench([model], test_ds,
                           min(cfg.eval.latency_samples, 5000),
-                          cfg.eval.budget_hz, state.repeats, latency_paths))
+                          cfg.eval.budget_hz, state.repeats, latency_csv))
     _finish(state, manifest)
 
 

@@ -18,12 +18,11 @@ Every error raised for a file names that file.
 
 from __future__ import annotations
 
-import json
 import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .core import DEFAULT_LIMITS, JointLimits
+from .core import DEFAULT_LIMITS, JointLimits, _read_json
 from .data import SYNC_TOLERANCE_S
 from .models import MODEL_KINDS, MODES, ON_ERROR
 from .nn import MlpConfig
@@ -164,14 +163,11 @@ def load_config(path=None) -> Config:
     if not path.is_file():
         what = "is not a file" if path.exists() else "not found"
         raise ConfigError(f"config file {what}: {path}")
-    parse = json.loads if path.suffix.lower() == ".json" else tomllib.loads
     try:
-        raw = parse(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError,
-            tomllib.TOMLDecodeError) as exc:
+        raw = (_read_json(path, ConfigError) if path.suffix.lower() == ".json"
+               else tomllib.loads(path.read_text()))
+    except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a table/object")
 
     unknown = set(raw) - set(_SECTIONS)
     if unknown:

@@ -4,9 +4,12 @@ Units are fixed across the whole toolkit: joint 1 and joint 2 are revolute
 (degrees), joint 3 is prismatic (millimetres). Every position-like quantity
 that crosses a module boundary uses this (deg, deg, mm) convention.
 
-The module also holds ``_replacing``, the atomic text writer that every
-artifact file goes through, and ``write_json``, the one JSON layout on top
-of it.
+The module also owns the artifact file format. Every bag, dataset,
+trajectory, model, report and manifest file is written through
+``_replacing``, which replaces all the files of one artifact together or
+none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
+(``write_json``), and read back through the checked ``_read_matrix`` and
+``_read_json``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,22 +212,77 @@ FULL_SCHEMA = build_full_schema()
 
 
 @contextmanager
-def _replacing(path: Path):
-    """Text handle on a temporary sibling of ``path``, moved over ``path``
-    only when the block completes: a failed write leaves the previous file
-    as it was and no partial file behind. Newlines are written untranslated,
-    so every artifact has the same bytes on every platform."""
-    tmp = path.with_name(f".{path.name}.tmp")
+def _replacing(*paths):
+    """One text handle per path, each on a temporary sibling; every path is
+    replaced only when the block completes, so a failed write leaves all the
+    previous files as they were and no temporary file behind. Newlines are
+    written untranslated, so every artifact has the same bytes on every
+    platform."""
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(f".{p.name}.tmp") for p in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield tuple(stack.enter_context(
+                open(t, "w", encoding="utf-8", newline="")) for t in tmps)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
-def write_json(obj, path) -> None:
-    """Indented, key-sorted JSON plus a trailing newline, written atomically."""
-    with _replacing(Path(path)) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(obj, fh) -> None:
+    """Indented, key-sorted JSON plus a trailing newline."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+#: Rows formatted per ``%`` call when writing a CSV: as fast as 64 rows
+#: on a 139-column bag (per-row calls are 2x slower on 4-column truth),
+#: and a 16-row chunk holds about 0.16 MB of text and float objects.
+_CSV_CHUNK_ROWS = 16
+
+
+def _write_matrix(fh, header: list, blocks) -> None:
+    """Write 1-D and 2-D column blocks side by side as ``%.17g`` CSV.
+
+    The bytes equal ``np.savetxt(fh, np.column_stack(blocks),
+    fmt="%.17g", delimiter=",", header=",".join(header), comments="")``,
+    but rows are formatted a small chunk at a time, so the blocks are never
+    copied into one matrix. ``%.17g`` reloads every float bit-identically.
+    """
+    cols = [b.reshape(-1, 1) if b.ndim == 1 else b for b in blocks]
+    row_fmt = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"
+    fh.write(",".join(header) + "\n")
+    for s in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
+        chunk = np.concatenate([c[s:s + _CSV_CHUNK_ROWS] for c in cols], axis=1)
+        fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _read_matrix(path: Path, width: int, error) -> np.ndarray:
+    """A CSV with one header line, checked to be ``width`` columns of finite
+    values; ``error`` (the caller's error class) names the file and, for a
+    non-finite value, the first bad row."""
+    try:
+        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+    if mat.shape[1] != width:
+        raise error(f"{path}: {mat.shape[1]} columns, expected {width}")
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if len(bad):
+        raise error(f"{path}: row {bad[0]} holds NaN or infinite values")
+    return mat
+
+
+def _read_json(path: Path, error) -> dict:
+    """The top-level object of a JSON file; ``error`` (the caller's error
+    class) names the file when it is not valid JSON or not an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top level must be a JSON object")
+    return doc

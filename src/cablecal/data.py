@@ -5,20 +5,20 @@ full feature vector, 100 Hz ground truth) plus schema and session metadata,
 persisted as a directory of two CSV files and a JSON header. Synchronization
 pairs each state sample with its nearest-in-time truth sample inside a
 tolerance, yielding a flat dataset of (features, truth, reported) rows ready
-for model fitting.
+for model fitting. Bags and datasets are saved in the file format that
+``core`` owns; this module only names their files and columns.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import (DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, _replacing,
-                   write_json)
+from .core import (DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, _read_json,
+                   _read_matrix, _replacing, _write_matrix, write_json)
 from .sim import (CableErrorModel, SimSession, StateStream, TrajectoryFollower,
                   TruthStream)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
@@ -77,38 +77,10 @@ def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
     return RecordedBag(state, truth, FULL_SCHEMA, meta)
 
 
-#: Rows formatted per ``%`` call when writing a CSV: as fast as 64 rows
-#: on a 139-column bag (per-row calls are 2x slower on 4-column truth),
-#: and a 16-row chunk holds about 0.16 MB of text and float objects.
-_CSV_CHUNK_ROWS = 16
-
-
-def _write_matrix(path: Path, header: list, blocks) -> None:
-    """Write 1-D and 2-D column blocks side by side as ``%.17g`` CSV.
-
-    The bytes equal ``np.savetxt(path, np.column_stack(blocks),
-    fmt="%.17g", delimiter=",", header=",".join(header), comments="")``,
-    but rows are formatted a small chunk at a time, so the blocks are never
-    copied into one matrix.
-    """
-    cols = [b.reshape(-1, 1) if b.ndim == 1 else b for b in blocks]
-    row_fmt = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"
-    with _replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for s in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
-            chunk = np.concatenate([c[s:s + _CSV_CHUNK_ROWS] for c in cols],
-                                   axis=1)
-            fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
-
-
 def _read_sidecar(path: Path) -> tuple:
     """A JSON header and the feature schema it carries."""
-    with open(path) as fh:
-        try:
-            head = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(head, dict) or "schema" not in head:
+    head = _read_json(path, DataError)
+    if "schema" not in head:
         raise DataError(f"{path}: no 'schema' entry")
     try:
         schema = FeatureSchema.from_dict(head["schema"])
@@ -117,41 +89,27 @@ def _read_sidecar(path: Path) -> tuple:
     return head, schema
 
 
-def _check_finite(path: Path, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise DataError(f"{path}: holds NaN or infinite values")
-
-
-def _read_matrix(path: Path, width: int) -> np.ndarray:
-    """A CSV with one header line, checked to be ``width`` finite columns."""
-    try:
-        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if mat.shape[1] != width:
-        raise DataError(
-            f"{path}: {mat.shape[1]} columns, its schema needs {width}")
-    _check_finite(path, mat)
-    return mat
-
-
 def save_bag(bag: RecordedBag, bag_dir) -> None:
-    """Persist as a directory: state.csv, truth.csv, metadata.json."""
+    """Persist as a directory: state.csv, truth.csv, metadata.json, all
+    three replaced together."""
     bag_dir = Path(bag_dir)
     bag_dir.mkdir(parents=True, exist_ok=True)
-    _write_matrix(bag_dir / "state.csv", ["t"] + list(bag.schema.names),
-                  [bag.state.t, bag.state.features])
-    _write_matrix(bag_dir / "truth.csv", ["t", "q1", "q2", "q3"],
-                  [bag.truth.t, bag.truth.q])
-    write_json({"schema": bag.schema.to_dict(), "metadata": bag.metadata},
-               bag_dir / "metadata.json")
+    with _replacing(bag_dir / "state.csv", bag_dir / "truth.csv",
+                    bag_dir / "metadata.json") as (state, truth, side):
+        write_json({"schema": bag.schema.to_dict(),
+                    "metadata": bag.metadata}, side)
+        _write_matrix(state, ["t"] + list(bag.schema.names),
+                      [bag.state.t, bag.state.features])
+        _write_matrix(truth, ["t", "q1", "q2", "q3"],
+                      [bag.truth.t, bag.truth.q])
 
 
 def load_bag(bag_dir) -> RecordedBag:
     bag_dir = Path(bag_dir)
     head, schema = _read_sidecar(bag_dir / "metadata.json")
-    state = _read_matrix(bag_dir / "state.csv", 1 + schema.dim_full)
-    truth = _read_matrix(bag_dir / "truth.csv", 4)
+    state = _read_matrix(bag_dir / "state.csv", 1 + schema.dim_full,
+                         DataError)
+    truth = _read_matrix(bag_dir / "truth.csv", 4, DataError)
     return RecordedBag(
         StateStream(state[:, 0], state[:, 1:]),
         TruthStream(truth[:, 0], truth[:, 1:4]),
@@ -323,17 +281,19 @@ def concat(datasets: list) -> Dataset:
 
 
 def save_dataset(ds: Dataset, csv_path) -> None:
-    """CSV columns t, x_0..x_{D-1}, q*_true, q*_rep + JSON schema sidecar."""
+    """CSV columns t, x_0..x_{D-1}, q*_true, q*_rep + JSON schema sidecar,
+    both replaced together."""
     csv_path = Path(csv_path)
     D = ds.inputs.shape[1]
     header = (["t"] + [f"x_{i}" for i in range(D)]
               + ["q1_true", "q2_true", "q3_true", "q1_rep", "q2_rep", "q3_rep"])
-    _write_matrix(csv_path, header, [ds.t, ds.inputs, ds.targets, ds.reported])
-    write_json({
-        "schema": ds.schema.to_dict(),
-        "norm": ds.norm.to_dict() if ds.norm is not None else None,
-        "meta": ds.meta,
-    }, csv_path.with_suffix(".json"))
+    with _replacing(csv_path, csv_path.with_suffix(".json")) as (fh, side):
+        write_json({
+            "schema": ds.schema.to_dict(),
+            "norm": ds.norm.to_dict() if ds.norm is not None else None,
+            "meta": ds.meta,
+        }, side)
+        _write_matrix(fh, header, [ds.t, ds.inputs, ds.targets, ds.reported])
 
 
 def load_dataset(csv_path) -> Dataset:
@@ -341,10 +301,10 @@ def load_dataset(csv_path) -> Dataset:
     side_path = csv_path.with_suffix(".json")
     side, schema = _read_sidecar(side_path)
     D = schema.dim_selected
-    mat = _read_matrix(csv_path, 1 + D + 6)
+    mat = _read_matrix(csv_path, 1 + D + 6, DataError)
     norm = NormStats.from_dict(side["norm"]) if side.get("norm") else None
-    if norm is not None:
-        _check_finite(side_path, norm.mean)
-        _check_finite(side_path, norm.sd)
+    if norm is not None and not (np.isfinite(norm.mean).all()
+                                 and np.isfinite(norm.sd).all()):
+        raise DataError(f"{side_path}: 'norm' holds NaN or infinite values")
     return Dataset(mat[:, 0], mat[:, 1:1 + D], mat[:, 1 + D:4 + D],
                    mat[:, 4 + D:7 + D], schema, norm, side.get("meta", {}))

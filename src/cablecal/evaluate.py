@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, JointLimits, _replacing
+from .core import DEFAULT_LIMITS, JointLimits, _replacing, write_json
 from .data import Dataset, concat, record, split_and_normalize, synchronize
 from .models import CalibrationModel, fit_linear, fit_offset
 from .nn import LARGE_CONFIG, MlpConfig
@@ -260,23 +260,6 @@ def _cell_seed(seed: int, i: int, j: int) -> int:
     return seed * 10007 + i * 101 + j
 
 
-def build_direction_dataset(error_model: CableErrorModel, direction: str,
-                            sparsities: Sequence, *,
-                            limits: JointLimits = DEFAULT_LIMITS,
-                            rates=(30.0, 100.0), seed: int = 0,
-                            time_scale: float = 1.0, load="unloaded",
-                            dir_index: int = 0) -> Dataset:
-    """Record one session per sparsity for a direction and concatenate."""
-    parts = []
-    for j, sp in enumerate(sparsities):
-        traj = generate(direction, sp, limits)
-        bag = record(traj, error_model, load=load, rates=rates,
-                     seed=_cell_seed(seed, dir_index, j), time_scale=time_scale,
-                     limits=limits)
-        parts.append(synchronize(bag))
-    return concat(parts) if len(parts) > 1 else parts[0]
-
-
 def direction_sweep(error_model: CableErrorModel, fits: Optional[dict] = None, *,
                     directions: Sequence = DIRECTIONS,
                     sparsities: Sequence = (1 / 2, 1 / 3, 1 / 4),
@@ -294,9 +277,11 @@ def direction_sweep(error_model: CableErrorModel, fits: Optional[dict] = None, *
     fits = dict(fits) if fits else {"linear": fit_linear}
     cells = []
     for i, direction in enumerate(directions):
-        ds = build_direction_dataset(
-            error_model, direction, sparsities, limits=limits, rates=rates,
-            seed=seed, time_scale=time_scale, load=load, dir_index=i)
+        parts = [synchronize(record(
+            generate(direction, sp, limits), error_model, load=load,
+            rates=rates, seed=_cell_seed(seed, i, j), time_scale=time_scale,
+            limits=limits)) for j, sp in enumerate(sparsities)]
+        ds = concat(parts) if len(parts) > 1 else parts[0]
         train, test = split_and_normalize(ds, train_frac)
         offset = fit_offset(train)
         base = rmse(offset.predict_batch(test.inputs), test.targets)
@@ -405,11 +390,14 @@ def segment_rmse(model: CalibrationModel, datasets: Sequence) -> np.ndarray:
 # report emission
 
 
-def write_rows_csv(rows: list, path) -> None:
-    """Long-format CSV from a list of same-keyed dicts."""
+def write_report(rows: list, doc, csv_path) -> None:
+    """``rows`` (same-keyed dicts) as a long-format CSV and ``doc`` as its
+    JSON sidecar, both replaced together."""
     if not rows:
         raise EvalError("no rows to write")
-    with _replacing(Path(path)) as fh:
+    csv_path = Path(csv_path)
+    with _replacing(csv_path, csv_path.with_suffix(".json")) as (fh, side):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
+        write_json(doc, side)

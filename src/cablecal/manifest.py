@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .core import write_json
+from .core import _read_json, _replacing, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -96,7 +96,8 @@ class RunManifest:
 
     def write(self, out_dir) -> Path:
         out = Path(out_dir) / MANIFEST_NAME
-        write_json(self.to_dict(), out)
+        with _replacing(out) as (fh,):
+            write_json(self.to_dict(), fh)
         return out
 
     @classmethod
@@ -111,5 +112,4 @@ def load_manifest(path) -> RunManifest:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    with open(path) as fh:
-        return RunManifest.from_dict(json.load(fh))
+    return RunManifest.from_dict(_read_json(path, ValueError))

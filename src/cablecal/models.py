@@ -33,12 +33,11 @@ import json
 import math
 from functools import cached_property
 from operator import mul
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureSchema, write_json
+from .core import FeatureSchema, _read_json, _replacing, write_json
 from .data import Dataset, NormStats
 from .nn import MlpConfig, forward, train_mlp
 
@@ -472,7 +471,8 @@ def serialize(model: CalibrationModel, path) -> None:
         "payload": model.payload(),
     }
     doc["checksum"] = _checksum(doc)
-    write_json(doc, path)
+    with _replacing(path) as (fh,):
+        write_json(doc, fh)
 
 
 def _finite(value) -> bool:
@@ -488,13 +488,7 @@ def _finite(value) -> bool:
 
 
 def deserialize(path) -> CalibrationModel:
-    try:
-        with open(Path(path)) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"not a model file ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ModelError("not a model file: top level must be a JSON object")
+    doc = _read_json(path, ModelError)
     if doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"not a model file: format tag {doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:

@@ -7,12 +7,11 @@ gaps), and an affine map places the result inside the joint limits with a
 per-class span rule: with c the limit center and r the range (per joint),
 single-joint classes occupy c +- r/(2*sqrt(3)), two-joint classes
 c +- sqrt(2)*r/(2*sqrt(3)), and the three-joint class the full c +- r/2.
+Trajectories are saved in the CSV + JSON sidecar format that ``core`` owns.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, JointLimits, _replacing
+from .core import (DEFAULT_LIMITS, JointLimits, _read_json, _read_matrix,
+                   _replacing, _write_matrix, write_json)
 
 DIRECTIONS = ("j1", "j2", "j3", "j1j2", "j2j3", "j1j3", "j1j2j3")
 
@@ -269,10 +269,11 @@ def generate(
 
 
 def save(traj: Trajectory, csv_path) -> None:
-    """Write waypoints as CSV plus a JSON sidecar of generation settings.
+    """Write waypoints as CSV plus a JSON sidecar of generation settings,
+    both replaced together.
 
-    CSV columns: t_index, j1, j2, j3 (t_index = waypoint ordinal). Values
-    use repr so a load round-trips bit-identically.
+    CSV columns: t_index, j1, j2, j3 (t_index = waypoint ordinal), written
+    at ``%.17g`` so a load round-trips bit-identically.
     """
     csv_path = Path(csv_path)
     sidecar = {
@@ -282,41 +283,30 @@ def save(traj: Trajectory, csv_path) -> None:
         "limits": traj.limits.to_dict() if traj.limits is not None else None,
         "meta": traj.meta,
     }
-    # both files are complete before either replaces its predecessor
-    with _replacing(csv_path) as fh, \
-            _replacing(csv_path.with_suffix(".json")) as side_fh:
-        w = csv.writer(fh)
-        w.writerow(["t_index", "j1", "j2", "j3"])
-        for i, p in enumerate(traj.waypoints):
-            w.writerow([i] + [repr(float(x)) for x in p])
-        json.dump(sidecar, side_fh, indent=2, sort_keys=True)
-        side_fh.write("\n")
+    with _replacing(csv_path, csv_path.with_suffix(".json")) as (fh, side):
+        _write_matrix(fh, ["t_index", "j1", "j2", "j3"],
+                      [np.arange(len(traj)), traj.waypoints])
+        write_json(sidecar, side)
 
 
 def load(csv_path) -> Trajectory:
     """Read a trajectory written by :func:`save` (sidecar required).
 
     A malformed file raises ``TrajectoryError`` naming the file, and the
-    missing entry or the non-finite waypoint where there is one.
+    bad entry or the first non-finite row where there is one.
     """
     csv_path = Path(csv_path)
-    try:
-        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise TrajectoryError(f"{csv_path}: expected numeric columns ({exc})") from exc
-    if rows.shape[1] != 4:
-        raise TrajectoryError(
-            f"{csv_path}: expected columns t_index,j1,j2,j3; got {rows.shape[1]} columns")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if len(bad):
-        raise TrajectoryError(f"{csv_path}: waypoint {bad[0]} is not finite")
+    rows = _read_matrix(csv_path, 4, TrajectoryError)
     side_path = csv_path.with_suffix(".json")
+    side = _read_json(side_path, TrajectoryError)
+    entry = "limits"
     try:
-        side = json.loads(side_path.read_text())
         limits = JointLimits.from_dict(side["limits"]) if side.get("limits") else None
-        return Trajectory(rows[:, 1:4], side["direction"], float(side["sparsity"]),
+        entry = "sparsity"
+        sparsity = float(side["sparsity"])
+        return Trajectory(rows[:, 1:4], side["direction"], sparsity,
                           bool(side["normalized"]), limits, side.get("meta", {}))
     except KeyError as exc:
         raise TrajectoryError(f"{side_path}: missing entry {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
-        raise TrajectoryError(f"{side_path}: malformed sidecar ({exc})") from exc
+    except (TypeError, ValueError) as exc:
+        raise TrajectoryError(f"{side_path}: bad entry {entry!r} ({exc})") from exc

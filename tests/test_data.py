@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cablecal import core
 from cablecal.core import FULL_SCHEMA
 from cablecal import data as dt
 from cablecal import sim as sm
@@ -340,13 +341,18 @@ def savetxt_ref(path, header, blocks):
 
 @st.composite
 def column_blocks(draw):
-    chunk = dt._CSV_CHUNK_ROWS
+    chunk = core._CSV_CHUNK_ROWS
     rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1])
                 | st.integers(0, 3 * chunk))
     values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL)
     shapes = st.just((rows,)) | st.tuples(st.just(rows), st.integers(1, 4))
     return draw(st.lists(hnp.arrays(np.float64, shapes, elements=values),
                          min_size=1, max_size=4))
+
+
+def write_matrix(path, header, blocks):
+    with core._replacing(path) as (fh,):
+        core._write_matrix(fh, header, blocks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -356,7 +362,7 @@ def test_write_matrix_matches_savetxt(blocks):
     header = [f"c{i}" for i in range(width)]
     with tempfile.TemporaryDirectory() as d:
         got, want = Path(d) / "got.csv", Path(d) / "want.csv"
-        dt._write_matrix(got, header, blocks)
+        write_matrix(got, header, blocks)
         savetxt_ref(want, header, blocks)
         assert got.read_bytes() == want.read_bytes()
         assert sorted(p.name for p in Path(d).iterdir()) == ["got.csv", "want.csv"]
@@ -403,26 +409,44 @@ class _Unformattable:
 
 def test_failed_matrix_write_keeps_previous_file(tmp_path):
     path = tmp_path / "m.csv"
-    dt._write_matrix(path, ["a", "b"], [np.arange(3.0), np.ones(3)])
+    write_matrix(path, ["a", "b"], [np.arange(3.0), np.ones(3)])
     before = path.read_bytes()
     # fails on a row after the first chunks are already written
-    bad = np.arange(4.0 * dt._CSV_CHUNK_ROWS).astype(object)
-    bad[3 * dt._CSV_CHUNK_ROWS] = _Unformattable()
+    bad = np.arange(4.0 * core._CSV_CHUNK_ROWS).astype(object)
+    bad[3 * core._CSV_CHUNK_ROWS] = _Unformattable()
     with pytest.raises(RuntimeError, match="cannot format"):
-        dt._write_matrix(path, ["a", "b"], [np.zeros(len(bad)), bad])
+        write_matrix(path, ["a", "b"], [np.zeros(len(bad)), bad])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
+def _files(d):
+    """Every file under ``d`` (temporaries included) with its bytes."""
+    return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
 def test_failed_sidecar_write_keeps_previous_bag(tmp_path):
-    bag = make_bag(duration=5.0)
-    dt.save_bag(bag, tmp_path / "bag")
-    before = {p.name: p.read_bytes() for p in (tmp_path / "bag").iterdir()}
-    bad = dt.RecordedBag(bag.state, bag.truth, bag.schema, {"not_json": object()})
+    dt.save_bag(make_bag(duration=5.0), tmp_path / "bag")
+    before = _files(tmp_path / "bag")
+    other = make_bag(duration=5.0, seed=1)
+    bad = dt.RecordedBag(other.state, other.truth, other.schema,
+                         {"not_json": object()})
     with pytest.raises(TypeError):
         dt.save_bag(bad, tmp_path / "bag")
-    after = {p.name: p.read_bytes() for p in (tmp_path / "bag").iterdir()}
-    assert after == before
+    assert _files(tmp_path / "bag") == before
+
+
+def test_failed_sidecar_write_keeps_previous_dataset(tmp_path):
+    first, _ = dt.split_and_normalize(dt.synchronize(make_bag(duration=5.0)))
+    dt.save_dataset(first, tmp_path / "d.csv")
+    before = _files(tmp_path)
+    other, _ = dt.split_and_normalize(
+        dt.synchronize(make_bag(duration=5.0, seed=1)))
+    bad = dt.Dataset(other.t, other.inputs, other.targets, other.reported,
+                     other.schema, other.norm, {"not_json": object()})
+    with pytest.raises(TypeError):
+        dt.save_dataset(bad, tmp_path / "d.csv")
+    assert _files(tmp_path) == before
 
 
 # --- load boundary ------------------------------------------------------------------

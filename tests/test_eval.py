@@ -11,12 +11,12 @@ import json
 import numpy as np
 import pytest
 
-from cablecal.core import FULL_SCHEMA, write_json
+from cablecal.core import FULL_SCHEMA, _replacing, write_json
 from cablecal.data import Dataset, record, synchronize
 from cablecal.evaluate import (LatencyReport, RmseReport, bench_latency,
                                decay_curve, direction_sweep, evaluate_model,
                                feature_robustness, rmse, segment_rmse,
-                               write_rows_csv)
+                               write_report)
 from cablecal.models import (FixedOffsetModel, fit_linear, fit_mlp,
                              fit_offset)
 from cablecal.nn import MlpConfig
@@ -287,19 +287,32 @@ def test_write_rows_csv_round_trip(tmp_path):
     rows = [{"direction": "j1", "rmse": 0.25, "n": 7},
             {"direction": "j2", "rmse": 1.5, "n": 9}]
     p = tmp_path / "rows.csv"
-    write_rows_csv(rows, p)
+    write_report(rows, {"runs": 2}, p)
     with open(p, newline="") as fh:
         back = list(csv.DictReader(fh))
     assert back[0]["direction"] == "j1"
     assert float(back[1]["rmse"]) == 1.5
+    assert json.loads((tmp_path / "rows.json").read_text()) == {"runs": 2}
     with pytest.raises(ValueError):
-        write_rows_csv([], tmp_path / "empty.csv")
+        write_report([], [], tmp_path / "empty.csv")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["rows.csv", "rows.json"]
+
+
+def test_failed_report_write_keeps_previous_pair(tmp_path):
+    p = tmp_path / "rmse_report.csv"
+    write_report([{"joint": "j1", "rmse": 0.25}], [{"joint": "j1"}], p)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    rows = [{"joint": "j2", "rmse": 1.5, "model": object()}]
+    with pytest.raises(TypeError):
+        write_report(rows, rows, p)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_write_json(tmp_path):
     p = tmp_path / "rep.json"
-    write_json({"a": [1, 2], "b": "x"}, p)
-    assert json.loads(p.read_text()) == {"a": [1, 2], "b": "x"}
+    with _replacing(p) as (fh,):
+        write_json({"a": [1, 2], "b": "x"}, fh)
+    assert p.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": "x"\n}\n'
 
 
 def test_latency_report_serializable():

@@ -1,8 +1,11 @@
-"""Every name a ``cablecal`` module imports is used in that module.
+"""Every name a ``cablecal`` module imports is used in that module, and
+only ``core`` writes files.
 
-No linter ships with the toolchain, so this stdlib ``ast`` scan stands in
+No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for one. ``__init__.py`` is skipped: its imports are the package's public
-re-exports.
+re-exports. ``core`` owns the artifact file format, and its ``_replacing``
+replaces all the files of an artifact together, so a write anywhere else
+would bypass that guarantee.
 """
 
 import ast
@@ -53,3 +56,52 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in _referenced(tree)}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def _file_writes(tree) -> list:
+    """Lines that open a file for writing (or with a mode the scan cannot
+    read), replace or rename one, or call ``.write_text``/``.write_bytes``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if name == "open":
+            # the mode is open()'s second argument but Path.open()'s first
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = node.args[at:at + 1] + [k.value for k in node.keywords
+                                            if k.arg == "mode"]
+            writes = any(not isinstance(m, ast.Constant)
+                         or set(str(m.value)) & set("wax+") for m in modes)
+        else:
+            writes = (name in ("write_text", "write_bytes")
+                      or name in ("replace", "rename") and owner == "os")
+        if writes:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_flags_a_planted_file_write():
+    tree = ast.parse("import os\n"
+                     "open(p)\nopen(p, 'rb')\np.open()\ns.replace('a', 'b')\nreplace(d)\n"
+                     "open(p, 'a')\nopen(p, mode='r+')\np.open('w')\n"
+                     "open(p, m)\np.write_text('x')\np.write_bytes(b)\n"
+                     "os.replace(a, b)\nos.rename(a, b)\n")
+    assert _file_writes(tree) == list(range(7, 15))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_writes_files(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _file_writes(tree), (
+        f"{path.name}: file writes outside core (lines) {_file_writes(tree)}")
+
+
+def test_trajectory_and_data_leave_the_formats_to_core():
+    for name, banned in (("trajectory.py", {"csv", "json"}),
+                         ("data.py", {"json"})):
+        tree = ast.parse((SRC / name).read_text())
+        assert not banned & set(_imported(tree)), name

@@ -1,13 +1,12 @@
-import csv
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cablecal import core
 from cablecal.core import DEFAULT_LIMITS, JointLimits, JointVector
 from cablecal import trajectory as tj
 
@@ -296,34 +295,26 @@ def test_save_load_round_trip(tmp_path):
     assert (tmp_path / "traj.json").exists()
 
 
-class _FailingWriter:
-    """csv writer that raises after ``rows`` rows."""
-
-    def __init__(self, fh, rows):
-        self._w, self._left = csv.writer(fh), rows
-
-    def writerow(self, row):
-        if self._left == 0:
-            raise OSError("disk full")
-        self._left -= 1
-        self._w.writerow(row)
+def _fail_matrix(fh, header, blocks):
+    """The shared CSV writer, failing after 100 waypoint rows."""
+    core._write_matrix(fh, header, [b[:100] for b in blocks])
+    raise OSError("disk full")
 
 
-def _fail_sidecar(obj, fh, **kwargs):
+def _fail_sidecar(obj, fh):
     fh.write('{"direction": ')
     raise OSError("disk full")
 
 
-@pytest.mark.parametrize("broken", [
-    SimpleNamespace(csv=SimpleNamespace(writer=lambda fh: _FailingWriter(fh, 100))),
-    SimpleNamespace(json=SimpleNamespace(dump=_fail_sidecar, load=json.load)),
+@pytest.mark.parametrize("name, broken", [
+    ("_write_matrix", _fail_matrix),
+    ("write_json", _fail_sidecar),
 ], ids=["csv", "sidecar"])
-def test_failed_save_keeps_previous_files(tmp_path, monkeypatch, broken):
+def test_failed_save_keeps_previous_files(tmp_path, monkeypatch, name, broken):
     path = tmp_path / "traj.csv"
     tj.save(tj.generate("j1j3", 1 / 3), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    for name, stub in vars(broken).items():
-        monkeypatch.setattr(tj, name, stub)
+    monkeypatch.setattr(tj, name, broken)
     with pytest.raises(OSError, match="disk full"):
         tj.save(tj.generate("j2j3", 0.5), path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -345,6 +336,15 @@ def _drop_direction(csv_path):
     side.write_text(json.dumps(doc))
 
 
+def _set_entry(name, value):
+    def corrupt(csv_path):
+        side = csv_path.with_suffix(".json")
+        doc = json.loads(side.read_text())
+        doc[name] = value
+        side.write_text(json.dumps(doc))
+    return corrupt
+
+
 def _replace_line(csv_path, lineno, text):
     lines = csv_path.read_text().splitlines(keepends=True)
     lines[lineno] = text
@@ -354,11 +354,14 @@ def _replace_line(csv_path, lineno, text):
 @pytest.mark.parametrize("corrupt, bad_file, entry", [
     (_drop_direction, "traj.json", "'direction'"),
     (lambda p: p.with_suffix(".json").write_text("not json\n"), "traj.json", "line 1"),
-    (lambda p: p.with_suffix(".json").write_text("[1, 2]\n"), "traj.json", "malformed sidecar"),
-    (lambda p: _replace_line(p, 4, "3,inf,1.0,2.0\n"), "traj.csv", "waypoint 3"),
+    (lambda p: p.with_suffix(".json").write_text("[1, 2]\n"), "traj.json", "JSON object"),
+    (_set_entry("sparsity", None), "traj.json", "'sparsity'"),
+    (_set_entry("limits", {"min": [0, 0], "max": [90, 90, 250]}), "traj.json", "'limits'"),
+    (lambda p: _replace_line(p, 4, "3,inf,1.0,2.0\n"), "traj.csv", "row 3"),
     (lambda p: _replace_line(p, 2, "1,abc,1.0,2.0\n"), "traj.csv", "abc"),
     (lambda p: p.write_text("t_index,j1,j2\n0,1.0,2.0\n1,2.0,3.0\n"), "traj.csv", "3 columns"),
-], ids=["no-direction", "sidecar-not-json", "sidecar-list", "inf-waypoint",
+], ids=["no-direction", "sidecar-not-json", "sidecar-list", "null-sparsity",
+         "short-limits", "inf-waypoint",
         "non-numeric", "three-columns"])
 def test_load_error_names_file_and_entry(tmp_path, corrupt, bad_file, entry):
     path = tmp_path / "traj.csv"
