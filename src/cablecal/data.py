@@ -150,8 +150,21 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d) -> "NormStats":
-        return cls(np.array(d["mean"]), np.array(d["sd"]),
-                   np.array(d["degenerate"], dtype=bool))
+        """Inverse of :meth:`to_dict`: a key that is missing, or not a list
+        of numbers (bools for ``degenerate``), raises ValueError naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an object, got {type(d).__name__}")
+        arrays = []
+        for key, kind in (("mean", float), ("sd", float), ("degenerate", bool)):
+            v = d.get(key)
+            if not (isinstance(v, list) and all(isinstance(x, (int, float))
+                    and isinstance(x, bool) == (kind is bool) for x in v)):
+                raise ValueError(f"key {key!r} is missing" if key not in d else
+                                 f"key {key!r} is not a list of {kind.__name__}s")
+            arrays.append(np.array(v, dtype=kind))
+        if len({len(a) for a in arrays}) > 1:
+            raise ValueError("keys 'mean', 'sd' and 'degenerate' differ in length")
+        return cls(*arrays)
 
 
 @dataclass(frozen=True)
@@ -302,7 +315,13 @@ def load_dataset(csv_path) -> Dataset:
     side, schema = _read_sidecar(side_path)
     D = schema.dim_selected
     mat = _read_matrix(csv_path, 1 + D + 6, DataError)
-    norm = NormStats.from_dict(side["norm"]) if side.get("norm") else None
+    try:
+        norm = None if side.get("norm") is None else NormStats.from_dict(side["norm"])
+    except ValueError as exc:
+        raise DataError(f"{side_path}: bad 'norm' entry ({exc})") from exc
+    if norm is not None and len(norm.mean) != D:
+        raise DataError(f"{side_path}: 'norm' has {len(norm.mean)} features, "
+                        f"the schema selects {D}")
     if norm is not None and not (np.isfinite(norm.mean).all()
                                  and np.isfinite(norm.sd).all()):
         raise DataError(f"{side_path}: 'norm' holds NaN or infinite values")

@@ -112,4 +112,7 @@ def load_manifest(path) -> RunManifest:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    return RunManifest.from_dict(_read_json(path, ValueError))
+    try:
+        return RunManifest.from_dict(_read_json(path, ValueError))
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest lacks entry {exc}") from exc

@@ -278,8 +278,11 @@ class PolyModel(_AffineModel):
 
     @classmethod
     def from_payload(cls, payload, mode, schema):
-        return cls(mode, schema, NormStats.from_dict(payload["norm"]),
-                   payload["coef"], payload["intercept"])
+        try:
+            norm = NormStats.from_dict(payload["norm"])
+        except ValueError as exc:
+            raise ModelError(f"malformed model file entry 'norm': {exc}") from exc
+        return cls(mode, schema, norm, payload["coef"], payload["intercept"])
 
 
 class MlpModel(CalibrationModel):

@@ -343,14 +343,8 @@ def motor_torques(q: np.ndarray, dirsign: np.ndarray,
 def _forward_fill_sign(v: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Sign of velocity with zeros replaced by the last nonzero sign."""
     s = np.sign(v)
-    out = np.empty_like(s)
-    for j in range(s.shape[1]):
-        col = s[:, j]
-        idx = np.arange(len(col))
-        has = col != 0
-        last = np.maximum.accumulate(np.where(has, idx, -1))
-        out[:, j] = np.where(last >= 0, col[np.maximum(last, 0)], initial[j])
-    return out
+    last = np.maximum.accumulate(np.where(s != 0, np.arange(len(s))[:, None], -1), axis=0)
+    return np.where(last >= 0, np.take_along_axis(s, np.maximum(last, 0), axis=0), initial)
 
 
 def _ee_pose(q: np.ndarray) -> np.ndarray:
@@ -375,8 +369,9 @@ def _ee_pose(q: np.ndarray) -> np.ndarray:
 class LoadProfile:
     """Schedule of (t_start, t_end, load) with load = grams or 'idle'.
 
-    Intervals must be non-overlapping and sorted; queries outside every
-    interval fall back to 0 g (unloaded, moving).
+    Intervals must be non-overlapping and sorted; drift accrues at the 0 g
+    (unloaded, moving) rate in gaps between them, and at the final
+    interval's rate past the end.
     """
 
     intervals: tuple = ()
@@ -389,13 +384,6 @@ class LoadProfile:
             if load != "idle" and float(load) < 0:
                 raise SimError(f"negative load {load!r}")
             prev_end = t1
-
-    def grams_at(self, t: np.ndarray) -> np.ndarray:
-        g = np.zeros(len(t))
-        for t0, t1, load in self.intervals:
-            if load != "idle":
-                g[(t >= t0) & (t < t1)] = float(load)
-        return g
 
     def drift_at(self, t: np.ndarray, model: CableErrorModel) -> np.ndarray:
         """Accumulated drift bias (N, 3): integral of the load-dependent rate."""
@@ -412,9 +400,7 @@ class LoadProfile:
             cum.append(cum[-1] + rate * (t1 - t0))
         knots = np.array(knots)
         cum = np.stack(cum)
-        out = np.empty((len(t), 3))
-        for j in range(3):
-            out[:, j] = np.interp(t, knots, cum[:, j])
+        out = np.stack([np.interp(t, knots, cum[:, j]) for j in range(3)], axis=1)
         # extrapolate past the schedule at the final interval's rate
         beyond = t > knots[-1]
         if np.any(beyond):
@@ -500,7 +486,8 @@ class SimSession:
         q_true_t = policy.positions(tt - t0)
 
         em = self.error_model
-        grams = profile.grams_at(ts) if load != "idle" else np.zeros(n_state)
+        # every sample lies inside this run's own load interval
+        grams = np.full(n_state, 0.0 if load == "idle" else float(load))
         dirsign = _forward_fill_sign(v_true_s, self._last_dir)
         tau = motor_torques(q_true_s, dirsign, grams)
         drift = profile.drift_at(ts, em)
@@ -509,7 +496,7 @@ class SimSession:
         rhs = q_true_s + em.b + tau @ em.S.T + dirsign * np.array(em.hysteresis_width) + drift + noise
         q_rep = rhs @ np.linalg.inv(np.eye(3) - em.P).T
 
-        features = self._features(ts, q_rep, tau, grams)
+        features = self._features(ts, q_rep, tau)
 
         self.clock = t0 + duration
         self._last_dir = dirsign[-1].copy()
@@ -526,7 +513,7 @@ class SimSession:
                 f"range [{q[:, j].min():.3f}, {q[:, j].max():.3f}] vs [{lo[j]:.3f}, {hi[j]:.3f}]"
             )
 
-    def _features(self, ts, q_rep, tau, grams) -> np.ndarray:
+    def _features(self, ts, q_rep, tau) -> np.ndarray:
         """Assemble the (N, 138) state matrix, block by block in FULL_SCHEMA
         order; the placeholder channels draw aux noise in that order too."""
         robot = DEFAULT_ROBOT

@@ -3,7 +3,9 @@
 A base raster sweeps joint 1 back and forth across a centered unit cube,
 stepping joint 2 between passes and joint 3 between planes. Rotating that
 raster yields seven direction classes (which joint axes are swept without
-gaps), and an affine map places the result inside the joint limits with a
+gaps). One module table owns them: it maps each class to its rotation,
+translation and shrink into the unit cube, and ``DIRECTIONS`` is its key
+order. An affine map then places the result inside the joint limits with a
 per-class span rule: with c the limit center and r the range (per joint),
 single-joint classes occupy c +- r/(2*sqrt(3)), two-joint classes
 c +- sqrt(2)*r/(2*sqrt(3)), and the three-joint class the full c +- r/2.
@@ -22,9 +24,6 @@ import numpy as np
 from .core import (DEFAULT_LIMITS, JointLimits, _read_json, _read_matrix,
                    _replacing, _write_matrix, write_json)
 
-DIRECTIONS = ("j1", "j2", "j3", "j1j2", "j2j3", "j1j3", "j1j2j3")
-
-_SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 
 #: Default densification step, as a fraction of the normalized range.
@@ -60,22 +59,14 @@ class Trajectory:
         return len(self.waypoints)
 
 
-def _rot_about_j3(deg: float) -> np.ndarray:
-    """Rotation about the j3 axis (mixes j1 and j2)."""
+def _rot(axis: int, deg: float) -> np.ndarray:
+    """Rotation by ``deg`` about joint axis ``axis`` (0, 1, 2 for j1, j2, j3)."""
     c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_about_j2(deg: float) -> np.ndarray:
-    """Rotation about the j2 axis (mixes j3 and j1)."""
-    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_about_j1(deg: float) -> np.ndarray:
-    """Rotation about the j1 axis (mixes j2 and j3)."""
-    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    m = np.eye(3)
+    m[i, i] = m[j, j] = c
+    m[i, j], m[j, i] = -s, s
+    return m
 
 
 @dataclass(frozen=True)
@@ -94,66 +85,62 @@ class DirectionTransform:
         return (pts @ self.rotation.T + self.translation) * self.shrink
 
 
-def direction_transform(direction: str) -> DirectionTransform:
-    """Map from the centered base raster frame into the unit cube.
+def _placed(direction: str, rotation: np.ndarray) -> DirectionTransform:
+    """Re-center a rotated raster at (.5,.5,.5): an n-joint class (n > 1)
+    spans +-sqrt(n)/2 on its n mixed axes, so those are translated by
+    sqrt(n)/2 and shrunk by 1/sqrt(n); other axes move by 1/2, unshrunk."""
+    n = direction.count("j")
+    g = np.array([math.sqrt(n) if n > 1 and f"j{j}" in direction else 1.0
+                  for j in (1, 2, 3)])
+    tr = DirectionTransform(rotation, 0.5 * g, 1.0 / g)
+    for a in (tr.rotation, tr.translation, tr.shrink):
+        a.setflags(write=False)
+    return tr
 
-    Single-joint classes rotate the raster 90 degrees so the requested
-    joint becomes the swept axis; two-joint classes tilt 45 degrees so two
-    joints co-move during sweeps (shrinking the two mixed axes by 1/sqrt(2));
-    the three-joint class composes two 45-degree tilts with a 1/sqrt(3)
-    shrink on every axis. Translations re-center each result at (.5,.5,.5).
-    """
-    half = np.array([0.5, 0.5, 0.5])
-    ones = np.ones(3)
-    if direction == "j1":
-        return DirectionTransform(np.eye(3), half, ones)
-    if direction == "j2":
-        return DirectionTransform(_rot_about_j3(90.0), half, ones)
-    if direction == "j3":
-        return DirectionTransform(_rot_about_j2(90.0), half, ones)
-    if direction == "j1j2":
-        return DirectionTransform(
-            _rot_about_j3(45.0),
-            np.array([0.5 * _SQRT2, 0.5 * _SQRT2, 0.5]),
-            np.array([1.0 / _SQRT2, 1.0 / _SQRT2, 1.0]),
-        )
-    if direction == "j2j3":
-        return DirectionTransform(
-            _rot_about_j1(45.0) @ _rot_about_j3(90.0),
-            np.array([0.5, 0.5 * _SQRT2, 0.5 * _SQRT2]),
-            np.array([1.0, 1.0 / _SQRT2, 1.0 / _SQRT2]),
-        )
-    if direction == "j1j3":
-        return DirectionTransform(
-            _rot_about_j2(-45.0),
-            np.array([0.5 * _SQRT2, 0.5, 0.5 * _SQRT2]),
-            np.array([1.0 / _SQRT2, 1.0, 1.0 / _SQRT2]),
-        )
-    if direction == "j1j2j3":
-        return DirectionTransform(
-            _rot_about_j2(45.0) @ _rot_about_j1(45.0),
-            np.array([0.5 * _SQRT3, 0.5 * _SQRT3, 0.5 * _SQRT3]),
-            np.array([1.0 / _SQRT3, 1.0 / _SQRT3, 1.0 / _SQRT3]),
-        )
-    raise TrajectoryError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+
+#: Direction class -> map from the centered base raster into the unit cube.
+#: Single-joint classes rotate the raster 90 degrees so the requested joint
+#: becomes the swept axis; two-joint classes tilt 45 degrees so two joints
+#: co-move during sweeps; the three-joint class composes two 45-degree tilts.
+_TRANSFORMS = {d: _placed(d, rot) for d, rot in (
+    ("j1", np.eye(3)),
+    ("j2", _rot(2, 90.0)),
+    ("j3", _rot(1, 90.0)),
+    ("j1j2", _rot(2, 45.0)),
+    ("j2j3", _rot(0, 45.0) @ _rot(2, 90.0)),
+    ("j1j3", _rot(1, -45.0)),
+    ("j1j2j3", _rot(1, 45.0) @ _rot(0, 45.0)),
+)}
+
+DIRECTIONS = tuple(_TRANSFORMS)
+
+
+def direction_transform(direction: str) -> DirectionTransform:
+    """Map from the centered base raster frame into the unit cube: the
+    class's table entry, whose arrays are read-only."""
+    if direction not in DIRECTIONS:
+        raise TrajectoryError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+    return _TRANSFORMS[direction]
 
 
 def moving_joints(direction: str) -> tuple:
     """Indices of the joints swept by a direction class, e.g. 'j1j3' -> (0, 2)."""
-    if direction not in DIRECTIONS:
-        raise TrajectoryError(f"unknown direction {direction!r}")
+    direction_transform(direction)
     return tuple(i for i in range(3) if f"j{i + 1}" in direction)
 
 
 def span_fraction(direction: str) -> float:
     """Per-joint span of a scaled trajectory as a fraction of the range r."""
-    n = len(moving_joints(direction))
-    return {1: 1.0 / _SQRT3, 2: _SQRT2 / _SQRT3, 3: 1.0}[n]
+    return math.sqrt(len(moving_joints(direction))) / _SQRT3
+
+
+def _check_sparsity(sparsity: float) -> None:
+    if not (0.0 < sparsity <= 0.5 + 1e-12):
+        raise TrajectoryError(f"sparsity must be in (0, 1/2], got {sparsity}")
 
 
 def _raster_corners(sparsity: float) -> np.ndarray:
-    if not (0.0 < sparsity <= 0.5 + 1e-12):
-        raise TrajectoryError(f"sparsity must be in (0, 1/2], got {sparsity}")
+    _check_sparsity(sparsity)
     n = math.ceil(1.0 / sparsity - 1e-9)
     levels = np.linspace(-0.5, 0.5, n + 1)
     pts: list = []
@@ -176,12 +163,13 @@ def _densify(waypoints: np.ndarray, step: float) -> np.ndarray:
     """
     if step <= 0:
         raise TrajectoryError(f"step must be positive, got {step}")
-    out = [waypoints[0]]
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        k = max(1, math.ceil(float(np.max(np.abs(b - a))) / step))
-        for i in range(1, k + 1):
-            out.append(a + (b - a) * (i / k))
-    return np.array(out)
+    delta = np.diff(waypoints, axis=0)
+    k = np.maximum(np.ceil(np.abs(delta).max(axis=1) / step), 1).astype(np.intp)
+    seg = np.repeat(np.arange(len(k)), k)       # segment of each new point
+    i = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(k) - k, k)
+    frac = i / k[seg]
+    return np.concatenate([waypoints[:1],
+                           waypoints[seg] + delta[seg] * frac[:, None]])
 
 
 def generate_base_zigzag(sparsity: float, step: float = DEFAULT_STEP) -> Trajectory:
@@ -192,11 +180,8 @@ def generate_base_zigzag(sparsity: float, step: float = DEFAULT_STEP) -> Traject
     reversing sweep sign so consecutive waypoints stay adjacent. Points are
     densified so spacing along sweeps never exceeds ``step``.
     """
-    pts = _densify(_raster_corners(sparsity), step)
-    return Trajectory(
-        pts, "j1", float(sparsity), True, None,
-        {"frame": "centered", "step": float(step)},
-    )
+    return Trajectory(_densify(_raster_corners(sparsity), step), "j1", float(sparsity),
+                      True, None, {"frame": "centered", "step": float(step)})
 
 
 def rotate_to_direction(traj: Trajectory, direction: str) -> Trajectory:
@@ -204,9 +189,8 @@ def rotate_to_direction(traj: Trajectory, direction: str) -> Trajectory:
     if not traj.normalized or traj.meta.get("frame") != "centered":
         raise TrajectoryError("rotate_to_direction expects the centered base raster")
     pts = direction_transform(direction).apply(traj.waypoints)
-    meta = dict(traj.meta)
-    meta["frame"] = "unit"
-    return replace(traj, waypoints=pts, direction=direction, meta=meta)
+    return replace(traj, waypoints=pts, direction=direction,
+                   meta={**traj.meta, "frame": "unit"})
 
 
 def scale_to_limits(traj: Trajectory, limits: JointLimits = DEFAULT_LIMITS) -> Trajectory:
@@ -222,20 +206,14 @@ def scale_to_limits(traj: Trajectory, limits: JointLimits = DEFAULT_LIMITS) -> T
     pts = traj.waypoints
     if np.any(pts < -1e-9) or np.any(pts > 1.0 + 1e-9):
         raise TrajectoryError("normalized waypoints must lie in [0, 1]")
-    c, r = limits.center, limits.range
-    f = span_fraction(traj.direction)
+    c, r, f = limits.center, limits.range, span_fraction(traj.direction)
+    tgt_lo, tgt_hi = c - 0.5 * f * r, c + 0.5 * f * r
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    out = np.empty_like(pts)
-    for j in range(3):
-        tgt_lo, tgt_hi = c[j] - 0.5 * f * r[j], c[j] + 0.5 * f * r[j]
-        span = hi[j] - lo[j]
-        if span < 1e-12:
-            out[:, j] = 0.5 * (tgt_lo + tgt_hi)
-        else:
-            out[:, j] = tgt_lo + (pts[:, j] - lo[j]) * (tgt_hi - tgt_lo) / span
-    meta = dict(traj.meta)
-    meta["frame"] = "scaled"
-    return replace(traj, waypoints=out, normalized=False, limits=limits, meta=meta)
+    flat = hi - lo < 1e-12           # a joint the raster does not move
+    out = np.where(flat, 0.5 * (tgt_lo + tgt_hi), tgt_lo + (pts - lo) * (tgt_hi - tgt_lo)
+                   / np.where(flat, 1.0, hi - lo))
+    return replace(traj, waypoints=out, normalized=False, limits=limits,
+                   meta={**traj.meta, "frame": "scaled"})
 
 
 def trajectory_duration(traj: Trajectory, speeds=DEFAULT_SPEEDS) -> float:
@@ -293,7 +271,9 @@ def load(csv_path) -> Trajectory:
     """Read a trajectory written by :func:`save` (sidecar required).
 
     A malformed file raises ``TrajectoryError`` naming the file, and the
-    bad entry or the first non-finite row where there is one.
+    bad entry or the first non-finite row where there is one. The sidecar
+    must name a known direction class, a sparsity in (0, 1/2] and a JSON
+    bool ``normalized``.
     """
     csv_path = Path(csv_path)
     rows = _read_matrix(csv_path, 4, TrajectoryError)
@@ -302,10 +282,16 @@ def load(csv_path) -> Trajectory:
     entry = "limits"
     try:
         limits = JointLimits.from_dict(side["limits"]) if side.get("limits") else None
+        entry = "direction"
+        direction_transform(side["direction"])
         entry = "sparsity"
         sparsity = float(side["sparsity"])
+        _check_sparsity(sparsity)
+        entry = "normalized"
+        if not isinstance(side["normalized"], bool):
+            raise TypeError(f"expected true or false, got {side['normalized']!r}")
         return Trajectory(rows[:, 1:4], side["direction"], sparsity,
-                          bool(side["normalized"]), limits, side.get("meta", {}))
+                          side["normalized"], limits, side.get("meta", {}))
     except KeyError as exc:
         raise TrajectoryError(f"{side_path}: missing entry {exc}") from exc
     except (TypeError, ValueError) as exc:

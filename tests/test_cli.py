@@ -363,6 +363,17 @@ def test_manifest_round_trip(tmp_path):
     assert back.inputs[str(f)]["sha256"] == hash_file(f)
 
 
+@pytest.mark.parametrize("key", ["stages", "inputs", "command", "tool_version"])
+def test_load_manifest_names_missing_key(tmp_path, key):
+    path = RunManifest(command="train", seed=5, config={"x": 1}).write(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_manifest(tmp_path)
+    assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+
 def test_manifest_keeps_same_named_files_apart(tmp_path):
     paths = [tmp_path / d / "t.csv" for d in ("a", "b")]
     m = RunManifest(command="evaluate", seed=0, config={})

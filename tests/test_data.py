@@ -514,3 +514,52 @@ def test_load_dataset_rejects_non_finite_norm(tmp_path, field):
     path.write_text(json.dumps(side))
     with pytest.raises(dt.DataError, match="d.json.*NaN or infinite"):
         dt.load_dataset(tmp_path / "d.csv")
+
+
+def _pop(key):
+    def edit(norm):
+        del norm[key]
+        return norm
+    return edit
+
+
+def _put(key, value):
+    def edit(norm):
+        norm[key] = value
+        return norm
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_pop("sd"), "key 'sd' is missing"),
+    (lambda norm: [norm["mean"], norm["sd"]], "got list"),
+    (lambda norm: {}, "key 'mean' is missing"),
+    (_put("mean", "abc"), "key 'mean'"),
+    (_put("sd", [1.0, None]), "key 'sd'"),
+    (_put("degenerate", 3), "key 'degenerate'"),
+    (_put("degenerate", ["no"] * 16), "key 'degenerate'"),
+    (_put("degenerate", [0.0] * 16), "key 'degenerate'"),
+    (_put("mean", [0.0]), "differ in length"),
+    (lambda norm: {k: v[:-1] for k, v in norm.items()}, "15 features, the schema selects 16"),
+], ids=["no-sd", "list", "empty", "string-mean", "null-in-sd", "int-degenerate",
+        "string-degenerate", "numeric-degenerate", "short-mean", "short-norm"])
+def test_load_dataset_names_malformed_norm(tmp_path, edit, named):
+    _saved(tmp_path)
+    path = tmp_path / "d.json"
+    side = json.loads(path.read_text())
+    side["norm"] = edit(side["norm"])
+    path.write_text(json.dumps(side))
+    with pytest.raises(dt.DataError) as info:
+        dt.load_dataset(tmp_path / "d.csv")
+    assert str(path) in str(info.value)
+    assert "'norm'" in str(info.value) and named in str(info.value)
+
+
+def test_norm_from_dict_round_trips_and_names_bad_key():
+    stats = dt.NormStats.fit(np.array([[1.0, 2.0, 5.0], [3.0, 2.0, 4.0]]))
+    back = dt.NormStats.from_dict(json.loads(json.dumps(stats.to_dict())))
+    for a, b in zip((back.mean, back.sd, back.degenerate),
+                    (stats.mean, stats.sd, stats.degenerate)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="'sd'"):
+        dt.NormStats.from_dict({"mean": [0.0], "degenerate": [False]})

@@ -591,6 +591,24 @@ def test_wrong_typed_mlp_weights_rejected(tmp_path, weights):
         deserialize(_tampered(p, mutate))
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda norm: {k: v for k, v in norm.items() if k != "sd"}, "key 'sd' is missing"),
+    (lambda norm: 5, "got int"),
+    (lambda norm: dict(norm, mean="abc"), "key 'mean'"),
+], ids=["no-sd", "int", "string-mean"])
+def test_malformed_poly2_norm_names_norm(tmp_path, edit, named):
+    ds = make_dataset(nonlin_err, n=120, seed=24)
+    p = tmp_path / "m.ccm"
+    serialize(fit_poly2(ds, ON_ERROR), p)
+
+    def mutate(doc):
+        doc["payload"]["norm"] = edit(doc["payload"]["norm"])
+        return True
+
+    with pytest.raises(ModelError, match=f"malformed model file entry 'norm': .*{named}"):
+        deserialize(_tampered(p, mutate))
+
+
 def test_check_compatible_rejects_other_mask():
     ds = make_dataset(const_err([0, 0, 0]), n=30)
     m = fit_offset(ds)

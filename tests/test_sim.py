@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablecal.core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits, JointVector
 from cablecal import data
@@ -227,6 +229,42 @@ def test_torque_monotone_in_load_and_extension():
     assert np.all(sm.motor_torques(q_ext, d, np.array([0.0])) > t0)
 
 
+@pytest.mark.parametrize("first", ["loaded", "idle"])
+def test_idle_chunk_torques_carry_no_load(first):
+    pol = sm.RandomSinusoidPolicy(seed=4, horizon=100.0)
+    chunks = {}
+    for load in ("idle", 0.0, "loaded"):
+        sess = sm.SimSession(sm.default_error_model(), seed=1)
+        sess.run(pol, duration=10.0, load=first)
+        chunks[load] = torques(sess.run(pol, duration=10.0, load=load)[0])
+    assert np.array_equal(chunks["idle"], chunks[0.0])
+    assert not np.array_equal(chunks["loaded"], chunks[0.0])
+
+
+def _forward_fill_sign_ref(v, initial):
+    """The original per-column loop form of ``sim._forward_fill_sign``."""
+    s = np.sign(v)
+    out = np.empty_like(s)
+    for j in range(s.shape[1]):
+        col = s[:, j]
+        idx = np.arange(len(col))
+        has = col != 0
+        last = np.maximum.accumulate(np.where(has, idx, -1))
+        out[:, j] = np.where(last >= 0, col[np.maximum(last, 0)], initial[j])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.0, 1.5, -2.0, 1e-300])] * 3),
+                  max_size=20),
+       initial=st.tuples(*[st.sampled_from([-1.0, 0.0, 1.0])] * 3))
+def test_forward_fill_sign_matches_reference_loop(v, initial):
+    v = np.array(v, dtype=float).reshape(-1, 3)
+    got = sm._forward_fill_sign(v, np.array(initial))
+    want = _forward_fill_sign_ref(v, np.array(initial))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_torque_carries_direction_sign():
     q = np.array([[30.0, 50.0, 100.0]])
     up = sm.motor_torques(q, np.ones((1, 3)), np.array([0.0]))
@@ -413,10 +451,10 @@ def test_every_feature_column_matches_its_definition(monkeypatch, em):
     seen = {}
     features = sm.SimSession._features
 
-    def spy(self, ts, q_rep, tau, grams):
+    def spy(self, ts, q_rep, tau):
         seen.update(ts=ts, q=q_rep, tau=tau, seq=self._seq,
                     rng=copy.deepcopy(self.rng))
-        return features(self, ts, q_rep, tau, grams)
+        return features(self, ts, q_rep, tau)
 
     monkeypatch.setattr(sm.SimSession, "_features", spy)
     sess = sm.SimSession(em, seed=11)

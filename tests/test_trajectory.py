@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cablecal import core
@@ -95,6 +95,14 @@ def test_transform_matches_homogeneous_oracle(direction):
     assert np.max(np.abs(homogeneous(tj.direction_transform(direction)) - oracle_matrix(direction))) < 1e-12
 
 
+def test_transform_table_is_read_only():
+    tr = tj.direction_transform("j1j2")
+    for a in (tr.rotation, tr.translation, tr.shrink):
+        with pytest.raises(ValueError):
+            a[0] = 7.0
+    assert tj.direction_transform("j1j2").translation[0] == 0.5 * SQRT2
+
+
 @pytest.mark.parametrize("direction", tj.DIRECTIONS)
 def test_transform_lands_in_unit_cube(direction):
     base = tj.generate_base_zigzag(0.5)
@@ -164,6 +172,46 @@ def test_finer_sparsity_has_more_waypoints():
     n_half = len(tj.generate_base_zigzag(0.5))
     n_quarter = len(tj.generate_base_zigzag(0.25))
     assert n_quarter > n_half
+
+
+def _densify_ref(waypoints, step):
+    """The original per-point loop form of ``_densify``."""
+    out = [waypoints[0]]
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        k = max(1, math.ceil(float(np.max(np.abs(b - a))) / step))
+        for i in range(1, k + 1):
+            out.append(a + (b - a) * (i / k))
+    return np.array(out)
+
+
+_point = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3)
+
+
+@st.composite
+def _paths(draw):
+    """Waypoint paths mixing long jumps, zero-length and sub-step segments."""
+    pts = [draw(_point)]
+    for kind in draw(st.lists(st.sampled_from(["jump", "same", "tiny"]), max_size=10)):
+        prev = pts[-1]
+        if kind == "jump":
+            pts.append(draw(_point))
+        elif kind == "same":
+            pts.append(prev)
+        else:
+            pts.append(tuple(c + draw(st.floats(min_value=-1e-3, max_value=1e-3))
+                             for c in prev))
+    return np.array(pts, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(waypoints=_paths(), step=st.floats(min_value=0.01, max_value=0.5))
+@example(waypoints=np.array([[0.1, -0.2, 0.3]]), step=0.05)
+@example(waypoints=np.array([[0.1, -0.2, 0.3]] * 3), step=0.05)
+@example(waypoints=np.array([[0.0, 0.0, 0.0], [1e-4, 0.0, -1e-4]]), step=0.01)
+def test_densify_matches_reference_loop(waypoints, step):
+    got, want = tj._densify(waypoints, step), _densify_ref(waypoints, step)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_invalid_sparsity_rejected():
@@ -241,6 +289,37 @@ def test_scaled_trajectory_property(direction, n, j3max):
     f = tj.span_fraction(direction)
     assert np.max(np.abs((hi - lo) - f * lim.range) / lim.range) < 1e-9
     assert np.max(np.abs(0.5 * (hi + lo) - lim.center) / lim.range) < 1e-9
+
+
+def _scale_to_limits_ref(pts, limits, f):
+    """The original per-joint loop form of ``scale_to_limits``."""
+    c, r = limits.center, limits.range
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    out = np.empty_like(pts)
+    for j in range(3):
+        tgt_lo, tgt_hi = c[j] - 0.5 * f * r[j], c[j] + 0.5 * f * r[j]
+        span = hi[j] - lo[j]
+        if span < 1e-12:
+            out[:, j] = 0.5 * (tgt_lo + tgt_hi)
+        else:
+            out[:, j] = tgt_lo + (pts[:, j] - lo[j]) * (tgt_hi - tgt_lo) / span
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(direction=st.sampled_from(tj.DIRECTIONS),
+       pts=st.lists(st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+                    min_size=1, max_size=20),
+       flat=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       limits=st.sampled_from([DEFAULT_LIMITS, JointLimits(JointVector(-10.0, 5.0, 0.0),
+                                                           JointVector(80.0, 95.0, 333.3))]))
+def test_scale_to_limits_matches_reference_loop(direction, pts, flat, limits):
+    pts = np.array(pts)
+    pts[:, list(flat)] = 0.25                   # joints the raster does not move
+    traj = tj.Trajectory(pts, direction, 0.5, True, None, {"frame": "unit"})
+    got = tj.scale_to_limits(traj, limits).waypoints
+    want = _scale_to_limits_ref(pts, limits, tj.span_fraction(direction))
+    assert got.tobytes() == want.tobytes()
 
 
 # --- timing ---------------------------------------------------------------
@@ -360,9 +439,17 @@ def _replace_line(csv_path, lineno, text):
     (lambda p: _replace_line(p, 4, "3,inf,1.0,2.0\n"), "traj.csv", "row 3"),
     (lambda p: _replace_line(p, 2, "1,abc,1.0,2.0\n"), "traj.csv", "abc"),
     (lambda p: p.write_text("t_index,j1,j2\n0,1.0,2.0\n1,2.0,3.0\n"), "traj.csv", "3 columns"),
+    (_set_entry("direction", "zz"), "traj.json", "'direction'"),
+    (_set_entry("direction", ["j1"]), "traj.json", "'direction'"),
+    (_set_entry("sparsity", 7.0), "traj.json", "'sparsity'"),
+    (_set_entry("sparsity", 0.0), "traj.json", "'sparsity'"),
+    (_set_entry("normalized", "no"), "traj.json", "'normalized'"),
+    (_set_entry("normalized", 0), "traj.json", "'normalized'"),
 ], ids=["no-direction", "sidecar-not-json", "sidecar-list", "null-sparsity",
          "short-limits", "inf-waypoint",
-        "non-numeric", "three-columns"])
+        "non-numeric", "three-columns", "unknown-direction", "list-direction",
+        "sparsity-above-half", "zero-sparsity", "string-normalized",
+        "int-normalized"])
 def test_load_error_names_file_and_entry(tmp_path, corrupt, bad_file, entry):
     path = tmp_path / "traj.csv"
     tj.save(tj.generate("j1j3", 1 / 3), path)
