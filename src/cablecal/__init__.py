@@ -9,7 +9,7 @@ evaluation of accuracy, drift decay, and servo-budget latency.
 
 __version__ = "0.1.0"    # set before the submodules, as manifest reads it
 
-from .config import Config, ConfigError, default_config, load_config
+from .config import Config, ConfigError, load_config
 from .core import DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, JointLimits
 from .data import (Dataset, NormStats, RecordedBag, concat, load_bag,
                    load_dataset, record, save_bag, save_dataset,
@@ -33,7 +33,7 @@ __all__ = [
     "LatencyReport", "LinearModel", "Mlp", "MlpConfig", "MlpModel",
     "NormStats", "ON_ERROR", "PolyModel", "RecordedBag", "RmseReport",
     "RunManifest", "SimSession", "SweepTable", "Trajectory", "bench_latency",
-    "concat", "decay_curve", "default_config", "default_error_model",
+    "concat", "decay_curve", "default_error_model",
     "deserialize", "direction_sweep", "evaluate_model", "feature_robustness",
     "fit_linear", "fit_mlp", "fit_offset", "fit_poly2", "generate", "load",
     "load_bag", "load_config", "load_dataset", "load_manifest", "record",

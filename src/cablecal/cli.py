@@ -34,6 +34,7 @@ from .evaluate import (bench_latency, decay_curve, direction_sweep,
 from .manifest import RunManifest
 from .models import (MODEL_KINDS, MODES, deserialize, fit_linear, fit_mlp,
                      fit_offset, fit_poly2, serialize)
+from .sim import SimError, check_load
 from .trajectory import DIRECTIONS
 
 EXIT_CONFIG = 2
@@ -41,26 +42,15 @@ EXIT_STAGE = 3
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str):
-        super().__init__(stage)
-        self.stage = stage
+    """A stage failed (already reported on stderr); the message names it."""
 
 
 @dataclass
 class CliState:
     config: Config
-    config_path: str
     seed: int
     out_dir: Path
     repeats: int
-
-
-def _cleanup(paths) -> None:
-    for p in paths:
-        if p.is_dir():
-            shutil.rmtree(p, ignore_errors=True)
-        elif p.exists():
-            p.unlink()
 
 
 def _stage(manifest: RunManifest, name: str, outputs, fn, sim_s=None):
@@ -74,21 +64,21 @@ def _stage(manifest: RunManifest, name: str, outputs, fn, sim_s=None):
     try:
         result = fn()
     except Exception as exc:
-        _cleanup(fresh)
+        for p in fresh:
+            if p.is_dir():
+                shutil.rmtree(p, ignore_errors=True)
+            else:
+                p.unlink(missing_ok=True)
         click.echo(f"stage '{name}' failed: {exc}", err=True)
         raise StageError(name) from exc
     wall = time.perf_counter() - t0
-    sim = sim_s(result) if callable(sim_s) else sim_s
+    sim = None if sim_s is None else sim_s(result)
     manifest.add_stage(name, wall, sim)
     note = f" (simulated {sim:.0f} s)" if sim else ""
     click.echo(f"[{name}] done in {wall:.2f} s{note}")
     for p in outputs:
         manifest.add_output(p)
     return result
-
-
-def _sparsity_tag(s: float) -> str:
-    return f"{s:g}"
 
 
 def _sidecars(*csv_paths) -> list:
@@ -107,12 +97,12 @@ def _float_list(ctx, param, value):
             f"expected comma-separated numbers, got {value!r}")
 
 
-def _load_arg(load, cfg: Config):
-    """``--load`` as grams when numeric; ``[eval] load`` when not given."""
+def _load_arg(ctx, param, value):
+    """``--load`` as a load name or grams; ``[eval] load`` when not given."""
     try:
-        return cfg.eval.load if load is None else float(load)
-    except ValueError:
-        return load
+        return ctx.obj.config.eval.load if value is None else check_load(value)
+    except SimError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _finish(state: CliState, manifest: RunManifest) -> None:
@@ -255,7 +245,6 @@ def main(ctx, config_path, seed, out_dir, repeats):
     out.mkdir(parents=True, exist_ok=True)
     ctx.obj = CliState(
         config=cfg,
-        config_path=config_path or "<defaults>",
         seed=cfg.training.seed if seed is None else seed,
         out_dir=out,
         repeats=cfg.eval.repeats if repeats is None else repeats,
@@ -276,7 +265,7 @@ def generate_command(state, direction, sparsity):
     sparsity = cfg.trajectory.sparsity if sparsity is None else sparsity
     manifest = _manifest(state, "generate")
     for d in (DIRECTIONS if direction == "all" else (direction,)):
-        path = state.out_dir / f"traj_{d}_{_sparsity_tag(sparsity)}.csv"
+        path = state.out_dir / f"traj_{d}_{sparsity:g}.csv"
         _stage(manifest, f"generate[{d},{sparsity:g}]", _sidecars(path),
                lambda: _generate(cfg, d, sparsity, path))
     _finish(state, manifest)
@@ -287,7 +276,7 @@ def generate_command(state, direction, sparsity):
               default=None, help="Trajectory CSV to follow (else generated).")
 @click.option("--direction", type=click.Choice(DIRECTIONS), default=None)
 @click.option("--sparsity", type=float, default=None)
-@click.option("--load", default=None,
+@click.option("--load", default=None, callback=_load_arg,
               help="'unloaded', 'loaded', 'idle' or grams "
                    "(default: eval.load).")
 @click.option("--time-scale", type=float, default=None,
@@ -306,14 +295,13 @@ def record_command(state, traj_path, direction, sparsity, load, time_scale,
     if traj_path is not None:
         manifest.add_input(traj_path)
     bag_dir = state.out_dir / (
-        name or f"bag_{direction}_{_sparsity_tag(sparsity)}")
+        name or f"bag_{direction}_{sparsity:g}")
 
     def run():
         traj = (traj_mod.load(traj_path) if traj_path is not None else
                 traj_mod.generate(direction, sparsity, cfg.limits,
                                   cfg.trajectory.step))
-        return _record(cfg, traj, _load_arg(load, cfg), state.seed,
-                       time_scale, bag_dir)
+        return _record(cfg, traj, load, state.seed, time_scale, bag_dir)
 
     _stage(manifest, "record", [bag_dir], run,
            sim_s=lambda b: b.metadata.get("duration_s"))
@@ -439,7 +427,7 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
 @click.option("--time-scale", type=float, default=None)
 @click.option("--with-mlp", is_flag=True,
               help="Also fit the MLP per direction.")
-@click.option("--load", default=None,
+@click.option("--load", default=None, callback=_load_arg,
               help="'unloaded', 'loaded', 'idle' or grams "
                    "(default: eval.load).")
 @click.pass_obj
@@ -466,7 +454,7 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
             cfg.error_model, fits, directions=dir_list, sparsities=sp_list,
             limits=cfg.limits, rates=cfg.eval.rates, seed=state.seed,
             time_scale=time_scale, train_frac=cfg.training.train_frac,
-            load=_load_arg(load, cfg))
+            load=load)
         rows = table.to_rows()
         write_report(rows, rows, sweep_csv)
         for model in table.model_names():
@@ -490,7 +478,7 @@ def pipeline_command(state, time_scale, epochs):
     time_scale = cfg.eval.time_scale if time_scale is None else time_scale
     direction, sparsity = cfg.trajectory.direction, cfg.trajectory.sparsity
     kind, out = cfg.training.model, state.out_dir
-    tag = f"{direction}_{_sparsity_tag(sparsity)}"
+    tag = f"{direction}_{sparsity:g}"
     traj_path, bag_dir = out / f"traj_{tag}.csv", out / f"bag_{tag}"
     train_path, test_path = out / "train.csv", out / "test.csv"
     model_path = out / "model.ccm"

@@ -9,15 +9,17 @@ running with defaults. Recognized sections:
   [trajectory]   direction, sparsity/sparsities, step, follow speeds
   [training]     model family, output mode, ridge, split, MLP hyperparameters
                  (flat keys; those naming ``nn.MlpConfig`` fields set it)
-  [eval]         stream rates, sync tolerance, time scale, latency budget
+  [eval]         stream rates, sync tolerance, time scale, latency budget, load
 
 Files are read with the stdlib TOML parser. JSON configs (same structure,
 one object with the five sections) are accepted via the ``.json`` extension.
-Every error raised for a file names that file.
+Every number in a file must be finite, and every error raised for a file
+names that file.
 """
 
 from __future__ import annotations
 
+import math
 import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -26,7 +28,7 @@ from .core import DEFAULT_LIMITS, JointLimits, _read_json
 from .data import SYNC_TOLERANCE_S
 from .models import MODEL_KINDS, MODES, ON_ERROR
 from .nn import MlpConfig
-from .sim import CableErrorModel, default_error_model
+from .sim import CableErrorModel, SimError, check_load, default_error_model
 from .trajectory import DEFAULT_SPEEDS, DEFAULT_STEP, DIRECTIONS
 
 
@@ -94,6 +96,10 @@ class EvalConfig:
             raise ConfigError(f"eval.time_scale must be >= 1, got {self.time_scale}")
         if self.budget_hz <= 0 or self.latency_samples < 1 or self.repeats < 1:
             raise ConfigError("eval latency settings must be positive")
+        try:
+            check_load(self.load)
+        except SimError as exc:
+            raise ConfigError(f"eval.{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,11 @@ _SECTIONS = {
 }
 
 
-def default_config() -> Config:
-    return Config()
+def _finite(value) -> bool:
+    """No NaN or infinity in a parsed value, lists nested to any depth."""
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
@@ -158,7 +167,7 @@ def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
 def load_config(path=None) -> Config:
     """Build a Config from a TOML/JSON file path (or defaults when None)."""
     if path is None:
-        return default_config()
+        return Config()
     path = Path(path)
     if not path.is_file():
         what = "is not a file" if path.exists() else "not found"
@@ -176,8 +185,11 @@ def load_config(path=None) -> Config:
     for section in _SECTIONS:
         if section in raw and not isinstance(raw[section], dict):
             raise ConfigError(f"{path}: [{section}] must be a table of keys")
+        for key, value in raw.get(section, {}).items():
+            if not _finite(value):
+                raise ConfigError(f"{path}: [{section}] {key} must be finite")
 
-    base = default_config()
+    base = Config()
     try:
         return Config(**{
             name: build(_merge_section(name, dump(getattr(base, name)),

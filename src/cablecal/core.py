@@ -2,7 +2,8 @@
 
 Units are fixed across the whole toolkit: joint 1 and joint 2 are revolute
 (degrees), joint 3 is prismatic (millimetres). Every position-like quantity
-that crosses a module boundary uses this (deg, deg, mm) convention.
+that crosses a module boundary uses this (deg, deg, mm) convention; joint
+limits hold their bounds as (j1, j2, j3) tuples of floats.
 
 The module also owns the artifact file format. Every bag, dataset,
 trajectory, model, report and manifest file is written through
@@ -33,62 +34,47 @@ class SchemaError(ValueError):
 
 
 @dataclass(frozen=True)
-class JointVector:
-    """Position of the 3 positioning joints: (j1 deg, j2 deg, j3 mm)."""
-
-    j1: float
-    j2: float
-    j3: float
-
-    def __post_init__(self) -> None:
-        if not all(np.isfinite([self.j1, self.j2, self.j3])):
-            raise ValueError(f"joint vector components must be finite, got {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.j1, self.j2, self.j3], dtype=float)
-
-    @classmethod
-    def from_array(cls, a) -> "JointVector":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (3,):
-            raise ValueError(f"expected shape (3,), got {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
 class JointLimits:
     """Inclusive per-joint position limits, with derived center and range.
 
-    The center is c = 0.5 * (max + min) and the range is r = max - min,
-    computed per joint; both are used by the trajectory scaling rules.
+    ``min`` and ``max`` are (j1 deg, j2 deg, j3 mm) tuples of floats, so
+    limits compare and hash by value. The center is c = 0.5 * (max + min)
+    and the range is r = max - min, computed per joint; both are used by the
+    trajectory scaling rules.
     """
 
-    min: JointVector
-    max: JointVector
+    min: tuple
+    max: tuple
 
     def __post_init__(self) -> None:
-        lo, hi = self.min.as_array(), self.max.as_array()
-        if not np.all(lo < hi):
-            raise ValueError(f"limits must satisfy min < max per joint: {lo} vs {hi}")
+        for name in ("min", "max"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != (3,) or not np.isfinite(a).all():
+                raise ValueError(f"limits {name} must be 3 finite numbers, "
+                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(a.tolist()))
+        if not all(lo < hi for lo, hi in zip(self.min, self.max)):
+            raise ValueError(f"limits must satisfy min < max per joint: "
+                             f"{self.min} vs {self.max}")
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.max.as_array() + self.min.as_array())
+        return 0.5 * (np.array(self.max) + np.array(self.min))
 
     @property
     def range(self) -> np.ndarray:
-        return self.max.as_array() - self.min.as_array()
+        return np.array(self.max) - np.array(self.min)
 
     def to_dict(self) -> dict:
-        return {"min": self.min.as_array().tolist(), "max": self.max.as_array().tolist()}
+        return {"min": list(self.min), "max": list(self.max)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "JointLimits":
-        return cls(JointVector.from_array(d["min"]), JointVector.from_array(d["max"]))
+        return cls(d["min"], d["max"])
 
 
 #: Simulator defaults; real robots override these in the config file.
-DEFAULT_LIMITS = JointLimits(JointVector(0.0, 0.0, 0.0), JointVector(90.0, 90.0, 250.0))
+DEFAULT_LIMITS = JointLimits((0, 0, 0), (90, 90, 250))
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,8 @@ class RecordedBag:
 
 def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
            load="unloaded", rates=(30.0, 100.0), seed=0, time_scale=1.0,
-           limits=None, speeds=DEFAULT_SPEEDS) -> RecordedBag:
+           limits=DEFAULT_LIMITS, speeds=DEFAULT_SPEEDS) -> RecordedBag:
     """Run one simulated session and package the streams as a bag."""
-    limits = limits if limits is not None else DEFAULT_LIMITS
     policy = (TrajectoryFollower(policy_or_traj, speeds)
               if isinstance(policy_or_traj, Trajectory) else policy_or_traj)
     session = SimSession(error_model, limits, rates, seed, time_scale)

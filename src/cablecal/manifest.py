@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -100,19 +100,18 @@ class RunManifest:
             write_json(self.to_dict(), fh)
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(command=d["command"], seed=d["seed"], config=d["config"],
-                   tool_version=d["tool_version"], inputs=dict(d["inputs"]),
-                   outputs=dict(d["outputs"]), stages=list(d["stages"]))
-
 
 def load_manifest(path) -> RunManifest:
-    """Read a manifest from a file path or an artifact directory."""
+    """Read a manifest from a file path or an artifact directory; a missing
+    or wrong-typed entry raises ValueError naming the file and the entry."""
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    try:
-        return RunManifest.from_dict(_read_json(path, ValueError))
-    except KeyError as exc:
-        raise ValueError(f"{path}: manifest lacks entry {exc}") from exc
+    doc = _read_json(path, ValueError)
+    for f in fields(RunManifest):       # f.type: the annotation, as a string
+        if f.name not in doc:
+            raise ValueError(f"{path}: manifest lacks entry {f.name!r}")
+        if type(doc[f.name]).__name__ != f.type:
+            raise ValueError(f"{path}: manifest entry {f.name!r} must be of type "
+                             f"{f.type}, not {type(doc[f.name]).__name__}")
+    return RunManifest(**{f.name: doc[f.name] for f in fields(RunManifest)})

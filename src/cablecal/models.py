@@ -280,6 +280,9 @@ class PolyModel(_AffineModel):
     def from_payload(cls, payload, mode, schema):
         try:
             norm = NormStats.from_dict(payload["norm"])
+            if len(norm.mean) != schema.dim_selected:
+                raise ValueError(f"{len(norm.mean)} features, the schema selects "
+                                 f"{schema.dim_selected}")
         except ValueError as exc:
             raise ModelError(f"malformed model file entry 'norm': {exc}") from exc
         return cls(mode, schema, norm, payload["coef"], payload["intercept"])
@@ -357,12 +360,20 @@ class MlpModel(CalibrationModel):
 
     @classmethod
     def from_payload(cls, payload, mode, schema):
-        weights = payload["weights"]
-        if not (isinstance(weights, list) and all(np.ndim(w) == 2 for w in weights)):
-            raise ModelError("malformed model file entry 'weights': expected a list of matrices")
-        return cls(mode, schema, weights, payload["biases"],
-                   MlpConfig.from_dict(payload["config"]),
-                   payload.get("train_curve"), payload.get("seed"))
+        weights, biases = payload["weights"], payload["biases"]
+        curve, seed = payload.get("train_curve"), payload.get("seed")
+        for entry, ok, expected in (
+                ("weights", isinstance(weights, list)
+                 and all(np.ndim(w) == 2 for w in weights), "a list of matrices"),
+                ("biases", isinstance(biases, list)
+                 and all(np.ndim(b) == 1 for b in biases), "a list of vectors"),
+                ("train_curve", curve is None or isinstance(curve, list)
+                 and all(type(v) in (int, float) for v in curve), "a list of numbers"),
+                ("seed", seed is None or type(seed) is int, "an integer")):
+            if not ok:
+                raise ModelError(f"malformed model file entry {entry!r}: expected {expected}")
+        return cls(mode, schema, weights, biases,
+                   MlpConfig.from_dict(payload["config"]), curve, seed)
 
 
 _KINDS = {cls.kind: cls for cls in

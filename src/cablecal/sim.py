@@ -18,6 +18,9 @@ relate to the error exactly linearly, and a linear regression can recover the
 generating coefficients. Reported positions are obtained by solving the
 implicit relation ((I - P) @ reported = truth + the remaining terms).
 
+The robot's own constants (gear ratios, encoder, torque-proxy and Jacobian
+coefficients) are module constants, built once; their arrays are read-only.
+
 Everything is deterministic given the session seed; a session can be run in
 chunks that share the clock, drift history, hysteresis state and rng, which
 is how multi-hour decay studies and homing sequences are built.
@@ -61,6 +64,21 @@ def _t33(x) -> tuple:
     if a.shape != (3, 3):
         raise SimError(f"expected a 3x3 matrix, got shape {a.shape}")
     return tuple(tuple(float(v) for v in row) for row in a)
+
+
+def check_load(load):
+    """``load`` as ``SimSession.run`` reads it: 'unloaded', 'loaded' or
+    'idle' as given, or a finite mass in grams >= 0 (a number or numeric
+    string) as a float. Anything else raises SimError."""
+    if load in ("unloaded", "loaded", "idle"):
+        return load
+    try:
+        if not isinstance(load, bool) and 0.0 <= float(load) < math.inf:
+            return float(load)
+    except (TypeError, ValueError):
+        pass
+    raise SimError("load must be 'unloaded', 'loaded', 'idle' or grams >= 0, "
+                   f"got {load!r}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +129,7 @@ class CableErrorModel:
         """Drift rate (units/s) for a load: grams, or 'idle'."""
         if load == "idle":
             return np.array(self.drift_rate_idle) / 3600.0
-        g = float(load)
-        if g < 0:
-            raise SimError(f"load mass must be non-negative, got {g}")
+        g = check_load(load)
         lo = np.array(self.drift_rate_unloaded)
         hi = np.array(self.drift_rate_loaded)
         return (lo + (hi - lo) * (g / self.load_ref_g)) / 3600.0
@@ -216,9 +232,10 @@ class TrajectoryFollower(MotionPolicy):
 class HoldPolicy(MotionPolicy):
     """Holds one position forever (idle sessions)."""
 
-    def __init__(self, position, duration: float = math.inf):
+    duration = math.inf
+
+    def __init__(self, position):
         self._q = np.asarray(position, dtype=float).reshape(3)
-        self.duration = duration
 
     def positions(self, t):
         return np.tile(self._q, (len(np.asarray(t)), 1))
@@ -246,7 +263,7 @@ class RandomSinusoidPolicy(MotionPolicy):
                  horizon: float = 7200.0):
         rng = np.random.default_rng(seed)
         self.duration = float(horizon)
-        lo, hi = limits.min.as_array(), limits.max.as_array()
+        lo, hi = limits.min, limits.max
         self._knots = []
         self._values = []
         for j in range(3):
@@ -285,41 +302,35 @@ class RandomSinusoidPolicy(MotionPolicy):
 
 
 # --------------------------------------------------------------------------
-# robot plumbing constants (feature synthesis)
+# robot constants (torque proxy and feature synthesis)
 
 
-def _fixed_matrix(rows, cols, seed) -> tuple:
-    rng = np.random.default_rng(seed)
-    return tuple(tuple(float(v) for v in row) for row in rng.uniform(-1, 1, (rows, cols)))
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
-class RobotParams:
-    """Constants used to synthesize the auxiliary feature channels."""
-
-    gear_ratio: tuple = (12.0, 12.0, 4.0)
-    counts_per_unit: tuple = (180.0, 180.0, 60.0)
-    encoder_offset_counts: tuple = (1000.0, 2000.0, 3000.0)
-    lookahead_s: float = 0.05           # desired = reported + lookahead * velocity
-    ext_ref_mm: float = 250.0           # normalizes j3 to an extension fraction
-    run_level: float = 3.0
-    arm_type: float = 0.0
-    grasper_desired: float = 45.0
-    placeholder_positions: tuple = (15.0, -40.0, 25.0, 10.0, 30.0)  # joints 4-7 + grasper
-    # gravity/load torque proxy: rows = tau_j coefficients on
-    # (1, sin q1, cos q1, sin q2, cos q2, extension); last column is the
-    # motion-direction (friction) coefficient
-    torque_gravity: tuple = (
-        (2.0, 1.5, 0.0, 0.0, 0.8, 1.2),
-        (2.5, 0.0, 1.2, 1.0, 0.0, 1.5),
-        (1.0, 0.0, 0.0, 0.0, 0.0, 2.0),
-    )
-    torque_friction: tuple = (0.30, 0.30, 0.20)
-    jacobian_velocity_map: tuple = _fixed_matrix(6, 3, seed=101)
-    jacobian_force_map: tuple = _fixed_matrix(6, 3, seed=102)
-
-
-DEFAULT_ROBOT = RobotParams()
+GEAR_RATIO = _read_only([12.0, 12.0, 4.0])          # motor turns per joint unit
+COUNTS_PER_UNIT = _read_only([180.0, 180.0, 60.0])  # encoder counts per joint unit
+ENCODER_OFFSET_COUNTS = _read_only([1000.0, 2000.0, 3000.0])
+LOOKAHEAD_S = 0.05          # desired = reported + lookahead * velocity
+EXT_REF_MM = 250.0          # normalizes j3 to an extension fraction
+RUN_LEVEL, ARM_TYPE, GRASPER_DESIRED = 3.0, 0.0, 45.0   # status channels
+PLACEHOLDER_POSITIONS = (15.0, -40.0, 25.0, 10.0, 30.0)  # joints 4-7 + grasper
+#: Gravity/load torque proxy: rows are the tau_j coefficients on
+#: (1, sin q1, cos q1, sin q2, cos q2, extension); the gravity part doubles
+#: at TORQUE_DOUBLING_G grams of load, and the motion-direction (friction)
+#: part is TORQUE_FRICTION.
+TORQUE_GRAVITY = _read_only([[2.0, 1.5, 0.0, 0.0, 0.8, 1.2],
+                             [2.5, 0.0, 1.2, 1.0, 0.0, 1.5],
+                             [1.0, 0.0, 0.0, 0.0, 0.0, 2.0]])
+TORQUE_DOUBLING_G = 500.0
+TORQUE_FRICTION = _read_only([0.30, 0.30, 0.20])
+#: Fixed maps from joint velocity and torque to the 6 end-effector Jacobian
+#: velocity and force channels.
+JACOBIAN_VELOCITY_MAP = _read_only(np.random.default_rng(101).uniform(-1, 1, (6, 3)))
+JACOBIAN_FORCE_MAP = _read_only(np.random.default_rng(102).uniform(-1, 1, (6, 3)))
 
 
 def motor_torques(q: np.ndarray, dirsign: np.ndarray,
@@ -330,14 +341,13 @@ def motor_torques(q: np.ndarray, dirsign: np.ndarray,
     coefficients; the friction term carries the motion-direction sign so
     torque features contain (nonlinearly mixed) hysteresis information.
     """
-    robot = DEFAULT_ROBOT
     q1, q2 = np.radians(q[:, 0]), np.radians(q[:, 1])
-    ext = q[:, 2] / robot.ext_ref_mm
+    ext = q[:, 2] / EXT_REF_MM
     basis = np.stack([np.ones_like(q1), np.sin(q1), np.cos(q1),
                       np.sin(q2), np.cos(q2), ext], axis=1)
-    grav = basis @ np.array(robot.torque_gravity).T
-    load_factor = (1.0 + np.asarray(grams, dtype=float) / 500.0)[:, None]
-    return load_factor * grav + dirsign * np.array(robot.torque_friction)
+    grav = basis @ TORQUE_GRAVITY.T
+    load_factor = (1.0 + np.asarray(grams, dtype=float) / TORQUE_DOUBLING_G)[:, None]
+    return load_factor * grav + dirsign * TORQUE_FRICTION
 
 
 def _forward_fill_sign(v: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -381,8 +391,6 @@ class LoadProfile:
         for t0, t1, load in self.intervals:
             if t1 <= t0 or t0 < prev_end:
                 raise SimError(f"intervals must be sorted and non-overlapping: {self.intervals}")
-            if load != "idle" and float(load) < 0:
-                raise SimError(f"negative load {load!r}")
             prev_end = t1
 
     def drift_at(self, t: np.ndarray, model: CableErrorModel) -> np.ndarray:
@@ -465,10 +473,8 @@ class SimSession:
             duration = policy.duration
         if not (duration > 0 and math.isfinite(duration)):
             raise SimError(f"duration must be positive and finite, got {duration}")
-        if load == "unloaded":
-            load = 0.0
-        elif load == "loaded":
-            load = self.error_model.load_ref_g
+        load = check_load(load)
+        load = {"unloaded": 0.0, "loaded": self.error_model.load_ref_g}.get(load, load)
         t0 = self.clock
         self._load_history.append((t0, t0 + duration, load))
         profile = LoadProfile(tuple(self._load_history))
@@ -504,8 +510,8 @@ class SimSession:
         return StateStream(ts, features), TruthStream(tt, q_true_t)
 
     def _check_limits(self, q: np.ndarray) -> None:
-        lo = self.limits.min.as_array() - 1e-9
-        hi = self.limits.max.as_array() + 1e-9
+        lo = np.array(self.limits.min) - 1e-9
+        hi = np.array(self.limits.max) + 1e-9
         if np.any(q < lo) or np.any(q > hi):
             j = int(np.argmax(np.maximum(lo - q, q - hi).max(axis=0)))
             raise LimitViolationError(
@@ -516,17 +522,13 @@ class SimSession:
     def _features(self, ts, q_rep, tau) -> np.ndarray:
         """Assemble the (N, 138) state matrix, block by block in FULL_SCHEMA
         order; the placeholder channels draw aux noise in that order too."""
-        robot = DEFAULT_ROBOT
         n = len(ts)
         if n >= 2:
             v_rep = np.gradient(q_rep, ts, axis=0)
         else:
             v_rep = np.zeros_like(q_rep)
-        desired = q_rep + robot.lookahead_s * v_rep
-
-        gear = np.array(robot.gear_ratio)
-        counts = np.array(robot.counts_per_unit)
-        enc_off = np.array(robot.encoder_offset_counts)
+        desired = q_rep + LOOKAHEAD_S * v_rep
+        gear, counts, enc_off = GEAR_RATIO, COUNTS_PER_UNIT, ENCODER_OFFSET_COUNTS
         aux_sd = self.error_model.aux_noise_sd
 
         def pad8(main3, fill5):
@@ -535,11 +537,11 @@ class SimSession:
                     for v in fill5]
             return np.column_stack([main3] + pads)
 
-        ph, zero5 = robot.placeholder_positions, (0.0,) * 5
+        ph, zero5 = PLACEHOLDER_POSITIONS, (0.0,) * 5
         status = np.column_stack([    # timestamp, run_level, sublevel, ...
-            ts, np.full(n, robot.run_level), np.zeros(n),
+            ts, np.full(n, RUN_LEVEL), np.zeros(n),
             self._seq + np.arange(n, dtype=float),
-            np.full(n, robot.arm_type), np.full(n, robot.grasper_desired)])
+            np.full(n, ARM_TYPE), np.full(n, GRASPER_DESIRED)])
         out = np.hstack([
             status,
             pad8(q_rep * counts + enc_off, ph),             # encoder_value
@@ -554,8 +556,8 @@ class SimSession:
             pad8(v_rep * gear, zero5),                      # desired_motor_velocity
             pad8(tau * 0.8 + 0.1, (0.05,) * 5),             # motor_current
             pad8(tau, zero5),                               # motor_torque
-            v_rep @ np.array(robot.jacobian_velocity_map).T,  # jacobian_velocity_*
-            tau @ np.array(robot.jacobian_force_map).T,       # jacobian_force_*
+            v_rep @ JACOBIAN_VELOCITY_MAP.T,                # jacobian_velocity_*
+            tau @ JACOBIAN_FORCE_MAP.T,                     # jacobian_force_*
             _ee_pose(q_rep),                                # ee_pos_*, ee_rot_*
             _ee_pose(desired),                              # desired_ee_*
         ])

@@ -78,8 +78,8 @@ def test_criterion_01_trajectory_geometry():
         for s in SPARSITIES:
             traj = generate(d, s)
             pts = traj.waypoints
-            assert np.all(pts >= lim.min.as_array() - 1e-9 * rng_)
-            assert np.all(pts <= lim.max.as_array() + 1e-9 * rng_)
+            assert np.all(pts >= np.asarray(lim.min) - 1e-9 * rng_)
+            assert np.all(pts <= np.asarray(lim.max) + 1e-9 * rng_)
             center = 0.5 * (pts.max(axis=0) + pts.min(axis=0))
             assert np.all(np.abs(center - ctr) <= 1e-9 * rng_)
             span = pts.max(axis=0) - pts.min(axis=0)

@@ -232,6 +232,17 @@ def test_bad_sweep_sparsities_exits_2(runner, fast_cfg, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command, load", [("record", "heavy"), ("record", "-5"),
+                                           ("sweep", "nan")])
+def test_bad_load_option_exits_2_before_any_stage(runner, fast_cfg, tmp_path,
+                                                  command, load):
+    out = tmp_path / "o"
+    result = runner.invoke(main, out_args(fast_cfg, out) + [command, "--load", load])
+    assert result.exit_code == 2
+    assert "--load" in result.output and "Traceback" not in result.output
+    assert list(out.iterdir()) == []        # no stage ran, no manifest
+
+
 def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
     out = tmp_path / "o"
     out.mkdir()
@@ -368,6 +379,19 @@ def test_load_manifest_names_missing_key(tmp_path, key):
     path = RunManifest(command="train", seed=5, config={"x": 1}).write(tmp_path)
     doc = json.loads(path.read_text())
     del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_manifest(tmp_path)
+    assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("inputs", 5), ("outputs", [1]), ("stages", 7), ("stages", {}),
+    ("seed", "x"), ("seed", True), ("config", []), ("command", None)])
+def test_load_manifest_names_wrong_typed_entry(tmp_path, key, value):
+    path = RunManifest(command="train", seed=5, config={"x": 1}).write(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as info:
         load_manifest(tmp_path)

@@ -3,13 +3,14 @@
 import json
 import re
 import tempfile
+import tomllib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cablecal.config import ConfigError, default_config, load_config
+from cablecal.config import Config, ConfigError, load_config
 from cablecal.models import MODES, ON_ERROR
 from cablecal.trajectory import DIRECTIONS
 
@@ -32,7 +33,7 @@ def test_defaults_when_no_file():
 
 
 def test_default_config_round_trips_through_to_dict():
-    d = default_config().to_dict()
+    d = Config().to_dict()
     assert set(d) == {"limits", "error_model", "trajectory", "training", "eval"}
     assert d["limits"]["max"] == [90.0, 90.0, 250.0]
 
@@ -71,8 +72,8 @@ min = [-45.0, -45.0, 0.0]
 max = [45.0, 45.0, 100.0]
 """)
     cfg = load_config(p)
-    assert list(cfg.limits.min.as_array()) == [-45.0, -45.0, 0.0]
-    assert list(cfg.limits.max.as_array()) == [45.0, 45.0, 100.0]
+    assert cfg.limits.min == (-45.0, -45.0, 0.0)
+    assert cfg.limits.max == (45.0, 45.0, 100.0)
 
 
 def test_mlp_config_built_from_training_section(tmp_path):
@@ -143,8 +144,49 @@ def test_invalid_values_rejected(tmp_path, body, needle):
         load_config(p)
 
 
+@pytest.mark.parametrize("body, where", [
+    ("[error_model]\noffset = [nan, 0, 0]\n", "[error_model] offset"),
+    ("[error_model]\nposition_gain = [[0, 0, 0], [0, -inf, 0], [0, 0, 0]]\n",
+     "[error_model] position_gain"),
+    ("[error_model]\nnoise_sd = nan\n", "[error_model] noise_sd"),
+    ("[trajectory]\nstep = nan\n", "[trajectory] step"),
+    ("[eval]\nrates = [inf, 100]\n", "[eval] rates"),
+    ("[training]\nridge = nan\n", "[training] ridge"),
+    ("[eval]\nsync_tolerance_s = nan\n", "[eval] sync_tolerance_s"),
+    ("[eval]\ntime_scale = inf\n", "[eval] time_scale"),
+    ("[eval]\nbudget_hz = nan\n", "[eval] budget_hz"),
+    ("[limits]\nmax = [90, 90, inf]\n", "[limits] max"),
+], ids=["offset", "position_gain", "noise_sd", "step", "rates", "ridge",
+        "sync_tolerance_s", "time_scale", "budget_hz", "limits_inf"])
+def test_non_finite_value_rejected_naming_file_and_key(tmp_path, body, where):
+    p = write(tmp_path, "c.toml", body)
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: {where} must be finite")):
+        load_config(p)
+
+
+def test_non_finite_json_value_rejected_naming_file_and_key(tmp_path):
+    p = write(tmp_path, "c.json", '{"eval": {"budget_hz": NaN}}')
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: [eval] budget_hz must be finite")):
+        load_config(p)
+
+
+@pytest.mark.parametrize("load", ['"heavy"', "-5", "true", "-0.5"])
+def test_unknown_eval_load_rejected_naming_file(tmp_path, load):
+    p = write(tmp_path, "c.toml", f"[eval]\nload = {load}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: ") + ".*load"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("load", ['"idle"', '"unloaded"', "0", "250", "12.5"])
+def test_eval_load_keeps_its_value(tmp_path, load):
+    p = write(tmp_path, "c.toml", f"[eval]\nload = {load}\n")
+    cfg, want = load_config(p), tomllib.loads(f"x = {load}")["x"]
+    assert cfg.eval.load == want and type(cfg.eval.load) is type(want)
+    assert cfg.to_dict()["eval"]["load"] == cfg.eval.load
+
+
 def test_config_is_frozen():
-    cfg = default_config()
+    cfg = Config()
     with pytest.raises(AttributeError):
         cfg.training.mlp.epochs = 7
 

@@ -2,44 +2,89 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablecal.core import (
+    DEFAULT_LIMITS,
     FULL_SCHEMA,
     FeatureSchema,
     JointLimits,
-    JointVector,
     SchemaError,
     build_full_schema,
 )
 
 
-def test_joint_vector_round_trip():
-    v = JointVector(1.5, -2.0, 30.25)
-    assert np.array_equal(v.as_array(), [1.5, -2.0, 30.25])
-    assert JointVector.from_array(v.as_array()) == v
+_coord = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6))
+_span = st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6))
 
 
-def test_joint_vector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        JointVector(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        JointVector(0.0, float("inf"), 0.0)
+@st.composite
+def _limit_pairs(draw):
+    """(min, max) as two 3-lists of ints and floats with min < max."""
+    lo = draw(st.lists(_coord, min_size=3, max_size=3))
+    return lo, [a + draw(_span) for a in lo]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_limit_pairs())
+def test_limits_dict_round_trip_keeps_equality_and_hash(pair):
+    lim = JointLimits(*pair)
+    back = JointLimits.from_dict(json.loads(json.dumps(lim.to_dict())))
+    assert back == lim and hash(back) == hash(lim)
+    assert back.min == lim.min == tuple(float(v) for v in pair[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_limit_pairs())
+def test_limits_json_holds_every_bound_as_a_float(pair):
+    # ints are written as floats (90 -> 90.0), as the limits JSON always was
+    lo, hi = pair
+    want = json.dumps({"min": [float(v) for v in lo], "max": [float(v) for v in hi]})
+    assert json.dumps(JointLimits(lo, hi).to_dict()) == want
+
+
+_bad_value = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_limit_pairs(), st.sampled_from(["min", "max"]), st.integers(0, 2),
+       st.one_of(_bad_value, st.integers(0, 5).filter(lambda n: n != 3)))
+def test_limits_reject_nonfinite_and_wrong_length(pair, side, j, bad):
+    lo, hi = (list(v) for v in pair)
+    vec = lo if side == "min" else hi
+    if isinstance(bad, float):
+        vec[j] = bad
+    else:                   # a length other than 3
+        vec[:] = (vec * 2)[:bad]
+    with pytest.raises(ValueError, match=side):
+        JointLimits(lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_limit_pairs(), st.integers(0, 2), st.booleans())
+def test_limits_reject_min_not_below_max(pair, j, equal):
+    lo, hi = (list(v) for v in pair)
+    hi[j] = lo[j] if equal else lo[j] - 1.0
+    with pytest.raises(ValueError, match="min < max"):
+        JointLimits(lo, hi)
 
 
 def test_limits_center_and_range():
-    lim = JointLimits(JointVector(0, 0, 0), JointVector(90, 90, 250))
+    lim = JointLimits((0, 0, 0), (90, 90, 250))
+    assert lim == DEFAULT_LIMITS
     assert np.array_equal(lim.center, [45, 45, 125])
     assert np.array_equal(lim.range, [90, 90, 250])
     # center +- half range reconstructs the bounds exactly
-    assert np.array_equal(lim.center + lim.range / 2, lim.max.as_array())
-    assert np.array_equal(lim.center - lim.range / 2, lim.min.as_array())
+    assert np.array_equal(lim.center + lim.range / 2, lim.max)
+    assert np.array_equal(lim.center - lim.range / 2, lim.min)
 
 
 def test_limits_reject_inverted():
     with pytest.raises(ValueError):
-        JointLimits(JointVector(0, 0, 0), JointVector(90, -1, 250))
+        JointLimits((0, 0, 0), (90, -1, 250))
     with pytest.raises(ValueError):
-        JointLimits(JointVector(0, 5, 0), JointVector(90, 5, 250))
+        JointLimits((0, 5, 0), (90, 5, 250))
 
 
 def test_full_schema_dimensions():

@@ -609,6 +609,51 @@ def test_malformed_poly2_norm_names_norm(tmp_path, edit, named):
         deserialize(_tampered(p, mutate))
 
 
+def test_poly2_norm_of_wrong_width_names_norm(tmp_path):
+    ds = make_dataset(nonlin_err, n=120, seed=24)
+    p = tmp_path / "m.ccm"
+    serialize(fit_poly2(ds, ON_ERROR), p)
+
+    def mutate(doc):
+        doc["payload"]["norm"] = {k: v[:-1] for k, v in doc["payload"]["norm"].items()}
+        return True
+
+    with pytest.raises(ModelError, match="malformed model file entry 'norm': 15 features"):
+        deserialize(_tampered(p, mutate))
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("biases", 5), ("biases", [[[0.0]]]), ("train_curve", "x"),
+    ("train_curve", [1.0, "x"]), ("train_curve", [True]), ("seed", "abc"),
+    ("seed", 1.5), ("seed", False)])
+def test_wrong_typed_mlp_entry_named(tmp_path, entry, value):
+    ds = make_dataset(const_err([1.0, 2.0, 3.0]), n=40)
+    p = tmp_path / "m.ccm"
+    serialize(fit_mlp(ds, ON_ERROR, MlpConfig(hidden=(4,), epochs=1,
+                                              batch_size=16), seed=0), p)
+
+    def mutate(doc):
+        doc["payload"][entry] = value
+        return True
+
+    with pytest.raises(ModelError, match=f"malformed model file entry '{entry}'"):
+        deserialize(_tampered(p, mutate))
+
+
+def test_mlp_without_curve_and_seed_loads(tmp_path):
+    ds = make_dataset(const_err([1.0, 2.0, 3.0]), n=40)
+    p = tmp_path / "m.ccm"
+    serialize(fit_mlp(ds, ON_ERROR, MlpConfig(hidden=(4,), epochs=1,
+                                              batch_size=16), seed=0), p)
+
+    def mutate(doc):
+        del doc["payload"]["train_curve"], doc["payload"]["seed"]
+        return True
+
+    back = deserialize(_tampered(p, mutate))
+    assert back.train_curve is None and back.seed is None
+
+
 def test_check_compatible_rejects_other_mask():
     ds = make_dataset(const_err([0, 0, 0]), n=30)
     m = fit_offset(ds)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cablecal.core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits, JointVector
+from cablecal.core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits
 from cablecal import data
 from cablecal import sim as sm
 from cablecal import trajectory as tj
@@ -97,7 +97,7 @@ def test_hysteresis_jump_on_reversal():
     state, truth = session(traj, em, rates=(50.0, 50.0), seed=0)
     err = reported(state)[:, 0] - truth.q[:, 0]
     tau1 = torques(state)[:, 0]
-    fric = sm.DEFAULT_ROBOT.torque_friction[0]
+    fric = sm.TORQUE_FRICTION[0]
     base = err - em.S[0, 0] * tau1  # remove stiffness-coupled part
     fwd = base[(state.t > 1.0) & (state.t < 8.0)]
     bwd = base[state.t > 12.0]
@@ -196,10 +196,10 @@ def test_random_policy_covers_limits():
     lim = DEFAULT_LIMITS
     for j in range(3):
         r = lim.range[j]
-        assert q[:, j].min() < lim.min.as_array()[j] + 0.05 * r
-        assert q[:, j].max() > lim.max.as_array()[j] - 0.05 * r
-        assert q[:, j].min() >= lim.min.as_array()[j] - 1e-9
-        assert q[:, j].max() <= lim.max.as_array()[j] + 1e-9
+        assert q[:, j].min() < lim.min[j] + 0.05 * r
+        assert q[:, j].max() > lim.max[j] - 0.05 * r
+        assert q[:, j].min() >= lim.min[j] - 1e-9
+        assert q[:, j].max() <= lim.max[j] + 1e-9
 
 
 def test_random_policy_velocity_bounded():
@@ -210,7 +210,7 @@ def test_random_policy_velocity_bounded():
 
 
 def test_limit_violation_raises():
-    small = JointLimits(JointVector(20, 20, 50), JointVector(70, 70, 200))
+    small = JointLimits((20, 20, 50), (70, 70, 200))
     with pytest.raises(sm.LimitViolationError):
         session(short_traj(), sm.CableErrorModel(), seed=0,
                 limits=small, duration=30.0)
@@ -269,7 +269,7 @@ def test_torque_carries_direction_sign():
     q = np.array([[30.0, 50.0, 100.0]])
     up = sm.motor_torques(q, np.ones((1, 3)), np.array([0.0]))
     dn = sm.motor_torques(q, -np.ones((1, 3)), np.array([0.0]))
-    assert np.allclose(up - dn, 2 * np.array(sm.DEFAULT_ROBOT.torque_friction))
+    assert np.allclose(up - dn, 2 * sm.TORQUE_FRICTION)
 
 
 # --- streams, rates, time scale -------------------------------------------------
@@ -352,7 +352,7 @@ def test_desired_positions_derive_from_reported():
     em = sm.default_error_model()
     state, _ = session(short_traj(), em, seed=0, duration=20.0)
     v = np.stack([feat(state, f"joint_velocity_j{j}") for j in (1, 2, 3)], axis=1)
-    want = reported(state) + sm.DEFAULT_ROBOT.lookahead_s * v
+    want = reported(state) + sm.LOOKAHEAD_S * v
     got = np.stack([feat(state, f"desired_joint_position_j{j}") for j in (1, 2, 3)], axis=1)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -378,6 +378,33 @@ def test_invalid_session_params():
         sm.CableErrorModel(noise_sd=(-1.0, 0.0, 0.0))
 
 
+def test_array_constants_are_read_only():
+    arrays = {k: v for k, v in vars(sm).items() if isinstance(v, np.ndarray)}
+    assert {"GEAR_RATIO", "TORQUE_GRAVITY", "JACOBIAN_FORCE_MAP"} <= set(arrays)
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+        assert a.flat[0] != 1.0, name
+
+
+@pytest.mark.parametrize("load, want", [
+    ("unloaded", "unloaded"), ("loaded", "loaded"), ("idle", "idle"),
+    (0, 0.0), (250, 250.0), ("500", 500.0), (12.5, 12.5)])
+def test_check_load_accepts_named_loads_and_grams(load, want):
+    got = sm.check_load(load)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("load", ["heavy", "", -5, -0.5, float("nan"),
+                                  float("inf"), "inf", True, None, [500]])
+def test_check_load_rejects_anything_else(load):
+    with pytest.raises(sm.SimError, match="load"):
+        sm.check_load(load)
+    with pytest.raises(sm.SimError, match="load"):
+        sm.SimSession(sm.CableErrorModel()).run(
+            sm.HoldPolicy([45, 45, 125]), duration=1.0, load=load)
+
+
 def test_load_profile_validation():
     with pytest.raises(sm.SimError):
         sm.LoadProfile(((0.0, 10.0, 0.0), (5.0, 15.0, 0.0)))  # overlap
@@ -390,10 +417,8 @@ def test_load_profile_validation():
 def _channel_blocks(q, v, desired, tau):
     """The twelve 8-channel blocks in the order their placeholder channels
     draw aux noise: (prefix, the three joints' values, the five fills)."""
-    robot = sm.DEFAULT_ROBOT
-    gear, counts, enc_off = (np.array(a) for a in (
-        robot.gear_ratio, robot.counts_per_unit, robot.encoder_offset_counts))
-    ph, zero5 = robot.placeholder_positions, (0.0,) * 5
+    gear, counts, enc_off = sm.GEAR_RATIO, sm.COUNTS_PER_UNIT, sm.ENCODER_OFFSET_COUNTS
+    ph, zero5 = sm.PLACEHOLDER_POSITIONS, (0.0,) * 5
     return [
         ("encoder_value", q * counts + enc_off, ph),
         ("encoder_offset", np.tile(enc_off, (len(q), 1)), zero5),
@@ -413,17 +438,16 @@ def _channel_blocks(q, v, desired, tau):
 def _expected_columns(ts, q, tau, seq, rng, aux_sd) -> dict:
     """Every FULL_SCHEMA column by name, from its definition; ``rng`` is the
     session's generator as it stood before the features were drawn."""
-    robot = sm.DEFAULT_ROBOT
     n = len(ts)
     v = np.gradient(q, ts, axis=0)
-    desired = q + robot.lookahead_s * v
+    desired = q + sm.LOOKAHEAD_S * v
     cols = {
         "timestamp": ts,
-        "run_level": np.full(n, robot.run_level),
+        "run_level": np.full(n, sm.RUN_LEVEL),
         "sublevel": np.zeros(n),
         "last_sequence": seq + np.arange(n, dtype=float),
-        "arm_type": np.full(n, robot.arm_type),
-        "grasper_desired": np.full(n, robot.grasper_desired),
+        "arm_type": np.full(n, sm.ARM_TYPE),
+        "grasper_desired": np.full(n, sm.GRASPER_DESIRED),
     }
     for prefix, main, fill in _channel_blocks(q, v, desired, tau):
         for j in range(3):
@@ -431,8 +455,9 @@ def _expected_columns(ts, q, tau, seq, rng, aux_sd) -> dict:
         for ch, value in zip(("j4", "j5", "j6", "j7", "grasper"), fill):
             noise = rng.normal(0.0, aux_sd, n) if aux_sd > 0 else 0.0
             cols[f"{prefix}_{ch}"] = np.full(n, value) + noise
-    jv = v @ np.array(robot.jacobian_velocity_map).T
-    jf = tau @ np.array(robot.jacobian_force_map).T
+    # the maps are fixed draws, the same floats on every release
+    jv = v @ np.random.default_rng(101).uniform(-1, 1, (6, 3)).T
+    jf = tau @ np.random.default_rng(102).uniform(-1, 1, (6, 3)).T
     for i in range(6):
         cols[f"jacobian_velocity_{i}"] = jv[:, i]
         cols[f"jacobian_force_{i}"] = jf[:, i]

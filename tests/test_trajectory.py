@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cablecal import core
-from cablecal.core import DEFAULT_LIMITS, JointLimits, JointVector
+from cablecal.core import DEFAULT_LIMITS, JointLimits
 from cablecal import trajectory as tj
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -240,8 +240,8 @@ def test_scaled_spans_and_center(direction, sparsity):
     f = tj.span_fraction(direction)
     assert np.max(np.abs(span - f * lim.range) / lim.range) < 1e-9
     assert np.max(np.abs(center - lim.center) / lim.range) < 1e-9
-    assert np.all(lo >= lim.min.as_array() - 1e-9)
-    assert np.all(hi <= lim.max.as_array() + 1e-9)
+    assert np.all(lo >= np.asarray(lim.min) - 1e-9)
+    assert np.all(hi <= np.asarray(lim.max) + 1e-9)
 
 
 def test_span_fractions_by_class():
@@ -252,8 +252,8 @@ def test_span_fractions_by_class():
 
 def test_triple_direction_spans_full_limits():
     traj = tj.generate("j1j2j3", 0.5)
-    assert np.allclose(traj.waypoints.min(axis=0), DEFAULT_LIMITS.min.as_array(), atol=1e-9)
-    assert np.allclose(traj.waypoints.max(axis=0), DEFAULT_LIMITS.max.as_array(), atol=1e-9)
+    assert np.allclose(traj.waypoints.min(axis=0), DEFAULT_LIMITS.min, atol=1e-9)
+    assert np.allclose(traj.waypoints.max(axis=0), DEFAULT_LIMITS.max, atol=1e-9)
 
 
 def test_single_direction_known_span():
@@ -283,7 +283,7 @@ def test_scale_rejects_already_scaled():
     j3max=st.floats(min_value=50.0, max_value=400.0),
 )
 def test_scaled_trajectory_property(direction, n, j3max):
-    lim = JointLimits(JointVector(-10.0, 5.0, 0.0), JointVector(80.0, 95.0, j3max))
+    lim = JointLimits((-10.0, 5.0, 0.0), (80.0, 95.0, j3max))
     traj = tj.generate(direction, 1.0 / n, limits=lim, step=0.05)
     lo, hi = traj.waypoints.min(axis=0), traj.waypoints.max(axis=0)
     f = tj.span_fraction(direction)
@@ -311,8 +311,8 @@ def _scale_to_limits_ref(pts, limits, f):
        pts=st.lists(st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
                     min_size=1, max_size=20),
        flat=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-       limits=st.sampled_from([DEFAULT_LIMITS, JointLimits(JointVector(-10.0, 5.0, 0.0),
-                                                           JointVector(80.0, 95.0, 333.3))]))
+       limits=st.sampled_from([DEFAULT_LIMITS, JointLimits((-10.0, 5.0, 0.0),
+                                                           (80.0, 95.0, 333.3))]))
 def test_scale_to_limits_matches_reference_loop(direction, pts, flat, limits):
     pts = np.array(pts)
     pts[:, list(flat)] = 0.25                   # joints the raster does not move
