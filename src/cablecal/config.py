@@ -14,7 +14,8 @@ running with defaults. Recognized sections:
 Files are read with the stdlib TOML parser. JSON configs (same structure,
 one object with the five sections) are accepted via the ``.json`` extension.
 Every number in a file must be finite, and every error raised for a file
-names that file.
+names that file. The section dataclasses write each value check in a form
+that NaN fails, so an object built in code meets the same rules.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class TrajectoryConfig:
         for s in (self.sparsity, *self.sparsities):
             if not (0.0 < s <= 0.5):
                 raise ConfigError(f"sparsity values must lie in (0, 1/2], got {s}")
-        if self.step <= 0:
+        if not self.step > 0:
             raise ConfigError(f"trajectory.step must be positive, got {self.step}")
-        if len(self.speeds) != 3 or any(v <= 0 for v in self.speeds):
+        if len(self.speeds) != 3 or not all(v > 0 for v in self.speeds):
             raise ConfigError(f"trajectory.speeds must be 3 positive values, got {self.speeds}")
 
 
@@ -71,7 +72,7 @@ class TrainingConfig:
             raise ConfigError(f"training.model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.mode not in MODES:
             raise ConfigError(f"training.mode must be one of {MODES}, got {self.mode!r}")
-        if self.ridge < 0:
+        if not self.ridge >= 0:
             raise ConfigError(f"training.ridge must be >= 0, got {self.ridge}")
         if not (0.0 < self.train_frac < 1.0):
             raise ConfigError(f"training.train_frac must be in (0, 1), got {self.train_frac}")
@@ -88,13 +89,14 @@ class EvalConfig:
     load: str = "loaded"
 
     def __post_init__(self):
-        if len(self.rates) != 2 or any(r <= 0 for r in self.rates):
+        if len(self.rates) != 2 or not all(r > 0 for r in self.rates):
             raise ConfigError(f"eval.rates must be 2 positive rates, got {self.rates}")
-        if self.sync_tolerance_s < 0:
+        if not self.sync_tolerance_s >= 0:
             raise ConfigError("eval.sync_tolerance_s must be >= 0")
-        if self.time_scale < 1.0:
+        if not self.time_scale >= 1.0:
             raise ConfigError(f"eval.time_scale must be >= 1, got {self.time_scale}")
-        if self.budget_hz <= 0 or self.latency_samples < 1 or self.repeats < 1:
+        if not (self.budget_hz > 0 and self.latency_samples >= 1
+                and self.repeats >= 1):
             raise ConfigError("eval latency settings must be positive")
         try:
             check_load(self.load)

@@ -73,6 +73,13 @@ class JointLimits:
         return cls(d["min"], d["max"])
 
 
+def json_digest(obj) -> str:
+    """sha256 (hex) of ``obj`` as compact, key-sorted JSON: the one digest
+    behind schema hashes, model checksums and manifest config hashes."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
+
+
 #: Simulator defaults; real robots override these in the config file.
 DEFAULT_LIMITS = JointLimits((0, 0, 0), (90, 90, 250))
 
@@ -113,11 +120,7 @@ class FeatureSchema:
         return self.names.index(name)
 
     def hash(self) -> str:
-        blob = json.dumps(
-            {"names": list(self.names), "selected_mask": [bool(m) for m in self.selected_mask]},
-            separators=(",", ":"),
-        ).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return json_digest(self.to_dict())
 
     def with_all_selected(self) -> "FeatureSchema":
         return FeatureSchema(self.names, tuple(True for _ in self.names))

@@ -5,8 +5,8 @@ Conventions used throughout:
   * RMSE is per joint, in native units (deg, deg, mm).
   * Improvement percentages are always model RMSE / fixed-offset RMSE --
     the fixed-offset baseline is the denominator, never the raw error.
-  * Hour buckets are left-closed [h, h+1) relative to the evaluation
-    window's origin.
+  * Hour buckets are left-closed [h, h+1) relative to the first sample
+    of the evaluation window.
   * Latency is measured per sample (batch 1) on the pure-Python predict
     path with a monotonic clock; a model passes iff its p99 beats the
     servo budget period.
@@ -104,18 +104,15 @@ def evaluate_model(model: CalibrationModel, ds: Dataset,
 
 
 def decay_curve(model: CalibrationModel, ds: Dataset,
-                offset_model: CalibrationModel, bucket_s: float = 3600.0,
-                origin: Optional[float] = None) -> list:
+                offset_model: CalibrationModel, bucket_s: float = 3600.0) -> list:
     """Hour-by-hour RMSE reports over a long session.
 
-    Buckets are left-closed [h*bucket_s, (h+1)*bucket_s) relative to
-    ``origin`` (default: first sample time); empty buckets are absent from
-    the returned list.
+    Buckets are left-closed [h*bucket_s, (h+1)*bucket_s) relative to the
+    first sample time; empty buckets are absent from the returned list.
     """
     if bucket_s <= 0:
         raise EvalError(f"bucket_s must be positive, got {bucket_s}")
-    origin = float(ds.t[0]) if origin is None else float(origin)
-    hours = np.floor((ds.t - origin) / bucket_s).astype(int)
+    hours = np.floor((ds.t - ds.t[0]) / bucket_s).astype(int)
     reports = []
     for h in np.unique(hours):
         reports.append(evaluate_model(model, ds.take(hours == h), offset_model,
@@ -162,9 +159,9 @@ class LatencyReport:
 
 
 def bench_latency(model: CalibrationModel, X, n_samples: int = 10_000,
-                  budget_hz: float = 1000.0, repeats: int = 3,
-                  warmup: int = 200) -> LatencyReport:
-    """Time the batch-1 predict path over ``n_samples`` calls per run.
+                  budget_hz: float = 1000.0, repeats: int = 3) -> LatencyReport:
+    """Time the batch-1 predict path over ``n_samples`` calls per run, each
+    run after 200 untimed warm-up calls.
 
     Rows are pre-converted to Python lists so the measurement covers the
     model arithmetic, not input marshalling. The garbage collector is
@@ -181,7 +178,7 @@ def bench_latency(model: CalibrationModel, X, n_samples: int = 10_000,
 
     runs = []
     for _ in range(repeats):
-        for i in range(warmup):
+        for i in range(200):
             predict(rows[i % n_rows])
         samples = np.empty(n_samples)
         gc_was_enabled = gc.isenabled()

@@ -11,18 +11,13 @@ the only part of a manifest expected to vary between such reruns.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .core import _read_json, _replacing, write_json
+from .core import _read_json, _replacing, json_digest, write_json
 
 MANIFEST_NAME = "manifest.json"
-
-
-def hash_bytes(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
 
 
 def hash_file(path) -> str:
@@ -45,8 +40,7 @@ def hash_tree(path) -> str:
 
 
 def hash_config(config_dict: dict) -> str:
-    return hash_bytes(json.dumps(config_dict, sort_keys=True,
-                                 separators=(",", ":")).encode())
+    return json_digest(config_dict)
 
 
 def _hash_artifact(path: Path) -> str:

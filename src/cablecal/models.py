@@ -28,8 +28,6 @@ and differ only in their basis.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from functools import cached_property
 from operator import mul
@@ -37,7 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureSchema, _read_json, _replacing, write_json
+from .core import (FeatureSchema, _read_json, _replacing, json_digest,
+                   write_json)
 from .data import Dataset, NormStats
 from .nn import MlpConfig, forward, train_mlp
 
@@ -393,7 +392,7 @@ def _solve_affine(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> tuple:
     are themselves inputs, so the two targets differ by an in-span affine
     term). A positive ridge penalizes all non-intercept coefficients.
     """
-    if ridge < 0:
+    if not ridge >= 0:                  # NaN fails too
         raise ModelError(f"ridge must be >= 0, got {ridge}")
     A = np.hstack([np.ones((len(Phi), 1)), Phi])
     if ridge > 0.0:
@@ -420,14 +419,13 @@ def fit_linear(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> LinearM
     return LinearModel(mode, ds.schema, W, b)
 
 
-def fit_poly2(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0,
-              allow_large: bool = False) -> PolyModel:
+def fit_poly2(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> PolyModel:
     _check_mode(mode)
     d = ds.inputs.shape[1]
-    if d > POLY2_MAX_INPUTS and not allow_large:
+    if d > POLY2_MAX_INPUTS:
         raise ModelError(
             f"poly2 on {d} inputs expands to {_poly2_n_terms(d)} terms; "
-            f"pass allow_large=True to fit anyway")
+            f"at most {POLY2_MAX_INPUTS} inputs are supported")
     norm = _input_norm(ds)
     phi = _poly2_expand(norm.apply(ds.inputs))
     b, C = _solve_affine(phi, _fit_targets(ds, mode), ridge)
@@ -468,9 +466,7 @@ def fit_mlp(ds: Dataset, mode: str = ON_ERROR,
 
 
 def _checksum(doc: dict) -> str:
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return json_digest({k: v for k, v in doc.items() if k != "checksum"})
 
 
 def serialize(model: CalibrationModel, path) -> None:

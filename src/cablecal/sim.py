@@ -29,7 +29,7 @@ is how multi-hour decay studies and homing sequences are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -110,8 +110,13 @@ class CableErrorModel:
         for name in ("hysteresis_width", "drift_rate_unloaded", "drift_rate_loaded",
                      "drift_rate_idle", "noise_sd", "homing_offset_sd"):
             object.__setattr__(self, name, _t3(getattr(self, name)))
-        if any(w < 0 for w in self.hysteresis_width) or any(s < 0 for s in self.noise_sd):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise SimError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        if min(self.hysteresis_width + self.noise_sd + (self.aux_noise_sd,)) < 0:
             raise SimError("hysteresis widths and noise sds must be non-negative")
+        if not self.load_ref_g > 0:
+            raise SimError(f"load_ref_g must be > 0, got {self.load_ref_g!r}")
 
     @property
     def b(self) -> np.ndarray:
@@ -443,10 +448,10 @@ class SimSession:
 
     def __init__(self, error_model: CableErrorModel, limits: JointLimits = DEFAULT_LIMITS,
                  rates=(30.0, 100.0), seed: int = 0, time_scale: float = 1.0):
-        if rates[0] <= 0 or rates[1] <= 0:
-            raise SimError(f"rates must be positive, got {rates}")
-        if time_scale < 1.0:
-            raise SimError(f"time_scale must be >= 1, got {time_scale}")
+        if not (0 < rates[0] < math.inf and 0 < rates[1] < math.inf):
+            raise SimError(f"rates must be positive and finite, got {rates}")
+        if not 1.0 <= time_scale < math.inf:
+            raise SimError(f"time_scale must be finite and >= 1, got {time_scale}")
         self.error_model = error_model
         self.limits = limits
         self.rates = (float(rates[0]), float(rates[1]))

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage plus run-manifest hashing."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,8 +10,9 @@ from click.testing import CliRunner
 
 from cablecal import trajectory as traj_mod
 from cablecal.cli import main
-from cablecal.manifest import (RunManifest, hash_bytes, hash_config,
-                               hash_file, hash_tree, load_manifest)
+from cablecal.config import load_config
+from cablecal.manifest import (RunManifest, hash_config, hash_file, hash_tree,
+                               load_manifest)
 from cablecal.models import deserialize
 
 FAST_TOML = """
@@ -218,6 +220,17 @@ def test_directory_as_config_exits_2_naming_it(runner, tmp_path):
     assert f"config error: config file is not a file: {tmp_path}" in text
 
 
+def test_zero_load_ref_exits_2_naming_file(runner, tmp_path):
+    p = tmp_path / "bad.toml"
+    p.write_text("[error_model]\nload_ref_g = 0\n")
+    result = runner.invoke(main, ["--config", str(p), "--out-dir",
+                                  str(tmp_path / "o"), "record"])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"config error: {p}: " in text and "load_ref_g" in text
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_sweep_direction_exits_2(runner, fast_cfg, tmp_path):
     result = runner.invoke(main, out_args(fast_cfg, tmp_path / "o") +
                            ["sweep", "--directions", "j9"])
@@ -240,7 +253,29 @@ def test_bad_load_option_exits_2_before_any_stage(runner, fast_cfg, tmp_path,
     result = runner.invoke(main, out_args(fast_cfg, out) + [command, "--load", load])
     assert result.exit_code == 2
     assert "--load" in result.output and "Traceback" not in result.output
-    assert list(out.iterdir()) == []        # no stage ran, no manifest
+    assert not out.exists()         # no stage ran, no manifest
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["train", "--help"], ["--out-dir", "x/y", "sweep", "--help"],
+    ["train"], ["--out-dir", "x/y", "generate", "--direction", "j9"]],
+    ids=["group_help", "train_help", "sweep_help", "missing_option",
+         "bad_choice"])
+def test_help_and_usage_errors_leave_no_directory(runner, tmp_path, args):
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, args)
+        assert result.exit_code == (0 if "--help" in args else 2)
+        assert list(Path(cwd).iterdir()) == []
+
+
+def test_out_dir_that_is_a_file_is_a_stage_failure(runner, fast_cfg, tmp_path):
+    out = tmp_path / "f"
+    out.write_text("x")
+    result = runner.invoke(main, out_args(fast_cfg, out) + ["generate"])
+    assert result.exit_code == 3
+    assert "stage 'generate[j1j2j3,0.5]' failed" in result.output + (
+        result.stderr or "")
+    assert out.read_text() == "x"
 
 
 def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
@@ -332,8 +367,8 @@ def test_seed_option_changes_recording(runner, fast_cfg, tmp_path):
 def test_hash_bytes_and_file_agree(tmp_path):
     p = tmp_path / "f.bin"
     p.write_bytes(b"hello")
-    assert hash_file(p) == hash_bytes(b"hello")
-    assert hash_bytes(b"hello") != hash_bytes(b"hellO")
+    assert hash_file(p) == hashlib.sha256(b"hello").hexdigest()
+    assert hash_file(p) != hashlib.sha256(b"hellO").hexdigest()
 
 
 def test_hash_tree_covers_nested_content(tmp_path):
@@ -409,3 +444,69 @@ def test_manifest_keeps_same_named_files_apart(tmp_path):
     want = {str(p): hash_file(p) for p in paths}
     assert {k: v["sha256"] for k, v in m.inputs.items()} == want
     assert {k: v["sha256"] for k, v in m.outputs.items()} == want
+
+
+# ---------------------------------------------------------------------------
+# manifest contract: what each subcommand records
+
+
+@pytest.fixture(scope="module")
+def made(tmp_path_factory):
+    """A trajectory, a bag, train/test datasets and a model to feed the
+    subcommands, all built by the CLI from the fast config."""
+    root = tmp_path_factory.mktemp("made")
+    cfg = root / "fast.toml"
+    cfg.write_text(FAST_TOML)
+    runner = CliRunner()
+    base = ["--config", str(cfg), "--out-dir", str(root)]
+    invoke(runner, base + ["generate"])
+    invoke(runner, base + ["record", "--name", "bag0"])
+    invoke(runner, base + ["process", "--bag", str(root / "bag0")])
+    invoke(runner, base + ["train", "--dataset", str(root / "train.csv")])
+    return root
+
+
+PIPELINE_OUTPUTS = ["traj_j1j2j3_0.5.csv", "traj_j1j2j3_0.5.json",
+                    "bag_j1j2j3_0.5", "train.csv", "train.json", "test.csv",
+                    "test.json", "model.ccm", "rmse_report.csv",
+                    "rmse_report.json", "latency.csv", "latency.json"]
+
+#: subcommand -> (arguments, stage names, input names under the made
+#: directory, output names under the run's own directory)
+CONTRACT = {
+    "generate": (["--direction", "j2"], ["generate[j2,0.5]"], [],
+                 ["traj_j2_0.5.csv", "traj_j2_0.5.json"]),
+    "record": (["--trajectory", "{m}/traj_j1j2j3_0.5.csv"], ["record"],
+               ["traj_j1j2j3_0.5.csv"], ["bag_j1j2j3_0.5"]),
+    "process": (["--bag", "{m}/bag0"], ["process"], ["bag0"],
+                ["train.csv", "train.json", "test.csv", "test.json"]),
+    "train": (["--dataset", "{m}/train.csv"], ["train[linear]"],
+              ["train.csv"], ["model.ccm"]),
+    "evaluate": (["--model-file", "{m}/model.ccm", "--dataset", "{m}/test.csv",
+                  "--train-dataset", "{m}/train.csv"], ["evaluate"],
+                 ["model.ccm", "test.csv", "train.csv"],
+                 ["rmse_report.csv", "rmse_report.json"]),
+    "bench": (["--model-file", "{m}/model.ccm", "--dataset", "{m}/test.csv",
+               "--samples", "50"], ["bench"], ["model.ccm", "test.csv"],
+              ["latency.csv", "latency.json"]),
+    "sweep": (["--directions", "j1", "--sparsities", "0.5"], ["sweep"], [],
+              ["sweep.csv", "sweep.json"]),
+    "pipeline": ([], ["generate", "record", "process", "train[linear]",
+                      "evaluate", "bench"], [], PIPELINE_OUTPUTS),
+}
+
+
+@pytest.mark.parametrize("command", list(CONTRACT))
+def test_manifest_contract(runner, fast_cfg, made, tmp_path, command):
+    args, stages, inputs, outputs = CONTRACT[command]
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + [command] +
+           [a.format(m=made) for a in args])
+    m = load_manifest(out)
+    assert m.command == command and m.seed == 11
+    assert [s["name"] for s in m.stages] == stages
+    assert set(m.inputs) == {str(made / n) for n in inputs}
+    assert set(m.outputs) == {str(out / n) for n in outputs}
+    assert m.config_hash == hash_config(load_config(fast_cfg).to_dict())
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        {n.split("/")[0] for n in outputs} | {"manifest.json"})

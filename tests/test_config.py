@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cablecal.config import Config, ConfigError, load_config
+from cablecal.config import (Config, ConfigError, EvalConfig, TrainingConfig,
+                             TrajectoryConfig, load_config)
 from cablecal.models import MODES, ON_ERROR
+from cablecal.sim import CableErrorModel, SimSession
 from cablecal.trajectory import DIRECTIONS
 
 
@@ -168,6 +170,36 @@ def test_non_finite_json_value_rejected_naming_file_and_key(tmp_path):
     p = write(tmp_path, "c.json", '{"eval": {"budget_hz": NaN}}')
     with pytest.raises(ConfigError, match=re.escape(f"{p}: [eval] budget_hz must be finite")):
         load_config(p)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SimSession(CableErrorModel(), rates=(NAN, 100.0)),
+    lambda: SimSession(CableErrorModel(), rates=(30.0, float("inf"))),
+    lambda: SimSession(CableErrorModel(), time_scale=NAN),
+    lambda: CableErrorModel(offset=(NAN, 0, 0)),
+    lambda: CableErrorModel(position_gain=((0, 0, 0), (0, NAN, 0), (0, 0, 0))),
+    lambda: CableErrorModel(noise_sd=(NAN, 0, 0)),
+    lambda: CableErrorModel(drift_rate_loaded=float("inf")),
+    lambda: CableErrorModel(aux_noise_sd=NAN),
+    lambda: CableErrorModel(load_ref_g=0.0),
+    lambda: CableErrorModel(load_ref_g=NAN),
+    lambda: EvalConfig(rates=(NAN, 100.0)),
+    lambda: EvalConfig(budget_hz=NAN),
+    lambda: EvalConfig(sync_tolerance_s=NAN),
+    lambda: EvalConfig(time_scale=NAN),
+    lambda: TrainingConfig(ridge=NAN),
+    lambda: TrajectoryConfig(step=NAN),
+    lambda: TrajectoryConfig(speeds=(NAN, 1.0, 1.0)),
+], ids=["sim_rates", "sim_rates_inf", "sim_time_scale", "offset",
+        "position_gain", "noise_sd", "drift_inf", "aux_noise_sd",
+        "load_ref_g_zero", "load_ref_g_nan", "eval_rates", "budget_hz",
+        "sync_tolerance_s", "eval_time_scale", "ridge", "step", "speeds"])
+def test_objects_built_in_code_reject_nan_and_degenerate_values(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("load", ['"heavy"', "-5", "true", "-0.5"])

@@ -12,6 +12,7 @@ from cablecal.core import (
     JointLimits,
     SchemaError,
     build_full_schema,
+    json_digest,
 )
 
 
@@ -113,6 +114,15 @@ def test_schema_round_trip_and_hash_stability():
     assert s2.hash() == s.hash()
     # changing the mask changes the hash
     assert s.with_all_selected().hash() != s.hash()
+
+
+def test_json_digest_keeps_its_values():
+    # schema hashes sit in every dataset and model file and config hashes in
+    # every manifest, so the canonical digest must not change its bytes
+    assert FULL_SCHEMA.hash() == (
+        "8c8e50adbd19d29367a139b29f59678a0122c3973ec6011e8dc936d3b4fa35c0")
+    assert json_digest({"b": [1, 2.5, None], "a": {"y": True, "x": "é"}}) == (
+        "939075563d1fec2997dd324b5476211902d0a036c3ff5736d55db2282ca668f3")
 
 
 def test_schema_rejects_bad_shapes():

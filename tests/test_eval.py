@@ -150,13 +150,6 @@ def test_decay_buckets_are_left_closed():
     assert [r.n_samples for r in reports] == [2, 2]  # 3600.0 goes to bucket 1
 
 
-def test_decay_origin_override():
-    t = np.array([7200.0, 7300.0, 10800.0])
-    ds = make_dataset(np.zeros((3, 3)), t=t)
-    reports = decay_curve(zero_model(), ds, zero_model(), origin=0.0)
-    assert [r.bucket_hour for r in reports] == [2, 3]
-
-
 def test_decay_bad_bucket():
     ds = make_dataset(np.zeros((5, 3)))
     with pytest.raises(ValueError):
@@ -170,7 +163,7 @@ def test_decay_bad_bucket():
 def test_bench_latency_offset_report():
     ds = make_dataset(np.zeros((50, 3)))
     m = fit_offset(ds)
-    rep = bench_latency(m, ds.inputs, n_samples=1500, repeats=3, warmup=50)
+    rep = bench_latency(m, ds.inputs, n_samples=1500, repeats=3)
     assert rep.p50_s <= rep.p95_s <= rep.p99_s
     assert rep.p50_s > 0
     assert rep.passed and all(r["passed"] for r in rep.runs)
@@ -184,8 +177,8 @@ def test_bench_latency_mlp_slower_than_linear():
     ds = make_dataset(np.random.default_rng(3).normal(size=(300, 3)))
     lin = fit_linear(ds)
     mlp = fit_mlp(ds, config=MlpConfig(hidden=(100, 100), epochs=1), seed=0)
-    r_lin = bench_latency(lin, ds.inputs[:40], n_samples=300, repeats=1, warmup=30)
-    r_mlp = bench_latency(mlp, ds.inputs[:40], n_samples=300, repeats=1, warmup=30)
+    r_lin = bench_latency(lin, ds.inputs[:40], n_samples=300, repeats=1)
+    r_mlp = bench_latency(mlp, ds.inputs[:40], n_samples=300, repeats=1)
     assert r_mlp.p50_s > 3.0 * r_lin.p50_s
 
 
@@ -318,7 +311,7 @@ def test_write_json(tmp_path):
 def test_latency_report_serializable():
     ds = make_dataset(np.zeros((10, 3)))
     rep = bench_latency(fit_offset(ds), ds.inputs, n_samples=200,
-                        repeats=2, warmup=10)
+                        repeats=2)
     d = rep.to_dict()
     json.dumps(d)  # must be JSON-clean
     assert d["repeats"] == 2 and len(d["runs"]) == 2

@@ -152,6 +152,13 @@ def test_negative_ridge_rejected():
         fit_linear(ds, ridge=-0.5)
 
 
+@pytest.mark.parametrize("fit", [fit_linear, fit_poly2])
+def test_nan_ridge_rejected(fit):
+    ds = make_dataset(const_err([0, 0, 0]), n=20)
+    with pytest.raises(ModelError, match="ridge"):
+        fit(ds, ridge=float("nan"))
+
+
 # --------------------------------------------------------------------------
 # poly2
 
@@ -192,16 +199,14 @@ def test_poly2_beats_linear_on_quadratic_target():
     assert rmse_pol < 0.1 * rmse_lin
 
 
-def test_poly2_refuses_wide_inputs_without_override():
+def test_poly2_refuses_wide_inputs():
     schema = FULL_SCHEMA.with_all_selected()
     rng = np.random.default_rng(11)
     X = rng.normal(size=(40, schema.dim_selected))
     X[:, :3] += 10.0
     ds = Dataset(np.arange(40) * 0.03, X, X[:, :3] + 1.0, X[:, :3].copy(), schema)
-    with pytest.raises(ModelError, match="allow_large"):
+    with pytest.raises(ModelError, match="at most 64 inputs"):
         fit_poly2(ds)
-    m = fit_poly2(ds, allow_large=True)
-    assert m.weights.shape[0] == 138 + 138 * 139 // 2
 
 
 # --------------------------------------------------------------------------
