@@ -12,20 +12,20 @@ earlier stage, handed over in memory, or a path, loaded inside the stage so
 that a bad file is a stage failure. A subcommand resolves its options and
 calls one stage function; ``pipeline`` chains all six and reads back
 nothing it wrote (a reloaded dataset is C-ordered, unlike ``synchronize``'s
-F-ordered one). An option that restates a config key defaults to the
-loaded config's value.
+F-ordered one). An option that restates a config key sets that key in the
+run's config before any stage starts, so it meets the key's own checks and
+the manifest hashes it; the stages read their settings from that config.
 
 The ``main`` group owns what every command shares. It loads the config and
 starts the run manifest, into which input-path options hash themselves; it
-writes the manifest only when the command succeeds, and maps errors to the
-exit codes: 0 success, 2 configuration/usage error, 3 stage failure. The
-output directory is made by the first stage, so ``--help`` and usage
-errors write nothing.
+writes the manifest, with the config the run used, only when the command
+succeeds, and maps errors to the exit codes: 0 success, 2 configuration/usage
+error, 3 stage failure. The output directory is made by the first stage, so
+``--help`` and usage errors write nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import shutil
 import sys
 import time
@@ -107,20 +107,32 @@ def _loaded(source, load):
     return load(source) if isinstance(source, (str, Path)) else source
 
 
-def _option(*decls, key: str, parse=None, **kwargs):
-    """An option that restates config ``key`` (``"section.field"``) and
-    defaults to it; a given value goes through ``parse``, whose ValueError
-    is a usage error."""
+def _replaced(obj, path, value):
+    """Frozen dataclass ``obj`` with the field at ``path`` (a list of nested
+    field names) set to ``value``; each rebuilt dataclass checks itself."""
+    head, *rest = path
+    return replace(obj, **{head: _replaced(getattr(obj, head), rest, value)
+                           if rest else value})
+
+
+def _option(*decls, key: str, parse=None, keep=(), **kwargs):
+    """An option that restates config ``key`` (``"section.field"``): a given
+    value goes through ``parse`` and replaces the key in the run's config,
+    where the key's own checks apply; a ValueError from either is a usage
+    error. A value in ``keep`` is passed to the command instead, which then
+    receives the option."""
 
     def callback(ctx, param, value):
-        if value is None:
-            return functools.reduce(getattr, key.split("."), ctx.obj.config)
+        if value is None or value in keep:
+            return value
         try:
-            return value if parse is None else parse(value)
-        except ValueError as exc:
+            value = value if parse is None else parse(value)
+            ctx.obj.config = _replaced(ctx.obj.config, key.split("."), value)
+        except ValueError as exc:           # ConfigError too
             raise click.BadParameter(str(exc))
 
-    return click.option(*decls, default=None, callback=callback, **kwargs)
+    return click.option(*decls, default=None, callback=callback,
+                        expose_value=bool(keep), **kwargs)
 
 
 def _input_option(*decls, **kwargs):
@@ -159,8 +171,9 @@ _epochs_option = _option("--epochs", key="training.mlp.epochs", type=int,
 # stages
 
 
-def _generate(state: CliState, direction, sparsity, name="generate"):
+def _generate(state: CliState, direction, name="generate"):
     cfg = state.config
+    sparsity = cfg.trajectory.sparsity
     path = state.out_dir / f"traj_{direction}_{sparsity:g}.csv"
     with _stage(state, name, _sidecars(path)):
         traj = traj_mod.generate(direction, sparsity, cfg.limits,
@@ -172,20 +185,20 @@ def _generate(state: CliState, direction, sparsity, name="generate"):
     return traj
 
 
-def _record(state: CliState, traj, direction, sparsity, load, time_scale,
-            name=None):
-    """Follow ``traj`` (or, when None, the ``direction``/``sparsity``
-    trajectory generated in memory) into bag directory ``name``, by default
-    one named after ``direction`` and ``sparsity``."""
+def _record(state: CliState, traj, name=None):
+    """Follow ``traj`` (or, when None, the configured trajectory generated in
+    memory) into bag directory ``name``, by default one named after the
+    configured direction and sparsity."""
     cfg = state.config
+    direction, sparsity = cfg.trajectory.direction, cfg.trajectory.sparsity
     bag_dir = state.out_dir / (name or f"bag_{direction}_{sparsity:g}")
     with _stage(state, "record", [bag_dir]) as note:
         traj = (traj_mod.generate(direction, sparsity, cfg.limits,
                                   cfg.trajectory.step) if traj is None
                 else _loaded(traj, traj_mod.load))
         bag = data_mod.record(
-            traj, cfg.error_model, load=load, rates=cfg.eval.rates,
-            seed=state.seed, time_scale=time_scale, limits=cfg.limits,
+            traj, cfg.error_model, load=cfg.eval.load, rates=cfg.eval.rates,
+            seed=state.seed, time_scale=cfg.eval.time_scale, limits=cfg.limits,
             speeds=cfg.trajectory.speeds)
         data_mod.save_bag(bag, bag_dir)
         note.sim_s = bag.metadata.get("duration_s")
@@ -194,17 +207,19 @@ def _record(state: CliState, traj, direction, sparsity, load, time_scale,
     return bag
 
 
-def _process(state: CliState, bags, tolerance, full_features, train_frac):
+def _process(state: CliState, bags, full_features=False):
     """Pair each bag's streams (bags are loaded one at a time), concatenate
     and split into train and test datasets."""
+    cfg = state.config
     train_path = state.out_dir / "train.csv"
     test_path = state.out_dir / "test.csv"
     with _stage(state, "process", _sidecars(train_path, test_path)):
         parts = [data_mod.synchronize(_loaded(b, data_mod.load_bag),
-                                      tolerance, full_features)
+                                      cfg.eval.sync_tolerance_s, full_features)
                  for b in bags]
         ds = data_mod.concat(parts) if len(parts) > 1 else parts[0]
-        train_ds, test_ds = data_mod.split_and_normalize(ds, train_frac)
+        train_ds, test_ds = data_mod.split_and_normalize(
+            ds, cfg.training.train_frac)
         data_mod.save_dataset(train_ds, train_path)
         data_mod.save_dataset(test_ds, test_path)
         click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows "
@@ -212,20 +227,20 @@ def _process(state: CliState, bags, tolerance, full_features, train_frac):
     return train_ds, test_ds
 
 
-def _train(state: CliState, ds, kind, mode, epochs, ridge, name=MODEL_FILE):
+def _train(state: CliState, ds, name=MODEL_FILE):
+    cfg = state.config.training
+    kind, mode = cfg.model, cfg.mode
     path = state.out_dir / name
     with _stage(state, f"train[{kind}]", [path]):
         ds = _loaded(ds, data_mod.load_dataset)
         if kind == "offset":
             model = fit_offset(ds, mode)
         elif kind == "linear":
-            model = fit_linear(ds, mode, ridge)
+            model = fit_linear(ds, mode, cfg.ridge)
         elif kind == "poly2":
-            model = fit_poly2(ds, mode, ridge)
+            model = fit_poly2(ds, mode, cfg.ridge)
         else:
-            model = fit_mlp(ds, mode,
-                            replace(state.config.training.mlp, epochs=epochs),
-                            state.seed)
+            model = fit_mlp(ds, mode, cfg.mlp, state.seed)
         serialize(model, path)
         click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {path}")
     return model
@@ -259,7 +274,8 @@ def _evaluate(state: CliState, model, ds, base_ds=None, bucket_s=None):
     return rows
 
 
-def _bench(state: CliState, models, ds, samples, budget_hz):
+def _bench(state: CliState, models, ds, samples):
+    ev = state.config.eval
     csv_path = state.out_dir / "latency.csv"
     with _stage(state, "bench", _sidecars(csv_path)):
         models = [_loaded(m, deserialize) for m in models]
@@ -267,14 +283,14 @@ def _bench(state: CliState, models, ds, samples, budget_hz):
         rows, dicts = [], []
         for model in models:
             model.check_compatible(ds.schema)
-            rep = bench_latency(model, ds.inputs, samples, budget_hz,
-                                state.config.eval.repeats)
+            rep = bench_latency(model, ds.inputs, samples, ev.budget_hz,
+                                ev.repeats)
             rows.extend(rep.to_rows())
             dicts.append(rep.to_dict())
             verdict = "PASS" if rep.passed else "FAIL"
             click.echo(f"  {model.kind}: p50 {rep.p50_s * 1e3:.4f} ms  "
                        f"p99 {rep.p99_s * 1e3:.4f} ms  "
-                       f"[{verdict} vs {budget_hz:.0f} Hz]")
+                       f"[{verdict} vs {ev.budget_hz:.0f} Hz]")
         write_report(rows, dicts, csv_path)
     return rows
 
@@ -314,20 +330,22 @@ def main(ctx, config_path, seed, out_dir):
 @main.result_callback()
 @click.pass_obj
 def _write_manifest(state: CliState, result, **params):
+    state.manifest.config = state.config.to_dict()  # options applied
     click.echo(f"manifest: {state.manifest.write(state.out_dir)}")
 
 
 @main.command("generate")
-@_option("--direction", key="trajectory.direction",
+@_option("--direction", key="trajectory.direction", keep=("all",),
          type=click.Choice(DIRECTIONS + ("all",)),
          help="Sweep direction (default from config).")
 @_option("--sparsity", key="trajectory.sparsity", type=float,
          help="Raster spacing fraction in (0, 1/2].")
 @click.pass_obj
-def generate_command(state, direction, sparsity):
+def generate_command(state, direction):
     """Generate a zig-zag coverage trajectory (CSV + sidecar)."""
-    for d in (DIRECTIONS if direction == "all" else (direction,)):
-        _generate(state, d, sparsity, f"generate[{d},{sparsity:g}]")
+    traj_cfg = state.config.trajectory
+    for d in (DIRECTIONS if direction == "all" else (traj_cfg.direction,)):
+        _generate(state, d, f"generate[{d},{traj_cfg.sparsity:g}]")
 
 
 @main.command("record")
@@ -340,10 +358,9 @@ def generate_command(state, direction, sparsity):
 @_time_scale_option
 @click.option("--name", default=None, help="Bag directory name.")
 @click.pass_obj
-def record_command(state, traj_path, direction, sparsity, load, time_scale,
-                   name):
+def record_command(state, traj_path, name):
     """Record one simulated session into a bag directory."""
-    _record(state, traj_path, direction, sparsity, load, time_scale, name)
+    _record(state, traj_path, name)
 
 
 @main.command("process")
@@ -355,15 +372,15 @@ def record_command(state, traj_path, direction, sparsity, load, time_scale,
 @_option("--tolerance", key="eval.sync_tolerance_s", type=float,
          help="Stream pairing tolerance in seconds.")
 @click.pass_obj
-def process_command(state, bags, full_features, train_frac, tolerance):
+def process_command(state, bags, full_features):
     """Synchronize bag streams and split into train/test datasets."""
-    _process(state, bags, tolerance, full_features, train_frac)
+    _process(state, bags, full_features)
 
 
 @main.command("train")
 @_input_option("--dataset", "dataset_path", required=True,
                help="Training dataset CSV.")
-@_option("--model", "kind", key="training.model",
+@_option("--model", key="training.model",
          type=click.Choice(MODEL_KINDS),
          help="Model family (default from config).")
 @_option("--mode", key="training.mode", type=click.Choice(MODES))
@@ -371,9 +388,9 @@ def process_command(state, bags, full_features, train_frac, tolerance):
 @_option("--ridge", key="training.ridge", type=float)
 @click.option("--name", default=MODEL_FILE, show_default=True)
 @click.pass_obj
-def train_command(state, dataset_path, kind, mode, epochs, ridge, name):
+def train_command(state, dataset_path, name):
     """Fit a calibration model and write a .ccm model file."""
-    _train(state, dataset_path, kind, mode, epochs, ridge, name)
+    _train(state, dataset_path, name)
 
 
 @main.command("evaluate")
@@ -401,9 +418,10 @@ def evaluate_command(state, model_file, dataset_path, train_dataset, decay,
          help="Timed predictions per run (default eval.latency_samples).")
 @_option("--budget-hz", key="eval.budget_hz", type=float)
 @click.pass_obj
-def bench_command(state, model_files, dataset_path, samples, budget_hz):
+def bench_command(state, model_files, dataset_path):
     """Measure batch-1 predict latency against the servo budget."""
-    _bench(state, model_files, dataset_path, samples, budget_hz)
+    _bench(state, model_files, dataset_path,
+           state.config.eval.latency_samples)
 
 
 @main.command("sweep")
@@ -416,7 +434,7 @@ def bench_command(state, model_files, dataset_path, samples, budget_hz):
               help="Also fit the MLP per direction.")
 @_load_option
 @click.pass_obj
-def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
+def sweep_command(state, directions, with_mlp):
     """Fit models per trajectory direction and tabulate test RMSE."""
     cfg = state.config
     dir_list = tuple(d.strip() for d in directions.split(",") if d.strip())
@@ -431,10 +449,11 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
             fits["mlp"] = lambda ds: fit_mlp(ds, cfg.training.mode,
                                              cfg.training.mlp, state.seed)
         table = direction_sweep(
-            cfg.error_model, fits, directions=dir_list, sparsities=sparsities,
-            limits=cfg.limits, rates=cfg.eval.rates, seed=state.seed,
-            time_scale=time_scale, train_frac=cfg.training.train_frac,
-            load=load)
+            cfg.error_model, fits, directions=dir_list,
+            sparsities=cfg.trajectory.sparsities, limits=cfg.limits,
+            rates=cfg.eval.rates, seed=state.seed,
+            time_scale=cfg.eval.time_scale,
+            train_frac=cfg.training.train_frac, load=cfg.eval.load)
         rows = table.to_rows()
         write_report(rows, rows, sweep_csv)
         for model in table.model_names():
@@ -447,20 +466,15 @@ def sweep_command(state, directions, sparsities, time_scale, with_mlp, load):
 @_time_scale_option
 @_epochs_option
 @click.pass_obj
-def pipeline_command(state, time_scale, epochs):
+def pipeline_command(state):
     """Run generate -> record -> process -> train -> evaluate -> bench."""
-    traj_cfg, train_cfg, ev = (state.config.trajectory, state.config.training,
-                               state.config.eval)
-    direction, sparsity = traj_cfg.direction, traj_cfg.sparsity
-    traj = _generate(state, direction, sparsity)
-    bag = _record(state, traj, direction, sparsity, ev.load, time_scale)
-    train_ds, test_ds = _process(state, [bag], ev.sync_tolerance_s, False,
-                                 train_cfg.train_frac)
-    model = _train(state, train_ds, train_cfg.model, train_cfg.mode, epochs,
-                   train_cfg.ridge)
+    traj = _generate(state, state.config.trajectory.direction)
+    bag = _record(state, traj)
+    train_ds, test_ds = _process(state, [bag])
+    model = _train(state, train_ds)
     _evaluate(state, model, test_ds, train_ds)
-    _bench(state, [model], test_ds, min(ev.latency_samples, 5000),
-           ev.budget_hz)
+    _bench(state, [model], test_ds,
+           min(state.config.eval.latency_samples, 5000))
 
 
 if __name__ == "__main__":

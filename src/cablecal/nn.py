@@ -13,12 +13,27 @@ Loss definition (what the gradients implement):
       + bias_l2 * sum(b^2)
       + activity_l2 * sum(hidden^2) / batch_size
 
+Training runs in float32; the stored model is float64. ``train_mlp`` is the
+one place that casts: it rounds the data and the seeded initial parameters
+to float32, runs every epoch in float32 (half the GEMM and ``exp`` cost of
+float64), and hands the trained parameters back as float64, so the
+normalization fold, the model file and both predict paths stay float64.
+The learned inputs are z-scored and the targets standardized, so float32's
+relative precision (6e-8) is far below anything the model resolves.
+``forward``, ``_sigmoid``, ``Mlp.loss_and_grads`` and ``Adam.step`` keep the
+dtype they are given (the gradient and Adam oracles run in float64): their
+constants and the ``MlpConfig`` hyperparameters enter as Python scalars,
+which take the array's dtype, where a numpy float64 scalar would upcast.
+
 Bit-for-bit reproducibility is part of the contract: ``_sigmoid``, ``forward``,
 ``Mlp.loss_and_grads`` and ``Adam.step`` must return exactly the floats of the
 plain out-of-place reference formulas (kept in ``tests/test_nn.py``), so a
-seeded fit writes the same model bytes on every release. The hot path is
-therefore written in place -- fewer temporaries, the same operations in the
-same order -- rather than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
+seeded fit writes the same model bytes on every release, given the same BLAS
+build and thread count: a threaded BLAS may split the batch-row sum of a
+weight-gradient GEMM differently at another thread count, which moves the
+last bits of the trained weights. The hot path is therefore written in
+place -- fewer temporaries, the same operations in the same order -- rather
+than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
 sigmoid was rejected because it changes trained bits.
 
 Activations are released right after their last use, with no change to the
@@ -227,19 +242,23 @@ class Adam:
 
 
 def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0) -> tuple:
-    """Mini-batch Adam training; returns (net, per-epoch mean batch loss).
+    """Mini-batch Adam training in float32; returns (net, per-epoch mean
+    batch loss), the net's parameters as float64.
 
     Each epoch shuffles all rows; the final short batch is kept. Fully
-    deterministic given (data, config, seed).
+    deterministic given (data, config, seed, BLAS build and thread count).
     """
     n = len(X)
     if n == 0 or len(Y) != n:
         raise ValueError("X and Y must be non-empty with matching rows")
     rng = np.random.default_rng(seed)
     net = Mlp(X.shape[1], Y.shape[1], config, seed=seed)
-    opt = Adam(net.parameters(), config.lr, config.beta1, config.beta2, config.eps)
-    curve = []
+    X, Y = X.astype(np.float32), Y.astype(np.float32)
+    net.weights = [w.astype(np.float32) for w in net.weights]
+    net.biases = [b.astype(np.float32) for b in net.biases]
     params = net.parameters()
+    opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+    curve = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         losses = []
@@ -250,7 +269,11 @@ def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0) ->
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         if not np.isfinite(epoch_loss):
+            last = ", ".join(f"{v:.6g}" for v in curve[-3:]) or "none"
             raise TrainingDivergedError(
-                f"non-finite loss {epoch_loss} at epoch {epoch} (lr={config.lr})")
+                f"non-finite loss {epoch_loss} at epoch {epoch} of {config.epochs} "
+                f"(lr={config.lr}); last finite epoch losses: {last}")
         curve.append(epoch_loss)
+    net.weights = [w.astype(np.float64) for w in net.weights]
+    net.biases = [b.astype(np.float64) for b in net.biases]
     return net, np.array(curve)

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cablecal
 from cablecal import trajectory as traj_mod
 from cablecal.cli import main
 from cablecal.config import load_config
@@ -256,6 +261,43 @@ def test_bad_load_option_exits_2_before_any_stage(runner, fast_cfg, tmp_path,
     assert not out.exists()         # no stage ran, no manifest
 
 
+@pytest.mark.parametrize("args, rule", [
+    (["record", "--time-scale", "0.5"], "eval.time_scale must be >= 1"),
+    (["process", "--bag", "{m}/bag0", "--tolerance", "-1"],
+     "eval.sync_tolerance_s must be >= 0"),
+    (["train", "--dataset", "{m}/train.csv", "--epochs", "0"],
+     "epochs and batch_size must be >= 1"),
+    (["train", "--dataset", "{m}/train.csv", "--ridge", "-1"],
+     "training.ridge must be >= 0"),
+    (["generate", "--sparsity", "0.9"], "sparsity values must lie in (0, 1/2]"),
+    (["sweep", "--sparsities", "0.5,0"], "sparsity values must lie in (0, 1/2]")],
+    ids=["time_scale", "tolerance", "epochs", "ridge", "sparsity", "sparsities"])
+def test_option_meets_its_config_key_checks(runner, fast_cfg, made, tmp_path,
+                                            args, rule):
+    # the same value in the config file is a config error (exit 2); given
+    # as an option it is a usage error, before any stage runs
+    out = tmp_path / "o"
+    result = runner.invoke(main, out_args(fast_cfg, out) +
+                           [a.format(m=made) for a in args])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert rule in text and args[-2] in text and "Traceback" not in text
+    assert not out.exists()
+
+
+def test_options_are_hashed_into_the_manifest(runner, fast_cfg, made, tmp_path):
+    hashes, models = set(), set()
+    for ridge in ("0", "5"):
+        out = tmp_path / ridge
+        invoke(runner, out_args(fast_cfg, out) + [
+            "train", "--dataset", str(made / "train.csv"), "--ridge", ridge])
+        m = load_manifest(out)
+        assert m.config["training"]["ridge"] == float(ridge)
+        hashes.add(m.config_hash)
+        models.add(m.outputs[str(out / "model.ccm")]["sha256"])
+    assert len(models) == 2 and len(hashes) == 2
+
+
 @pytest.mark.parametrize("args", [
     ["--help"], ["train", "--help"], ["--out-dir", "x/y", "sweep", "--help"],
     ["train"], ["--out-dir", "x/y", "generate", "--direction", "j9"]],
@@ -472,33 +514,37 @@ PIPELINE_OUTPUTS = ["traj_j1j2j3_0.5.csv", "traj_j1j2j3_0.5.json",
                     "rmse_report.json", "latency.csv", "latency.json"]
 
 #: subcommand -> (arguments, stage names, input names under the made
-#: directory, output names under the run's own directory)
+#: directory, output names under the run's own directory, config fields
+#: the arguments set, per section)
 CONTRACT = {
     "generate": (["--direction", "j2"], ["generate[j2,0.5]"], [],
-                 ["traj_j2_0.5.csv", "traj_j2_0.5.json"]),
+                 ["traj_j2_0.5.csv", "traj_j2_0.5.json"],
+                 {"trajectory": {"direction": "j2"}}),
     "record": (["--trajectory", "{m}/traj_j1j2j3_0.5.csv"], ["record"],
-               ["traj_j1j2j3_0.5.csv"], ["bag_j1j2j3_0.5"]),
+               ["traj_j1j2j3_0.5.csv"], ["bag_j1j2j3_0.5"], {}),
     "process": (["--bag", "{m}/bag0"], ["process"], ["bag0"],
-                ["train.csv", "train.json", "test.csv", "test.json"]),
+                ["train.csv", "train.json", "test.csv", "test.json"], {}),
     "train": (["--dataset", "{m}/train.csv"], ["train[linear]"],
-              ["train.csv"], ["model.ccm"]),
+              ["train.csv"], ["model.ccm"], {}),
     "evaluate": (["--model-file", "{m}/model.ccm", "--dataset", "{m}/test.csv",
                   "--train-dataset", "{m}/train.csv"], ["evaluate"],
                  ["model.ccm", "test.csv", "train.csv"],
-                 ["rmse_report.csv", "rmse_report.json"]),
+                 ["rmse_report.csv", "rmse_report.json"], {}),
     "bench": (["--model-file", "{m}/model.ccm", "--dataset", "{m}/test.csv",
                "--samples", "50"], ["bench"], ["model.ccm", "test.csv"],
-              ["latency.csv", "latency.json"]),
+              ["latency.csv", "latency.json"],
+              {"eval": {"latency_samples": 50}}),
     "sweep": (["--directions", "j1", "--sparsities", "0.5"], ["sweep"], [],
-              ["sweep.csv", "sweep.json"]),
+              ["sweep.csv", "sweep.json"],
+              {"trajectory": {"sparsities": (0.5,)}}),
     "pipeline": ([], ["generate", "record", "process", "train[linear]",
-                      "evaluate", "bench"], [], PIPELINE_OUTPUTS),
+                      "evaluate", "bench"], [], PIPELINE_OUTPUTS, {}),
 }
 
 
 @pytest.mark.parametrize("command", list(CONTRACT))
 def test_manifest_contract(runner, fast_cfg, made, tmp_path, command):
-    args, stages, inputs, outputs = CONTRACT[command]
+    args, stages, inputs, outputs, changes = CONTRACT[command]
     out = tmp_path / "o"
     invoke(runner, out_args(fast_cfg, out) + [command] +
            [a.format(m=made) for a in args])
@@ -507,6 +553,89 @@ def test_manifest_contract(runner, fast_cfg, made, tmp_path, command):
     assert [s["name"] for s in m.stages] == stages
     assert set(m.inputs) == {str(made / n) for n in inputs}
     assert set(m.outputs) == {str(out / n) for n in outputs}
-    assert m.config_hash == hash_config(load_config(fast_cfg).to_dict())
+    # the manifest hashes the config the run used: the options applied
+    want = load_config(fast_cfg)
+    for section, values in changes.items():
+        want = replace(want, **{section: replace(getattr(want, section),
+                                                 **values)})
+    assert m.config == want.to_dict()
+    assert m.config_hash == hash_config(want.to_dict())
     assert sorted(p.name for p in out.iterdir()) == sorted(
         {n.split("/")[0] for n in outputs} | {"manifest.json"})
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count: what stays byte-identical
+
+
+THREADS_TOML = """
+[trajectory]
+direction = "j2j3"
+sparsity = 0.5
+
+[training]
+model = "{kind}"
+
+[eval]
+latency_samples = 50
+repeats = 1
+"""
+
+#: Runs ``cablecal pipeline`` once per named run in one process; a run
+#: named ``<kind>`` or ``<kind>-<suffix>`` uses ``<root>/<kind>.toml``.
+THREADS_SCRIPT = """
+import sys
+from cablecal.cli import main
+root, runs = sys.argv[1], sys.argv[2:]
+for run in runs:
+    main.main(["--config", f"{root}/{run.split('-')[0]}.toml", "--seed", "3",
+               "--out-dir", f"{root}/{run}", "pipeline", "--epochs", "3",
+               "--time-scale", "20"], prog_name="cablecal", standalone_mode=False)
+"""
+
+#: Outputs that carry wall-clock timings or the run's own paths.
+TIMED = {"manifest.json", "latency.csv", "latency.json"}
+
+
+def _artifact_hashes(run_dir: Path) -> dict:
+    return {p.relative_to(run_dir).as_posix(): hash_file(p)
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name not in TIMED}
+
+
+def test_blas_thread_count_contract(tmp_path):
+    # Two processes, one under each BLAS thread count. Offset, linear and
+    # poly2 artifacts, and every MLP artifact upstream of the fit, are the
+    # same bytes under both. A seeded MLP run is byte-identical to a rerun
+    # at the same thread count; across thread counts its model and report
+    # may differ, since a threaded weight-gradient GEMM splits its sum
+    # differently.
+    kinds = ("offset", "linear", "poly2", "mlp")
+    src = str(Path(cablecal.__file__).resolve().parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+        for kind in kinds:
+            (root / f"{kind}.toml").write_text(THREADS_TOML.format(kind=kind))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", THREADS_SCRIPT, str(root), *kinds,
+             "mlp-rerun"], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True))
+    for proc in procs:
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+    one, two = tmp_path / "1", tmp_path / "2"
+    for kind in ("offset", "linear", "poly2"):
+        assert _artifact_hashes(one / kind) == _artifact_hashes(two / kind), kind
+    mlp = _artifact_hashes(one / "mlp")
+    assert {"model.ccm", "rmse_report.csv", "train.csv"} <= set(mlp)
+    upstream = {k for k in mlp if k not in ("model.ccm", "rmse_report.csv",
+                                            "rmse_report.json")}
+    other = _artifact_hashes(two / "mlp")
+    assert {k: mlp[k] for k in upstream} == {k: other[k] for k in upstream}
+    for root in (one, two):
+        assert _artifact_hashes(root / "mlp") == _artifact_hashes(root / "mlp-rerun")

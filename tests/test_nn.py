@@ -224,6 +224,18 @@ def test_non_finite_loss_raises():
         train_mlp(X, Y, cfg, seed=0)
 
 
+def test_divergence_names_the_epoch_and_the_last_finite_losses():
+    X, Y = small_problem()
+    cfg = MlpConfig(hidden=(8,), epochs=5, batch_size=256, lr=1e18)
+    _, finite = train_mlp(X, Y, replace(cfg, epochs=1), seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError) as info:
+        train_mlp(X, Y, cfg, seed=0)     # one step of 1e18 overflows float32
+    msg = str(info.value)
+    assert "at epoch 1 of 5 (lr=1e+18)" in msg
+    assert msg.endswith(f"last finite epoch losses: {finite[0]:.6g}")
+
+
 def test_final_short_batch_is_used():
     # batch 1024 with n=10 would be one short batch; make sure a tiny set
     # still trains (moves weights)
@@ -351,7 +363,13 @@ def test_training_matches_reference_loop_bitwise():
     cfg = replace(ALL_PENALTIES, epochs=3, batch_size=64)
     net, curve = train_mlp(X, Y, cfg, seed=4)
 
+    # train_mlp runs in float32: the data and the seeded initial parameters
+    # are rounded to float32 before the first step, and the trained
+    # parameters are handed back as float64
     ref = Mlp(X.shape[1], Y.shape[1], cfg, seed=4)
+    ref.weights = [w.astype(np.float32) for w in ref.weights]
+    ref.biases = [b.astype(np.float32) for b in ref.biases]
+    X, Y = X.astype(np.float32), Y.astype(np.float32)
     rng = np.random.default_rng(4)
     params = ref.parameters()
     opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
@@ -367,7 +385,54 @@ def test_training_matches_reference_loop_bitwise():
         want_curve.append(float(np.mean(losses)))
     assert np.array_equal(curve, np.array(want_curve))
     for a, b in zip(net.parameters(), params):
-        assert _bits_equal(a, b)
+        assert b.dtype == np.float32
+        assert _bits_equal(a, b.astype(np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_gradients_and_adam_keep_the_input_dtype(monkeypatch, dtype):
+    # a float64 scalar or temporary anywhere in the hot path would silently
+    # upcast float32 training; float64 in must stay float64 for the oracles
+    seen = []
+
+    def sigmoid(z):
+        seen.append(z.dtype)
+        return _sigmoid(z)
+
+    monkeypatch.setattr(nn_mod, "_sigmoid", sigmoid)
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(33, 6)).astype(dtype)
+    Y = rng.normal(size=(33, 3)).astype(dtype)
+    net = _nudged_net(ALL_PENALTIES)
+    net.weights = [w.astype(dtype) for w in net.weights]
+    net.biases = [b.astype(dtype) for b in net.biases]
+    hidden = []
+    out = forward(net.weights, net.biases, X, hidden=hidden)
+    _, grads = net.loss_and_grads(X, Y)
+    params = net.parameters()
+    opt = Adam(params, lr=3e-3)
+    for _ in range(2):
+        opt.step(params, grads)
+    assert len(seen) == 4                       # two hidden layers, two passes
+    for a in [out, *hidden, *grads, *params, *opt.m, *opt.v]:
+        assert a.dtype == dtype
+    assert set(seen) == {np.dtype(dtype)}
+
+
+def test_train_mlp_trains_in_float32_and_returns_float64(monkeypatch):
+    seen = set()
+    step = Adam.step
+
+    def recording_step(self, params, grads):
+        seen.update(a.dtype for a in [*params, *grads, *self.m, *self.v])
+        step(self, params, grads)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    X, Y = small_problem(n=40)
+    net, curve = train_mlp(X, Y, MlpConfig(hidden=(5,), epochs=2, batch_size=16))
+    assert seen == {np.dtype(np.float32)}
+    assert all(p.dtype == np.float64 for p in net.parameters())
+    assert curve.dtype == np.float64 and np.all(np.isfinite(curve))
 
 
 # --- memory ----------------------------------------------------------------
