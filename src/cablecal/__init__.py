@@ -14,9 +14,9 @@ from .core import DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, JointLimits
 from .data import (Dataset, NormStats, RecordedBag, concat, load_bag,
                    load_dataset, record, save_bag, save_dataset,
                    split_and_normalize, synchronize)
-from .evaluate import (LatencyReport, RmseReport, SweepTable, bench_latency,
-                       decay_curve, direction_sweep, evaluate_model,
-                       feature_robustness, rmse)
+from .evaluate import (LatencyReport, RmseReport, Score, ScoreTable,
+                       bench_latency, decay_curve, direction_sweep,
+                       evaluate_model, feature_robustness, rmse)
 from .manifest import RunManifest, load_manifest
 from .models import (END_TO_END, ON_ERROR, CalibrationModel, FixedOffsetModel,
                      LinearModel, MlpModel, PolyModel, deserialize, fit_linear,
@@ -32,8 +32,8 @@ __all__ = [
     "FeatureSchema", "FixedOffsetModel", "JointLimits", "LARGE_CONFIG",
     "LatencyReport", "LinearModel", "Mlp", "MlpConfig", "MlpModel",
     "NormStats", "ON_ERROR", "PolyModel", "RecordedBag", "RmseReport",
-    "RunManifest", "SimSession", "SweepTable", "Trajectory", "bench_latency",
-    "concat", "decay_curve", "default_error_model",
+    "RunManifest", "Score", "ScoreTable", "SimSession", "Trajectory",
+    "bench_latency", "concat", "decay_curve", "default_error_model",
     "deserialize", "direction_sweep", "evaluate_model", "feature_robustness",
     "fit_linear", "fit_mlp", "fit_offset", "fit_poly2", "generate", "load",
     "load_bag", "load_config", "load_dataset", "load_manifest", "record",

@@ -246,9 +246,9 @@ def _train(state: CliState, ds, name=MODEL_FILE):
     return model
 
 
-def _evaluate(state: CliState, model, ds, base_ds=None, bucket_s=None):
+def _evaluate(state: CliState, model, ds, base_ds=None, decay=False):
     """Score ``model`` on ``ds`` against a fixed offset fit on ``base_ds``
-    (default: ``ds``); a ``bucket_s`` adds hour-bucket decay rows."""
+    (default: ``ds``); ``decay`` adds hour-bucket decay rows."""
     csv_path = state.out_dir / "rmse_report.csv"
     with _stage(state, "evaluate", _sidecars(csv_path)):
         model = _loaded(model, deserialize)
@@ -259,8 +259,8 @@ def _evaluate(state: CliState, model, ds, base_ds=None, bucket_s=None):
         offset = fit_offset(base_ds, model.mode)
         report = evaluate_model(model, ds, offset)
         rows = report.to_rows()
-        if bucket_s is not None:
-            for rep in decay_curve(model, ds, offset, bucket_s):
+        if decay:
+            for rep in decay_curve(model, ds, offset):
                 rows.extend(rep.to_rows())
         for row in rows:
             row["model"] = model.kind
@@ -400,13 +400,10 @@ def train_command(state, dataset_path, name):
 @_input_option("--train-dataset", default=None,
                help="Dataset for the fixed-offset baseline (default: eval set).")
 @click.option("--decay", is_flag=True, help="Also emit hour-bucket decay rows.")
-@click.option("--bucket-s", type=float, default=3600.0, show_default=True)
 @click.pass_obj
-def evaluate_command(state, model_file, dataset_path, train_dataset, decay,
-                     bucket_s):
+def evaluate_command(state, model_file, dataset_path, train_dataset, decay):
     """Score a model file: per-joint RMSE vs raw and fixed-offset baselines."""
-    _evaluate(state, model_file, dataset_path, train_dataset,
-              bucket_s if decay else None)
+    _evaluate(state, model_file, dataset_path, train_dataset, decay)
 
 
 @main.command("bench")
@@ -456,8 +453,10 @@ def sweep_command(state, directions, with_mlp):
             train_frac=cfg.training.train_frac, load=cfg.eval.load)
         rows = table.to_rows()
         write_report(rows, rows, sweep_csv)
-        for model in table.model_names():
-            best = [table.best_direction(model, j) for j in range(3)]
+        for model in dict.fromkeys(s.labels["model"] for s in table.scores):
+            scores = [s for s in table.scores if s.labels["model"] == model]
+            best = [min(scores, key=lambda s: s.rmse[j]).labels["direction"]
+                    for j in range(3)]
             click.echo(f"  best direction per joint [{model}]: "
                        f"j1={best[0]} j2={best[1]} j3={best[2]}")
 

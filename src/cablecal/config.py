@@ -20,12 +20,11 @@ that NaN fails, so an object built in code meets the same rules.
 
 from __future__ import annotations
 
-import math
 import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .core import DEFAULT_LIMITS, JointLimits, _read_json
+from .core import DEFAULT_LIMITS, JointLimits, _finite, _read_json
 from .data import SYNC_TOLERANCE_S
 from .models import MODEL_KINDS, MODES, ON_ERROR
 from .nn import MlpConfig
@@ -146,13 +145,6 @@ _SECTIONS = {
     "training": (_training_dict, _training),
     "eval": (_jsonable, lambda d: EvalConfig(**d)),
 }
-
-
-def _finite(value) -> bool:
-    """No NaN or infinity in a parsed value, lists nested to any depth."""
-    if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -71,6 +72,21 @@ class JointLimits:
     @classmethod
     def from_dict(cls, d: dict) -> "JointLimits":
         return cls(d["min"], d["max"])
+
+
+def _finite(value) -> bool:
+    """No NaN or infinity in a parsed JSON or TOML value. Lists and tables
+    are walked to any depth, ragged ones too (per-layer weights), and a
+    numeric string inside a list, such as ``"nan"``, counts as a number;
+    other values (strings, booleans, dates) pass."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        try:
+            return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+        except (TypeError, ValueError):     # ragged or not all numeric
+            return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def json_digest(obj) -> str:

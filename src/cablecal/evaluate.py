@@ -104,15 +104,13 @@ def evaluate_model(model: CalibrationModel, ds: Dataset,
 
 
 def decay_curve(model: CalibrationModel, ds: Dataset,
-                offset_model: CalibrationModel, bucket_s: float = 3600.0) -> list:
+                offset_model: CalibrationModel) -> list:
     """Hour-by-hour RMSE reports over a long session.
 
-    Buckets are left-closed [h*bucket_s, (h+1)*bucket_s) relative to the
-    first sample time; empty buckets are absent from the returned list.
+    Buckets are left-closed [h, h+1) hours relative to the first sample
+    time; empty buckets are absent from the returned list.
     """
-    if bucket_s <= 0:
-        raise EvalError(f"bucket_s must be positive, got {bucket_s}")
-    hours = np.floor((ds.t - ds.t[0]) / bucket_s).astype(int)
+    hours = np.floor((ds.t - ds.t[0]) / 3600.0).astype(int)
     reports = []
     for h in np.unique(hours):
         reports.append(evaluate_model(model, ds.take(hours == h), offset_model,
@@ -216,90 +214,11 @@ def bench_latency(model: CalibrationModel, X, n_samples: int = 10_000,
 
 
 @dataclass(frozen=True)
-class SweepCell:
-    direction: str
-    model: str
-    rmse: np.ndarray        # (3,)
-    percentage: np.ndarray  # (3,) vs same-direction fixed offset
-    n_train: int
-    n_test: int
+class Score:
+    """One fit's per-joint test RMSE, and that RMSE as a fraction of the
+    fixed offset's, under the ``labels`` that name the fit in a table."""
 
-
-@dataclass(frozen=True)
-class SweepTable:
-    cells: tuple
-
-    def model_names(self) -> tuple:
-        seen = dict.fromkeys(c.model for c in self.cells)
-        return tuple(seen)
-
-    def best_direction(self, model: str, joint: int) -> str:
-        cells = [c for c in self.cells if c.model == model]
-        if not cells:
-            raise KeyError(model)
-        return min(cells, key=lambda c: c.rmse[joint]).direction
-
-    def to_rows(self) -> list:
-        return _per_joint_rows(self.cells, lambda c: {"direction": c.direction,
-                                                      "model": c.model})
-
-
-def _per_joint_rows(scores, labels) -> list:
-    """One row per score and joint: the ``labels(score)`` columns, then the
-    joint's rmse, percentage and the row counts."""
-    return [{**labels(s), "joint": joint, "rmse": float(s.rmse[j]),
-             "percentage": float(s.percentage[j]),
-             "n_train": s.n_train, "n_test": s.n_test}
-            for s in scores for j, joint in enumerate(JOINTS)]
-
-
-def _cell_seed(seed: int, i: int, j: int) -> int:
-    return seed * 10007 + i * 101 + j
-
-
-def direction_sweep(error_model: CableErrorModel, fits: Optional[dict] = None, *,
-                    directions: Sequence = DIRECTIONS,
-                    sparsities: Sequence = (1 / 2, 1 / 3, 1 / 4),
-                    limits: JointLimits = DEFAULT_LIMITS, rates=(30.0, 100.0),
-                    seed: int = 0, time_scale: float = 1.0,
-                    train_frac: float = 0.8, load="unloaded") -> SweepTable:
-    """Fit and score each model per trajectory direction.
-
-    For every direction, the sessions for all requested sparsities are
-    recorded and combined into one dataset, split into contiguous
-    train/test blocks. ``fits`` maps report names to callables
-    ``train_ds -> model``; the fixed-offset baseline is always fitted and
-    reported, and supplies the percentage denominator.
-    """
-    fits = dict(fits) if fits else {"linear": fit_linear}
-    cells = []
-    for i, direction in enumerate(directions):
-        parts = [synchronize(record(
-            generate(direction, sp, limits), error_model, load=load,
-            rates=rates, seed=_cell_seed(seed, i, j), time_scale=time_scale,
-            limits=limits)) for j, sp in enumerate(sparsities)]
-        ds = concat(parts) if len(parts) > 1 else parts[0]
-        train, test = split_and_normalize(ds, train_frac)
-        offset = fit_offset(train)
-        base = rmse(offset.predict_batch(test.inputs), test.targets)
-        cells.append(SweepCell(direction, "offset", base,
-                               base / base, len(train), len(test)))
-        for name, fit in fits.items():
-            model = fit(train)
-            r = rmse(model.predict_batch(test.inputs), test.targets)
-            cells.append(SweepCell(direction, name, r, r / base,
-                                   len(train), len(test)))
-    return SweepTable(tuple(cells))
-
-
-# --------------------------------------------------------------------------
-# feature robustness
-
-
-@dataclass(frozen=True)
-class RobustnessEntry:
-    name: str
-    mask: str               # "selected16" or "full138"
+    labels: dict
     rmse: np.ndarray        # (3,)
     percentage: np.ndarray  # (3,) vs fixed offset
     n_train: int
@@ -307,11 +226,63 @@ class RobustnessEntry:
 
 
 @dataclass(frozen=True)
-class RobustnessReport:
-    entries: tuple
+class ScoreTable:
+    scores: tuple
 
     def to_rows(self) -> list:
-        return _per_joint_rows(self.entries, lambda e: {"fit": e.name, "mask": e.mask})
+        """One row per score and joint: the labels, then the joint's rmse,
+        percentage and the row counts."""
+        return [{**s.labels, "joint": joint, "rmse": float(s.rmse[j]),
+                 "percentage": float(s.percentage[j]),
+                 "n_train": s.n_train, "n_test": s.n_test}
+                for s in self.scores for j, joint in enumerate(JOINTS)]
+
+
+def _scores(train: Dataset, test: Dataset, offset_labels: dict, fits) -> list:
+    """Score the fixed offset fit on ``train`` and each ``(labels, model,
+    test set)`` of ``fits``; every percentage divides by the offset's RMSE
+    on ``test``, and every score counts the rows of ``train`` and ``test``."""
+    base = rmse(fit_offset(train).predict_batch(test.inputs), test.targets)
+    scores = [Score(offset_labels, base, base / base, len(train), len(test))]
+    for labels, model, on in fits:
+        r = rmse(model.predict_batch(on.inputs), on.targets)
+        scores.append(Score(labels, r, r / base, len(train), len(test)))
+    return scores
+
+
+def direction_sweep(error_model: CableErrorModel, fits: Optional[dict] = None, *,
+                    directions: Sequence = DIRECTIONS,
+                    sparsities: Sequence = (1 / 2, 1 / 3, 1 / 4),
+                    limits: JointLimits = DEFAULT_LIMITS, rates=(30.0, 100.0),
+                    seed: int = 0, time_scale: float = 1.0,
+                    train_frac: float = 0.8, load="unloaded") -> ScoreTable:
+    """Fit and score each model per trajectory direction.
+
+    For every direction, the sessions for all requested sparsities are
+    recorded and combined into one dataset, split into contiguous
+    train/test blocks. ``fits`` maps report names to callables
+    ``train_ds -> model``; the fixed-offset baseline is always fitted and
+    reported, and supplies the percentage denominator. Each score is
+    labelled by ``direction`` and ``model``.
+    """
+    fits = dict(fits) if fits else {"linear": fit_linear}
+    scores = []
+    for i, direction in enumerate(directions):
+        parts = [synchronize(record(
+            generate(direction, sp, limits), error_model, load=load,
+            rates=rates, seed=seed * 10007 + i * 101 + j,
+            time_scale=time_scale, limits=limits))
+            for j, sp in enumerate(sparsities)]
+        ds = concat(parts) if len(parts) > 1 else parts[0]
+        train, test = split_and_normalize(ds, train_frac)
+        scores += _scores(train, test, {"direction": direction, "model": "offset"},
+                          (({"direction": direction, "model": name}, fit(train), test)
+                           for name, fit in fits.items()))
+    return ScoreTable(tuple(scores))
+
+
+# --------------------------------------------------------------------------
+# feature robustness
 
 
 def _subsample(ds: Dataset, n: int) -> Dataset:
@@ -324,7 +295,7 @@ def _subsample(ds: Dataset, n: int) -> Dataset:
 
 def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,
                        seed: int = 0, mlp_config: Optional[MlpConfig] = None,
-                       large_config: Optional[MlpConfig] = None) -> RobustnessReport:
+                       large_config: Optional[MlpConfig] = None) -> ScoreTable:
     """Compare fits on the selected 16 inputs vs the full 138-feature vector.
 
     The same training rows feed every fit, with only the input selection
@@ -332,7 +303,8 @@ def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,
     given, training is restricted to the first ``n_train`` rows of the
     recording (a short contiguous session).  Reported fits: fixed offset,
     linear on both masks, the standard MLP on the selected mask and the
-    large regularized MLP on the full mask.
+    large regularized MLP on the full mask, each labelled by ``fit`` and
+    ``mask``.
     """
     from .models import fit_mlp
 
@@ -347,25 +319,14 @@ def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,
         sel_train = _subsample(sel_train, n_train)
         full_train = _subsample(full_train, n_train)
 
-    offset = fit_offset(sel_train)
-    base = rmse(offset.predict_batch(sel_test.inputs), sel_test.targets)
-
-    def entry(name, mask, model, test):
-        r = rmse(model.predict_batch(test.inputs), test.targets)
-        return RobustnessEntry(name, mask, r, r / base,
-                               len(sel_train), len(sel_test))
-
-    entries = [
-        RobustnessEntry("offset", "selected16", base, base / base,
-                        len(sel_train), len(sel_test)),
-        entry("linear-selected", "selected16", fit_linear(sel_train), sel_test),
-        entry("linear-full", "full138", fit_linear(full_train), full_test),
-        entry("mlp-selected", "selected16",
-              fit_mlp(sel_train, config=mlp_config, seed=seed), sel_test),
-        entry("mlp-large-full", "full138",
-              fit_mlp(full_train, config=large_config, seed=seed), full_test),
-    ]
-    return RobustnessReport(tuple(entries))
+    sel, full = {"mask": "selected16"}, {"mask": "full138"}
+    fits = (({"fit": "linear-selected", **sel}, fit_linear(sel_train), sel_test),
+            ({"fit": "linear-full", **full}, fit_linear(full_train), full_test),
+            ({"fit": "mlp-selected", **sel},
+             fit_mlp(sel_train, config=mlp_config, seed=seed), sel_test),
+            ({"fit": "mlp-large-full", **full},
+             fit_mlp(full_train, config=large_config, seed=seed), full_test))
+    return ScoreTable(tuple(_scores(sel_train, sel_test, {"fit": "offset", **sel}, fits)))
 
 
 # --------------------------------------------------------------------------

@@ -39,10 +39,6 @@ def hash_tree(path) -> str:
     return h.hexdigest()
 
 
-def hash_config(config_dict: dict) -> str:
-    return json_digest(config_dict)
-
-
 def _hash_artifact(path: Path) -> str:
     return hash_tree(path) if path.is_dir() else hash_file(path)
 
@@ -59,7 +55,7 @@ class RunManifest:
 
     @property
     def config_hash(self) -> str:
-        return hash_config(self.config)
+        return json_digest(self.config)
 
     def add_input(self, path) -> None:
         path = Path(path)

@@ -35,8 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FeatureSchema, _read_json, _replacing, json_digest,
-                   write_json)
+from .core import (FeatureSchema, _finite, _read_json, _replacing,
+                   json_digest, write_json)
 from .data import Dataset, NormStats
 from .nn import MlpConfig, forward, train_mlp
 
@@ -287,6 +287,13 @@ class PolyModel(_AffineModel):
         return cls(mode, schema, norm, payload["coef"], payload["intercept"])
 
 
+def _layer_shapes(schema: FeatureSchema, config: MlpConfig) -> tuple:
+    """(weight shapes, bias shapes) of an MLP whose layers chain from the
+    schema's selected width through ``config.hidden`` to the 3 joints."""
+    dims = (schema.dim_selected, *config.hidden, 3)
+    return list(zip(dims, dims[1:])), [(n,) for n in dims[1:]]
+
+
 class MlpModel(CalibrationModel):
     """Trained MLP with input/target normalization folded into the weights.
 
@@ -309,10 +316,11 @@ class MlpModel(CalibrationModel):
         super().__init__(mode, schema)
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
-        if (len(self.weights) != len(self.biases)
-                or self.weights[0].shape[0] != schema.dim_selected
-                or self.weights[-1].shape[1] != 3):
-            raise ModelError("MLP layer shapes do not match schema/outputs")
+        got = ([w.shape for w in self.weights], [b.shape for b in self.biases])
+        want = _layer_shapes(schema, config)
+        if got != want:
+            raise ModelError(f"MLP (weight, bias) shapes {got} do not chain the schema "
+                             f"width, config.hidden and 3 outputs: {want}")
         self.config = config
         self.train_curve = list(train_curve) if train_curve is not None else None
         self.seed = seed
@@ -361,18 +369,21 @@ class MlpModel(CalibrationModel):
     def from_payload(cls, payload, mode, schema):
         weights, biases = payload["weights"], payload["biases"]
         curve, seed = payload.get("train_curve"), payload.get("seed")
+        config = MlpConfig.from_dict(payload["config"])
+        w_shapes, b_shapes = _layer_shapes(schema, config)
         for entry, ok, expected in (
                 ("weights", isinstance(weights, list)
-                 and all(np.ndim(w) == 2 for w in weights), "a list of matrices"),
+                 and [np.shape(w) for w in weights] == w_shapes,
+                 f"matrices of shapes {w_shapes}"),
                 ("biases", isinstance(biases, list)
-                 and all(np.ndim(b) == 1 for b in biases), "a list of vectors"),
+                 and [np.shape(b) for b in biases] == b_shapes,
+                 f"vectors of shapes {b_shapes}"),
                 ("train_curve", curve is None or isinstance(curve, list)
                  and all(type(v) in (int, float) for v in curve), "a list of numbers"),
                 ("seed", seed is None or type(seed) is int, "an integer")):
             if not ok:
                 raise ModelError(f"malformed model file entry {entry!r}: expected {expected}")
-        return cls(mode, schema, weights, biases,
-                   MlpConfig.from_dict(payload["config"]), curve, seed)
+        return cls(mode, schema, weights, biases, config, curve, seed)
 
 
 _KINDS = {cls.kind: cls for cls in
@@ -483,18 +494,6 @@ def serialize(model: CalibrationModel, path) -> None:
     doc["checksum"] = _checksum(doc)
     with _replacing(path) as (fh,):
         write_json(doc, fh)
-
-
-def _finite(value) -> bool:
-    """Every number in a JSON value is finite (``json`` reads NaN/Infinity)."""
-    if isinstance(value, dict):
-        return all(_finite(v) for v in value.values())
-    if value is None or isinstance(value, str):
-        return True
-    try:
-        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
-    except (TypeError, ValueError):     # ragged nesting, e.g. per-layer lists
-        return all(_finite(v) for v in value)
 
 
 def deserialize(path) -> CalibrationModel:

@@ -77,7 +77,8 @@ class MlpConfig:
                 f"hidden must be a tuple of layer widths >= 1, got {self.hidden!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        # written so that NaN fails every rule
+        # written so that NaN fails every rule; a checked value is stored as
+        # a Python float, as a numpy scalar would upcast float32 training
         for names, ok, rule in ((("lr", "eps"), lambda v: v > 0, "> 0"),
                                 (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
                                 (("kernel_l2", "kernel_l1", "bias_l2", "activity_l2"),
@@ -85,6 +86,7 @@ class MlpConfig:
             for name in names:
                 if not ok(getattr(self, name)):
                     raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}

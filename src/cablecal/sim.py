@@ -197,19 +197,7 @@ def apply_homing(model: CableErrorModel, rng: np.random.Generator) -> CableError
 # motion policies
 
 
-class MotionPolicy:
-    """Joint positions/velocities as functions of simulated time (seconds)."""
-
-    duration: float
-
-    def positions(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def velocities(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class TrajectoryFollower(MotionPolicy):
+class TrajectoryFollower:
     """Tracks a scaled trajectory at constant per-joint speeds, then holds."""
 
     def __init__(self, traj: Trajectory, speeds=DEFAULT_SPEEDS):
@@ -234,7 +222,7 @@ class TrajectoryFollower(MotionPolicy):
         return v
 
 
-class HoldPolicy(MotionPolicy):
+class HoldPolicy:
     """Holds one position forever (idle sessions)."""
 
     duration = math.inf
@@ -254,7 +242,7 @@ class HoldPolicy(MotionPolicy):
 SINUSOID_SPEED_RANGE = (0.25, 2.0 / math.pi)
 
 
-class RandomSinusoidPolicy(MotionPolicy):
+class RandomSinusoidPolicy:
     """Each joint independently chases random targets with cosine easing.
 
     Targets are uniform over the joint limits; average segment speeds are
@@ -382,20 +370,18 @@ def _ee_pose(q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Schedule of (t_start, t_end, load) with load = grams or 'idle'.
-
-    Intervals must be non-overlapping and sorted; drift accrues at the 0 g
-    (unloaded, moving) rate in gaps between them, and at the final
-    interval's rate past the end.
+    """Schedule of (t_start, t_end, load) intervals, load = grams or 'idle',
+    back to back from t = 0 as ``SimSession`` builds them from its ``run``
+    calls; ``drift_at`` is defined from 0 to the last interval's end.
     """
 
-    intervals: tuple = ()
+    intervals: tuple
 
     def __post_init__(self):
-        prev_end = -math.inf
+        prev_end = 0.0
         for t0, t1, load in self.intervals:
-            if t1 <= t0 or t0 < prev_end:
-                raise SimError(f"intervals must be sorted and non-overlapping: {self.intervals}")
+            if t0 != prev_end or t1 <= t0:
+                raise SimError(f"intervals must run back to back from 0: {self.intervals}")
             prev_end = t1
 
     def drift_at(self, t: np.ndarray, model: CableErrorModel) -> np.ndarray:
@@ -403,23 +389,10 @@ class LoadProfile:
         knots = [0.0]
         cum = [np.zeros(3)]
         for t0, t1, load in self.intervals:
-            rate = model.drift_rate_per_s(load)
-            if t0 > knots[-1]:
-                knots.append(t0)
-                cum.append(cum[-1])  # gap: unloaded-at-rest treated as 0 g
-                rate_gap = model.drift_rate_per_s(0.0)
-                cum[-1] = cum[-2] + rate_gap * (t0 - knots[-2])
             knots.append(t1)
-            cum.append(cum[-1] + rate * (t1 - t0))
-        knots = np.array(knots)
+            cum.append(cum[-1] + model.drift_rate_per_s(load) * (t1 - t0))
         cum = np.stack(cum)
-        out = np.stack([np.interp(t, knots, cum[:, j]) for j in range(3)], axis=1)
-        # extrapolate past the schedule at the final interval's rate
-        beyond = t > knots[-1]
-        if np.any(beyond):
-            last_rate = model.drift_rate_per_s(self.intervals[-1][2]) if self.intervals else model.drift_rate_per_s(0.0)
-            out[beyond] += np.outer(t[beyond] - knots[-1], last_rate)
-        return out
+        return np.stack([np.interp(t, knots, cum[:, j]) for j in range(3)], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -467,12 +440,16 @@ class SimSession:
         self.error_model = apply_homing(self.error_model, self.rng)
         self._last_dir = np.zeros(3)
 
-    def run(self, policy: MotionPolicy, duration: Optional[float] = None,
+    def run(self, policy, duration: Optional[float] = None,
             load="unloaded") -> tuple:
         """Advance the session, returning (StateStream, TruthStream).
 
-        ``load`` is grams, 'unloaded' (0 g), 'loaded' (load_ref grams) or
-        'idle'. Policy time starts at 0 for each run call.
+        ``policy`` is any object with a ``duration`` in seconds and
+        ``positions(t)`` and ``velocities(t)`` that map an (N,) array of
+        policy times to (N, 3) joint arrays, such as ``TrajectoryFollower``,
+        ``RandomSinusoidPolicy`` or ``HoldPolicy``. Policy time starts at 0
+        for each run call; ``duration`` defaults to the policy's. ``load``
+        is grams, 'unloaded' (0 g), 'loaded' (load_ref grams) or 'idle'.
         """
         if duration is None:
             duration = policy.duration

@@ -123,15 +123,11 @@ def direction_transform(direction: str) -> DirectionTransform:
     return _TRANSFORMS[direction]
 
 
-def moving_joints(direction: str) -> tuple:
-    """Indices of the joints swept by a direction class, e.g. 'j1j3' -> (0, 2)."""
-    direction_transform(direction)
-    return tuple(i for i in range(3) if f"j{i + 1}" in direction)
-
-
 def span_fraction(direction: str) -> float:
-    """Per-joint span of a scaled trajectory as a fraction of the range r."""
-    return math.sqrt(len(moving_joints(direction))) / _SQRT3
+    """Per-joint span of a scaled trajectory as a fraction of the range r:
+    sqrt(n / 3) for a class that sweeps n joints ('j1j3': n = 2)."""
+    direction_transform(direction)
+    return math.sqrt(direction.count("j")) / _SQRT3
 
 
 def _check_sparsity(sparsity: float) -> None:

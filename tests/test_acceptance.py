@@ -314,7 +314,7 @@ def test_criterion_09_feature_robustness():
     train_bag = record(traj, em, seed=31, time_scale=2.0)
     test_bag = record(traj, em, seed=32, time_scale=2.0)
     rep = feature_robustness(train_bag, test_bag, n_train=1200, seed=0)
-    by = {e.name: e for e in rep.entries}
+    by = {s.labels["fit"]: s for s in rep.scores}
 
     lin_full = np.mean(by["linear-full"].percentage)
     mlp_sel = np.mean(by["mlp-selected"].percentage)

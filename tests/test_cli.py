@@ -1,5 +1,6 @@
 """End-to-end CLI coverage plus run-manifest hashing."""
 
+import csv
 import hashlib
 import json
 import os
@@ -16,8 +17,8 @@ import cablecal
 from cablecal import trajectory as traj_mod
 from cablecal.cli import main
 from cablecal.config import load_config
-from cablecal.manifest import (RunManifest, hash_config, hash_file, hash_tree,
-                               load_manifest)
+from cablecal.core import json_digest
+from cablecal.manifest import RunManifest, hash_file, hash_tree, load_manifest
 from cablecal.models import deserialize
 
 FAST_TOML = """
@@ -431,9 +432,9 @@ def test_hash_tree_covers_nested_content(tmp_path):
 
 
 def test_hash_config_ignores_key_order():
-    assert (hash_config({"a": 1, "b": [1, 2]})
-            == hash_config({"b": [1, 2], "a": 1}))
-    assert hash_config({"a": 1}) != hash_config({"a": 2})
+    assert (json_digest({"a": 1, "b": [1, 2]})
+            == json_digest({"b": [1, 2], "a": 1}))
+    assert json_digest({"a": 1}) != json_digest({"a": 2})
 
 
 def test_manifest_round_trip(tmp_path):
@@ -559,9 +560,38 @@ def test_manifest_contract(runner, fast_cfg, made, tmp_path, command):
         want = replace(want, **{section: replace(getattr(want, section),
                                                  **values)})
     assert m.config == want.to_dict()
-    assert m.config_hash == hash_config(want.to_dict())
+    assert m.config_hash == json_digest(want.to_dict())
     assert sorted(p.name for p in out.iterdir()) == sorted(
         {n.split("/")[0] for n in outputs} | {"manifest.json"})
+
+
+def _csv_rows(path: Path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+#: flag -> (subcommand and arguments, a check of the run's output directory)
+FLAGS = {
+    "--decay": (["evaluate", "--model-file", "{m}/model.ccm", "--dataset",
+                 "{m}/test.csv", "--decay"],
+                lambda out: {r["bucket_hour"] for r in _csv_rows(
+                    out / "rmse_report.csv")} >= {"", "0"}),
+    "--full-features": (["process", "--bag", "{m}/bag0", "--full-features"],
+                        lambda out: cablecal.load_dataset(
+                            out / "train.csv").inputs.shape[1] == 138),
+    "--with-mlp": (["sweep", "--directions", "j1", "--sparsities", "0.5",
+                    "--with-mlp"],
+                   lambda out: {r["model"] for r in _csv_rows(
+                       out / "sweep.csv")} == {"offset", "linear", "mlp"}),
+}
+
+
+@pytest.mark.parametrize("flag", list(FLAGS))
+def test_flag_shows_in_its_output(runner, fast_cfg, made, tmp_path, flag):
+    args, check = FLAGS[flag]
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + [a.format(m=made) for a in args])
+    assert check(out)
 
 
 # ---------------------------------------------------------------------------

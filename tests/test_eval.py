@@ -150,12 +150,6 @@ def test_decay_buckets_are_left_closed():
     assert [r.n_samples for r in reports] == [2, 2]  # 3600.0 goes to bucket 1
 
 
-def test_decay_bad_bucket():
-    ds = make_dataset(np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        decay_curve(zero_model(), ds, zero_model(), bucket_s=0.0)
-
-
 # --------------------------------------------------------------------------
 # latency
 
@@ -199,17 +193,16 @@ def test_direction_sweep_table_shape_and_exact_linear():
     table = direction_sweep(noiseless_linear_model(),
                             directions=("j1", "j2"), sparsities=(1 / 2,),
                             seed=1, time_scale=15.0)
-    assert tuple(dict.fromkeys(c.direction for c in table.cells)) == ("j1", "j2")
-    assert set(table.model_names()) == {"offset", "linear"}
-    assert len(table.cells) == 4
-    cell = {(c.direction, c.model): c for c in table.cells}
+    labels = [(s.labels["direction"], s.labels["model"]) for s in table.scores]
+    assert labels == [("j1", "offset"), ("j1", "linear"),
+                      ("j2", "offset"), ("j2", "linear")]
+    cell = dict(zip(labels, table.scores))
     for d in ("j1", "j2"):
         off, lin = cell[d, "offset"], cell[d, "linear"]
         assert np.allclose(off.percentage, 1.0)
         assert np.all(lin.rmse < 1e-6)       # exactly linear error model
         assert np.all(lin.rmse <= off.rmse)
         assert off.n_train > off.n_test > 0
-    assert table.best_direction("linear", 0) in ("j1", "j2")
     rows = table.to_rows()
     assert len(rows) == 12 and {"direction", "model", "joint", "rmse"} <= set(rows[0])
 
@@ -221,7 +214,8 @@ def test_sweep_gapless_direction_not_worse_for_its_joint():
                          noise_sd=(0.05, 0.05, 0.05))
     table = direction_sweep(em, directions=("j1", "j2", "j3", "j2j3"),
                             sparsities=(1 / 2,), seed=3, time_scale=10.0)
-    j1_rmse = {c.direction: c.rmse[0] for c in table.cells if c.model == "linear"}
+    j1_rmse = {s.labels["direction"]: s.rmse[0] for s in table.scores
+               if s.labels["model"] == "linear"}
     for gap_dir in ("j2", "j3", "j2j3"):
         assert j1_rmse["j1"] <= 1.15 * j1_rmse[gap_dir]
 
@@ -244,14 +238,14 @@ def test_feature_robustness_report_structure():
         mlp_config=MlpConfig(hidden=(8,), epochs=10, batch_size=64),
         large_config=MlpConfig(hidden=(16,), epochs=5, batch_size=64,
                                kernel_l1=1e-5, bias_l2=1e-4, activity_l2=1e-5))
-    names = [e.name for e in rep.entries]
+    names = [s.labels["fit"] for s in rep.scores]
     assert names == ["offset", "linear-selected", "linear-full",
                      "mlp-selected", "mlp-large-full"]
-    masks = {e.name: e.mask for e in rep.entries}
+    masks = {s.labels["fit"]: s.labels["mask"] for s in rep.scores}
     assert masks["linear-full"] == "full138" and masks["mlp-selected"] == "selected16"
-    assert np.allclose(rep.entries[names.index("offset")].percentage, 1.0)
-    for e in rep.entries:
-        assert np.all(e.rmse >= 0) and e.n_test > 0
+    assert np.allclose(rep.scores[names.index("offset")].percentage, 1.0)
+    for s in rep.scores:
+        assert np.all(s.rmse >= 0) and s.n_test > 0
     assert len(rep.to_rows()) == 15
 
 
@@ -261,7 +255,7 @@ def test_feature_robustness_subsampling():
         train, test, n_train=20, seed=0,
         mlp_config=MlpConfig(hidden=(4,), epochs=2, batch_size=32),
         large_config=MlpConfig(hidden=(4,), epochs=2, batch_size=32))
-    assert rep.entries[0].n_train == 20
+    assert rep.scores[0].n_train == 20
 
 
 # --------------------------------------------------------------------------

@@ -630,7 +630,10 @@ def test_poly2_norm_of_wrong_width_names_norm(tmp_path):
 @pytest.mark.parametrize("entry, value", [
     ("biases", 5), ("biases", [[[0.0]]]), ("train_curve", "x"),
     ("train_curve", [1.0, "x"]), ("train_curve", [True]), ("seed", "abc"),
-    ("seed", 1.5), ("seed", False)])
+    ("seed", 1.5), ("seed", False),
+    # layers that do not chain 16 -> 4 -> 3 (the config's hidden width)
+    ("weights", [[[0.0] * 100] * 16, [[0.0] * 3] * 50]),
+    ("biases", [[0.0] * 3, [0.0] * 3])])
 def test_wrong_typed_mlp_entry_named(tmp_path, entry, value):
     ds = make_dataset(const_err([1.0, 2.0, 3.0]), n=40)
     p = tmp_path / "m.ccm"
@@ -643,6 +646,17 @@ def test_wrong_typed_mlp_entry_named(tmp_path, entry, value):
 
     with pytest.raises(ModelError, match=f"malformed model file entry '{entry}'"):
         deserialize(_tampered(p, mutate))
+
+
+@pytest.mark.parametrize("w_shapes, b_shapes, hidden", [
+    ([(16, 100), (50, 3)], [(100,), (3,)], (100,)),   # layers do not chain
+    ([(16, 100), (100, 3)], [(7,), (3,)], (100,)),    # short first-layer bias
+    ([(16, 5), (5, 3)], [(5,), (3,)], (100, 100)),    # config.hidden disagrees
+])
+def test_mlp_layers_must_chain_schema_hidden_and_outputs(w_shapes, b_shapes, hidden):
+    with pytest.raises(ModelError, match="do not chain"):
+        MlpModel(ON_ERROR, FULL_SCHEMA, [np.zeros(s) for s in w_shapes],
+                 [np.zeros(s) for s in b_shapes], MlpConfig(hidden=hidden))
 
 
 def test_mlp_without_curve_and_seed_loads(tmp_path):

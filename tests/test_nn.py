@@ -188,6 +188,23 @@ def test_training_is_deterministic_per_seed():
     assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.parameters(), c.parameters()))
 
 
+def test_numpy_scalar_hyperparameters_train_like_python_floats():
+    # a numpy float64 hyperparameter would upcast the float32 training
+    # temporaries to float64 and change the trained bits
+    X, Y = small_problem()
+    floats = dict(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, kernel_l2=5e-4,
+                  kernel_l1=1e-5, bias_l2=1e-4, activity_l2=1e-5)
+    py = MlpConfig(hidden=(8, 8), epochs=5, batch_size=64, **floats)
+    np64 = MlpConfig(hidden=(8, 8), epochs=5, batch_size=64,
+                     **{k: np.float64(v) for k, v in floats.items()})
+    a, curve_a = train_mlp(X, Y, py, seed=3)
+    b, curve_b = train_mlp(X, Y, np64, seed=3)
+    for wa, wb in zip(a.parameters(), b.parameters()):
+        assert np.array_equal(wa, wb)
+    assert np.array_equal(curve_a, curve_b)
+    assert all(type(getattr(np64, k)) is float for k in floats)
+
+
 def test_training_reduces_loss():
     X, Y = small_problem()
     cfg = MlpConfig(hidden=(16,), epochs=60, batch_size=64, kernel_l2=0.0)
