@@ -10,7 +10,12 @@ trajectory, model, report and manifest file is written through
 ``_replacing``, which replaces all the files of one artifact together or
 none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
 (``write_json``), and read back through the checked ``_read_matrix`` and
-``_read_json``.
+``_read_json``. The CSV text is built by numpy (``_format_17g``) and is
+byte-identical to Python's ``%``: digits come from one long-double
+rounding of the value times an exact power of ten, and a value that
+rounding cannot settle is formatted by ``%`` itself. Where long double is
+IEEE double, that is every nonzero value: the same bytes, at the speed of
+``%``.
 """
 
 from __future__ import annotations
@@ -49,8 +54,12 @@ class JointLimits:
 
     def __post_init__(self) -> None:
         for name in ("min", "max"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.isfinite(a).all():
+            try:
+                a = np.asarray(getattr(self, name), dtype=float)
+                ok = a.shape == (3,) and np.isfinite(a).all()
+            except OverflowError:       # an integer too large for a float
+                ok = False
+            if not ok:
                 raise ValueError(f"limits {name} must be 3 finite numbers, "
                                  f"got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(a.tolist()))
@@ -75,18 +84,22 @@ class JointLimits:
 
 
 def _finite(value) -> bool:
-    """No NaN or infinity in a parsed JSON or TOML value. Lists and tables
-    are walked to any depth, ragged ones too (per-layer weights), and a
-    numeric string inside a list, such as ``"nan"``, counts as a number;
-    other values (strings, booleans, dates) pass."""
+    """No NaN, infinity or integer too large for a float in a parsed JSON or
+    TOML value. Lists and tables are walked to any depth, ragged ones too
+    (per-layer weights), and a numeric string inside a list, such as
+    ``"nan"``, counts as a number; other values (strings, booleans, dates)
+    pass."""
     if isinstance(value, dict):
         return all(_finite(v) for v in value.values())
     if isinstance(value, list):
         try:
             return bool(np.isfinite(np.asarray(value, dtype=float)).all())
-        except (TypeError, ValueError):     # ragged or not all numeric
-            return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+        except (TypeError, ValueError, OverflowError):  # ragged, not numeric
+            return all(_finite(v) for v in value)       # or a huge integer
+    try:
+        return not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:           # an integer too large for a float
+        return False
 
 
 def json_digest(obj) -> str:
@@ -242,10 +255,107 @@ def write_json(obj, fh) -> None:
     fh.write("\n")
 
 
-#: Rows formatted per ``%`` call when writing a CSV: as fast as 64 rows
-#: on a 139-column bag (per-row calls are 2x slower on 4-column truth),
-#: and a 16-row chunk holds about 0.16 MB of text and float objects.
-_CSV_CHUNK_ROWS = 16
+#: Values formatted per chunk when writing a CSV (whole rows, at least
+#: one): the chunk's arrays take about 0.8 MB, and on a 2-vCPU x86 machine
+#: 4096 values formatted faster than 2048 or 8192.
+_CSV_CHUNK_VALUES = 4096
+
+#: Longest ``%.17g`` text of a float64, as in ``-2.2250738585072014e-308``.
+_TEXT_WIDTH = 24
+
+#: 10**k for k = 0..20, exact in float64 (as is every power up to 10**22)
+#: and so in long double.
+_POW10 = np.array([float(10 ** k) for k in range(21)], dtype=np.longdouble)
+
+#: How far from one half the fraction of a value scaled to 17 integer
+#: digits must lie for numpy to round it: at least twice the long-double
+#: rounding error of a scaled value below 10**17. Where long double is
+#: IEEE double this is about 22, so no value is rounded there.
+_TIE_BAND = 1e17 * float(np.finfo(np.longdouble).eps)
+
+_DIGIT = np.arange(17, dtype=np.int8)[:, None]
+_ZERO, _POINT, _MINUS = (np.uint8(ord(c)) for c in "0.-")
+
+
+def _format_17g(values: np.ndarray, text: np.ndarray) -> None:
+    """Write the ``'%.17g' % v`` text of each float64 ``values[i]`` into
+    ``text[:, i]`` (``_TEXT_WIDTH`` rows of uint8), padded with NUL bytes.
+
+    A value takes the vectorised path when ``%.17g`` prints it in fixed
+    notation, with its decimal exponent e = floor(log10|v|) in -4..16, or
+    when it is ±0. Its 17 significant digits are D = round(|v| * 10**(16-e)),
+    and the product is rounded once, in long double (a 64-bit significand
+    on x86), because both factors are exact there. If the product's fraction
+    lies more than ``_TIE_BAND`` from one half, D is the correctly rounded
+    value that Python's ``%`` prints too. e is clipped to -4..16, so a value
+    outside that range scales to a D of other than 17 digits. Every value
+    that fails a check is formatted by Python's ``%`` itself: the half-way
+    band (exact ties included), an estimate of e that 10**16 <= D < 10**17
+    refutes (a misestimate or a carry into another decade), scientific
+    notation, NaN, infinities and subnormals. About 2% of a recorded bag's
+    values take that path; where long double is IEEE double, all but ±0 do,
+    and the bytes stay the same.
+    """
+    m = len(values)
+    mag = np.abs(values)
+    zero = mag == 0
+    np.copyto(mag, 1e17, where=~(mag <= 1e17))  # NaN, inf: 18 digits
+    e = np.clip(np.floor(np.log10(mag + zero)), -4, 16).astype(np.int8)
+    scaled = mag.astype(np.longdouble)      # ±0: e = 0 and D = 0
+    scaled *= _POW10[16 - e]
+    whole = scaled.astype(np.uint64)        # truncates: scaled >= 0
+    scaled -= whole
+    frac = scaled.astype(np.float64) - 0.5
+    d = whole + (frac > 0)
+    fast = (np.abs(frac) > _TIE_BAND) & (d >= 10 ** 16) & (d < 10 ** 17)
+    fast |= zero
+
+    # the 17 digits, position-major: d -> 1 + 4 groups of 4 -> digits
+    hi, lo = np.divmod(d, 10 ** 8)
+    hi, lo = hi.astype(np.uint32), lo.astype(np.uint32)
+    groups = np.empty((5, m), np.uint16)
+    q = lo // 10000
+    groups[4], groups[3] = lo - q * 10000, q
+    q = hi // 10000
+    groups[2], hi = hi - q * 10000, q
+    q = hi // 10000
+    groups[1], groups[0] = hi - q * 10000, q
+    digits = np.empty((17, m), np.uint8)
+    digits[0] = groups[0]
+    rest = groups[1:]
+    for j in range(3, -1, -1):
+        q = rest // 10
+        digits[1 + j::4] = rest - q * 10
+        rest = q
+
+    # keep the integer digits and every digit up to the last nonzero one
+    keep = digits != 0
+    for k in range(15, -1, -1):
+        keep[k] |= keep[k + 1]
+    keep |= _DIGIT <= e
+    digits += _ZERO
+    digits *= keep                          # trimmed digits become NUL
+
+    # sign, "0.000" prefix for e < 0, digits with the point after digit e
+    small = e < 0
+    point = e + 1 + small * (16 - e)        # 17: no point among the digits
+    np.multiply(np.signbit(values), _MINUS, out=text[0])
+    np.multiply(small, _ZERO, out=text[1])
+    np.multiply(small, _POINT, out=text[2])
+    for j in range(3):
+        np.multiply(e < -1 - j, _ZERO, out=text[3 + j])
+    body = text[6:]                         # 18 slots: 17 digits, 1 point
+    np.multiply(digits, _DIGIT < point, out=body[:17])
+    body[17] = 0
+    body[1:] += digits * (_DIGIT + 1 > point)
+    body[:17] += (keep & (_DIGIT == point)) * _POINT
+
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        pad = "".join(("%.17g" % v).ljust(_TEXT_WIDTH, "\0")
+                      for v in values[slow].tolist())
+        text[:, slow] = np.frombuffer(pad.encode("ascii"), np.uint8).reshape(
+            len(slow), _TEXT_WIDTH).T
 
 
 def _write_matrix(fh, header: list, blocks) -> None:
@@ -253,15 +363,27 @@ def _write_matrix(fh, header: list, blocks) -> None:
 
     The bytes equal ``np.savetxt(fh, np.column_stack(blocks),
     fmt="%.17g", delimiter=",", header=",".join(header), comments="")``,
-    but rows are formatted a small chunk at a time, so the blocks are never
-    copied into one matrix. ``%.17g`` reloads every float bit-identically.
+    but rows are formatted a chunk of about ``_CSV_CHUNK_VALUES`` values
+    at a time, so the blocks are never copied into one matrix. Each chunk
+    is cast to float64 (an object that has no float value raises), its
+    text is built by ``_format_17g`` in a fixed-width byte table, and the
+    padding is dropped before one ``write``. ``%.17g`` reloads every float
+    bit-identically.
     """
     cols = [b.reshape(-1, 1) if b.ndim == 1 else b for b in blocks]
-    row_fmt = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"
+    width = sum(c.shape[1] for c in cols)
+    rows = max(1, _CSV_CHUNK_VALUES // width)
+    table = np.empty((_TEXT_WIDTH + 1, rows, width), np.uint8)
+    table[-1] = ord(",")                    # the separator after each value
+    table[-1, :, -1] = ord("\n")
+    table = table.reshape(_TEXT_WIDTH + 1, rows * width)
     fh.write(",".join(header) + "\n")
-    for s in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
-        chunk = np.concatenate([c[s:s + _CSV_CHUNK_ROWS] for c in cols], axis=1)
-        fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+    for s in range(0, len(cols[0]), rows):
+        chunk = np.concatenate([c[s:s + rows] for c in cols], axis=1)
+        values = chunk.astype(np.float64, copy=False).ravel()
+        text = table[:, :len(values)]
+        _format_17g(values, text[:-1])
+        fh.write(text.T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _read_matrix(path: Path, width: int, error) -> np.ndarray:

@@ -219,6 +219,21 @@ def test_malformed_config_exits_2_naming_file(runner, tmp_path):
     assert "line 3" in text
 
 
+@pytest.mark.parametrize("name, body", [
+    ("c.json", '{"limits": {"max": [90, 90, %s]}}' % ("9" * 400)),
+    ("c.toml", "[limits]\nmax = [90, 90, %s]\n" % ("9" * 400)),
+], ids=["json", "toml"])
+def test_integer_too_large_for_a_float_exits_2_naming_file_and_key(
+        runner, tmp_path, name, body):
+    p = tmp_path / name
+    p.write_text(body)
+    result = runner.invoke(main, ["--config", str(p), "generate"])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"config error: {p}: [limits] max must be finite" in text
+    assert "Traceback" not in text
+
+
 def test_directory_as_config_exits_2_naming_it(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(tmp_path), "generate"])
     assert result.exit_code == 2

@@ -62,6 +62,14 @@ def test_limits_reject_nonfinite_and_wrong_length(pair, side, j, bad):
         JointLimits(lo, hi)
 
 
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_limits_reject_an_integer_too_large_for_a_float(side):
+    lo, hi = [0, 0, 0], [90, 90, 250]
+    (lo if side == "min" else hi)[2] = 10 ** 400
+    with pytest.raises(ValueError, match=f"limits {side} must be 3 finite"):
+        JointLimits(lo, hi)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_limit_pairs(), st.integers(0, 2), st.booleans())
 def test_limits_reject_min_not_below_max(pair, j, equal):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -330,8 +330,59 @@ def test_sync_matches_reference_loop(ts, tt, tolerance, full_features, strided,
 
 # --- CSV writer against np.savetxt -------------------------------------------------
 
+def _bits(u):
+    """The float64 whose bit pattern is the integer ``u``."""
+    return float(np.uint64(u).view(np.float64))
+
+
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
-           1e308, -1e308, 1.0, -7.0, 12345678901234567.0, 0.1]
+           1e308, -1e308, 1.0, -7.0, 12345678901234567.0, 0.1,
+           _bits(0x7FF4000000000001), _bits(0xFFF4B9712C64C8FA)]  # signalling NaNs
+
+
+def _tie_bounds(j):
+    """Inclusive bounds on ``a`` for ``_tie(j, a)``."""
+    return -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53) - 2
+
+
+def _tie(j, a):
+    """An exact %.17g tie: a / 2**j with ``a`` made odd, read from the
+    decimal string of its digits a * 5**j, which number 18 and end in 5."""
+    return float(f"{(a | 1) * 5 ** j}e-{j}")
+
+
+# the hard cases of the writer's rounding: powers of ten and their
+# neighbours (decade edges), exact ties and integers near 2**53
+_TENS = 10.0 ** np.arange(-5, 18)
+HARD = sorted(set(np.concatenate([
+    _TENS, np.nextafter(_TENS, 0), np.nextafter(_TENS, np.inf),
+    2.0 ** 53 + np.arange(-20.0, 21.0), 2.0 ** 54 + 2 * np.arange(-20.0, 21.0),
+]).tolist()))
+
+FLOAT64 = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from(SPECIAL + HARD)
+           | st.integers(0, 2 ** 64 - 1).map(_bits)                 # raw bits
+           | st.integers(1, 2 ** 52 - 1).map(_bits)                 # subnormals
+           | st.integers(2, 21).flatmap(
+               lambda j: st.integers(*_tie_bounds(j)).map(lambda a: _tie(j, a))))
+
+
+def _pool(seed):
+    """About 9000 hard values, both signs: ``HARD``, exact ties and their
+    neighbours, raw bit patterns, subnormals and normals scaled over the
+    whole fixed-notation range."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for j in range(2, 22):
+        lo, hi = _tie_bounds(j)
+        ties += [_tie(j, int(a)) for a in rng.integers(lo, hi + 1, 50)]
+    ties = np.array(ties)
+    pool = np.concatenate([
+        SPECIAL, HARD, ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
+        rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).view(np.float64),
+        rng.integers(1, 2 ** 52, 500, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 19, 2000)])
+    return np.concatenate([pool, -pool])
 
 
 def savetxt_ref(path, header, blocks):
@@ -339,15 +390,31 @@ def savetxt_ref(path, header, blocks):
                header=",".join(header), comments="")
 
 
+def _split(table, cuts):
+    """``table``'s columns as 1-D blocks (one column) and 2-D blocks."""
+    edges = [0] + sorted(set(cuts)) + [table.shape[1]]
+    return [table[:, a] if b == a + 1 else table[:, a:b]
+            for a, b in zip(edges, edges[1:]) if b > a]
+
+
 @st.composite
 def column_blocks(draw):
-    chunk = core._CSV_CHUNK_ROWS
-    rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1])
-                | st.integers(0, 3 * chunk))
-    values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL)
-    shapes = st.just((rows,)) | st.tuples(st.just(rows), st.integers(1, 4))
-    return draw(st.lists(hnp.arrays(np.float64, shapes, elements=values),
-                         min_size=1, max_size=4))
+    """Either a few rows drawn value by value, or rows that end just
+    before, at or after a chunk boundary of the writer, at the bag (139),
+    truth (4) and single-column widths, drawn from ``_pool``."""
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 12))
+        shapes = st.just((rows,)) | st.tuples(st.just(rows), st.integers(1, 4))
+        return draw(st.lists(hnp.arrays(np.float64, shapes, elements=FLOAT64),
+                             min_size=1, max_size=4))
+    width = draw(st.sampled_from([1, 4, 139]))
+    chunk = max(1, core._CSV_CHUNK_VALUES // width)
+    rows = draw(st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    pool = _pool(draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = pool[rng.integers(len(pool), size=(rows, width))]
+    return _split(table, draw(st.lists(st.integers(1, width - 1), max_size=3))
+                  if width > 1 else [])
 
 
 def write_matrix(path, header, blocks):
@@ -355,8 +422,10 @@ def write_matrix(path, header, blocks):
         core._write_matrix(fh, header, blocks)
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("error")        # no numpy warning on any value
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(blocks=column_blocks())
+@example(blocks=[np.array(SPECIAL)])
 def test_write_matrix_matches_savetxt(blocks):
     width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
     header = [f"c{i}" for i in range(width)]
@@ -400,6 +469,19 @@ def test_saved_bag_and_dataset_bytes_match_savetxt(tmp_path):
         assert (tmp_path / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def test_python_fallback_writes_the_same_bytes(tmp_path, monkeypatch):
+    # a tie band of one half sends every nonzero value to Python's %, as
+    # where long double is IEEE double
+    bag = make_bag(seed=11)
+    monkeypatch.setattr(core, "_TIE_BAND", 0.5)
+    dt.save_bag(bag, tmp_path / "bag")
+    savetxt_ref(tmp_path / "state.csv", ["t"] + list(bag.schema.names),
+                [bag.state.t, bag.state.features])
+    savetxt_ref(tmp_path / "truth.csv", ["t", "q1", "q2", "q3"], [bag.truth.t, bag.truth.q])
+    for name in ("state.csv", "truth.csv"):
+        assert (tmp_path / "bag" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 # --- atomic writes ------------------------------------------------------------------
 
 class _Unformattable:
@@ -412,8 +494,9 @@ def test_failed_matrix_write_keeps_previous_file(tmp_path):
     write_matrix(path, ["a", "b"], [np.arange(3.0), np.ones(3)])
     before = path.read_bytes()
     # fails on a row after the first chunks are already written
-    bad = np.arange(4.0 * core._CSV_CHUNK_ROWS).astype(object)
-    bad[3 * core._CSV_CHUNK_ROWS] = _Unformattable()
+    rows = core._CSV_CHUNK_VALUES // 2          # per chunk, at width 2
+    bad = np.arange(4.0 * rows).astype(object)
+    bad[3 * rows] = _Unformattable()
     with pytest.raises(RuntimeError, match="cannot format"):
         write_matrix(path, ["a", "b"], [np.zeros(len(bad)), bad])
     assert path.read_bytes() == before
