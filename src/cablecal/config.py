@@ -13,18 +13,21 @@ running with defaults. Recognized sections:
 
 Files are read with the stdlib TOML parser. JSON configs (same structure,
 one object with the five sections) are accepted via the ``.json`` extension.
-Every number in a file must be finite, and every error raised for a file
-names that file. The section dataclasses write each value check in a form
-that NaN fails, so an object built in code meets the same rules.
+Every number in a file must be finite, and every key must have the JSON
+type of its default (or be a number where that is a list, or for
+``eval.load``). An error for a file reads ``<file>: entry '<section>.<key>':
+<reason>`` (``'<section>'`` for a section's value check). The section
+dataclasses write each value check in a form that NaN fails, so an object
+built in code meets the same rules.
 """
 
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .core import DEFAULT_LIMITS, JointLimits, _finite, _read_json
+from .core import DEFAULT_LIMITS, JointLimits, _checked, _json_type, _read_json
 from .data import SYNC_TOLERANCE_S
 from .models import MODEL_KINDS, MODES, ON_ERROR
 from .nn import MlpConfig
@@ -112,50 +115,47 @@ class Config:
     eval: EvalConfig = EvalConfig()
 
     def to_dict(self) -> dict:
-        return {name: dump(getattr(self, name))
-                for name, (dump, _) in _SECTIONS.items()}
+        return {name: _table(getattr(self, name)) for name in _SECTIONS}
 
 
-def _jsonable(obj):
-    """A frozen dataclass as JSON-ready data: its fields, tuples as lists."""
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, tuple):
-        return [_jsonable(v) for v in obj]
-    return obj
+#: Each config section's dataclass. A dataclass field of a section (the
+#: ``training`` section's ``mlp``) has its keys in the section's own table.
+_SECTIONS = {"limits": JointLimits, "error_model": CableErrorModel,
+             "trajectory": TrajectoryConfig, "training": TrainingConfig,
+             "eval": EvalConfig}
 
 
-def _training_dict(training: TrainingConfig) -> dict:
-    """The flat ``[training]`` table: the ``mlp`` fields sit beside the rest."""
-    d = _jsonable(training)
-    d.update(d.pop("mlp"))
-    return d
+def _table(section) -> dict:
+    """A section as its flat JSON-ready table, tuples as lists."""
+    out = {}
+    for f in fields(section):
+        v = getattr(section, f.name)
+        out.update(_table(v) if is_dataclass(v) else {f.name: _jsonable(v)})
+    return out
 
 
-def _training(d: dict) -> TrainingConfig:
-    mlp = MlpConfig(**{f.name: d.pop(f.name) for f in fields(MlpConfig)})
-    return TrainingConfig(**d, mlp=mlp)
+def _jsonable(value):
+    return [_jsonable(v) for v in value] if isinstance(value, tuple) else value
 
 
-#: Each config section: its JSON-ready form and its builder from that form.
-_SECTIONS = {
-    "limits": (JointLimits.to_dict, JointLimits.from_dict),
-    "error_model": (_jsonable, lambda d: CableErrorModel(**d)),
-    "trajectory": (_jsonable, lambda d: TrajectoryConfig(**d)),
-    "training": (_training_dict, _training),
-    "eval": (_jsonable, lambda d: EvalConfig(**d)),
-}
+def _built(cls, table: dict):
+    """The dataclass ``cls`` from a flat section table that names each of
+    its fields (and those of a dataclass field), with lists as tuples."""
+    args = {}
+    for f in fields(cls):
+        v = _built(type(f.default), table) if is_dataclass(f.default) else table[f.name]
+        args[f.name] = tuple(v) if isinstance(v, list) else v
+    return cls(**args)
 
 
-def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
-    """``defaults`` updated by ``overrides``, with every list as a tuple."""
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
-    merged = {**defaults, **overrides}
-    return {k: tuple(v) if isinstance(v, list) else v
-            for k, v in merged.items()}
+def _section_check(name: str, base: Config) -> tuple:
+    """The check of config section ``name`` in a ``_checked`` table: each
+    key of the JSON type of its value in ``base`` (or a number, where that
+    is a list or ``eval.load``), built over ``base``'s values."""
+    defaults = _table(getattr(base, name))
+    keys = {k: ((_json_type(v), "number") if isinstance(v, list) or k == "load"
+                else _json_type(v), None, False) for k, v in defaults.items()}
+    return keys, lambda d: _built(_SECTIONS[name], {**defaults, **d})
 
 
 def load_config(path=None) -> Config:
@@ -171,23 +171,7 @@ def load_config(path=None) -> Config:
                else tomllib.loads(path.read_text()))
     except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    unknown = set(raw) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown config section(s): {', '.join(sorted(unknown))}")
-    for section in _SECTIONS:
-        if section in raw and not isinstance(raw[section], dict):
-            raise ConfigError(f"{path}: [{section}] must be a table of keys")
-        for key, value in raw.get(section, {}).items():
-            if not _finite(value):
-                raise ConfigError(f"{path}: [{section}] {key} must be finite")
-
     base = Config()
-    try:
-        return Config(**{
-            name: build(_merge_section(name, dump(getattr(base, name)),
-                                       raw.get(name, {})))
-            for name, (dump, build) in _SECTIONS.items()})
-    except (ValueError, TypeError) as exc:     # ConfigError too: name the file
-        raise ConfigError(f"{path}: {exc}") from exc
+    return replace(base, **_checked(raw, {
+        name: ("object", _section_check(name, base), False) for name in _SECTIONS
+    }, path, ConfigError))

@@ -10,10 +10,12 @@ trajectory, model, report and manifest file is written through
 ``_replacing``, which replaces all the files of one artifact together or
 none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
 (``write_json``), and read back through the checked ``_read_matrix`` and
-``_read_json``. The CSV text is built by numpy (``_format_17g``) and is
-byte-identical to Python's ``%``: digits come from one long-double
-rounding of the value times an exact power of ten, and a value that
-rounding cannot settle is formatted by ``%`` itself. Where long double is
+``_read_json``; every JSON reader is one table of entries for ``_checked``,
+which reports a bad entry as ``<file>: entry '<key>': <reason>``. The CSV
+text is built by numpy (``_format_17g``) and is byte-identical to Python's
+``%``: digits come from one long-double rounding of the value times an
+exact power of ten, and a value that rounding cannot settle is formatted by
+``%`` itself. Where long double is
 IEEE double, that is every nonzero value: the same bytes, at the speed of
 ``%``.
 """
@@ -88,14 +90,16 @@ def _finite(value) -> bool:
     TOML value. Lists and tables are walked to any depth, ragged ones too
     (per-layer weights), and a numeric string inside a list, such as
     ``"nan"``, counts as a number; other values (strings, booleans, dates)
-    pass."""
+    pass. A numeric ndarray is checked as it is."""
     if isinstance(value, dict):
         return all(_finite(v) for v in value.values())
     if isinstance(value, list):
         try:
-            return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+            value = np.asarray(value, dtype=float)
         except (TypeError, ValueError, OverflowError):  # ragged, not numeric
             return all(_finite(v) for v in value)       # or a huge integer
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
     try:
         return not isinstance(value, (int, float)) or math.isfinite(value)
     except OverflowError:           # an integer too large for a float
@@ -160,10 +164,6 @@ class FeatureSchema:
             "selected_mask": [bool(m) for m in self.selected_mask],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(tuple(d["names"]), tuple(bool(m) for m in d["selected_mask"]))
-
 
 def _block(prefix: str) -> list:
     return [f"{prefix}_{ch}" for ch in CHANNELS]
@@ -227,6 +227,12 @@ def build_full_schema() -> FeatureSchema:
 
 #: Canonical schema instance shared by recorder, datasets and models.
 FULL_SCHEMA = build_full_schema()
+
+#: The check of a feature schema entry in a ``_checked`` table.
+_SCHEMA_CHECK = ({"names": ("string", (None,), True),
+                  "selected_mask": ("boolean", (None,), True)},
+                 lambda d: FeatureSchema(tuple(d["names"].tolist()),
+                                         tuple(d["selected_mask"].tolist())))
 
 
 @contextmanager
@@ -413,3 +419,97 @@ def _read_json(path: Path, error) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{path}: top level must be a JSON object")
     return doc
+
+
+#: JSON type names of the Python types a JSON or TOML parser returns.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "integer", float: "number", type(None): "null"}
+
+
+class _Bad(Exception):
+    """What is wrong with one entry; ``_checked`` adds the file and key."""
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _checked(doc, table: dict, path, error, where: str = ""):
+    """The entries of ``doc``, a parsed JSON object (an array: keys "0", "1",
+    ...), checked against ``table``; a bad one raises ``error("<path>: entry
+    '<key>': <reason>")``, nested keys dotted. ``table`` maps each key ("*":
+    any other; else an unknown key is an error) to ``(JSON type, check,
+    required)``, or to a function of the entries checked before it that
+    returns one. The type is a name ("number" takes integers, never
+    booleans), a tuple of names, or None for any. The check is None (the
+    value, walked by ``_finite``), a shape such as ``(None, 3)`` (an array
+    of leaves of the type, as one ndarray), a table or a ``(table, build)``
+    pair (the checked entries, or their build), or a function that returns
+    the value or raises ValueError."""
+    items = doc if isinstance(doc, dict) else {str(i): v for i, v in enumerate(doc)}
+    out = {}
+    for key in [k for k in table if k != "*"] + [k for k in items if k not in table]:
+        try:
+            spec = table.get(key, table.get("*"))
+            if spec is None:
+                raise _Bad("unknown key")
+            kind, check, required = spec(out) if callable(spec) else spec
+            if key in items:
+                out[key] = _entry(items[key], kind, check, path, error, where + key)
+            elif required:
+                raise _Bad("missing")
+        except _Bad as exc:
+            raise error(f"{path}: entry '{where}{key}': {exc}") from exc.__cause__
+    return out if isinstance(doc, dict) else list(out.values())
+
+
+def _entry(value, kind, check, path, error, name: str):
+    """One entry of a ``_checked`` table."""
+    shaped = isinstance(check, tuple) and not isinstance(check[0], dict)
+    want = ("array",) if shaped else (kind,) if isinstance(kind, str) else kind
+    got = _json_type(value)
+    if want and got not in want and not (got == "integer" and "number" in want):
+        raise _Bad(f"expected {' or '.join(want)}, got {got}")
+    if value is None:
+        return None
+    if isinstance(check, dict):
+        check = (check, None)
+    if isinstance(check, tuple) and not shaped:
+        value, check = _checked(value, check[0], path, error, name + "."), check[1]
+    elif not (shaped or _finite(value)):
+        raise _Bad("must be finite")
+    try:
+        return _array(value, kind, check) if shaped else check(value) if check else value
+    except (ValueError, TypeError) as exc:
+        raise _Bad(exc) from exc
+
+
+def _array(value: list, kind: str, shape: tuple) -> np.ndarray:
+    """``value`` as one ndarray of ``shape`` (None: any length) whose leaves
+    all have the JSON type ``kind``: a boolean never passes for a number."""
+    arr = np.array(value, dtype=object)     # ragged rows stay lists
+    got = {_JSON_TYPES.get(t, t.__name__) for t in set(map(type, arr.flat))}
+    allowed = {kind, "integer"} if kind == "number" else {kind}
+    if (arr.ndim != len(shape) or not got <= allowed
+            or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
+        want = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
+        raise ValueError(f"expected a {want} array of {kind}s, got a {arr.shape} "
+                         f"array of {'/'.join(sorted(got))}")
+    try:
+        arr = arr.astype({"number": float, "integer": int, "boolean": bool,
+                          "string": str}[kind])
+    except OverflowError:               # an integer too large for a float
+        raise ValueError("must be finite") from None
+    if kind == "number" and not _finite(arr):
+        raise ValueError("must be finite")
+    return arr
+
+
+def _one_of(*choices):
+    """A check that passes only one of ``choices``."""
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"expected {' or '.join(map(repr, choices))}, "
+                             f"got {value!r}")
+        return value
+    return check

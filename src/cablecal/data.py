@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema, _read_json,
-                   _read_matrix, _replacing, _write_matrix, write_json)
+from .core import (_SCHEMA_CHECK, DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema,
+                   _checked, _read_json, _read_matrix, _replacing,
+                   _write_matrix, write_json)
 from .sim import (CableErrorModel, SimSession, StateStream, TrajectoryFollower,
                   TruthStream)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
@@ -76,18 +77,6 @@ def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
     return RecordedBag(state, truth, FULL_SCHEMA, meta)
 
 
-def _read_sidecar(path: Path) -> tuple:
-    """A JSON header and the feature schema it carries."""
-    head = _read_json(path, DataError)
-    if "schema" not in head:
-        raise DataError(f"{path}: no 'schema' entry")
-    try:
-        schema = FeatureSchema.from_dict(head["schema"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad 'schema' entry ({exc!r})") from exc
-    return head, schema
-
-
 def save_bag(bag: RecordedBag, bag_dir) -> None:
     """Persist as a directory: state.csv, truth.csv, metadata.json, all
     three replaced together."""
@@ -105,7 +94,12 @@ def save_bag(bag: RecordedBag, bag_dir) -> None:
 
 def load_bag(bag_dir) -> RecordedBag:
     bag_dir = Path(bag_dir)
-    head, schema = _read_sidecar(bag_dir / "metadata.json")
+    side_path = bag_dir / "metadata.json"
+    head = _checked(_read_json(side_path, DataError), {
+        "schema": ("object", _SCHEMA_CHECK, True),
+        "metadata": ("object", None, False),
+    }, side_path, DataError)
+    schema = head["schema"]
     state = _read_matrix(bag_dir / "state.csv", 1 + schema.dim_full,
                          DataError)
     truth = _read_matrix(bag_dir / "truth.csv", 4, DataError)
@@ -147,23 +141,13 @@ class NormStats:
         return {"mean": self.mean.tolist(), "sd": self.sd.tolist(),
                 "degenerate": self.degenerate.astype(bool).tolist()}
 
-    @classmethod
-    def from_dict(cls, d) -> "NormStats":
-        """Inverse of :meth:`to_dict`: a key that is missing, or not a list
-        of numbers (bools for ``degenerate``), raises ValueError naming it."""
-        if not isinstance(d, dict):
-            raise ValueError(f"expected an object, got {type(d).__name__}")
-        arrays = []
-        for key, kind in (("mean", float), ("sd", float), ("degenerate", bool)):
-            v = d.get(key)
-            if not (isinstance(v, list) and all(isinstance(x, (int, float))
-                    and isinstance(x, bool) == (kind is bool) for x in v)):
-                raise ValueError(f"key {key!r} is missing" if key not in d else
-                                 f"key {key!r} is not a list of {kind.__name__}s")
-            arrays.append(np.array(v, dtype=kind))
-        if len({len(a) for a in arrays}) > 1:
-            raise ValueError("keys 'mean', 'sd' and 'degenerate' differ in length")
-        return cls(*arrays)
+
+def _norm_check(width: int) -> tuple:
+    """The check of a ``NormStats`` entry of ``width`` features in a
+    ``_checked`` table, for dataset sidecars and poly2 model files alike."""
+    return ({"mean": ("number", (width,), True), "sd": ("number", (width,), True),
+             "degenerate": ("boolean", (width,), True)},
+            lambda d: NormStats(**d))
 
 
 @dataclass(frozen=True)
@@ -311,18 +295,14 @@ def save_dataset(ds: Dataset, csv_path) -> None:
 def load_dataset(csv_path) -> Dataset:
     csv_path = Path(csv_path)
     side_path = csv_path.with_suffix(".json")
-    side, schema = _read_sidecar(side_path)
-    D = schema.dim_selected
+    side = _checked(_read_json(side_path, DataError), {
+        "schema": ("object", _SCHEMA_CHECK, True),
+        "norm": lambda got: (("object", "null"),
+                             _norm_check(got["schema"].dim_selected), False),
+        "meta": ("object", None, False),
+    }, side_path, DataError)
+    D = side["schema"].dim_selected
     mat = _read_matrix(csv_path, 1 + D + 6, DataError)
-    try:
-        norm = None if side.get("norm") is None else NormStats.from_dict(side["norm"])
-    except ValueError as exc:
-        raise DataError(f"{side_path}: bad 'norm' entry ({exc})") from exc
-    if norm is not None and len(norm.mean) != D:
-        raise DataError(f"{side_path}: 'norm' has {len(norm.mean)} features, "
-                        f"the schema selects {D}")
-    if norm is not None and not (np.isfinite(norm.mean).all()
-                                 and np.isfinite(norm.sd).all()):
-        raise DataError(f"{side_path}: 'norm' holds NaN or infinite values")
     return Dataset(mat[:, 0], mat[:, 1:1 + D], mat[:, 1 + D:4 + D],
-                   mat[:, 4 + D:7 + D], schema, norm, side.get("meta", {}))
+                   mat[:, 4 + D:7 + D], side["schema"], side.get("norm"),
+                   side.get("meta", {}))

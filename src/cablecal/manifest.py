@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .core import _read_json, _replacing, json_digest, write_json
+from .core import _checked, _one_of, _read_json, _replacing, json_digest, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -91,17 +91,37 @@ class RunManifest:
         return out
 
 
+def _sha256(value: str) -> str:
+    if len(value) != 64 or set(value) - set("0123456789abcdef"):
+        raise ValueError(f"expected a sha256 of 64 hex digits, got {value!r}")
+    return value
+
+
+#: One ``inputs`` or ``outputs`` value: the artifact's path and hash.
+_ARTIFACT = {"path": ("string", None, True), "sha256": ("string", _sha256, True)}
+
+#: A manifest file: the entries ``RunManifest.to_dict`` writes.
+_MANIFEST = {
+    "tool": ("string", _one_of("cablecal"), True),
+    "tool_version": ("string", None, True),
+    "command": ("string", None, True),
+    "seed": ("integer", None, True),
+    "config": ("object", None, True),
+    "config_hash": lambda got: ("string", _one_of(json_digest(got["config"])), True),
+    "inputs": ("object", {"*": ("object", _ARTIFACT, True)}, True),
+    "outputs": ("object", {"*": ("object", _ARTIFACT, True)}, True),
+    "stages": ("array", {"*": ("object", {"name": ("string", None, True),
+                                         "wall_s": ("number", None, True),
+                                         "sim_s": ("number", None, False)},
+                               True)}, True),
+}
+
+
 def load_manifest(path) -> RunManifest:
     """Read a manifest from a file path or an artifact directory; a missing
     or wrong-typed entry raises ValueError naming the file and the entry."""
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    doc = _read_json(path, ValueError)
-    for f in fields(RunManifest):       # f.type: the annotation, as a string
-        if f.name not in doc:
-            raise ValueError(f"{path}: manifest lacks entry {f.name!r}")
-        if type(doc[f.name]).__name__ != f.type:
-            raise ValueError(f"{path}: manifest entry {f.name!r} must be of type "
-                             f"{f.type}, not {type(doc[f.name]).__name__}")
+    doc = _checked(_read_json(path, ValueError), _MANIFEST, path, ValueError)
     return RunManifest(**{f.name: doc[f.name] for f in fields(RunManifest)})

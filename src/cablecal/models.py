@@ -35,9 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FeatureSchema, _finite, _read_json, _replacing,
-                   json_digest, write_json)
-from .data import Dataset, NormStats
+from .core import (_SCHEMA_CHECK, FeatureSchema, _checked, _json_type,
+                   _one_of, _read_json, _replacing, json_digest, write_json)
+from .data import Dataset, NormStats, _norm_check
 from .nn import MlpConfig, forward, train_mlp
 
 ON_ERROR = "on-error"
@@ -88,7 +88,9 @@ class CalibrationModel:
 
     ``_rep`` holds the reported joints' input positions in the modes whose
     output adds onto them, else None. Each kind supplies ``_row``,
-    ``predict_batch``, ``payload`` and ``from_payload``."""
+    ``predict_batch``, ``payload`` and ``payload_check``: the check of its
+    ``payload`` entry in a ``_checked`` table, whose build makes the
+    model."""
 
     kind: str = "base"
     _correcting_modes = (ON_ERROR,)
@@ -170,8 +172,9 @@ class FixedOffsetModel(CalibrationModel):
         return {"offsets": self.offsets}
 
     @classmethod
-    def from_payload(cls, payload, mode, schema):
-        return cls(mode, schema, payload["offsets"])
+    def payload_check(cls, mode, schema):
+        return ({"offsets": ("number", (3,), True)},
+                lambda p: cls(mode, schema, p["offsets"]))
 
 
 class _AffineModel(CalibrationModel):
@@ -223,8 +226,10 @@ class LinearModel(_AffineModel):
         return {"weights": self.weights.tolist(), "intercept": self.intercept.tolist()}
 
     @classmethod
-    def from_payload(cls, payload, mode, schema):
-        return cls(mode, schema, payload["weights"], payload["intercept"])
+    def payload_check(cls, mode, schema):
+        return ({"weights": ("number", (schema.dim_selected, 3), True),
+                 "intercept": ("number", (3,), True)},
+                lambda p: cls(mode, schema, p["weights"], p["intercept"]))
 
 
 def _poly2_n_terms(d: int) -> int:
@@ -276,15 +281,20 @@ class PolyModel(_AffineModel):
                 "intercept": self.intercept.tolist()}
 
     @classmethod
-    def from_payload(cls, payload, mode, schema):
-        try:
-            norm = NormStats.from_dict(payload["norm"])
-            if len(norm.mean) != schema.dim_selected:
-                raise ValueError(f"{len(norm.mean)} features, the schema selects "
-                                 f"{schema.dim_selected}")
-        except ValueError as exc:
-            raise ModelError(f"malformed model file entry 'norm': {exc}") from exc
-        return cls(mode, schema, norm, payload["coef"], payload["intercept"])
+    def payload_check(cls, mode, schema):
+        d = schema.dim_selected
+        return ({"norm": ("object", _norm_check(d), True),
+                 "coef": ("number", (_poly2_n_terms(d), 3), True),
+                 "intercept": ("number", (3,), True)},
+                lambda p: cls(mode, schema, p["norm"], p["coef"], p["intercept"]))
+
+
+#: The check of an MLP ``config`` entry: each ``MlpConfig`` field, of its
+#: default's JSON type.
+_MLP_CONFIG_CHECK = (
+    {k: ("integer", (None,), True) if k == "hidden" else (_json_type(v), None, True)
+     for k, v in MlpConfig().to_dict().items()},
+    lambda d: MlpConfig(**dict(d, hidden=tuple(d["hidden"].tolist()))))
 
 
 def _layer_shapes(schema: FeatureSchema, config: MlpConfig) -> tuple:
@@ -366,24 +376,18 @@ class MlpModel(CalibrationModel):
         return out
 
     @classmethod
-    def from_payload(cls, payload, mode, schema):
-        weights, biases = payload["weights"], payload["biases"]
-        curve, seed = payload.get("train_curve"), payload.get("seed")
-        config = MlpConfig.from_dict(payload["config"])
-        w_shapes, b_shapes = _layer_shapes(schema, config)
-        for entry, ok, expected in (
-                ("weights", isinstance(weights, list)
-                 and [np.shape(w) for w in weights] == w_shapes,
-                 f"matrices of shapes {w_shapes}"),
-                ("biases", isinstance(biases, list)
-                 and [np.shape(b) for b in biases] == b_shapes,
-                 f"vectors of shapes {b_shapes}"),
-                ("train_curve", curve is None or isinstance(curve, list)
-                 and all(type(v) in (int, float) for v in curve), "a list of numbers"),
-                ("seed", seed is None or type(seed) is int, "an integer")):
-            if not ok:
-                raise ModelError(f"malformed model file entry {entry!r}: expected {expected}")
-        return cls(mode, schema, weights, biases, config, curve, seed)
+    def payload_check(cls, mode, schema):
+        def layers(i):      # weights (i = 0) or biases (i = 1) of each layer
+            return lambda got: ("array", {
+                str(n): ("number", shape, True) for n, shape in
+                enumerate(_layer_shapes(schema, got["config"])[i])}, True)
+        return ({"config": ("object", _MLP_CONFIG_CHECK, True),
+                 "weights": layers(0), "biases": layers(1),
+                 "train_curve": ("number", (None,), False),
+                 "seed": ("integer", None, False)},
+                lambda p: cls(mode, schema, p["weights"], p["biases"], p["config"],
+                              p["train_curve"].tolist() if "train_curve" in p
+                              else None, p.get("seed")))
 
 
 _KINDS = {cls.kind: cls for cls in
@@ -497,32 +501,17 @@ def serialize(model: CalibrationModel, path) -> None:
 
 
 def deserialize(path) -> CalibrationModel:
+    """Read a model file written by :func:`serialize`; a bad entry raises
+    ``ModelError`` naming the file and the entry."""
     doc = _read_json(path, ModelError)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelError(f"not a model file: format tag {doc.get('format')!r}")
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelError(f"unsupported model file version {doc.get('version')!r}")
-    if doc.get("checksum") != _checksum(doc):
-        raise ModelError("model file checksum mismatch (corrupted or edited)")
-    cls = _KINDS.get(doc.get("kind"))
-    if cls is None:
-        raise ModelError(f"unknown model kind {doc.get('kind')!r}")
-    payload = doc.get("payload")
-    if not isinstance(payload, dict):
-        raise ModelError("model payload must be a JSON object")
-    for key, value in payload.items():
-        if not _finite(value):
-            raise ModelError(f"non-finite value in model payload entry {key!r}")
-    entry = "schema"
-    try:
-        schema = FeatureSchema.from_dict(doc["schema"])
-        if doc.get("schema_hash") != schema.hash():
-            raise ModelError("schema hash does not match embedded schema")
-        entry = "payload"
-        return cls.from_payload(payload, doc["mode"], schema)
-    except ModelError:
-        raise
-    except KeyError as exc:
-        raise ModelError(f"model file lacks entry {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ModelError(f"malformed model file entry {entry!r}: {exc}") from exc
+    return _checked(doc, {
+        "format": ("string", _one_of(MODEL_FORMAT), True),
+        "version": ("integer", _one_of(MODEL_VERSION), True),
+        "checksum": ("string", _one_of(_checksum(doc)), True),
+        "kind": ("string", _one_of(*MODEL_KINDS), True),
+        "mode": ("string", _one_of(*MODES), True),
+        "schema": ("object", _SCHEMA_CHECK, True),
+        "schema_hash": lambda got: ("string", _one_of(got["schema"].hash()), True),
+        "payload": lambda got: ("object", _KINDS[got["kind"]].payload_check(
+            got["mode"], got["schema"]), True),
+    }, path, ModelError)["payload"]

@@ -29,11 +29,13 @@ Bit-for-bit reproducibility is part of the contract: ``_sigmoid``, ``forward``,
 ``Mlp.loss_and_grads`` and ``Adam.step`` must return exactly the floats of the
 plain out-of-place reference formulas (kept in ``tests/test_nn.py``), so a
 seeded fit writes the same model bytes on every release, given the same BLAS
-build and thread count: a threaded BLAS may split the batch-row sum of a
-weight-gradient GEMM differently at another thread count, which moves the
-last bits of the trained weights. The hot path is therefore written in
-place -- fewer temporaries, the same operations in the same order -- rather
-than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
+build and thread count. A threaded BLAS may split a GEMM's inner sum
+differently at another thread count: on OpenBLAS the weight gradients of
+short batches (952 or 500 rows) and the ``LARGE_CONFIG`` forward GEMMs of
+inner width 600 and 500 move their last bits, so the trained weights of the
+default network differ across thread counts too. The hot path is therefore
+written in place -- fewer temporaries, the same operations in the same
+order -- rather than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
 sigmoid was rejected because it changes trained bits.
 
 Activations are released right after their last use, with no change to the
@@ -72,7 +74,7 @@ class MlpConfig:
 
     def __post_init__(self):
         if not (isinstance(self.hidden, tuple)
-                and all(isinstance(n, int) and n >= 1 for n in self.hidden)):
+                and all(type(n) is int and n >= 1 for n in self.hidden)):
             raise ValueError(
                 f"hidden must be a tuple of layer widths >= 1, got {self.hidden!r}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -90,12 +92,6 @@ class MlpConfig:
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpConfig":
-        d = dict(d)
-        d["hidden"] = tuple(d["hidden"])
-        return cls(**d)
 
 
 #: The wider 3-hidden-layer variant used in full-feature robustness studies.

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DEFAULT_LIMITS, JointLimits, _read_json, _read_matrix,
-                   _replacing, _write_matrix, write_json)
+from .core import (DEFAULT_LIMITS, JointLimits, _checked, _one_of, _read_json,
+                   _read_matrix, _replacing, _write_matrix, write_json)
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -130,9 +130,10 @@ def span_fraction(direction: str) -> float:
     return math.sqrt(direction.count("j")) / _SQRT3
 
 
-def _check_sparsity(sparsity: float) -> None:
+def _check_sparsity(sparsity: float) -> float:
     if not (0.0 < sparsity <= 0.5 + 1e-12):
         raise TrajectoryError(f"sparsity must be in (0, 1/2], got {sparsity}")
+    return sparsity
 
 
 def _raster_corners(sparsity: float) -> np.ndarray:
@@ -264,31 +265,21 @@ def save(traj: Trajectory, csv_path) -> None:
 
 
 def load(csv_path) -> Trajectory:
-    """Read a trajectory written by :func:`save` (sidecar required).
-
-    A malformed file raises ``TrajectoryError`` naming the file, and the
-    bad entry or the first non-finite row where there is one. The sidecar
-    must name a known direction class, a sparsity in (0, 1/2] and a JSON
-    bool ``normalized``.
-    """
+    """Read a trajectory written by :func:`save` (sidecar required); a
+    malformed file raises ``TrajectoryError`` naming the file, and the bad
+    entry or the first non-finite row."""
     csv_path = Path(csv_path)
     rows = _read_matrix(csv_path, 4, TrajectoryError)
     side_path = csv_path.with_suffix(".json")
-    side = _read_json(side_path, TrajectoryError)
-    entry = "limits"
-    try:
-        limits = JointLimits.from_dict(side["limits"]) if side.get("limits") else None
-        entry = "direction"
-        direction_transform(side["direction"])
-        entry = "sparsity"
-        sparsity = float(side["sparsity"])
-        _check_sparsity(sparsity)
-        entry = "normalized"
-        if not isinstance(side["normalized"], bool):
-            raise TypeError(f"expected true or false, got {side['normalized']!r}")
-        return Trajectory(rows[:, 1:4], side["direction"], sparsity,
-                          side["normalized"], limits, side.get("meta", {}))
-    except KeyError as exc:
-        raise TrajectoryError(f"{side_path}: missing entry {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise TrajectoryError(f"{side_path}: bad entry {entry!r} ({exc})") from exc
+    side = _checked(_read_json(side_path, TrajectoryError), {
+        "direction": ("string", _one_of(*DIRECTIONS), True),
+        "sparsity": ("number", _check_sparsity, True),
+        "normalized": ("boolean", None, True),
+        "limits": (("object", "null"), ({"min": ("number", (3,), True),
+                                         "max": ("number", (3,), True)},
+                                        JointLimits.from_dict), False),
+        "meta": ("object", None, False),
+    }, side_path, TrajectoryError)
+    return Trajectory(rows[:, 1:4], side["direction"], side["sparsity"],
+                      side["normalized"], side.get("limits"),
+                      side.get("meta", {}))

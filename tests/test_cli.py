@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -230,7 +231,7 @@ def test_integer_too_large_for_a_float_exits_2_naming_file_and_key(
     result = runner.invoke(main, ["--config", str(p), "generate"])
     assert result.exit_code == 2
     text = result.output + (result.stderr or "")
-    assert f"config error: {p}: [limits] max must be finite" in text
+    assert f"config error: {p}: entry 'limits.max': must be finite" in text
     assert "Traceback" not in text
 
 
@@ -365,7 +366,7 @@ def test_record_names_a_sidecar_without_direction(runner, fast_cfg, tmp_path):
         "record", "--trajectory", str(out / "traj_j2_0.5.csv")])
     assert result.exit_code == 3
     text = result.output + (result.stderr or "")
-    assert f"stage 'record' failed: {side}: missing entry 'direction'" in text
+    assert f"stage 'record' failed: {side}: entry 'direction': missing" in text
 
 
 def test_failed_train_keeps_earlier_model(runner, fast_cfg, tmp_path):
@@ -489,6 +490,26 @@ def test_load_manifest_names_wrong_typed_entry(tmp_path, key, value):
     with pytest.raises(ValueError) as info:
         load_manifest(tmp_path)
     assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("key, value, entry", [
+    ("inputs", {"a": 5}, "inputs.a"),
+    ("outputs", {"a": {"path": "a"}}, "outputs.a.sha256"),
+    ("outputs", {"a": {"path": "a", "sha256": "abc"}}, "outputs.a.sha256"),
+    ("stages", [{"name": 1}], "stages.0.name"),
+    ("stages", [{"name": "train"}], "stages.0.wall_s"),
+    ("stages", [{"name": "train", "wall_s": 1.0, "sim_s": "x"}], "stages.0.sim_s"),
+    ("config_hash", "0" * 64, "config_hash"),
+    ("tool", "other", "tool"),
+], ids=["input-int", "output-without-sha", "output-short-sha", "stage-int-name",
+        "stage-without-wall", "stage-string-sim", "config-hash", "tool"])
+def test_load_manifest_checks_nested_entries(tmp_path, key, value, entry):
+    path = RunManifest(command="train", seed=5, config={"x": 1}).write(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entry '{entry}': ")):
+        load_manifest(tmp_path)
 
 
 def test_manifest_keeps_same_named_files_apart(tmp_path):
@@ -653,8 +674,9 @@ def test_blas_thread_count_contract(tmp_path):
     # poly2 artifacts, and every MLP artifact upstream of the fit, are the
     # same bytes under both. A seeded MLP run is byte-identical to a rerun
     # at the same thread count; across thread counts its model and report
-    # may differ, since a threaded weight-gradient GEMM splits its sum
-    # differently.
+    # may differ, since a threaded GEMM may split its inner sum differently
+    # (the weight gradients of short batches, and the wide forward GEMMs
+    # of LARGE_CONFIG).
     kinds = ("offset", "linear", "poly2", "mlp")
     src = str(Path(cablecal.__file__).resolve().parents[1])
     procs = []

@@ -126,6 +126,7 @@ def test_missing_file_rejected(tmp_path):
     ("[training]\ntrain_frac = 1.5\n", "train_frac"),
     ("[training]\nepochs = 0\n", "epochs"),
     ("[training]\nhidden = 100\n", "hidden"),
+    ("[training]\nhidden = [true, 2]\n", "hidden"),
     ("[training]\nlr = -1.0\n", "lr"),
     ("[training]\nlr = 0.0\n", "lr"),
     ("[training]\nlr = nan\n", "lr"),
@@ -147,28 +148,28 @@ def test_invalid_values_rejected(tmp_path, body, needle):
 
 
 @pytest.mark.parametrize("body, where", [
-    ("[error_model]\noffset = [nan, 0, 0]\n", "[error_model] offset"),
+    ("[error_model]\noffset = [nan, 0, 0]\n", "error_model.offset"),
     ("[error_model]\nposition_gain = [[0, 0, 0], [0, -inf, 0], [0, 0, 0]]\n",
-     "[error_model] position_gain"),
-    ("[error_model]\nnoise_sd = nan\n", "[error_model] noise_sd"),
-    ("[trajectory]\nstep = nan\n", "[trajectory] step"),
-    ("[eval]\nrates = [inf, 100]\n", "[eval] rates"),
-    ("[training]\nridge = nan\n", "[training] ridge"),
-    ("[eval]\nsync_tolerance_s = nan\n", "[eval] sync_tolerance_s"),
-    ("[eval]\ntime_scale = inf\n", "[eval] time_scale"),
-    ("[eval]\nbudget_hz = nan\n", "[eval] budget_hz"),
-    ("[limits]\nmax = [90, 90, inf]\n", "[limits] max"),
+     "error_model.position_gain"),
+    ("[error_model]\nnoise_sd = nan\n", "error_model.noise_sd"),
+    ("[trajectory]\nstep = nan\n", "trajectory.step"),
+    ("[eval]\nrates = [inf, 100]\n", "eval.rates"),
+    ("[training]\nridge = nan\n", "training.ridge"),
+    ("[eval]\nsync_tolerance_s = nan\n", "eval.sync_tolerance_s"),
+    ("[eval]\ntime_scale = inf\n", "eval.time_scale"),
+    ("[eval]\nbudget_hz = nan\n", "eval.budget_hz"),
+    ("[limits]\nmax = [90, 90, inf]\n", "limits.max"),
 ], ids=["offset", "position_gain", "noise_sd", "step", "rates", "ridge",
         "sync_tolerance_s", "time_scale", "budget_hz", "limits_inf"])
 def test_non_finite_value_rejected_naming_file_and_key(tmp_path, body, where):
     p = write(tmp_path, "c.toml", body)
-    with pytest.raises(ConfigError, match=re.escape(f"{p}: {where} must be finite")):
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: entry '{where}': must be finite")):
         load_config(p)
 
 
 def test_non_finite_json_value_rejected_naming_file_and_key(tmp_path):
     p = write(tmp_path, "c.json", '{"eval": {"budget_hz": NaN}}')
-    with pytest.raises(ConfigError, match=re.escape(f"{p}: [eval] budget_hz must be finite")):
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: entry 'eval.budget_hz': must be finite")):
         load_config(p)
 
 

@@ -11,6 +11,8 @@ from cablecal.core import (
     FeatureSchema,
     JointLimits,
     SchemaError,
+    _SCHEMA_CHECK,
+    _checked,
     build_full_schema,
     json_digest,
 )
@@ -117,7 +119,8 @@ def test_selected_block_is_positions_then_torques():
 def test_schema_round_trip_and_hash_stability():
     s = FULL_SCHEMA
     blob = json.dumps(s.to_dict())
-    s2 = FeatureSchema.from_dict(json.loads(blob))
+    s2 = _checked(json.loads(f'{{"schema": {blob}}}'),
+                  {"schema": ("object", _SCHEMA_CHECK, True)}, "s.json", ValueError)["schema"]
     assert s2 == s
     assert s2.hash() == s.hash()
     # changing the mask changes the hash

@@ -595,7 +595,8 @@ def test_load_dataset_rejects_non_finite_norm(tmp_path, field):
     side = json.loads(path.read_text())
     side["norm"][field][0] = math.nan
     path.write_text(json.dumps(side))
-    with pytest.raises(dt.DataError, match="d.json.*NaN or infinite"):
+    with pytest.raises(dt.DataError,
+                       match=re.escape(f"{path}: entry 'norm.{field}': must be finite")):
         dt.load_dataset(tmp_path / "d.csv")
 
 
@@ -613,20 +614,20 @@ def _put(key, value):
     return edit
 
 
-@pytest.mark.parametrize("edit, named", [
-    (_pop("sd"), "key 'sd' is missing"),
-    (lambda norm: [norm["mean"], norm["sd"]], "got list"),
-    (lambda norm: {}, "key 'mean' is missing"),
-    (_put("mean", "abc"), "key 'mean'"),
-    (_put("sd", [1.0, None]), "key 'sd'"),
-    (_put("degenerate", 3), "key 'degenerate'"),
-    (_put("degenerate", ["no"] * 16), "key 'degenerate'"),
-    (_put("degenerate", [0.0] * 16), "key 'degenerate'"),
-    (_put("mean", [0.0]), "differ in length"),
-    (lambda norm: {k: v[:-1] for k, v in norm.items()}, "15 features, the schema selects 16"),
+@pytest.mark.parametrize("edit, entry, named", [
+    (_pop("sd"), "norm.sd", "missing"),
+    (lambda norm: [norm["mean"], norm["sd"]], "norm", "expected object or null, got array"),
+    (lambda norm: {}, "norm.mean", "missing"),
+    (_put("mean", "abc"), "norm.mean", "expected array, got string"),
+    (_put("sd", [1.0, None]), "norm.sd", "expected a (16,) array of numbers"),
+    (_put("degenerate", 3), "norm.degenerate", "expected array, got integer"),
+    (_put("degenerate", ["no"] * 16), "norm.degenerate", "array of booleans"),
+    (_put("degenerate", [0.0] * 16), "norm.degenerate", "array of booleans"),
+    (_put("mean", [0.0]), "norm.mean", "got a (1,) array"),
+    (lambda norm: {k: v[:-1] for k, v in norm.items()}, "norm.mean", "got a (15,) array"),
 ], ids=["no-sd", "list", "empty", "string-mean", "null-in-sd", "int-degenerate",
         "string-degenerate", "numeric-degenerate", "short-mean", "short-norm"])
-def test_load_dataset_names_malformed_norm(tmp_path, edit, named):
+def test_load_dataset_names_malformed_norm(tmp_path, edit, entry, named):
     _saved(tmp_path)
     path = tmp_path / "d.json"
     side = json.loads(path.read_text())
@@ -634,15 +635,24 @@ def test_load_dataset_names_malformed_norm(tmp_path, edit, named):
     path.write_text(json.dumps(side))
     with pytest.raises(dt.DataError) as info:
         dt.load_dataset(tmp_path / "d.csv")
-    assert str(path) in str(info.value)
-    assert "'norm'" in str(info.value) and named in str(info.value)
+    assert f"{path}: entry '{entry}': " in str(info.value)
+    assert named in str(info.value)
 
 
-def test_norm_from_dict_round_trips_and_names_bad_key():
-    stats = dt.NormStats.fit(np.array([[1.0, 2.0, 5.0], [3.0, 2.0, 4.0]]))
-    back = dt.NormStats.from_dict(json.loads(json.dumps(stats.to_dict())))
-    for a, b in zip((back.mean, back.sd, back.degenerate),
-                    (stats.mean, stats.sd, stats.degenerate)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    with pytest.raises(ValueError, match="'sd'"):
-        dt.NormStats.from_dict({"mean": [0.0], "degenerate": [False]})
+@pytest.mark.parametrize("name, edit, entry", [
+    ("bag/metadata.json", _put("metadata", [1, 2]), "metadata"),
+    ("bag/metadata.json", _put("metadata", None), "metadata"),
+    ("d.json", _put("meta", "x"), "meta"),
+    ("bag/metadata.json", lambda side: _put("selected_mask", "1" * 138)(side["schema"]),
+     "schema.selected_mask"),
+    ("d.json", lambda side: _put("names", list(range(138)))(side["schema"]),
+     "schema.names"),
+], ids=["list-metadata", "null-metadata", "string-meta", "string-mask", "int-names"])
+def test_load_rejects_wrong_typed_sidecar_entry(tmp_path, name, edit, entry):
+    _saved(tmp_path)
+    path = tmp_path / name
+    side = json.loads(path.read_text())
+    edit(side)
+    path.write_text(json.dumps(side))
+    with pytest.raises(dt.DataError, match=re.escape(f"{path}: entry '{entry}': expected")):
+        _load(tmp_path, name)

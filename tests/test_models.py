@@ -8,6 +8,7 @@ normalize-train-unfold chain for the MLP.
 
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from operator import mul
@@ -436,7 +437,9 @@ def test_non_finite_parameter_rejected_on_load(tmp_path, kind, entry, corrupt):
         corrupt(doc["payload"])
         return True                     # the checksum vouches for the NaN
 
-    with pytest.raises(ModelError, match=f"non-finite.*'{entry}'"):
+    key = {"norm": "norm.sd", "biases": "biases.0"}.get(entry, entry)
+    with pytest.raises(ModelError,
+                       match=f"tampered.ccm: entry 'payload.{key}': must be finite"):
         deserialize(_tampered(path, mutate))
 
 
@@ -562,8 +565,56 @@ def test_missing_entry_rejected(offset_file, entry):
         del (doc["payload"] if entry == "offsets" else doc)[entry]
         return True
 
-    with pytest.raises(ModelError, match=f"'{entry}'"):
+    key = "payload.offsets" if entry == "offsets" else entry
+    with pytest.raises(ModelError, match=f"tampered.ccm: entry '{key}': missing"):
         deserialize(_tampered(offset_file, mutate))
+
+
+@pytest.fixture
+def linear_file(tmp_path):
+    p = tmp_path / "m.ccm"
+    serialize(fit_linear(make_dataset(const_err([1.0, 2.0, 3.0]), n=40)), p)
+    return p
+
+
+@pytest.mark.parametrize("edit, entry", [
+    (lambda doc: doc.update(kind=["linear"]), "kind"),
+    (lambda doc: doc.update(format="zzz"), "format"),
+    (lambda doc: doc.update(version=2), "version"),
+    (lambda doc: doc.update(version=True), "version"),
+    (lambda doc: doc.update(extra=1), "extra"),
+    (lambda doc: doc.update(schema_hash="0" * 64), "schema_hash"),
+    (lambda doc: doc["schema"].update(names=list(range(138))), "schema.names"),
+    (lambda doc: doc["schema"].update(selected_mask="1" * 138), "schema.selected_mask"),
+    (lambda doc: doc["payload"].pop("intercept"), "payload.intercept"),
+    (lambda doc: doc["payload"].update(weights=[[True] * 3] * 16), "payload.weights"),
+    (lambda doc: doc["payload"].update(extra=1), "payload.extra"),
+], ids=["list-kind", "format", "version", "bool-version", "unknown-key", "schema-hash",
+        "int-names", "string-mask", "no-intercept", "bool-weights",
+        "unknown-payload-key"])
+def test_every_model_file_error_names_file_and_entry(linear_file, edit, entry):
+    def mutate(doc):
+        edit(doc)
+        return True
+
+    path = _tampered(linear_file, mutate)
+    with pytest.raises(ModelError, match=re.escape(f"{path}: entry '{entry}': ")):
+        deserialize(path)
+
+
+def test_unknown_mlp_config_key_names_it(tmp_path):
+    p = tmp_path / "m.ccm"
+    serialize(fit_mlp(make_dataset(const_err([1.0, 2.0, 3.0]), n=40), ON_ERROR,
+                      MlpConfig(hidden=(4,), epochs=1, batch_size=16), seed=0), p)
+
+    def mutate(doc):
+        doc["payload"]["config"]["dropout"] = 0.5
+        return True
+
+    path = _tampered(p, mutate)
+    with pytest.raises(ModelError, match=re.escape(
+            f"{path}: entry 'payload.config.dropout': unknown key")):
+        deserialize(path)
 
 
 def test_top_level_list_rejected(offset_file):
@@ -577,7 +628,7 @@ def test_wrong_typed_schema_rejected(offset_file):
         doc["schema"] = [doc["schema"]]
         return True
 
-    with pytest.raises(ModelError, match="malformed model file entry 'schema'"):
+    with pytest.raises(ModelError, match="tampered.ccm: entry 'schema': expected object"):
         deserialize(_tampered(offset_file, mutate))
 
 
@@ -592,14 +643,14 @@ def test_wrong_typed_mlp_weights_rejected(tmp_path, weights):
         doc["payload"]["weights"] = weights
         return True
 
-    with pytest.raises(ModelError, match="malformed model file entry 'weights'"):
+    with pytest.raises(ModelError, match=r"tampered.ccm: entry 'payload.weights(\.0)?': expected"):
         deserialize(_tampered(p, mutate))
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda norm: {k: v for k, v in norm.items() if k != "sd"}, "key 'sd' is missing"),
-    (lambda norm: 5, "got int"),
-    (lambda norm: dict(norm, mean="abc"), "key 'mean'"),
+    (lambda norm: {k: v for k, v in norm.items() if k != "sd"}, "norm.sd': missing"),
+    (lambda norm: 5, "norm': expected object, got integer"),
+    (lambda norm: dict(norm, mean="abc"), "norm.mean': expected array"),
 ], ids=["no-sd", "int", "string-mean"])
 def test_malformed_poly2_norm_names_norm(tmp_path, edit, named):
     ds = make_dataset(nonlin_err, n=120, seed=24)
@@ -610,7 +661,7 @@ def test_malformed_poly2_norm_names_norm(tmp_path, edit, named):
         doc["payload"]["norm"] = edit(doc["payload"]["norm"])
         return True
 
-    with pytest.raises(ModelError, match=f"malformed model file entry 'norm': .*{named}"):
+    with pytest.raises(ModelError, match=re.escape(f"tampered.ccm: entry 'payload.{named}")):
         deserialize(_tampered(p, mutate))
 
 
@@ -623,7 +674,8 @@ def test_poly2_norm_of_wrong_width_names_norm(tmp_path):
         doc["payload"]["norm"] = {k: v[:-1] for k, v in doc["payload"]["norm"].items()}
         return True
 
-    with pytest.raises(ModelError, match="malformed model file entry 'norm': 15 features"):
+    with pytest.raises(ModelError, match=re.escape(
+            "tampered.ccm: entry 'payload.norm.mean': expected a (16,) array")):
         deserialize(_tampered(p, mutate))
 
 
@@ -644,7 +696,7 @@ def test_wrong_typed_mlp_entry_named(tmp_path, entry, value):
         doc["payload"][entry] = value
         return True
 
-    with pytest.raises(ModelError, match=f"malformed model file entry '{entry}'"):
+    with pytest.raises(ModelError, match=rf"tampered.ccm: entry 'payload.{entry}(\.[01])?': "):
         deserialize(_tampered(p, mutate))
 
 

@@ -1,0 +1,198 @@
+"""One table-driven check of the six JSON readers.
+
+Each reader starts from an artifact the code wrote, which must load back to
+an equal object. Then every key of the written document is deleted (where
+the reader requires it) and swapped to another JSON type, one at a time:
+the reader must refuse each edit in its own error class, with a message
+that starts ``<file>: entry '<key>': ``. Free-form objects (bag and dataset
+metadata, trajectory meta, the manifest's config) are checked as a whole,
+so the walk does not enter them.
+"""
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from cablecal import data as dt
+from cablecal import trajectory as tj
+from cablecal.config import Config, ConfigError, load_config
+from cablecal.manifest import RunManifest, load_manifest
+from cablecal.models import (ModelError, _checksum, deserialize, fit_linear,
+                             fit_mlp, fit_offset, fit_poly2, serialize)
+from cablecal.nn import MlpConfig
+from cablecal.sim import default_error_model
+
+
+@dataclass
+class Reader:
+    write: object           # artifact directory -> the object written there
+    file: str               # its JSON document, relative to that directory
+    load: object            # artifact directory -> the loaded object
+    error: type             # the reader's error class
+    optional: tuple = ()    # key paths the reader may do without ("*": any)
+    free: tuple = ()        # free-form objects, not walked into
+    checksum: bool = False  # model files: an edit recomputes the checksum
+
+
+def _recorded(tmp):
+    bag = dt.record(tj.generate("j2j3", 0.5, step=0.05), default_error_model(),
+                    duration=2.0, seed=1)
+    dt.save_bag(bag, tmp / "bag")
+    return bag
+
+
+def _dataset(tmp):
+    train, _ = dt.split_and_normalize(dt.synchronize(_recorded(tmp)))
+    dt.save_dataset(train, tmp / "d.csv")
+    return train
+
+
+def _trajectory(tmp):
+    traj = tj.generate("j1j3", 0.5)
+    tj.save(traj, tmp / "t.csv")
+    return traj
+
+
+FITS = {"offset": fit_offset, "linear": fit_linear, "poly2": fit_poly2,
+        "mlp": lambda ds: fit_mlp(ds, config=MlpConfig(hidden=(4, 3), epochs=1,
+                                                       batch_size=16), seed=0)}
+
+
+def _model(kind):
+    def write(tmp):
+        model = FITS[kind](_dataset(tmp))
+        serialize(model, tmp / "m.ccm")
+        return model
+    return write
+
+
+def _manifest(tmp):
+    (tmp / "in.txt").write_text("input")
+    m = RunManifest(command="train", seed=5, config=Config().to_dict())
+    m.add_input(tmp / "in.txt")
+    m.add_output(tmp / "in.txt")
+    m.add_stage("train", 1.25, sim_s=60.0)
+    m.write(tmp)
+    return m
+
+
+def _config(tmp):
+    (tmp / "c.json").write_text(json.dumps(Config().to_dict()))
+    return Config()
+
+
+READERS = {
+    "bag": Reader(_recorded, "bag/metadata.json",
+                  lambda tmp: dt.load_bag(tmp / "bag"), dt.DataError,
+                  optional=[("metadata",)], free=("metadata",)),
+    "dataset": Reader(_dataset, "d.json", lambda tmp: dt.load_dataset(tmp / "d.csv"),
+                      dt.DataError, optional=[("norm",), ("meta",)], free=("meta",)),
+    "trajectory": Reader(_trajectory, "t.json", lambda tmp: tj.load(tmp / "t.csv"),
+                         tj.TrajectoryError, optional=[("limits",), ("meta",)],
+                         free=("meta",)),
+    "manifest": Reader(_manifest, "manifest.json", load_manifest, ValueError,
+                       optional=[("inputs", "*"), ("outputs", "*"),
+                                 ("stages", "*", "sim_s")], free=("config",)),
+    "config": Reader(_config, "c.json", lambda tmp: load_config(tmp / "c.json"),
+                     ConfigError, optional=[("*",), ("*", "*")]),
+    **{kind: Reader(_model(kind), "m.ccm", lambda tmp: deserialize(tmp / "m.ccm"),
+                    ModelError, optional=[("payload", "train_curve"),
+                                          ("payload", "seed")],
+                    checksum=True)
+       for kind in FITS},
+}
+
+
+def _keys(doc, reader, where=()):
+    """Every key path of ``doc`` that the reader's table names: the keys of
+    objects and the items of arrays of objects, outside free-form objects."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        path = (*where, str(key))
+        yield path
+        if ".".join(path) in reader.free:
+            continue
+        if isinstance(value, dict) or (isinstance(value, list) and value
+                                       and isinstance(value[0], dict)):
+            yield from _keys(value, reader, path)
+
+
+def _swaps(value):
+    """Values of another JSON type than ``value``'s."""
+    yield [1] if isinstance(value, str) else "x"
+    if type(value) is int:
+        yield value + 0.5
+
+
+def _at(doc, keys):
+    for key in keys:
+        doc = doc[int(key) if isinstance(doc, list) else key]
+    return doc
+
+
+def _edited(doc, keys, value, delete):
+    """A copy of ``doc`` with the entry at ``keys`` deleted or set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    parent, last = _at(doc, keys[:-1]), keys[-1]
+    if delete:
+        del parent[last]
+    else:
+        parent[int(last) if isinstance(parent, list) else last] = value
+    return doc
+
+
+def _optional(keys, reader) -> bool:
+    return any(len(keys) == len(o) and all(p in (k, "*") for k, p in zip(keys, o))
+               for o in reader.optional)
+
+
+def _equal(a, b) -> bool:
+    """Loaded artifacts compare field by field; arrays by dtype and bytes."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if hasattr(a, "__dict__") and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            _equal(v, getattr(b, k)) for k, v in vars(a).items()
+            if not k.startswith("_"))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_every_entry_is_checked_and_named(tmp_path, name):
+    reader = READERS[name]
+    written = reader.write(tmp_path)
+    path = tmp_path / reader.file
+    doc = json.loads(path.read_text())
+    assert _equal(reader.load(tmp_path), written)
+
+    def load_edited(edited, keys):
+        if reader.checksum and keys != ("checksum",):
+            edited["checksum"] = _checksum(edited)
+        path.write_text(json.dumps(edited))
+        return reader.load(tmp_path)
+
+    refused = 0
+    for keys in _keys(doc, reader):
+        edits = [(keys, value, False) for value in _swaps(_at(doc, keys))]
+        if not keys[-1].isdigit():
+            edits.append((keys, None, True))
+        if isinstance(_at(doc, keys), dict) and ".".join(keys) not in reader.free:
+            edits.append(((*keys, "zz"), 1, False))     # an unknown key
+        for keys, value, delete in edits:
+            edited = _edited(doc, keys, value, delete)
+            if delete and _optional(keys, reader):
+                load_edited(edited, keys)
+                continue
+            with pytest.raises(reader.error) as info:
+                load_edited(edited, keys)
+            assert type(info.value) is reader.error
+            assert str(info.value).startswith(f"{path}: entry '{'.'.join(keys)}': "), (
+                value, delete, str(info.value))
+            refused += 1
+    with pytest.raises(reader.error, match="entry 'zz': unknown key"):
+        load_edited(_edited(doc, ("zz",), 1, False), ("zz",))
+    assert refused > len(doc)

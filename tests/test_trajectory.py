@@ -435,7 +435,8 @@ def _replace_line(csv_path, lineno, text):
     (lambda p: p.with_suffix(".json").write_text("not json\n"), "traj.json", "line 1"),
     (lambda p: p.with_suffix(".json").write_text("[1, 2]\n"), "traj.json", "JSON object"),
     (_set_entry("sparsity", None), "traj.json", "'sparsity'"),
-    (_set_entry("limits", {"min": [0, 0], "max": [90, 90, 250]}), "traj.json", "'limits'"),
+    (_set_entry("limits", {"min": [0, 0], "max": [90, 90, 250]}), "traj.json",
+     "entry 'limits.min'"),
     (lambda p: _replace_line(p, 4, "3,inf,1.0,2.0\n"), "traj.csv", "row 3"),
     (lambda p: _replace_line(p, 2, "1,abc,1.0,2.0\n"), "traj.csv", "abc"),
     (lambda p: p.write_text("t_index,j1,j2\n0,1.0,2.0\n1,2.0,3.0\n"), "traj.csv", "3 columns"),
@@ -445,11 +446,13 @@ def _replace_line(csv_path, lineno, text):
     (_set_entry("sparsity", 0.0), "traj.json", "'sparsity'"),
     (_set_entry("normalized", "no"), "traj.json", "'normalized'"),
     (_set_entry("normalized", 0), "traj.json", "'normalized'"),
+    (_set_entry("sparsity", "0.5"), "traj.json", "entry 'sparsity': expected number"),
+    (_set_entry("meta", 5), "traj.json", "entry 'meta': expected object"),
 ], ids=["no-direction", "sidecar-not-json", "sidecar-list", "null-sparsity",
          "short-limits", "inf-waypoint",
         "non-numeric", "three-columns", "unknown-direction", "list-direction",
         "sparsity-above-half", "zero-sparsity", "string-normalized",
-        "int-normalized"])
+        "int-normalized", "string-sparsity", "int-meta"])
 def test_load_error_names_file_and_entry(tmp_path, corrupt, bad_file, entry):
     path = tmp_path / "traj.csv"
     tj.save(tj.generate("j1j3", 1 / 3), path)
