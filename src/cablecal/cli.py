@@ -11,8 +11,7 @@ Each stage function names its artifacts under ``--out-dir``, runs as one
 earlier stage, handed over in memory, or a path, loaded inside the stage so
 that a bad file is a stage failure. A subcommand resolves its options and
 calls one stage function; ``pipeline`` chains all six and reads back
-nothing it wrote (a reloaded dataset is C-ordered, unlike ``synchronize``'s
-F-ordered one). An option that restates a config key sets that key in the
+nothing it wrote. An option that restates a config key sets that key in the
 run's config before any stage starts, so it meets the key's own checks and
 the manifest hashes it; the stages read their settings from that config.
 
@@ -45,7 +44,7 @@ from .manifest import RunManifest
 from .models import (MODEL_KINDS, MODES, deserialize, fit_linear, fit_mlp,
                      fit_offset, fit_poly2, serialize)
 from .sim import check_load
-from .trajectory import DIRECTIONS
+from .trajectory import DIRECTIONS, check_direction
 
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
@@ -434,10 +433,10 @@ def bench_command(state, model_files, dataset_path):
 def sweep_command(state, directions, with_mlp):
     """Fit models per trajectory direction and tabulate test RMSE."""
     cfg = state.config
-    dir_list = tuple(d.strip() for d in directions.split(",") if d.strip())
-    bad = [d for d in dir_list if d not in DIRECTIONS]
-    if bad:
-        raise ConfigError(f"unknown direction(s): {', '.join(bad)}")
+    try:
+        directions = tuple(map(check_direction, directions.replace(",", " ").split()))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     sweep_csv = state.out_dir / "sweep.csv"
     with _stage(state, "sweep", _sidecars(sweep_csv)):
         fits = {"linear": lambda ds: fit_linear(ds, cfg.training.mode,
@@ -446,7 +445,7 @@ def sweep_command(state, directions, with_mlp):
             fits["mlp"] = lambda ds: fit_mlp(ds, cfg.training.mode,
                                              cfg.training.mlp, state.seed)
         table = direction_sweep(
-            cfg.error_model, fits, directions=dir_list,
+            cfg.error_model, fits, directions=directions,
             sparsities=cfg.trajectory.sparsities, limits=cfg.limits,
             rates=cfg.eval.rates, seed=state.seed,
             time_scale=cfg.eval.time_scale,

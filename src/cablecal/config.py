@@ -16,9 +16,11 @@ one object with the five sections) are accepted via the ``.json`` extension.
 Every number in a file must be finite, and every key must have the JSON
 type of its default (or be a number where that is a list, or for
 ``eval.load``). An error for a file reads ``<file>: entry '<section>.<key>':
-<reason>`` (``'<section>'`` for a section's value check). The section
-dataclasses write each value check in a form that NaN fails, so an object
-built in code meets the same rules.
+<reason>`` (``'<section>'`` for a section's value check).
+
+This module writes no rule of its own: a section applies the checks of
+the modules that use its values whenever it is built, from a file, an
+option or code (``_Section``), so every value meets one rule.
 """
 
 from __future__ import annotations
@@ -28,40 +30,49 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .core import DEFAULT_LIMITS, JointLimits, _checked, _json_type, _read_json
-from .data import SYNC_TOLERANCE_S
-from .models import MODEL_KINDS, MODES, ON_ERROR
+from .data import SYNC_TOLERANCE_S, check_tolerance, check_train_frac
+from .evaluate import check_budget, check_repeats, check_samples
+from .models import ON_ERROR, check_kind, check_mode, check_ridge
 from .nn import MlpConfig
-from .sim import CableErrorModel, SimError, check_load, default_error_model
-from .trajectory import DEFAULT_SPEEDS, DEFAULT_STEP, DIRECTIONS
+from .sim import (CableErrorModel, check_load, check_rates, check_time_scale,
+                  default_error_model)
+from .trajectory import (DEFAULT_SPEEDS, DEFAULT_STEP, check_direction,
+                         check_sparsity, check_speeds, check_step)
 
 
 class ConfigError(ValueError):
     """Configuration file is malformed or contains invalid values."""
 
 
+class _Section:
+    """A config section ``<name>Config``: ``CHECKS`` maps keys to the checks
+    of the modules that use their values, and building the section runs
+    each one; a refused value raises ConfigError naming ``<name>.<key>``."""
+
+    def __post_init__(self):
+        for key, check in self.CHECKS.items():
+            try:
+                check(getattr(self, key))
+            except (ValueError, TypeError) as exc:
+                section = type(self).__name__.removesuffix("Config").lower()
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
-class TrajectoryConfig:
+class TrajectoryConfig(_Section):
     direction: str = "j2j3"
     sparsity: float = 1 / 2
     sparsities: tuple = (1 / 2, 1 / 3, 1 / 4)
     step: float = DEFAULT_STEP
     speeds: tuple = DEFAULT_SPEEDS
 
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(
-                f"trajectory.direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        for s in (self.sparsity, *self.sparsities):
-            if not (0.0 < s <= 0.5):
-                raise ConfigError(f"sparsity values must lie in (0, 1/2], got {s}")
-        if not self.step > 0:
-            raise ConfigError(f"trajectory.step must be positive, got {self.step}")
-        if len(self.speeds) != 3 or not all(v > 0 for v in self.speeds):
-            raise ConfigError(f"trajectory.speeds must be 3 positive values, got {self.speeds}")
+    CHECKS = {"direction": check_direction, "sparsity": check_sparsity,
+              "sparsities": lambda v: tuple(map(check_sparsity, v)),
+              "step": check_step, "speeds": check_speeds}
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(_Section):
     model: str = "mlp"
     mode: str = ON_ERROR
     ridge: float = 0.0
@@ -69,19 +80,12 @@ class TrainingConfig:
     seed: int = 0
     mlp: MlpConfig = MlpConfig()
 
-    def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"training.model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"training.mode must be one of {MODES}, got {self.mode!r}")
-        if not self.ridge >= 0:
-            raise ConfigError(f"training.ridge must be >= 0, got {self.ridge}")
-        if not (0.0 < self.train_frac < 1.0):
-            raise ConfigError(f"training.train_frac must be in (0, 1), got {self.train_frac}")
+    CHECKS = {"model": check_kind, "mode": check_mode, "ridge": check_ridge,
+              "train_frac": check_train_frac}
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(_Section):
     rates: tuple = (30.0, 100.0)
     sync_tolerance_s: float = SYNC_TOLERANCE_S
     time_scale: float = 1.0
@@ -90,20 +94,10 @@ class EvalConfig:
     repeats: int = 3
     load: str = "loaded"
 
-    def __post_init__(self):
-        if len(self.rates) != 2 or not all(r > 0 for r in self.rates):
-            raise ConfigError(f"eval.rates must be 2 positive rates, got {self.rates}")
-        if not self.sync_tolerance_s >= 0:
-            raise ConfigError("eval.sync_tolerance_s must be >= 0")
-        if not self.time_scale >= 1.0:
-            raise ConfigError(f"eval.time_scale must be >= 1, got {self.time_scale}")
-        if not (self.budget_hz > 0 and self.latency_samples >= 1
-                and self.repeats >= 1):
-            raise ConfigError("eval latency settings must be positive")
-        try:
-            check_load(self.load)
-        except SimError as exc:
-            raise ConfigError(f"eval.{exc}") from exc
+    CHECKS = {"rates": check_rates, "sync_tolerance_s": check_tolerance,
+              "time_scale": check_time_scale, "budget_hz": check_budget,
+              "latency_samples": check_samples, "repeats": check_repeats,
+              "load": check_load}
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,8 @@ trajectory, model, report and manifest file is written through
 none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
 (``write_json``), and read back through the checked ``_read_matrix`` and
 ``_read_json``; every JSON reader is one table of entries for ``_checked``,
-which reports a bad entry as ``<file>: entry '<key>': <reason>``. The CSV
-text is built by numpy (``_format_17g``) and is byte-identical to Python's
-``%``: digits come from one long-double rounding of the value times an
-exact power of ten, and a value that rounding cannot settle is formatted by
-``%`` itself. Where long double is
-IEEE double, that is every nonzero value: the same bytes, at the speed of
-``%``.
+which reports a bad entry as ``<file>: entry '<key>': <reason>``. Each
+setting's rule is one ``_rule`` check in the module that uses the value.
 """
 
 from __future__ import annotations
@@ -56,15 +51,9 @@ class JointLimits:
 
     def __post_init__(self) -> None:
         for name in ("min", "max"):
-            try:
-                a = np.asarray(getattr(self, name), dtype=float)
-                ok = a.shape == (3,) and np.isfinite(a).all()
-            except OverflowError:       # an integer too large for a float
-                ok = False
-            if not ok:
-                raise ValueError(f"limits {name} must be 3 finite numbers, "
-                                 f"got {getattr(self, name)!r}")
-            object.__setattr__(self, name, tuple(a.tolist()))
+            v = _rule(f"limits {name}", "3 finite numbers", lambda v: True,
+                      ValueError, count=3)(getattr(self, name))
+            object.__setattr__(self, name, tuple(map(float, v)))
         if not all(lo < hi for lo, hi in zip(self.min, self.max)):
             raise ValueError(f"limits must satisfy min < max per joint: "
                              f"{self.min} vs {self.max}")
@@ -100,10 +89,33 @@ def _finite(value) -> bool:
             return all(_finite(v) for v in value)       # or a huge integer
     if isinstance(value, np.ndarray):
         return bool(np.isfinite(value).all())
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or _real(value)
+
+
+def _real(value) -> bool:
+    """``value`` is a finite real number, and not a boolean."""
     try:
-        return not isinstance(value, (int, float)) or math.isfinite(value)
-    except OverflowError:           # an integer too large for a float
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or a huge integer
         return False
+
+
+def _rule(name: str, rule: str, ok, error, count=None, number=True):
+    """The check of setting ``name``: it returns ``value`` if ``ok(value)``
+    (or, with ``count``, ``count`` values that each pass, as a tuple), else
+    raises ``error("<name> must be <rule>, got <value>")``. Unless
+    ``number`` is False, a value must first be a finite real number."""
+    def check(value):
+        try:
+            vals = (value,) if count is None else tuple(value)
+            good = len(vals) == (count or 1) and all(
+                (_real(v) or not number) and ok(v) for v in vals)
+        except (TypeError, ValueError, OverflowError):
+            good = False
+        if not good:
+            raise error(f"{name} must be {rule}, got {value!r}")
+        return value if count is None else tuple(value)
+    return check
 
 
 def json_digest(obj) -> str:
@@ -273,11 +285,12 @@ _TEXT_WIDTH = 24
 #: and so in long double.
 _POW10 = np.array([float(10 ** k) for k in range(21)], dtype=np.longdouble)
 
-#: How far from one half the fraction of a value scaled to 17 integer
-#: digits must lie for numpy to round it: at least twice the long-double
-#: rounding error of a scaled value below 10**17. Where long double is
-#: IEEE double this is about 22, so no value is rounded there.
-_TIE_BAND = 1e17 * float(np.finfo(np.longdouble).eps)
+#: How far from one half the fraction of a value scaled to 17 integer digits
+#: must lie for numpy to round it: 0 with a 64-bit significand, where the one
+#: rounding of a product below 10**17 < 2**57 (ulp <= 2**-7) can reach n + 1/2
+#: but never cross it; else twice the rounding error (about 22 for IEEE double).
+_TIE_BAND = (0.0 if np.finfo(np.longdouble).nmant >= 63
+             else 1e17 * float(np.finfo(np.longdouble).eps))
 
 _DIGIT = np.arange(17, dtype=np.int8)[:, None]
 _ZERO, _POINT, _MINUS = (np.uint8(ord(c)) for c in "0.-")
@@ -298,9 +311,9 @@ def _format_17g(values: np.ndarray, text: np.ndarray) -> None:
     that fails a check is formatted by Python's ``%`` itself: the half-way
     band (exact ties included), an estimate of e that 10**16 <= D < 10**17
     refutes (a misestimate or a carry into another decade), scientific
-    notation, NaN, infinities and subnormals. About 2% of a recorded bag's
-    values take that path; where long double is IEEE double, all but ±0 do,
-    and the bytes stay the same.
+    notation, NaN, infinities and subnormals. About 0.35% of a recorded
+    bag's values take that path on x86, where the band is 0; where long
+    double is IEEE double, all but ±0 do, and the bytes stay the same.
     """
     m = len(values)
     mag = np.abs(values)

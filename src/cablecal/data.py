@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (_SCHEMA_CHECK, DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema,
-                   _checked, _read_json, _read_matrix, _replacing,
+                   _checked, _read_json, _read_matrix, _replacing, _rule,
                    _write_matrix, write_json)
 from .sim import (CableErrorModel, SimSession, StateStream, TrajectoryFollower,
                   TruthStream)
@@ -34,6 +34,13 @@ class EmptyDatasetError(ValueError):
 
 class DataError(ValueError):
     pass
+
+
+#: The checks of the pairing tolerance (s) and the training share of rows.
+check_tolerance = _rule("sync_tolerance_s", "a finite number >= 0", lambda v: v >= 0,
+                        DataError)
+check_train_frac = _rule("train_frac", "a finite number in (0, 1)", lambda v: 0 < v < 1,
+                         DataError)
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +134,10 @@ class NormStats:
     sd: np.ndarray
     degenerate: np.ndarray  # bool per feature
 
+    def __post_init__(self):
+        if not (self.sd > 0).all():     # as fit writes it; NaN fails too
+            raise ValueError(f"sd must be > 0, got {self.sd.min()}")
+
     @classmethod
     def fit(cls, X: np.ndarray) -> "NormStats":
         mean = X.mean(axis=0)
@@ -204,6 +215,7 @@ def synchronize(bag: RecordedBag, tolerance: float = SYNC_TOLERANCE_S,
     (ties again to the earlier). Unpaired state samples are dropped.
     ``full_features`` keeps all 138 columns instead of the selected 16.
     """
+    check_tolerance(tolerance)
     ts, tt = bag.state.t, bag.truth.t
     if len(ts) == 0 or len(tt) == 0:
         raise EmptyDatasetError("cannot synchronize empty streams")
@@ -249,8 +261,7 @@ def split_and_normalize(ds: Dataset, train_frac: float = 0.8) -> tuple:
     """
     if len(ds) < 2:
         raise DataError("need at least 2 rows to split")
-    if not (0.0 < train_frac < 1.0):
-        raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
+    check_train_frac(train_frac)
     n_train = min(max(int(round(len(ds) * train_frac)), 1), len(ds) - 1)
     ds = replace(ds, norm=NormStats.fit(ds.inputs[:n_train]))
     return ds.take(slice(0, n_train)), ds.take(slice(n_train, None))
@@ -260,20 +271,14 @@ def concat(datasets: list) -> Dataset:
     """Row-wise concatenation of datasets sharing one schema/mask."""
     if not datasets:
         raise EmptyDatasetError("nothing to concatenate")
-    first = datasets[0]
-    for d in datasets[1:]:
-        if d.schema != first.schema:
-            raise DataError("cannot concat datasets with different schemas/masks")
-    meta = {"sources": [d.meta for d in datasets]}
-    return Dataset(
-        np.concatenate([d.t for d in datasets]),
-        np.vstack([d.inputs for d in datasets]),
-        np.vstack([d.targets for d in datasets]),
-        np.vstack([d.reported for d in datasets]),
-        first.schema,
-        None,
-        meta,
-    )
+    schema = datasets[0].schema
+    if any(d.schema != schema for d in datasets):
+        raise DataError("cannot concat datasets with different schemas/masks")
+    return Dataset(np.concatenate([d.t for d in datasets]),
+                   np.vstack([d.inputs for d in datasets]),
+                   np.vstack([d.targets for d in datasets]),
+                   np.vstack([d.reported for d in datasets]), schema, None,
+                   {"sources": [d.meta for d in datasets]})
 
 
 def save_dataset(ds: Dataset, csv_path) -> None:
@@ -303,6 +308,7 @@ def load_dataset(csv_path) -> Dataset:
     }, side_path, DataError)
     D = side["schema"].dim_selected
     mat = _read_matrix(csv_path, 1 + D + 6, DataError)
-    return Dataset(mat[:, 0], mat[:, 1:1 + D], mat[:, 1 + D:4 + D],
-                   mat[:, 4 + D:7 + D], side["schema"], side.get("norm"),
-                   side.get("meta", {}))
+    # F-ordered inputs, as synchronize returns them: the same bits in every fit
+    return Dataset(mat[:, 0], np.asfortranarray(mat[:, 1:1 + D]),
+                   mat[:, 1 + D:4 + D], mat[:, 4 + D:7 + D], side["schema"],
+                   side.get("norm"), side.get("meta", {}))

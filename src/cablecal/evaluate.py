@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, JointLimits, _replacing, write_json
+from .core import DEFAULT_LIMITS, JointLimits, _replacing, _rule, write_json
 from .data import Dataset, concat, record, split_and_normalize, synchronize
-from .models import CalibrationModel, fit_linear, fit_offset
+from .models import CalibrationModel, fit_linear, fit_mlp, fit_offset
 from .nn import LARGE_CONFIG, MlpConfig
 from .sim import CableErrorModel
 from .trajectory import DIRECTIONS, generate
@@ -38,6 +39,14 @@ JOINTS = ("j1", "j2", "j3")
 
 class EvalError(ValueError):
     pass
+
+
+#: The checks of the servo budget (Hz), the timed calls per run and the runs.
+check_budget = _rule("budget_hz", "a finite number > 0", lambda v: v > 0, EvalError)
+check_samples = _rule("latency_samples", "an integer >= 1",
+                      lambda v: operator.index(v) >= 1, EvalError)
+check_repeats = _rule("repeats", "an integer >= 1", lambda v: operator.index(v) >= 1,
+                      EvalError)
 
 
 def rmse(pred, truth) -> np.ndarray:
@@ -76,18 +85,12 @@ class RmseReport:
             return np.asarray(self.model) / base
 
     def to_rows(self) -> list:
-        rows = []
-        for j, joint in enumerate(JOINTS):
-            rows.append({
-                "joint": joint,
-                "bucket_hour": self.bucket_hour,
-                "n_samples": self.n_samples,
-                "raw_rmse": float(self.raw[j]),
-                "fixed_offset_rmse": float(self.fixed_offset[j]),
-                "model_rmse": float(self.model[j]),
-                "percentage": float(self.percentage[j]),
-            })
-        return rows
+        return [{"joint": joint, "bucket_hour": self.bucket_hour,
+                 "n_samples": self.n_samples, "raw_rmse": float(self.raw[j]),
+                 "fixed_offset_rmse": float(self.fixed_offset[j]),
+                 "model_rmse": float(self.model[j]),
+                 "percentage": float(self.percentage[j])}
+                for j, joint in enumerate(JOINTS)]
 
 
 def evaluate_model(model: CalibrationModel, ds: Dataset,
@@ -111,11 +114,8 @@ def decay_curve(model: CalibrationModel, ds: Dataset,
     time; empty buckets are absent from the returned list.
     """
     hours = np.floor((ds.t - ds.t[0]) / 3600.0).astype(int)
-    reports = []
-    for h in np.unique(hours):
-        reports.append(evaluate_model(model, ds.take(hours == h), offset_model,
-                                      bucket_hour=int(h)))
-    return reports
+    return [evaluate_model(model, ds.take(hours == h), offset_model, bucket_hour=int(h))
+            for h in np.unique(hours)]
 
 
 # --------------------------------------------------------------------------
@@ -140,9 +140,7 @@ class LatencyReport:
     p99_spread: float     # max/min - 1 of p99 across runs
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["runs"] = [dict(r) for r in self.runs]
-        return d
+        return {**self.__dict__, "runs": [dict(r) for r in self.runs]}
 
     def to_rows(self) -> list:
         return [{
@@ -165,8 +163,9 @@ def bench_latency(model: CalibrationModel, X, n_samples: int = 10_000,
     model arithmetic, not input marshalling. The garbage collector is
     paused during timed sections.
     """
-    if n_samples < 1 or repeats < 1:
-        raise EvalError("n_samples and repeats must be >= 1")
+    check_samples(n_samples)
+    check_budget(budget_hz)
+    check_repeats(repeats)
     rows = [list(map(float, r)) for r in np.asarray(X, dtype=float)]
     if not rows:
         raise EvalError("need at least one feature row to benchmark")
@@ -195,9 +194,8 @@ def bench_latency(model: CalibrationModel, X, n_samples: int = 10_000,
                      "p99_s": float(p99),
                      "passed": bool(p99 < 1.0 / budget_hz)})
 
-    p50 = float(np.median([r["p50_s"] for r in runs]))
-    p95 = float(np.median([r["p95_s"] for r in runs]))
-    p99 = float(np.median([r["p99_s"] for r in runs]))
+    p50, p95, p99 = (float(np.median([r[k] for r in runs]))
+                     for k in ("p50_s", "p95_s", "p99_s"))
     p99s = [r["p99_s"] for r in runs]
     return LatencyReport(
         kind=model.kind, mode=model.mode, n_samples=n_samples,
@@ -306,8 +304,6 @@ def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,
     large regularized MLP on the full mask, each labelled by ``fit`` and
     ``mask``.
     """
-    from .models import fit_mlp
-
     mlp_config = mlp_config if mlp_config is not None else MlpConfig()
     large_config = large_config if large_config is not None else LARGE_CONFIG
 
@@ -338,10 +334,8 @@ def segment_rmse(model: CalibrationModel, datasets: Sequence) -> np.ndarray:
 
     Used by the homing study: each element is one between-homings segment.
     """
-    out = []
-    for ds in datasets:
-        out.append(rmse(model.predict_batch(ds.inputs), ds.targets))
-    return np.array(out)
+    return np.array([rmse(model.predict_batch(ds.inputs), ds.targets)
+                     for ds in datasets])
 
 
 # --------------------------------------------------------------------------

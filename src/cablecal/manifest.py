@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .core import _checked, _one_of, _read_json, _replacing, json_digest, write_json
+from .core import (_checked, _one_of, _read_json, _replacing, _rule, json_digest,
+                   write_json)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -91,11 +92,8 @@ class RunManifest:
         return out
 
 
-def _sha256(value: str) -> str:
-    if len(value) != 64 or set(value) - set("0123456789abcdef"):
-        raise ValueError(f"expected a sha256 of 64 hex digits, got {value!r}")
-    return value
-
+_sha256 = _rule("sha256", "64 hex digits", lambda v: len(v) == 64
+                and not set(v) - set("0123456789abcdef"), ValueError, number=False)
 
 #: One ``inputs`` or ``outputs`` value: the artifact's path and hash.
 _ARTIFACT = {"path": ("string", None, True), "sha256": ("string", _sha256, True)}

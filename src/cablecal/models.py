@@ -35,8 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (_SCHEMA_CHECK, FeatureSchema, _checked, _json_type,
-                   _one_of, _read_json, _replacing, json_digest, write_json)
+from .core import (_SCHEMA_CHECK, FeatureSchema, _checked, _finite, _json_type,
+                   _one_of, _read_json, _replacing, _rule, json_digest,
+                   write_json)
 from .data import Dataset, NormStats, _norm_check
 from .nn import MlpConfig, forward, train_mlp
 
@@ -55,9 +56,10 @@ class ModelError(ValueError):
     """Model fitting, prediction or (de)serialization contract violation."""
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ModelError(f"unknown output mode {mode!r}; expected one of {MODES}")
+check_mode = _rule("mode", f"one of {MODES}", MODES.__contains__, ModelError,
+                   number=False)
+#: The ridge penalty of the linear and poly2 least-squares fits.
+check_ridge = _rule("ridge", "a finite number >= 0", lambda v: v >= 0, ModelError)
 
 
 def _rep_indices(schema: FeatureSchema) -> tuple:
@@ -96,8 +98,7 @@ class CalibrationModel:
     _correcting_modes = (ON_ERROR,)
 
     def __init__(self, mode: str, schema: FeatureSchema):
-        _check_mode(mode)
-        self.mode = mode
+        self.mode = check_mode(mode)
         self.schema = schema
         self._dim = schema.dim_selected
         self._rep = _rep_indices(schema) if mode in self._correcting_modes else None
@@ -393,6 +394,8 @@ class MlpModel(CalibrationModel):
 _KINDS = {cls.kind: cls for cls in
           (FixedOffsetModel, LinearModel, PolyModel, MlpModel)}
 MODEL_KINDS = tuple(_KINDS)
+check_kind = _rule("model", f"one of {MODEL_KINDS}", MODEL_KINDS.__contains__,
+                   ModelError, number=False)
 
 
 # --------------------------------------------------------------------------
@@ -407,8 +410,7 @@ def _solve_affine(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> tuple:
     are themselves inputs, so the two targets differ by an in-span affine
     term). A positive ridge penalizes all non-intercept coefficients.
     """
-    if not ridge >= 0:                  # NaN fails too
-        raise ModelError(f"ridge must be >= 0, got {ridge}")
+    check_ridge(ridge)
     A = np.hstack([np.ones((len(Phi), 1)), Phi])
     if ridge > 0.0:
         pen = np.ones(A.shape[1])
@@ -425,7 +427,6 @@ def fit_offset(ds: Dataset, mode: str = ON_ERROR) -> FixedOffsetModel:
 
 
 def fit_linear(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> LinearModel:
-    _check_mode(mode)
     norm = _input_norm(ds)
     b_n, W_n = _solve_affine(norm.apply(ds.inputs), _fit_targets(ds, mode), ridge)
     # fold (x - mean) / sd back into raw-space parameters
@@ -435,7 +436,6 @@ def fit_linear(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> LinearM
 
 
 def fit_poly2(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> PolyModel:
-    _check_mode(mode)
     d = ds.inputs.shape[1]
     if d > POLY2_MAX_INPUTS:
         raise ModelError(
@@ -456,7 +456,7 @@ def fit_mlp(ds: Dataset, mode: str = ON_ERROR,
     then folded into the output layer along with the input stats in the
     first layer.
     """
-    _check_mode(mode)
+    check_mode(mode)
     config = config if config is not None else MlpConfig()
     norm = _input_norm(ds)
     Y = _fit_targets(ds, mode)
@@ -485,7 +485,9 @@ def _checksum(doc: dict) -> str:
 
 
 def serialize(model: CalibrationModel, path) -> None:
-    """Write a self-describing, checksummed model file (.ccm JSON)."""
+    """Write a self-describing, checksummed model file (.ccm JSON); a model
+    with a NaN or infinite parameter raises ModelError and leaves ``path``
+    as it was, as :func:`deserialize` would refuse the file."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -495,6 +497,8 @@ def serialize(model: CalibrationModel, path) -> None:
         "schema_hash": model.schema.hash(),
         "payload": model.payload(),
     }
+    if not _finite(doc["payload"]):
+        raise ModelError(f"{path}: {model.kind} parameters hold NaN or infinities")
     doc["checksum"] = _checksum(doc)
     with _replacing(path) as (fh,):
         write_json(doc, fh)
@@ -508,8 +512,8 @@ def deserialize(path) -> CalibrationModel:
         "format": ("string", _one_of(MODEL_FORMAT), True),
         "version": ("integer", _one_of(MODEL_VERSION), True),
         "checksum": ("string", _one_of(_checksum(doc)), True),
-        "kind": ("string", _one_of(*MODEL_KINDS), True),
-        "mode": ("string", _one_of(*MODES), True),
+        "kind": ("string", check_kind, True),
+        "mode": ("string", check_mode, True),
         "schema": ("object", _SCHEMA_CHECK, True),
         "schema_hash": lambda got: ("string", _one_of(got["schema"].hash()), True),
         "payload": lambda got: ("object", _KINDS[got["kind"]].payload_check(

@@ -48,14 +48,30 @@ sigmoid derivative.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .core import _rule
+
 
 class TrainingDivergedError(RuntimeError):
     pass
+
+
+_MLP_CHECKS = {
+    "hidden": _rule("hidden", "a tuple of layer widths >= 1", lambda v: type(v) is tuple
+                    and all(type(n) is int and n >= 1 for n in v), ValueError, number=False),
+    **{k: _rule(k, "an integer >= 1", lambda v: operator.index(v) >= 1, ValueError)
+       for k in ("epochs", "batch_size")},
+    **{k: _rule(k, "a finite number > 0", lambda v: v > 0, ValueError) for k in ("lr", "eps")},
+    **{k: _rule(k, "a finite number in [0, 1)", lambda v: 0 <= v < 1, ValueError)
+       for k in ("beta1", "beta2")},
+    **{k: _rule(k, "a finite number >= 0", lambda v: v >= 0, ValueError)
+       for k in ("kernel_l2", "kernel_l1", "bias_l2", "activity_l2")},
+}
 
 
 @dataclass(frozen=True)
@@ -73,22 +89,12 @@ class MlpConfig:
     activity_l2: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.hidden, tuple)
-                and all(type(n) is int and n >= 1 for n in self.hidden)):
-            raise ValueError(
-                f"hidden must be a tuple of layer widths >= 1, got {self.hidden!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        # written so that NaN fails every rule; a checked value is stored as
-        # a Python float, as a numpy scalar would upcast float32 training
-        for names, ok, rule in ((("lr", "eps"), lambda v: v > 0, "> 0"),
-                                (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
-                                (("kernel_l2", "kernel_l1", "bias_l2", "activity_l2"),
-                                 lambda v: v >= 0, ">= 0")):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-                object.__setattr__(self, name, float(getattr(self, name)))
+        # a checked float is stored as a Python float, as a numpy scalar
+        # would upcast float32 training
+        for name, check in _MLP_CHECKS.items():
+            v = check(getattr(self, name))
+            object.__setattr__(self, name, v if name in ("hidden", "epochs", "batch_size")
+                               else float(v))
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
@@ -152,10 +158,7 @@ class Mlp:
 
     def parameters(self) -> list:
         """Flat list of parameter arrays (weights then bias per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def loss_and_grads(self, X: np.ndarray, Y: np.ndarray) -> tuple:
         """Total loss and gradients in parameters() order."""

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits
+from .core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits, _real, _rule
 from .trajectory import DEFAULT_SPEEDS, Trajectory, segment_times
 
 
@@ -50,35 +50,21 @@ class SimError(ValueError):
 # error model
 
 
-def _t3(x) -> tuple:
-    a = np.asarray(x, dtype=float)
-    if a.shape == ():
-        a = np.full(3, float(a))  # scalar applies to all three joints
-    if a.shape != (3,):
-        raise SimError(f"expected 3 values, got shape {a.shape}")
-    return tuple(float(v) for v in a)
+#: The checks of the stream rates (state, truth; Hz) and the time scale.
+check_rates = _rule("rates", "2 finite numbers > 0", lambda v: v > 0, SimError, count=2)
+check_time_scale = _rule("time_scale", "a finite number >= 1", lambda v: v >= 1, SimError)
 
 
-def _t33(x) -> tuple:
-    a = np.asarray(x, dtype=float)
-    if a.shape != (3, 3):
-        raise SimError(f"expected a 3x3 matrix, got shape {a.shape}")
-    return tuple(tuple(float(v) for v in row) for row in a)
+_check_grams = _rule("load", "'unloaded', 'loaded', 'idle' or grams >= 0",
+                     lambda v: not isinstance(v, bool) and 0 <= float(v) < math.inf,
+                     SimError, number=False)
 
 
 def check_load(load):
     """``load`` as ``SimSession.run`` reads it: 'unloaded', 'loaded' or
     'idle' as given, or a finite mass in grams >= 0 (a number or numeric
     string) as a float. Anything else raises SimError."""
-    if load in ("unloaded", "loaded", "idle"):
-        return load
-    try:
-        if not isinstance(load, bool) and 0.0 <= float(load) < math.inf:
-            return float(load)
-    except (TypeError, ValueError):
-        pass
-    raise SimError("load must be 'unloaded', 'loaded', 'idle' or grams >= 0, "
-                   f"got {load!r}")
+    return load if load in ("unloaded", "loaded", "idle") else float(_check_grams(load))
 
 
 @dataclass(frozen=True)
@@ -104,15 +90,18 @@ class CableErrorModel:
     load_ref_g: float = 500.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", _t3(self.offset))
-        object.__setattr__(self, "position_gain", _t33(self.position_gain))
-        object.__setattr__(self, "stiffness_gain", _t33(self.stiffness_gain))
-        for name in ("hysteresis_width", "drift_rate_unloaded", "drift_rate_loaded",
-                     "drift_rate_idle", "noise_sd", "homing_offset_sd"):
-            object.__setattr__(self, name, _t3(getattr(self, name)))
+        # tuple fields become tuples of floats (a scalar applies to every joint)
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)).all():
-                raise SimError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            v = getattr(self, f.name)
+            shape = () if isinstance(f.default, float) else (3, 3) if "gain" in f.name else (3,)
+            a = np.array(v, dtype=object)
+            a = np.full(3, v, dtype=object) if shape == (3,) and a.ndim == 0 else a
+            if a.shape != shape or not all(map(_real, a.flat)):
+                raise SimError(f"{f.name} must be finite numbers of shape {shape}, got {v!r}")
+            if shape:
+                t = a.astype(float).tolist()
+                object.__setattr__(self, f.name, tuple(map(tuple, t)) if a.ndim == 2
+                                   else tuple(t))
         if min(self.hysteresis_width + self.noise_sd + (self.aux_noise_sd,)) < 0:
             raise SimError("hysteresis widths and noise sds must be non-negative")
         if not self.load_ref_g > 0:
@@ -421,14 +410,10 @@ class SimSession:
 
     def __init__(self, error_model: CableErrorModel, limits: JointLimits = DEFAULT_LIMITS,
                  rates=(30.0, 100.0), seed: int = 0, time_scale: float = 1.0):
-        if not (0 < rates[0] < math.inf and 0 < rates[1] < math.inf):
-            raise SimError(f"rates must be positive and finite, got {rates}")
-        if not 1.0 <= time_scale < math.inf:
-            raise SimError(f"time_scale must be finite and >= 1, got {time_scale}")
         self.error_model = error_model
         self.limits = limits
-        self.rates = (float(rates[0]), float(rates[1]))
-        self.time_scale = float(time_scale)
+        self.rates = tuple(map(float, check_rates(rates)))
+        self.time_scale = float(check_time_scale(time_scale))
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0
         self._last_dir = np.zeros(3)
@@ -505,10 +490,7 @@ class SimSession:
         """Assemble the (N, 138) state matrix, block by block in FULL_SCHEMA
         order; the placeholder channels draw aux noise in that order too."""
         n = len(ts)
-        if n >= 2:
-            v_rep = np.gradient(q_rep, ts, axis=0)
-        else:
-            v_rep = np.zeros_like(q_rep)
+        v_rep = np.gradient(q_rep, ts, axis=0) if n >= 2 else np.zeros_like(q_rep)
         desired = q_rep + LOOKAHEAD_S * v_rep
         gear, counts, enc_off = GEAR_RATIO, COUNTS_PER_UNIT, ENCODER_OFFSET_COUNTS
         aux_sd = self.error_model.aux_noise_sd

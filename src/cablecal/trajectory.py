@@ -21,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DEFAULT_LIMITS, JointLimits, _checked, _one_of, _read_json,
-                   _read_matrix, _replacing, _write_matrix, write_json)
+from .core import (DEFAULT_LIMITS, JointLimits, _checked, _read_json,
+                   _read_matrix, _replacing, _rule, _write_matrix,
+                   write_json)
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -35,6 +36,15 @@ DEFAULT_SPEEDS = (3.0, 3.0, 9.5)
 
 class TrajectoryError(ValueError):
     pass
+
+
+#: The checks of the trajectory settings: raster spacing as a fraction of
+#: the normalized range, densification step, follower speeds per joint.
+check_sparsity = _rule("sparsity", "a finite number in (0, 1/2]", lambda v: 0 < v <= 0.5,
+                       TrajectoryError)
+check_step = _rule("step", "a finite number > 0", lambda v: v > 0, TrajectoryError)
+check_speeds = _rule("speeds", "3 finite numbers > 0", lambda v: v > 0, TrajectoryError,
+                     count=3)
 
 
 @dataclass(frozen=True)
@@ -114,13 +124,14 @@ _TRANSFORMS = {d: _placed(d, rot) for d, rot in (
 
 DIRECTIONS = tuple(_TRANSFORMS)
 
+check_direction = _rule("direction", f"one of {DIRECTIONS}",
+                        DIRECTIONS.__contains__, TrajectoryError, number=False)
+
 
 def direction_transform(direction: str) -> DirectionTransform:
     """Map from the centered base raster frame into the unit cube: the
     class's table entry, whose arrays are read-only."""
-    if direction not in DIRECTIONS:
-        raise TrajectoryError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
-    return _TRANSFORMS[direction]
+    return _TRANSFORMS[check_direction(direction)]
 
 
 def span_fraction(direction: str) -> float:
@@ -130,14 +141,8 @@ def span_fraction(direction: str) -> float:
     return math.sqrt(direction.count("j")) / _SQRT3
 
 
-def _check_sparsity(sparsity: float) -> float:
-    if not (0.0 < sparsity <= 0.5 + 1e-12):
-        raise TrajectoryError(f"sparsity must be in (0, 1/2], got {sparsity}")
-    return sparsity
-
-
 def _raster_corners(sparsity: float) -> np.ndarray:
-    _check_sparsity(sparsity)
+    check_sparsity(sparsity)
     n = math.ceil(1.0 / sparsity - 1e-9)
     levels = np.linspace(-0.5, 0.5, n + 1)
     pts: list = []
@@ -158,8 +163,7 @@ def _densify(waypoints: np.ndarray, step: float) -> np.ndarray:
     Original waypoints are kept exactly, so the +-0.5 extremes survive
     densification bit-for-bit.
     """
-    if step <= 0:
-        raise TrajectoryError(f"step must be positive, got {step}")
+    check_step(step)
     delta = np.diff(waypoints, axis=0)
     k = np.maximum(np.ceil(np.abs(delta).max(axis=1) / step), 1).astype(np.intp)
     seg = np.repeat(np.arange(len(k)), k)       # segment of each new point
@@ -224,9 +228,7 @@ def trajectory_duration(traj: Trajectory, speeds=DEFAULT_SPEEDS) -> float:
 
 def segment_times(points: np.ndarray, speeds=DEFAULT_SPEEDS) -> np.ndarray:
     """Cumulative arrival time at every waypoint, starting from 0."""
-    sp = np.asarray(speeds, dtype=float)
-    if np.any(sp <= 0):
-        raise TrajectoryError(f"speeds must be positive, got {speeds}")
+    sp = np.asarray(check_speeds(speeds), dtype=float)
     if len(points) == 0:
         return np.zeros(0)
     seg = (np.abs(np.diff(points, axis=0)) / sp).max(axis=1)
@@ -272,8 +274,8 @@ def load(csv_path) -> Trajectory:
     rows = _read_matrix(csv_path, 4, TrajectoryError)
     side_path = csv_path.with_suffix(".json")
     side = _checked(_read_json(side_path, TrajectoryError), {
-        "direction": ("string", _one_of(*DIRECTIONS), True),
-        "sparsity": ("number", _check_sparsity, True),
+        "direction": ("string", check_direction, True),
+        "sparsity": ("number", check_sparsity, True),
         "normalized": ("boolean", None, True),
         "limits": (("object", "null"), ({"min": ("number", (3,), True),
                                          "max": ("number", (3,), True)},

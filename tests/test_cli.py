@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -152,34 +153,32 @@ def test_pipeline_end_to_end(runner, fast_cfg, tmp_path):
 
 
 def test_stage_by_stage_matches_pipeline(runner, tmp_path):
-    # no [eval] load: record must default to it, as pipeline does
-    cfg = tmp_path / "noload.toml"
-    cfg.write_text(FAST_TOML.replace('load = "unloaded"\n', ""))
-    a, b = tmp_path / "stages", tmp_path / "pipe"
-    base = ["--config", str(cfg), "--out-dir", str(a)]
-    invoke(runner, base + ["generate"])
-    traj = a / "traj_j1j2j3_0.5.csv"
-    invoke(runner, base + ["record", "--trajectory", str(traj)])
-    invoke(runner, base + ["process", "--bag", str(a / "bag_j1j2j3_0.5")])
-    invoke(runner, base + ["train", "--dataset", str(a / "train.csv")])
-    invoke(runner, base + ["evaluate", "--model-file", str(a / "model.ccm"),
-                           "--dataset", str(a / "test.csv"),
-                           "--train-dataset", str(a / "train.csv")])
-    invoke(runner, ["--config", str(cfg), "--out-dir", str(b), "pipeline"])
+    # every artifact, the evaluate report included, for every model kind
     names = ["traj_j1j2j3_0.5.csv", "traj_j1j2j3_0.5.json", "train.csv",
              "train.json", "test.csv", "test.json", "model.ccm",
              "bag_j1j2j3_0.5/state.csv", "bag_j1j2j3_0.5/truth.csv",
-             "bag_j1j2j3_0.5/metadata.json"]
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    # evaluate scores test.csv as loaded back (C-ordered inputs), pipeline
-    # the F-ordered arrays synchronize returned: the last digits may differ
-    a_rows, b_rows = (json.loads((d / "rmse_report.json").read_text())
-                      for d in (a, b))
-    assert ([r["model_rmse"] for r in a_rows]
-            == pytest.approx([r["model_rmse"] for r in b_rows], rel=1e-12))
-    assert set(load_manifest(b).outputs) >= {
-        str(b / n) for n in ("traj_j1j2j3_0.5.json", "train.json", "test.json")}
+             "bag_j1j2j3_0.5/metadata.json", "rmse_report.csv",
+             "rmse_report.json"]
+    for kind in ("offset", "linear", "poly2", "mlp"):
+        # no [eval] load: record must default to it, as pipeline does
+        cfg = tmp_path / f"{kind}.toml"
+        cfg.write_text(FAST_TOML.replace('load = "unloaded"\n', "").replace(
+            'model = "linear"', f'model = "{kind}"\nepochs = 3'))
+        a, b = tmp_path / f"{kind}-stages", tmp_path / f"{kind}-pipe"
+        base = ["--config", str(cfg), "--out-dir", str(a)]
+        invoke(runner, base + ["generate"])
+        traj = a / "traj_j1j2j3_0.5.csv"
+        invoke(runner, base + ["record", "--trajectory", str(traj)])
+        invoke(runner, base + ["process", "--bag", str(a / "bag_j1j2j3_0.5")])
+        invoke(runner, base + ["train", "--dataset", str(a / "train.csv")])
+        invoke(runner, base + ["evaluate", "--model-file", str(a / "model.ccm"),
+                               "--dataset", str(a / "test.csv"),
+                               "--train-dataset", str(a / "train.csv")])
+        invoke(runner, ["--config", str(cfg), "--out-dir", str(b), "pipeline"])
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (kind, name)
+        assert set(load_manifest(b).outputs) >= {
+            str(b / n) for n in ("traj_j1j2j3_0.5.json", "train.json", "test.json")}
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +278,18 @@ def test_bad_load_option_exits_2_before_any_stage(runner, fast_cfg, tmp_path,
 
 
 @pytest.mark.parametrize("args, rule", [
-    (["record", "--time-scale", "0.5"], "eval.time_scale must be >= 1"),
+    (["record", "--time-scale", "0.5"],
+     "eval.time_scale: time_scale must be a finite number >= 1"),
     (["process", "--bag", "{m}/bag0", "--tolerance", "-1"],
-     "eval.sync_tolerance_s must be >= 0"),
+     "eval.sync_tolerance_s: sync_tolerance_s must be a finite number >= 0"),
     (["train", "--dataset", "{m}/train.csv", "--epochs", "0"],
-     "epochs and batch_size must be >= 1"),
+     "epochs must be an integer >= 1"),
     (["train", "--dataset", "{m}/train.csv", "--ridge", "-1"],
-     "training.ridge must be >= 0"),
-    (["generate", "--sparsity", "0.9"], "sparsity values must lie in (0, 1/2]"),
-    (["sweep", "--sparsities", "0.5,0"], "sparsity values must lie in (0, 1/2]")],
+     "training.ridge: ridge must be a finite number >= 0"),
+    (["generate", "--sparsity", "0.9"],
+     "trajectory.sparsity: sparsity must be a finite number in (0, 1/2]"),
+    (["sweep", "--sparsities", "0.5,0"],
+     "trajectory.sparsities: sparsity must be a finite number in (0, 1/2]")],
     ids=["time_scale", "tolerance", "epochs", "ridge", "sparsity", "sparsities"])
 def test_option_meets_its_config_key_checks(runner, fast_cfg, made, tmp_path,
                                             args, rule):
@@ -300,6 +302,52 @@ def test_option_meets_its_config_key_checks(runner, fast_cfg, made, tmp_path,
     text = result.output + (result.stderr or "")
     assert rule in text and args[-2] in text and "Traceback" not in text
     assert not out.exists()
+
+
+def _files(root: Path) -> dict:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("args, key", [
+    (["record", "--time-scale", "inf"], "eval.time_scale"),
+    (["train", "--dataset", "{o}/train.csv", "--ridge", "inf"], "training.ridge"),
+    (["process", "--bag", "{o}/bag0", "--tolerance", "inf"],
+     "eval.sync_tolerance_s"),
+    (["bench", "--model-file", "{o}/model.ccm", "--dataset", "{o}/test.csv",
+      "--budget-hz", "inf"], "eval.budget_hz")],
+    ids=["time_scale", "ridge", "tolerance", "budget_hz"])
+def test_infinite_option_exits_2_and_keeps_the_output_directory(
+        runner, fast_cfg, made, tmp_path, args, key):
+    # an infinite setting is refused by the key's rule, like any other bad
+    # value, before a stage writes anything over the earlier artifacts
+    out = tmp_path / "o"
+    shutil.copytree(made, out)
+    before = _files(out)
+    result = runner.invoke(main, out_args(fast_cfg, out) +
+                           [a.format(o=out) for a in args])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"{key}: " in text and "must be a finite number" in text
+    assert "Traceback" not in text
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("body, key", [
+    ("[eval]\nrates = [true, 100]\n", "eval.rates"),
+    ("[trajectory]\nspeeds = [true, 3, 9]\n", "trajectory.speeds"),
+    ("[limits]\nmin = [true, 0, 0]\n", "limits min"),
+    ("[error_model]\noffset = [true, 0, 0]\n", "offset"),
+    ("[error_model]\nposition_gain = [[0, 0, 0], [0, false, 0], [0, 0, 0]]\n",
+     "position_gain")], ids=["rates", "speeds", "limits", "offset", "gain"])
+def test_boolean_in_a_config_list_exits_2_naming_the_key(runner, tmp_path, body, key):
+    p = tmp_path / "bad.toml"
+    p.write_text(body)
+    result = runner.invoke(main, ["--config", str(p), "--out-dir",
+                                  str(tmp_path / "o"), "generate"])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert f"config error: {p}: " in text and key in text
+    assert not (tmp_path / "o").exists()
 
 
 def test_options_are_hashed_into_the_manifest(runner, fast_cfg, made, tmp_path):

@@ -6,6 +6,7 @@ import tempfile
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from cablecal.config import (Config, ConfigError, EvalConfig, TrainingConfig,
                              TrajectoryConfig, load_config)
 from cablecal.models import MODES, ON_ERROR
 from cablecal.sim import CableErrorModel, SimSession
-from cablecal.trajectory import DIRECTIONS
+from cablecal.trajectory import DIRECTIONS, TrajectoryError, generate
 
 
 def write(tmp_path, name, text):
@@ -140,6 +141,12 @@ def test_missing_file_rejected(tmp_path):
     ("[training]\nactivity_l2 = -1.0\n", "activity_l2"),
     ("[eval]\ntime_scale = 0.5\n", "time_scale"),
     ("[eval]\nrates = [30.0]\n", "rates"),
+    # a boolean inside a list is not a number
+    ("[eval]\nrates = [true, 100]\n", "eval.rates"),
+    ("[trajectory]\nspeeds = [true, 3, 9]\n", "trajectory.speeds"),
+    ("[trajectory]\nsparsities = [0.5, true]\n", "trajectory.sparsities"),
+    ("[limits]\nmax = [90, 90, true]\n", "limits max"),
+    ("[error_model]\nnoise_sd = [0.1, false, 0.1]\n", "noise_sd"),
 ])
 def test_invalid_values_rejected(tmp_path, body, needle):
     p = write(tmp_path, "c.toml", body)
@@ -201,6 +208,39 @@ NAN = float("nan")
 def test_objects_built_in_code_reject_nan_and_degenerate_values(build):
     with pytest.raises(ValueError):
         build()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: EvalConfig(rates=(INF, 100.0)), "eval.rates"),
+    (lambda: EvalConfig(time_scale=INF), "eval.time_scale"),
+    (lambda: EvalConfig(budget_hz=INF), "eval.budget_hz"),
+    (lambda: TrainingConfig(ridge=INF), "training.ridge"),
+    (lambda: TrajectoryConfig(step=INF), "trajectory.step"),
+], ids=["rates", "time_scale", "budget_hz", "ridge", "step"])
+def test_sections_built_in_code_refuse_infinities_naming_the_key(build, key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: ") + ".*finite"):
+        build()
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except (ConfigError, TrajectoryError):
+        return False
+    return True
+
+
+# sparsities below 1/4 are left out: they are valid, but slow to generate
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.25, 0.75) | st.sampled_from(
+    [0.5, 0.5 + 1e-13, 0.5 + 1e-12, float(np.nextafter(0.5, 1)), 0.0, -0.25,
+     NAN, INF, -INF, True]))
+def test_config_and_generate_accept_the_same_sparsities(sparsity):
+    assert (_accepts(lambda: TrajectoryConfig(sparsity=sparsity))
+            == _accepts(lambda: generate("j1", sparsity)))
 
 
 @pytest.mark.parametrize("load", ['"heavy"', "-5", "true", "-0.5"])

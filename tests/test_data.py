@@ -337,7 +337,9 @@ def _bits(u):
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
            1e308, -1e308, 1.0, -7.0, 12345678901234567.0, 0.1,
-           _bits(0x7FF4000000000001), _bits(0xFFF4B9712C64C8FA)]  # signalling NaNs
+           _bits(0x7FF4000000000001), _bits(0xFFF4B9712C64C8FA),  # signalling NaNs
+           # exact ties of the 17th digit, which round half to even
+           1000000000000000.25, 1000000000000000.75, 123456789012345.625]
 
 
 def _tie_bounds(j):
@@ -600,6 +602,13 @@ def test_load_dataset_rejects_non_finite_norm(tmp_path, field):
         dt.load_dataset(tmp_path / "d.csv")
 
 
+def test_reloaded_dataset_keeps_the_layout_of_synchronize(tmp_path):
+    _saved(tmp_path)
+    ds = dt.load_dataset(tmp_path / "d.csv")
+    assert ds.inputs.flags.f_contiguous
+    assert dt.synchronize(make_bag(duration=5.0)).inputs.flags.f_contiguous
+
+
 def _pop(key):
     def edit(norm):
         del norm[key]
@@ -625,8 +634,11 @@ def _put(key, value):
     (_put("degenerate", [0.0] * 16), "norm.degenerate", "array of booleans"),
     (_put("mean", [0.0]), "norm.mean", "got a (1,) array"),
     (lambda norm: {k: v[:-1] for k, v in norm.items()}, "norm.mean", "got a (15,) array"),
+    (_put("sd", [1.0] * 3 + [0.0] + [1.0] * 12), "norm", "sd must be > 0"),
+    (_put("sd", [1.0] * 15 + [-1.0]), "norm", "sd must be > 0"),
 ], ids=["no-sd", "list", "empty", "string-mean", "null-in-sd", "int-degenerate",
-        "string-degenerate", "numeric-degenerate", "short-mean", "short-norm"])
+        "string-degenerate", "numeric-degenerate", "short-mean", "short-norm",
+        "zero-sd", "negative-sd"])
 def test_load_dataset_names_malformed_norm(tmp_path, edit, entry, named):
     _saved(tmp_path)
     path = tmp_path / "d.json"

@@ -363,6 +363,21 @@ def test_failed_serialize_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ccm"]
 
 
+def test_serialize_refuses_non_finite_parameters_and_keeps_previous_file(tmp_path):
+    ds = make_dataset(const_err([1.0, 0.0, -1.0]), n=40)
+    path = tmp_path / "model.ccm"
+    good = fit_linear(ds)
+    serialize(good, path)
+    before = path.read_bytes()
+    weights = good.weights.copy()
+    weights[2, 1] = float("nan")
+    bad = LinearModel(good.mode, good.schema, weights, good.intercept)
+    with pytest.raises(ModelError, match=re.escape(f"{path}: ") + ".*NaN"):
+        serialize(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ccm"]
+
+
 def test_round_trip_preserves_predictions_exactly(tmp_path):
     ds = make_dataset(nonlin_err, n=150, seed=19)
     for i, m in enumerate(all_fitted_models(ds)):
@@ -676,6 +691,20 @@ def test_poly2_norm_of_wrong_width_names_norm(tmp_path):
 
     with pytest.raises(ModelError, match=re.escape(
             "tampered.ccm: entry 'payload.norm.mean': expected a (16,) array")):
+        deserialize(_tampered(p, mutate))
+
+
+def test_poly2_norm_sd_that_is_not_positive_is_refused(tmp_path):
+    ds = make_dataset(nonlin_err, n=120, seed=24)
+    p = tmp_path / "m.ccm"
+    serialize(fit_poly2(ds, ON_ERROR), p)
+
+    def mutate(doc):
+        doc["payload"]["norm"]["sd"][3] = 0.0
+        return True
+
+    with pytest.raises(ModelError, match=re.escape(
+            "tampered.ccm: entry 'payload.norm': sd must be > 0")):
         deserialize(_tampered(p, mutate))
 
 
