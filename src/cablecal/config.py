@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .core import DEFAULT_LIMITS, JointLimits, _checked, _json_type, _read_json
 from .data import SYNC_TOLERANCE_S, check_tolerance, check_train_frac
-from .evaluate import check_budget, check_repeats, check_samples
+from .evaluate import check_budget, check_repeats, check_samples, check_sparsities
 from .models import ON_ERROR, check_kind, check_mode, check_ridge
 from .nn import MlpConfig
 from .sim import (CableErrorModel, check_load, check_rates, check_time_scale,
@@ -67,7 +67,7 @@ class TrajectoryConfig(_Section):
     speeds: tuple = DEFAULT_SPEEDS
 
     CHECKS = {"direction": check_direction, "sparsity": check_sparsity,
-              "sparsities": lambda v: tuple(map(check_sparsity, v)),
+              "sparsities": lambda v: tuple(map(check_sparsity, check_sparsities(v))),
               "step": check_step, "speeds": check_speeds}
 
 

@@ -5,14 +5,19 @@ Units are fixed across the whole toolkit: joint 1 and joint 2 are revolute
 that crosses a module boundary uses this (deg, deg, mm) convention; joint
 limits hold their bounds as (j1, j2, j3) tuples of floats.
 
+One table, ``STATE_BLOCKS``, owns the layout of the robot-state vector:
+``FULL_SCHEMA`` and ``REPORTED_JOINTS`` are built from it, and the simulator
+walks it to assemble each row.
+
 The module also owns the artifact file format. Every bag, dataset,
 trajectory, model, report and manifest file is written through
 ``_replacing``, which replaces all the files of one artifact together or
 none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
 (``write_json``), and read back through the checked ``_read_matrix`` and
-``_read_json``; every JSON reader is one table of entries for ``_checked``,
-which reports a bad entry as ``<file>: entry '<key>': <reason>``. Each
-setting's rule is one ``_rule`` check in the module that uses the value.
+``_read_json``: a CSV must have the header its saver wrote, and every JSON
+reader is one table of entries for ``_checked``, which reports a bad entry
+as ``<file>: entry '<key>': <reason>``. Each setting's rule is one ``_rule``
+check in the module that uses the value.
 """
 
 from __future__ import annotations
@@ -177,68 +182,47 @@ class FeatureSchema:
         }
 
 
-def _block(prefix: str) -> list:
-    return [f"{prefix}_{ch}" for ch in CHANNELS]
+def _block(name: str, suffixes, selected: bool = False) -> tuple:
+    """One ``STATE_BLOCKS`` entry: columns named ``<name>_<suffix>``."""
+    return name, tuple(f"{name}_{s}" for s in suffixes), selected
 
 
-def build_full_schema() -> FeatureSchema:
-    """Build the 138-dimensional robot-state catalog emitted by the simulator.
+_POSE = ("pos_x", "pos_y", "pos_z", *(f"rot_{r}{c}" for r in range(3) for c in range(3)))
 
-    Layout (counts in parentheses):
-      operating status (6): timestamp, run_level, sublevel, last_sequence,
-        arm_type, grasper_desired
-      per-channel blocks (12 x 8): encoder values/offsets, motor and joint
-        positions, motor and joint velocities, desired joint/motor positions
-        and velocities, motor currents, motor torques
-      end-effector Jacobian velocity and force (6 + 6)
-      measured and desired end-effector pose, xyz + rotation matrix (12 + 12)
+#: The robot-state vector in column order, one (block name, column names,
+#: selected by the default input mask) entry per block: the one statement
+#: of the layout, which ``sim.SimSession`` walks to assemble its rows.
+STATE_BLOCKS = (
+    ("status", ("timestamp", "run_level", "sublevel", "last_sequence",
+                "arm_type", "grasper_desired"), False),
+    _block("encoder_value", CHANNELS),
+    _block("encoder_offset", CHANNELS),
+    _block("motor_position", CHANNELS),
+    _block("joint_position", CHANNELS, selected=True),
+    _block("motor_velocity", CHANNELS),
+    _block("joint_velocity", CHANNELS),
+    _block("desired_joint_position", CHANNELS),
+    _block("desired_motor_position", CHANNELS),
+    _block("desired_joint_velocity", CHANNELS),
+    _block("desired_motor_velocity", CHANNELS),
+    _block("motor_current", CHANNELS),
+    _block("motor_torque", CHANNELS, selected=True),
+    _block("jacobian_velocity", range(6)),     # end-effector Jacobian terms
+    _block("jacobian_force", range(6)),
+    _block("ee", _POSE),                       # measured pose: xyz + rotation
+    _block("desired_ee", _POSE),
+)
 
-    The default selection mask picks joint positions and motor torques
-    (8 + 8 = 16 inputs).
-    """
-    names: list = [
-        "timestamp",
-        "run_level",
-        "sublevel",
-        "last_sequence",
-        "arm_type",
-        "grasper_desired",
-    ]
-    for prefix in (
-        "encoder_value",
-        "encoder_offset",
-        "motor_position",
-        "joint_position",
-        "motor_velocity",
-        "joint_velocity",
-        "desired_joint_position",
-        "desired_motor_position",
-        "desired_joint_velocity",
-        "desired_motor_velocity",
-        "motor_current",
-        "motor_torque",
-    ):
-        names.extend(_block(prefix))
-    names.extend(f"jacobian_velocity_{i}" for i in range(6))
-    names.extend(f"jacobian_force_{i}" for i in range(6))
-    for which in ("ee", "desired_ee"):
-        names.extend(f"{which}_pos_{ax}" for ax in "xyz")
-        names.extend(f"{which}_rot_{r}{c}" for r in range(3) for c in range(3))
+#: Canonical schema instance shared by recorder, datasets and models: 138
+#: columns, of which the joint positions and motor torques are selected.
+FULL_SCHEMA = FeatureSchema(
+    tuple(c for _, cols, _ in STATE_BLOCKS for c in cols),
+    tuple(sel for _, cols, sel in STATE_BLOCKS for _ in cols))
 
-    mask = tuple(
-        n.startswith("joint_position_") or n.startswith("motor_torque_") for n in names
-    )
-    schema = FeatureSchema(tuple(names), mask)
-    if schema.dim_full != 138 or schema.dim_selected != 16:
-        raise SchemaError(
-            f"catalog layout drifted: {schema.dim_full} features, "
-            f"{schema.dim_selected} selected"
-        )
-    return schema
-
-
-#: Canonical schema instance shared by recorder, datasets and models.
-FULL_SCHEMA = build_full_schema()
+#: The reported positions of the three positioning joints, which a
+#: calibration corrects.
+REPORTED_JOINTS = next(cols for name, cols, _ in STATE_BLOCKS
+                       if name == "joint_position")[:3]
 
 #: The check of a feature schema entry in a ``_checked`` table.
 _SCHEMA_CHECK = ({"names": ("string", (None,), True),
@@ -405,16 +389,25 @@ def _write_matrix(fh, header: list, blocks) -> None:
         fh.write(text.T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _read_matrix(path: Path, width: int, error) -> np.ndarray:
-    """A CSV with one header line, checked to be ``width`` columns of finite
-    values; ``error`` (the caller's error class) names the file and, for a
-    non-finite value, the first bad row."""
+def _read_matrix(path: Path, header, error) -> np.ndarray:
+    """A CSV that ``_write_matrix`` wrote with ``header``: its header line
+    must name the same columns in the same order, and its rows hold as many
+    finite values. ``error`` (the caller's error class) names the file and
+    the first column that differs, or the first bad row."""
+    header = list(header)
     try:
+        with open(path, encoding="utf-8") as fh:
+            names = fh.readline().rstrip("\n").split(",")
+        if names != header:
+            k = len(os.path.commonprefix([names, header]))
+            got, want = (repr(h[k]) if k < len(h) else "none" for h in (names, header))
+            raise _Bad(f"header column {k + 1} is {got}, expected {want} "
+                       f"({len(names)} columns, expected {len(header)})")
         mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
+    except (ValueError, _Bad) as exc:       # UnicodeDecodeError too
         raise error(f"{path}: {exc}") from exc
-    if mat.shape[1] != width:
-        raise error(f"{path}: {mat.shape[1]} columns, expected {width}")
+    if mat.shape[1] != len(header):
+        raise error(f"{path}: {mat.shape[1]} columns, expected {len(header)}")
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if len(bad):
         raise error(f"{path}: row {bad[0]} holds NaN or infinite values")

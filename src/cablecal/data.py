@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (_SCHEMA_CHECK, DEFAULT_LIMITS, FULL_SCHEMA, FeatureSchema,
-                   _checked, _read_json, _read_matrix, _replacing, _rule,
-                   _write_matrix, write_json)
+from .core import (_SCHEMA_CHECK, DEFAULT_LIMITS, FULL_SCHEMA, REPORTED_JOINTS,
+                   FeatureSchema, _checked, _read_json, _read_matrix,
+                   _replacing, _rule, _write_matrix, write_json)
 from .sim import (CableErrorModel, SimSession, StateStream, TrajectoryFollower,
                   TruthStream)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
@@ -45,6 +45,11 @@ check_train_frac = _rule("train_frac", "a finite number in (0, 1)", lambda v: 0 
 
 # --------------------------------------------------------------------------
 # recorded bags
+
+
+def _bag_headers(schema: FeatureSchema) -> tuple:
+    """The columns of a bag's state.csv and truth.csv: time, then features."""
+    return ["t", *schema.names], ["t", "q1", "q2", "q3"]
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,9 @@ def save_bag(bag: RecordedBag, bag_dir) -> None:
                     bag_dir / "metadata.json") as (state, truth, side):
         write_json({"schema": bag.schema.to_dict(),
                     "metadata": bag.metadata}, side)
-        _write_matrix(state, ["t"] + list(bag.schema.names),
-                      [bag.state.t, bag.state.features])
-        _write_matrix(truth, ["t", "q1", "q2", "q3"],
-                      [bag.truth.t, bag.truth.q])
+        state_header, truth_header = _bag_headers(bag.schema)
+        _write_matrix(state, state_header, [bag.state.t, bag.state.features])
+        _write_matrix(truth, truth_header, [bag.truth.t, bag.truth.q])
 
 
 def load_bag(bag_dir) -> RecordedBag:
@@ -107,15 +111,12 @@ def load_bag(bag_dir) -> RecordedBag:
         "metadata": ("object", None, False),
     }, side_path, DataError)
     schema = head["schema"]
-    state = _read_matrix(bag_dir / "state.csv", 1 + schema.dim_full,
-                         DataError)
-    truth = _read_matrix(bag_dir / "truth.csv", 4, DataError)
-    return RecordedBag(
-        StateStream(state[:, 0], state[:, 1:]),
-        TruthStream(truth[:, 0], truth[:, 1:4]),
-        schema,
-        head.get("metadata", {}),
-    )
+    state_header, truth_header = _bag_headers(schema)
+    state = _read_matrix(bag_dir / "state.csv", state_header, DataError)
+    truth = _read_matrix(bag_dir / "truth.csv", truth_header, DataError)
+    return RecordedBag(StateStream(state[:, 0], state[:, 1:]),
+                       TruthStream(truth[:, 0], truth[:, 1:]), schema,
+                       head.get("metadata", {}))
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def synchronize(bag: RecordedBag, tolerance: float = SYNC_TOLERANCE_S,
     feats_t = bag.state.features.T
     X = feats_t[np.ix_(schema.selected_indices(), idx)].T
     targets = bag.truth.q[nearest[idx]]
-    rep_cols = [bag.schema.index_of(f"joint_position_j{j}") for j in (1, 2, 3)]
+    rep_cols = [bag.schema.index_of(name) for name in REPORTED_JOINTS]
     reported = feats_t[np.ix_(rep_cols, idx)].T
     meta = dict(bag.metadata)
     meta["sync_tolerance_s"] = tolerance
@@ -281,13 +282,17 @@ def concat(datasets: list) -> Dataset:
                    {"sources": [d.meta for d in datasets]})
 
 
+def _dataset_header(width: int) -> list:
+    """The columns of a dataset CSV: t, x_0..x_{width-1}, q*_true, q*_rep."""
+    return ["t", *(f"x_{i}" for i in range(width)),
+            *(f"q{j}_{s}" for s in ("true", "rep") for j in (1, 2, 3))]
+
+
 def save_dataset(ds: Dataset, csv_path) -> None:
-    """CSV columns t, x_0..x_{D-1}, q*_true, q*_rep + JSON schema sidecar,
-    both replaced together."""
+    """The dataset CSV (``_dataset_header``) + JSON schema sidecar, both
+    replaced together."""
     csv_path = Path(csv_path)
-    D = ds.inputs.shape[1]
-    header = (["t"] + [f"x_{i}" for i in range(D)]
-              + ["q1_true", "q2_true", "q3_true", "q1_rep", "q2_rep", "q3_rep"])
+    header = _dataset_header(ds.inputs.shape[1])
     with _replacing(csv_path, csv_path.with_suffix(".json")) as (fh, side):
         write_json({
             "schema": ds.schema.to_dict(),
@@ -307,7 +312,7 @@ def load_dataset(csv_path) -> Dataset:
         "meta": ("object", None, False),
     }, side_path, DataError)
     D = side["schema"].dim_selected
-    mat = _read_matrix(csv_path, 1 + D + 6, DataError)
+    mat = _read_matrix(csv_path, _dataset_header(D), DataError)
     # F-ordered inputs, as synchronize returns them: the same bits in every fit
     return Dataset(mat[:, 0], np.asfortranarray(mat[:, 1:1 + D]),
                    mat[:, 1 + D:4 + D], mat[:, 4 + D:7 + D], side["schema"],

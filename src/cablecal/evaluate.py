@@ -47,6 +47,9 @@ check_samples = _rule("latency_samples", "an integer >= 1",
                       lambda v: operator.index(v) >= 1, EvalError)
 check_repeats = _rule("repeats", "an integer >= 1", lambda v: operator.index(v) >= 1,
                       EvalError)
+#: The check of the sweep's sparsities, of which it needs at least one.
+check_sparsities = _rule("sparsities", "a list of at least one sparsity", len,
+                         EvalError, number=False)
 
 
 def rmse(pred, truth) -> np.ndarray:
@@ -263,6 +266,7 @@ def direction_sweep(error_model: CableErrorModel, fits: Optional[dict] = None, *
     reported, and supplies the percentage denominator. Each score is
     labelled by ``direction`` and ``model``.
     """
+    check_sparsities(sparsities)
     fits = dict(fits) if fits else {"linear": fit_linear}
     scores = []
     for i, direction in enumerate(directions):

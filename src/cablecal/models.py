@@ -35,9 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (_SCHEMA_CHECK, FeatureSchema, _checked, _finite, _json_type,
-                   _one_of, _read_json, _replacing, _rule, json_digest,
-                   write_json)
+from .core import (_SCHEMA_CHECK, REPORTED_JOINTS, FeatureSchema, _checked,
+                   _finite, _json_type, _one_of, _read_json, _replacing, _rule,
+                   json_digest, write_json)
 from .data import Dataset, NormStats, _norm_check
 from .nn import MlpConfig, forward, train_mlp
 
@@ -66,10 +66,10 @@ def _rep_indices(schema: FeatureSchema) -> tuple:
     """Positions of the reported joint columns within the selected inputs."""
     names = schema.selected_names()
     try:
-        return tuple(names.index(f"joint_position_j{j}") for j in (1, 2, 3))
+        return tuple(map(names.index, REPORTED_JOINTS))
     except ValueError:
         raise ModelError(
-            "input selection must include joint_position_j1..j3; "
+            f"input selection must include {', '.join(REPORTED_JOINTS)}; "
             "corrections cannot be applied without the reported positions")
 
 

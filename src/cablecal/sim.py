@@ -20,6 +20,8 @@ implicit relation ((I - P) @ reported = truth + the remaining terms).
 
 The robot's own constants (gear ratios, encoder, torque-proxy and Jacobian
 coefficients) are module constants, built once; their arrays are read-only.
+The state vector's layout is ``core.STATE_BLOCKS``: the simulator walks that
+table and looks up each block's values by name.
 
 Everything is deterministic given the session seed; a session can be run in
 chunks that share the clock, drift history, hysteresis state and rng, which
@@ -34,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, FULL_SCHEMA, JointLimits, _real, _rule
+from .core import DEFAULT_LIMITS, STATE_BLOCKS, JointLimits, _real, _rule
 from .trajectory import DEFAULT_SPEEDS, Trajectory, segment_times
 
 
@@ -119,11 +121,17 @@ class CableErrorModel:
     def S(self) -> np.ndarray:
         return np.array(self.stiffness_gain)
 
+    def grams(self, load):
+        """``load``, as ``check_load`` takes it, in grams: 'unloaded' is 0
+        and 'loaded' ``load_ref_g``; 'idle' stays 'idle'."""
+        load = check_load(load)
+        return {"unloaded": 0.0, "loaded": self.load_ref_g}.get(load, load)
+
     def drift_rate_per_s(self, load) -> np.ndarray:
-        """Drift rate (units/s) for a load: grams, or 'idle'."""
-        if load == "idle":
+        """Drift rate (units/s) for a load, as ``grams`` reads it."""
+        g = self.grams(load)
+        if g == "idle":
             return np.array(self.drift_rate_idle) / 3600.0
-        g = check_load(load)
         lo = np.array(self.drift_rate_unloaded)
         hi = np.array(self.drift_rate_loaded)
         return (lo + (hi - lo) * (g / self.load_ref_g)) / 3600.0
@@ -434,14 +442,13 @@ class SimSession:
         policy times to (N, 3) joint arrays, such as ``TrajectoryFollower``,
         ``RandomSinusoidPolicy`` or ``HoldPolicy``. Policy time starts at 0
         for each run call; ``duration`` defaults to the policy's. ``load``
-        is grams, 'unloaded' (0 g), 'loaded' (load_ref grams) or 'idle'.
+        is read by ``CableErrorModel.grams``.
         """
         if duration is None:
             duration = policy.duration
         if not (duration > 0 and math.isfinite(duration)):
             raise SimError(f"duration must be positive and finite, got {duration}")
-        load = check_load(load)
-        load = {"unloaded": 0.0, "loaded": self.error_model.load_ref_g}.get(load, load)
+        load = self.error_model.grams(load)
         t0 = self.clock
         self._load_history.append((t0, t0 + duration, load))
         profile = LoadProfile(tuple(self._load_history))
@@ -487,45 +494,47 @@ class SimSession:
             )
 
     def _features(self, ts, q_rep, tau) -> np.ndarray:
-        """Assemble the (N, 138) state matrix, block by block in FULL_SCHEMA
-        order; the placeholder channels draw aux noise in that order too."""
+        """The (N, 138) state matrix: ``STATE_BLOCKS`` walked in order, each
+        block's values looked up by name. An 8-channel block's values are its
+        three joints and the fills of joints 4-7 and the grasper, which draw
+        aux noise as the walk reaches them, in table order too."""
         n = len(ts)
         v_rep = np.gradient(q_rep, ts, axis=0) if n >= 2 else np.zeros_like(q_rep)
         desired = q_rep + LOOKAHEAD_S * v_rep
         gear, counts, enc_off = GEAR_RATIO, COUNTS_PER_UNIT, ENCODER_OFFSET_COUNTS
         aux_sd = self.error_model.aux_noise_sd
-
-        def pad8(main3, fill5):
-            """(N,3) block padded with placeholder channels for joints 4-7+grasper."""
-            pads = [np.full(n, v) + (self.rng.normal(0.0, aux_sd, n) if aux_sd > 0 else 0.0)
-                    for v in fill5]
-            return np.column_stack([main3] + pads)
-
         ph, zero5 = PLACEHOLDER_POSITIONS, (0.0,) * 5
-        status = np.column_stack([    # timestamp, run_level, sublevel, ...
-            ts, np.full(n, RUN_LEVEL), np.zeros(n),
-            self._seq + np.arange(n, dtype=float),
-            np.full(n, ARM_TYPE), np.full(n, GRASPER_DESIRED)])
-        out = np.hstack([
-            status,
-            pad8(q_rep * counts + enc_off, ph),             # encoder_value
-            pad8(np.tile(enc_off, (n, 1)), zero5),          # encoder_offset
-            pad8(q_rep * gear, ph),                         # motor_position
-            pad8(q_rep, ph),                                # joint_position
-            pad8(v_rep * gear, zero5),                      # motor_velocity
-            pad8(v_rep, zero5),                             # joint_velocity
-            pad8(desired, ph),                              # desired_joint_position
-            pad8(desired * gear, ph),                       # desired_motor_position
-            pad8(v_rep, zero5),                             # desired_joint_velocity
-            pad8(v_rep * gear, zero5),                      # desired_motor_velocity
-            pad8(tau * 0.8 + 0.1, (0.05,) * 5),             # motor_current
-            pad8(tau, zero5),                               # motor_torque
-            v_rep @ JACOBIAN_VELOCITY_MAP.T,                # jacobian_velocity_*
-            tau @ JACOBIAN_FORCE_MAP.T,                     # jacobian_force_*
-            _ee_pose(q_rep),                                # ee_pos_*, ee_rot_*
-            _ee_pose(desired),                              # desired_ee_*
-        ])
-        if out.shape[1] != FULL_SCHEMA.dim_full:
-            raise SimError(f"assembled {out.shape[1]} feature columns, "
-                           f"schema has {FULL_SCHEMA.dim_full}")
-        return out
+        values = {
+            "status": np.column_stack([
+                ts, np.full(n, RUN_LEVEL), np.zeros(n),
+                self._seq + np.arange(n, dtype=float),
+                np.full(n, ARM_TYPE), np.full(n, GRASPER_DESIRED)]),
+            "encoder_value": (q_rep * counts + enc_off, ph),
+            "encoder_offset": (np.tile(enc_off, (n, 1)), zero5),
+            "motor_position": (q_rep * gear, ph),
+            "joint_position": (q_rep, ph),
+            "motor_velocity": (v_rep * gear, zero5),
+            "joint_velocity": (v_rep, zero5),
+            "desired_joint_position": (desired, ph),
+            "desired_motor_position": (desired * gear, ph),
+            "desired_joint_velocity": (v_rep, zero5),
+            "desired_motor_velocity": (v_rep * gear, zero5),
+            "motor_current": (tau * 0.8 + 0.1, (0.05,) * 5),
+            "motor_torque": (tau, zero5),
+            "jacobian_velocity": v_rep @ JACOBIAN_VELOCITY_MAP.T,
+            "jacobian_force": tau @ JACOBIAN_FORCE_MAP.T,
+            "ee": _ee_pose(q_rep),
+            "desired_ee": _ee_pose(desired),
+        }
+        blocks = []
+        for name, columns, _ in STATE_BLOCKS:
+            block = values.pop(name, None)      # its inputs go once it is built
+            if isinstance(block, tuple):        # three joints, five fills
+                block = np.column_stack([block[0]] + [
+                    np.full(n, v) + (self.rng.normal(0.0, aux_sd, n) if aux_sd > 0 else 0.0)
+                    for v in block[1]])
+            if block is None or block.shape[1] != len(columns):
+                got = "no values" if block is None else f"{block.shape[1]} columns"
+                raise SimError(f"state block '{name}': {got}, the layout has {len(columns)}")
+            blocks.append(block)
+        return np.hstack(blocks)

@@ -38,6 +38,10 @@ class TrajectoryError(ValueError):
     pass
 
 
+#: The columns of a trajectory CSV: the waypoint ordinal, then the joints.
+_HEADER = ("t_index", "j1", "j2", "j3")
+
+
 #: The checks of the trajectory settings: raster spacing as a fraction of
 #: the normalized range, densification step, follower speeds per joint.
 check_sparsity = _rule("sparsity", "a finite number in (0, 1/2]", lambda v: 0 < v <= 0.5,
@@ -249,8 +253,8 @@ def save(traj: Trajectory, csv_path) -> None:
     """Write waypoints as CSV plus a JSON sidecar of generation settings,
     both replaced together.
 
-    CSV columns: t_index, j1, j2, j3 (t_index = waypoint ordinal), written
-    at ``%.17g`` so a load round-trips bit-identically.
+    CSV columns are ``_HEADER``, written at ``%.17g`` so a load
+    round-trips bit-identically.
     """
     csv_path = Path(csv_path)
     sidecar = {
@@ -261,8 +265,7 @@ def save(traj: Trajectory, csv_path) -> None:
         "meta": traj.meta,
     }
     with _replacing(csv_path, csv_path.with_suffix(".json")) as (fh, side):
-        _write_matrix(fh, ["t_index", "j1", "j2", "j3"],
-                      [np.arange(len(traj)), traj.waypoints])
+        _write_matrix(fh, _HEADER, [np.arange(len(traj)), traj.waypoints])
         write_json(sidecar, side)
 
 
@@ -271,7 +274,7 @@ def load(csv_path) -> Trajectory:
     malformed file raises ``TrajectoryError`` naming the file, and the bad
     entry or the first non-finite row."""
     csv_path = Path(csv_path)
-    rows = _read_matrix(csv_path, 4, TrajectoryError)
+    rows = _read_matrix(csv_path, _HEADER, TrajectoryError)
     side_path = csv_path.with_suffix(".json")
     side = _checked(_read_json(side_path, TrajectoryError), {
         "direction": ("string", check_direction, True),
@@ -282,6 +285,6 @@ def load(csv_path) -> Trajectory:
                                         JointLimits.from_dict), False),
         "meta": ("object", None, False),
     }, side_path, TrajectoryError)
-    return Trajectory(rows[:, 1:4], side["direction"], side["sparsity"],
+    return Trajectory(rows[:, 1:], side["direction"], side["sparsity"],
                       side["normalized"], side.get("limits"),
                       side.get("meta", {}))

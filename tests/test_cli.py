@@ -266,6 +266,22 @@ def test_bad_sweep_sparsities_exits_2(runner, fast_cfg, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("body, args", [
+    (FAST_TOML, ["sweep", "--sparsities", ","]),
+    (FAST_TOML.replace("sparsity = 0.5\n", "sparsity = 0.5\nsparsities = []\n"),
+     ["sweep"])], ids=["option", "config-file"])
+def test_empty_sparsity_list_exits_2_naming_the_key(runner, tmp_path, body, args):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(body)
+    out = tmp_path / "o"
+    result = runner.invoke(main, out_args(str(cfg), out) + args)
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert "trajectory.sparsities: sparsities must be a list of at least one" in text
+    assert "Traceback" not in text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, load", [("record", "heavy"), ("record", "-5"),
                                            ("sweep", "nan")])
 def test_bad_load_option_exits_2_before_any_stage(runner, fast_cfg, tmp_path,

@@ -145,6 +145,7 @@ def test_missing_file_rejected(tmp_path):
     ("[eval]\nrates = [true, 100]\n", "eval.rates"),
     ("[trajectory]\nspeeds = [true, 3, 9]\n", "trajectory.speeds"),
     ("[trajectory]\nsparsities = [0.5, true]\n", "trajectory.sparsities"),
+    ("[trajectory]\nsparsities = []\n", "trajectory.sparsities: sparsities must be a list"),
     ("[limits]\nmax = [90, 90, true]\n", "limits max"),
     ("[error_model]\nnoise_sd = [0.1, false, 0.1]\n", "noise_sd"),
 ])

@@ -13,7 +13,6 @@ from cablecal.core import (
     SchemaError,
     _SCHEMA_CHECK,
     _checked,
-    build_full_schema,
     json_digest,
 )
 
@@ -99,7 +98,7 @@ def test_limits_reject_inverted():
 
 
 def test_full_schema_dimensions():
-    s = build_full_schema()
+    s = FULL_SCHEMA
     assert s.dim_full == 138
     assert s.dim_selected == 16
     assert len(set(s.names)) == 138

@@ -1,4 +1,5 @@
-"""One table-driven check of the six JSON readers.
+"""One table-driven check of the six JSON readers, and one of the header
+line of the four CSV artifacts.
 
 Each reader starts from an artifact the code wrote, which must load back to
 an equal object. Then every key of the written document is deleted (where
@@ -7,6 +8,11 @@ the reader must refuse each edit in its own error class, with a message
 that starts ``<file>: entry '<key>': ``. Free-form objects (bag and dataset
 metadata, trajectory meta, the manifest's config) are checked as a whole,
 so the walk does not enter them.
+
+A CSV artifact's header line must name its layout's columns in order, so
+a file whose columns were swapped, renamed or dropped is refused in the
+reader's own error class, naming the file and the first column that
+differs, even where every row still has the right width.
 """
 
 import json
@@ -196,3 +202,48 @@ def test_every_entry_is_checked_and_named(tmp_path, name):
     with pytest.raises(reader.error, match="entry 'zz': unknown key"):
         load_edited(_edited(doc, ("zz",), 1, False), ("zz",))
     assert refused > len(doc)
+
+
+#: Each CSV artifact: the reader whose ``write`` makes it, and its file.
+CSV_FILES = {"state": ("bag", "bag/state.csv"), "truth": ("bag", "bag/truth.csv"),
+             "dataset": ("dataset", "d.csv"), "trajectory": ("trajectory", "t.csv")}
+
+
+def _swap_columns(lines):
+    """Columns 2 and 3 (0-based) swapped, in the header and every row."""
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[2], row[3] = row[3], row[2]
+    return [",".join(row) for row in rows]
+
+
+def _rename_column(lines):
+    """Header column 2 (0-based) renamed."""
+    names = lines[0].split(",")
+    names[2] = "renamed"
+    return [",".join(names)] + lines[1:]
+
+
+#: An edit of a CSV's lines (no newlines) -> the index of the header column
+#: the reader must name.
+CSV_EDITS = {
+    "swapped": (_swap_columns, 2),
+    "renamed": (_rename_column, 2),
+    "short": (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:], -1),
+}
+
+
+@pytest.mark.parametrize("edit", list(CSV_EDITS))
+@pytest.mark.parametrize("artifact", list(CSV_FILES))
+def test_csv_header_must_match_its_layout(tmp_path, artifact, edit):
+    reader = READERS[CSV_FILES[artifact][0]]
+    reader.write(tmp_path)
+    path = tmp_path / CSV_FILES[artifact][1]
+    lines = path.read_text().splitlines()
+    change, column = CSV_EDITS[edit]
+    path.write_text("\n".join(change(lines)) + "\n")
+    with pytest.raises(reader.error) as info:
+        reader.load(tmp_path)
+    assert type(info.value) is reader.error
+    assert str(info.value).startswith(f"{path}: header column ")
+    assert repr(lines[0].split(",")[column]) in str(info.value)

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,16 @@ def test_drift_interpolates_between_loads():
     mid = 0.5 * (np.array(em.drift_rate_unloaded) + np.array(em.drift_rate_loaded)) / 3600.0
     assert np.allclose(r250, mid)
     assert np.allclose(em.drift_rate_per_s("idle"), np.array(em.drift_rate_idle) / 3600.0)
+
+
+@pytest.mark.parametrize("name, grams", [("unloaded", 0.0), ("loaded", 500.0)])
+def test_drift_rate_takes_load_names_as_run_does(name, grams):
+    em = sm.default_error_model()
+    assert np.array_equal(em.drift_rate_per_s(name), em.drift_rate_per_s(grams))
+    held = sm.HoldPolicy([45, 45, 125])
+    runs = [sm.SimSession(em, seed=2).run(held, duration=600.0, load=load)[0]
+            for load in (name, grams)]
+    assert np.array_equal(runs[0].features, runs[1].features)
 
 
 def test_idle_accrues_idle_rate_only():
@@ -468,6 +479,21 @@ def _expected_columns(ts, q, tau, seq, rng, aux_sd) -> dict:
             for c in range(3):
                 cols[f"{which}_rot_{r}{c}"] = pose[:, 3 + 3 * r + c]
     return cols
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blocks: blocks + (("spare", ("spare_0",), False),),
+     "state block 'spare': no values, the layout has 1"),
+    (lambda blocks: tuple((n, c[:5] if n == "jacobian_force" else c, s)
+                          for n, c, s in blocks),
+     "state block 'jacobian_force': 6 columns, the layout has 5"),
+], ids=["missing-values", "width"])
+def test_features_refuse_a_block_the_table_and_values_disagree_on(
+        monkeypatch, edit, message):
+    monkeypatch.setattr(sm, "STATE_BLOCKS", edit(sm.STATE_BLOCKS))
+    with pytest.raises(sm.SimError, match=re.escape(message)):
+        sm.SimSession(sm.default_error_model()).run(sm.HoldPolicy([45, 45, 125]),
+                                                    duration=1.0)
 
 
 @pytest.mark.parametrize("em", [sm.default_error_model(), sm.noiseless_linear_model()],
