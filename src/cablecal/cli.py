@@ -13,7 +13,8 @@ that a bad file is a stage failure. A subcommand resolves its options and
 calls one stage function; ``pipeline`` chains all six and reads back
 nothing it wrote. An option that restates a config key sets that key in the
 run's config before any stage starts, so it meets the key's own checks and
-the manifest hashes it; the stages read their settings from that config.
+the manifest hashes it. Every stage, ``sweep`` included, calls the library
+through that config's ``generate``, ``record`` and ``split`` and ``models.fit``.
 
 The ``main`` group owns what every command shares. It loads the config and
 starts the run manifest, into which input-path options hash themselves; it
@@ -38,11 +39,10 @@ import click
 from . import data as data_mod
 from . import trajectory as traj_mod
 from .config import Config, ConfigError, load_config
-from .evaluate import (bench_latency, decay_curve, direction_sweep,
-                       evaluate_model, write_report)
+from .evaluate import (bench_latency, check_directions, decay_curve,
+                       direction_sweep, evaluate_model, write_report)
 from .manifest import RunManifest
-from .models import (MODEL_KINDS, MODES, deserialize, fit_linear, fit_mlp,
-                     fit_offset, fit_poly2, serialize)
+from .models import MODEL_KINDS, MODES, deserialize, fit, fit_offset, serialize
 from .sim import check_load
 from .trajectory import DIRECTIONS, check_direction
 
@@ -175,8 +175,7 @@ def _generate(state: CliState, direction, name="generate"):
     sparsity = cfg.trajectory.sparsity
     path = state.out_dir / f"traj_{direction}_{sparsity:g}.csv"
     with _stage(state, name, _sidecars(path)):
-        traj = traj_mod.generate(direction, sparsity, cfg.limits,
-                                 cfg.trajectory.step)
+        traj = cfg.generate(direction, sparsity)
         traj_mod.save(traj, path)
         dur = traj_mod.trajectory_duration(traj, cfg.trajectory.speeds)
         click.echo(f"  {direction} sparsity {sparsity:g}: "
@@ -192,13 +191,9 @@ def _record(state: CliState, traj, name=None):
     direction, sparsity = cfg.trajectory.direction, cfg.trajectory.sparsity
     bag_dir = state.out_dir / (name or f"bag_{direction}_{sparsity:g}")
     with _stage(state, "record", [bag_dir]) as note:
-        traj = (traj_mod.generate(direction, sparsity, cfg.limits,
-                                  cfg.trajectory.step) if traj is None
+        traj = (cfg.generate(direction, sparsity) if traj is None
                 else _loaded(traj, traj_mod.load))
-        bag = data_mod.record(
-            traj, cfg.error_model, load=cfg.eval.load, rates=cfg.eval.rates,
-            seed=state.seed, time_scale=cfg.eval.time_scale, limits=cfg.limits,
-            speeds=cfg.trajectory.speeds)
+        bag = cfg.record(traj, state.seed)
         data_mod.save_bag(bag, bag_dir)
         note.sim_s = bag.metadata.get("duration_s")
         click.echo(f"  {len(bag.state.t)} state / {len(bag.truth.t)} truth "
@@ -209,20 +204,15 @@ def _record(state: CliState, traj, name=None):
 def _process(state: CliState, bags, full_features=False):
     """Pair each bag's streams (bags are loaded one at a time), concatenate
     and split into train and test datasets."""
-    cfg = state.config
     train_path = state.out_dir / "train.csv"
     test_path = state.out_dir / "test.csv"
     with _stage(state, "process", _sidecars(train_path, test_path)):
-        parts = [data_mod.synchronize(_loaded(b, data_mod.load_bag),
-                                      cfg.eval.sync_tolerance_s, full_features)
-                 for b in bags]
-        ds = data_mod.concat(parts) if len(parts) > 1 else parts[0]
-        train_ds, test_ds = data_mod.split_and_normalize(
-            ds, cfg.training.train_frac)
+        train_ds, test_ds = state.config.split(
+            (_loaded(b, data_mod.load_bag) for b in bags), full_features)
         data_mod.save_dataset(train_ds, train_path)
         data_mod.save_dataset(test_ds, test_path)
         click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows "
-                   f"({ds.inputs.shape[1]} input columns)")
+                   f"({train_ds.inputs.shape[1]} input columns)")
     return train_ds, test_ds
 
 
@@ -232,14 +222,7 @@ def _train(state: CliState, ds, name=MODEL_FILE):
     path = state.out_dir / name
     with _stage(state, f"train[{kind}]", [path]):
         ds = _loaded(ds, data_mod.load_dataset)
-        if kind == "offset":
-            model = fit_offset(ds, mode)
-        elif kind == "linear":
-            model = fit_linear(ds, mode, cfg.ridge)
-        elif kind == "poly2":
-            model = fit_poly2(ds, mode, cfg.ridge)
-        else:
-            model = fit_mlp(ds, mode, cfg.mlp, state.seed)
+        model = fit(kind, ds, mode, cfg.ridge, cfg.mlp, state.seed)
         serialize(model, path)
         click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {path}")
     return model
@@ -432,24 +415,15 @@ def bench_command(state, model_files, dataset_path):
 @click.pass_obj
 def sweep_command(state, directions, with_mlp):
     """Fit models per trajectory direction and tabulate test RMSE."""
-    cfg = state.config
     try:
-        directions = tuple(map(check_direction, directions.replace(",", " ").split()))
+        directions = check_directions(tuple(map(
+            check_direction, directions.replace(",", " ").split())))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sweep_csv = state.out_dir / "sweep.csv"
     with _stage(state, "sweep", _sidecars(sweep_csv)):
-        fits = {"linear": lambda ds: fit_linear(ds, cfg.training.mode,
-                                                cfg.training.ridge)}
-        if with_mlp:
-            fits["mlp"] = lambda ds: fit_mlp(ds, cfg.training.mode,
-                                             cfg.training.mlp, state.seed)
-        table = direction_sweep(
-            cfg.error_model, fits, directions=directions,
-            sparsities=cfg.trajectory.sparsities, limits=cfg.limits,
-            rates=cfg.eval.rates, seed=state.seed,
-            time_scale=cfg.eval.time_scale,
-            train_frac=cfg.training.train_frac, load=cfg.eval.load)
+        kinds = ("linear", "mlp") if with_mlp else ("linear",)
+        table = direction_sweep(state.config, directions, kinds, state.seed)
         rows = table.to_rows()
         write_report(rows, rows, sweep_csv)
         for model in dict.fromkeys(s.labels["model"] for s in table.scores):

@@ -20,7 +20,8 @@ type of its default (or be a number where that is a list, or for
 
 This module writes no rule of its own: a section applies the checks of
 the modules that use its values whenever it is built, from a file, an
-option or code (``_Section``), so every value meets one rule.
+option or code (``_Section``), so every value meets one rule. Settings
+become calls in one place: ``Config.generate``, ``record`` and ``split``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+from . import data as data_mod
+from . import trajectory as traj_mod
 from .core import DEFAULT_LIMITS, JointLimits, _checked, _json_type, _read_json
 from .data import SYNC_TOLERANCE_S, check_tolerance, check_train_frac
 from .evaluate import check_budget, check_repeats, check_samples, check_sparsities
@@ -110,6 +113,23 @@ class Config:
 
     def to_dict(self) -> dict:
         return {name: _table(getattr(self, name)) for name in _SECTIONS}
+
+    def generate(self, direction: str, sparsity: float):
+        return traj_mod.generate(direction, sparsity, self.limits,
+                                 self.trajectory.step)
+
+    def record(self, traj, seed: int):
+        ev = self.eval
+        return data_mod.record(traj, self.error_model, seed=seed, load=ev.load,
+                               rates=ev.rates, time_scale=ev.time_scale,
+                               limits=self.limits, speeds=self.trajectory.speeds)
+
+    def split(self, bags, full_features: bool = False) -> tuple:
+        """Pair each bag's streams, concatenate them and split (train, test)."""
+        parts = [data_mod.synchronize(b, self.eval.sync_tolerance_s, full_features)
+                 for b in bags]
+        ds = parts[0] if len(parts) == 1 else data_mod.concat(parts)
+        return data_mod.split_and_normalize(ds, self.training.train_frac)
 
 
 #: Each config section's dataclass. A dataclass field of a section (the

@@ -12,7 +12,9 @@ Conventions used throughout:
     servo budget period.
 
 Reports are plain dataclasses with ``to_rows()`` producing long-format
-dicts, ready for CSV emission or plotting elsewhere.
+dicts, ready for CSV emission or plotting elsewhere. The direction sweep
+takes every setting from the run's ``Config``, which records and splits
+its sessions, and fits through ``models.fit``.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, JointLimits, _replacing, _rule, write_json
-from .data import Dataset, concat, record, split_and_normalize, synchronize
-from .models import CalibrationModel, fit_linear, fit_mlp, fit_offset
+from .core import _replacing, _rule, write_json
+from .data import Dataset, synchronize
+from .models import CalibrationModel, fit, fit_linear, fit_mlp, fit_offset
 from .nn import LARGE_CONFIG, MlpConfig
-from .sim import CableErrorModel
-from .trajectory import DIRECTIONS, generate
+from .trajectory import DIRECTIONS
+
+if TYPE_CHECKING:       # config imports this module's rules
+    from .config import Config
 
 JOINTS = ("j1", "j2", "j3")
 
@@ -47,8 +51,10 @@ check_samples = _rule("latency_samples", "an integer >= 1",
                       lambda v: operator.index(v) >= 1, EvalError)
 check_repeats = _rule("repeats", "an integer >= 1", lambda v: operator.index(v) >= 1,
                       EvalError)
-#: The check of the sweep's sparsities, of which it needs at least one.
+#: The checks of the sweep's sparsities and directions: at least one of each.
 check_sparsities = _rule("sparsities", "a list of at least one sparsity", len,
+                         EvalError, number=False)
+check_directions = _rule("directions", "a list of at least one direction", len,
                          EvalError, number=False)
 
 
@@ -251,35 +257,23 @@ def _scores(train: Dataset, test: Dataset, offset_labels: dict, fits) -> list:
     return scores
 
 
-def direction_sweep(error_model: CableErrorModel, fits: Optional[dict] = None, *,
-                    directions: Sequence = DIRECTIONS,
-                    sparsities: Sequence = (1 / 2, 1 / 3, 1 / 4),
-                    limits: JointLimits = DEFAULT_LIMITS, rates=(30.0, 100.0),
-                    seed: int = 0, time_scale: float = 1.0,
-                    train_frac: float = 0.8, load="unloaded") -> ScoreTable:
-    """Fit and score each model per trajectory direction.
-
-    For every direction, the sessions for all requested sparsities are
-    recorded and combined into one dataset, split into contiguous
-    train/test blocks. ``fits`` maps report names to callables
-    ``train_ds -> model``; the fixed-offset baseline is always fitted and
-    reported, and supplies the percentage denominator. Each score is
-    labelled by ``direction`` and ``model``.
-    """
-    check_sparsities(sparsities)
-    fits = dict(fits) if fits else {"linear": fit_linear}
+def direction_sweep(cfg: Config, directions: Sequence = DIRECTIONS,
+                    kinds: Sequence = ("linear",), seed: int = 0) -> ScoreTable:
+    """Fit and score each model kind per trajectory direction on one session
+    per configured sparsity, recorded and split together through ``cfg``.
+    The fixed-offset baseline is always scored and is the percentage
+    denominator; each score is labelled by ``direction`` and ``model``."""
+    check_directions(directions)
+    tr = cfg.training
     scores = []
     for i, direction in enumerate(directions):
-        parts = [synchronize(record(
-            generate(direction, sp, limits), error_model, load=load,
-            rates=rates, seed=seed * 10007 + i * 101 + j,
-            time_scale=time_scale, limits=limits))
-            for j, sp in enumerate(sparsities)]
-        ds = concat(parts) if len(parts) > 1 else parts[0]
-        train, test = split_and_normalize(ds, train_frac)
+        train, test = cfg.split(
+            cfg.record(cfg.generate(direction, sp), seed * 10007 + i * 101 + j)
+            for j, sp in enumerate(cfg.trajectory.sparsities))
         scores += _scores(train, test, {"direction": direction, "model": "offset"},
-                          (({"direction": direction, "model": name}, fit(train), test)
-                           for name, fit in fits.items()))
+                          (({"direction": direction, "model": kind},
+                            fit(kind, train, tr.mode, tr.ridge, tr.mlp, seed), test)
+                           for kind in kinds))
     return ScoreTable(tuple(scores))
 
 

@@ -23,7 +23,8 @@ length, runs the kind's ``_row(x)`` and adds the reported joints. Each
 kind's ``predict_batch`` runs ``_check_batch``, its own numpy arithmetic,
 then ``_add_reported``; every class defines its own, so that a tracer can
 wrap one kind's batch path alone. Linear and poly2 share ``_AffineModel``
-and differ only in their basis.
+and differ only in their basis. ``fit(kind, ...)`` is the one map from a
+kind's name to its ``fit_<kind>``.
 """
 
 from __future__ import annotations
@@ -474,6 +475,15 @@ def fit_mlp(ds: Dataset, mode: str = ON_ERROR,
     biases[-1] += tnorm.mean
     return MlpModel(mode, ds.schema, weights, biases, config,
                     train_curve=curve.tolist(), seed=seed)
+
+
+def fit(kind: str, ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0,
+        mlp: Optional[MlpConfig] = None, seed: int = 0) -> CalibrationModel:
+    """Fit model ``kind`` with ``fit_<kind>``, looked up when called: the
+    affine kinds take ``ridge``, the MLP ``mlp`` and ``seed``."""
+    args = {"linear": (ridge,), "poly2": (ridge,), "mlp": (mlp, seed)}.get(
+        check_kind(kind), ())
+    return globals()[f"fit_{kind}"](ds, mode, *args)
 
 
 # --------------------------------------------------------------------------

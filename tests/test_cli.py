@@ -138,6 +138,36 @@ def test_sweep_small(runner, fast_cfg, tmp_path):
     assert "best direction per joint" in text
 
 
+def test_empty_direction_list_exits_2_naming_it(runner, fast_cfg, tmp_path):
+    out = tmp_path / "o"
+    result = runner.invoke(main, out_args(fast_cfg, out) + ["sweep", "--directions", ","])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert "directions must be a list of at least one direction" in text
+    assert "Traceback" not in text
+    assert not out.exists()
+
+
+def _sweep_counts(runner, body, out) -> set:
+    """The (n_train, n_test) of each row of a one-direction sweep."""
+    cfg = out.with_suffix(".toml")
+    cfg.write_text(body)
+    invoke(runner, out_args(str(cfg), out) + ["sweep", "--directions", "j1",
+                                              "--sparsities", "0.5"])
+    return {(r["n_train"], r["n_test"]) for r in _csv_rows(out / "sweep.csv")}
+
+
+@pytest.mark.parametrize("old, new", [
+    ("sparsity = 0.5\n", "sparsity = 0.5\nspeeds = [1.5, 1.5, 4.75]\n"),
+    ("time_scale = 25.0\n", "time_scale = 25.0\nsync_tolerance_s = 0.1\n")],
+    ids=["speeds", "sync_tolerance_s"])
+def test_sweep_reads_the_recording_and_pairing_settings(runner, tmp_path, old, new):
+    # halved speeds record twice the rows; a wider tolerance pairs more
+    default = _sweep_counts(runner, FAST_TOML, tmp_path / "default")
+    changed = _sweep_counts(runner, FAST_TOML.replace(old, new), tmp_path / "changed")
+    assert len(default) == len(changed) == 1 and default != changed
+
+
 def test_pipeline_end_to_end(runner, fast_cfg, tmp_path):
     out = tmp_path / "o"
     _, text = invoke(runner, out_args(fast_cfg, out) + ["pipeline"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cablecal.config import (Config, ConfigError, EvalConfig, TrainingConfig,
                              TrajectoryConfig, load_config)
+from cablecal.data import EmptyDatasetError
 from cablecal.models import MODES, ON_ERROR
 from cablecal.sim import CableErrorModel, SimSession
 from cablecal.trajectory import DIRECTIONS, TrajectoryError, generate
@@ -257,6 +258,17 @@ def test_eval_load_keeps_its_value(tmp_path, load):
     cfg, want = load_config(p), tomllib.loads(f"x = {load}")["x"]
     assert cfg.eval.load == want and type(cfg.eval.load) is type(want)
     assert cfg.to_dict()["eval"]["load"] == cfg.eval.load
+
+
+def test_generate_uses_the_configured_step():
+    fine, coarse = (Config(trajectory=TrajectoryConfig(step=s)).generate("j1", 0.5)
+                    for s in (0.005, 0.02))
+    assert len(coarse.waypoints) < len(fine.waypoints)
+
+
+def test_split_of_no_bags_is_an_empty_dataset_error():
+    with pytest.raises(EmptyDatasetError, match="nothing to concatenate"):
+        Config().split([])
 
 
 def test_config_is_frozen():

@@ -11,9 +11,10 @@ import json
 import numpy as np
 import pytest
 
+from cablecal.config import Config, EvalConfig, TrajectoryConfig
 from cablecal.core import FULL_SCHEMA, _replacing, write_json
 from cablecal.data import Dataset, record, synchronize
-from cablecal.evaluate import (LatencyReport, RmseReport, bench_latency,
+from cablecal.evaluate import (EvalError, LatencyReport, RmseReport, bench_latency,
                                decay_curve, direction_sweep, evaluate_model,
                                feature_robustness, rmse, segment_rmse,
                                write_report)
@@ -190,9 +191,10 @@ def test_bench_latency_validation():
 
 
 def test_direction_sweep_table_shape_and_exact_linear():
-    table = direction_sweep(noiseless_linear_model(),
-                            directions=("j1", "j2"), sparsities=(1 / 2,),
-                            seed=1, time_scale=15.0)
+    cfg = Config(error_model=noiseless_linear_model(),
+                 trajectory=TrajectoryConfig(sparsities=(1 / 2,)),
+                 eval=EvalConfig(time_scale=15.0, load="unloaded"))
+    table = direction_sweep(cfg, directions=("j1", "j2"), seed=1)
     labels = [(s.labels["direction"], s.labels["model"]) for s in table.scores]
     assert labels == [("j1", "offset"), ("j1", "linear"),
                       ("j2", "offset"), ("j2", "linear")]
@@ -212,12 +214,19 @@ def test_sweep_gapless_direction_not_worse_for_its_joint():
     # must not lose to directions with j1 raster gaps
     em = CableErrorModel(position_gain=((0.03, 0.0, 0.0),) + ((0.0,) * 3,) * 2,
                          noise_sd=(0.05, 0.05, 0.05))
-    table = direction_sweep(em, directions=("j1", "j2", "j3", "j2j3"),
-                            sparsities=(1 / 2,), seed=3, time_scale=10.0)
+    cfg = Config(error_model=em, trajectory=TrajectoryConfig(sparsities=(1 / 2,)),
+                 eval=EvalConfig(time_scale=10.0, load="unloaded"))
+    table = direction_sweep(cfg, directions=("j1", "j2", "j3", "j2j3"), seed=3)
     j1_rmse = {s.labels["direction"]: s.rmse[0] for s in table.scores
                if s.labels["model"] == "linear"}
     for gap_dir in ("j2", "j3", "j2j3"):
         assert j1_rmse["j1"] <= 1.15 * j1_rmse[gap_dir]
+
+
+def test_direction_sweep_refuses_an_empty_direction_list():
+    with pytest.raises(EvalError, match="directions must be a list of at least "
+                                        r"one direction, got \(\)"):
+        direction_sweep(Config(), directions=())
 
 
 # --------------------------------------------------------------------------

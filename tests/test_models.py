@@ -267,6 +267,49 @@ def test_mlp_learns_nonlinearity_better_than_offset():
 
 
 # --------------------------------------------------------------------------
+# models.fit: the one map from a kind to its fitter
+
+
+#: kind -> its own fitter, called with the arguments ``fit`` is given
+OWN_FITTERS = {
+    "offset": lambda ds, mode: fit_offset(ds, mode),
+    "linear": lambda ds, mode: fit_linear(ds, mode, 0.5),
+    "poly2": lambda ds, mode: fit_poly2(ds, mode, 0.5),
+    "mlp": lambda ds, mode: fit_mlp(ds, mode, SMALL_CFG, 7),
+}
+
+
+@pytest.mark.parametrize("mode", [ON_ERROR, END_TO_END])
+@pytest.mark.parametrize("kind", list(OWN_FITTERS))
+def test_fit_writes_the_bytes_of_the_kinds_own_fitter(tmp_path, kind, mode):
+    ds = make_dataset(nonlin_err, n=120, seed=21)
+    serialize(models_mod.fit(kind, ds, mode, ridge=0.5, mlp=SMALL_CFG, seed=7),
+              tmp_path / "fit.ccm")
+    serialize(OWN_FITTERS[kind](ds, mode), tmp_path / "own.ccm")
+    assert (tmp_path / "fit.ccm").read_bytes() == (tmp_path / "own.ccm").read_bytes()
+
+
+def test_fit_refuses_an_unknown_kind_naming_it():
+    with pytest.raises(ModelError, match="'forest'"):
+        models_mod.fit("forest", make_dataset(const_err([0, 0, 0]), n=20))
+
+
+def test_fit_looks_its_fitter_up_when_called(monkeypatch):
+    # a wrapper installed on the module after import (as a tracer does)
+    # sees the call
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1:])
+        return fit_linear(*args)
+
+    monkeypatch.setattr(models_mod, "fit_linear", recording)
+    ds = make_dataset(const_err([1, 2, 3]), n=30)
+    model = models_mod.fit("linear", ds, END_TO_END, ridge=0.25)
+    assert calls == [(END_TO_END, 0.25)] and model.kind == "linear"
+
+
+# --------------------------------------------------------------------------
 # shared interface behavior
 
 
