@@ -256,7 +256,7 @@ def _evaluate(state: CliState, model, ds, base_ds=None, decay=False):
     return rows
 
 
-def _bench(state: CliState, models, ds, samples):
+def _bench(state: CliState, models, ds):
     ev = state.config.eval
     csv_path = state.out_dir / "latency.csv"
     with _stage(state, "bench", _sidecars(csv_path)):
@@ -265,8 +265,8 @@ def _bench(state: CliState, models, ds, samples):
         rows, dicts = [], []
         for model in models:
             model.check_compatible(ds.schema)
-            rep = bench_latency(model, ds.inputs, samples, ev.budget_hz,
-                                ev.repeats)
+            rep = bench_latency(model, ds.inputs, ev.latency_samples,
+                                ev.budget_hz, ev.repeats)
             rows.extend(rep.to_rows())
             dicts.append(rep.to_dict())
             verdict = "PASS" if rep.passed else "FAIL"
@@ -399,8 +399,7 @@ def evaluate_command(state, model_file, dataset_path, train_dataset, decay):
 @click.pass_obj
 def bench_command(state, model_files, dataset_path):
     """Measure batch-1 predict latency against the servo budget."""
-    _bench(state, model_files, dataset_path,
-           state.config.eval.latency_samples)
+    _bench(state, model_files, dataset_path)
 
 
 @main.command("sweep")
@@ -445,8 +444,7 @@ def pipeline_command(state):
     train_ds, test_ds = _process(state, [bag])
     model = _train(state, train_ds)
     _evaluate(state, model, test_ds, train_ds)
-    _bench(state, [model], test_ds,
-           min(state.config.eval.latency_samples, 5000))
+    _bench(state, [model], test_ds)
 
 
 if __name__ == "__main__":

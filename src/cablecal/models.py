@@ -19,12 +19,13 @@ take, and the one the latency benchmarks measure. ``predict_batch`` is the
 vectorized numpy path for offline evaluation over whole datasets.
 
 ``CalibrationModel`` holds what the kinds share: ``predict`` checks the row
-length, runs the kind's ``_row(x)`` and adds the reported joints. Each
-kind's ``predict_batch`` runs ``_check_batch``, its own numpy arithmetic,
-then ``_add_reported``; every class defines its own, so that a tracer can
-wrap one kind's batch path alone. Linear and poly2 share ``_AffineModel``
-and differ only in their basis. ``fit(kind, ...)`` is the one map from a
-kind's name to its ``fit_<kind>``.
+length, runs the kind's ``_row(x)`` and adds the reported joints. Offset,
+linear and poly2 are ``_AffineModel`` in an empty, identity and degree-2
+basis, with one constructor, scalar row and payload. Each class keeps its
+own ``predict_batch`` (``_check_batch``, numpy, ``_add_reported``) because
+``perfbench``'s probes wrap each class's own method by name, until they find
+the subclasses at run time. ``fit(kind, ...)`` is the one map from a kind's
+name to its ``fit_<kind>``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ END_TO_END = "end-to-end"
 MODES = (ON_ERROR, END_TO_END)
 
 MODEL_FORMAT = "ccm"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 #: poly2 input-width guard: above this the expansion gets quadratically silly.
 POLY2_MAX_INPUTS = 64
@@ -147,52 +148,27 @@ class CalibrationModel:
         return out
 
 
-class FixedOffsetModel(CalibrationModel):
-    """Corrected position = reported position + a constant per-joint offset.
-
-    The offset adds onto the reported joints in both modes, so the on-error
-    and end-to-end fits coincide: either way it is the mean training error.
-    """
-
-    kind = "offset"
-    _correcting_modes = MODES
-
-    def __init__(self, mode: str, schema: FeatureSchema, offsets):
-        super().__init__(mode, schema)
-        self.offsets = [float(v) for v in offsets]
-        if len(self.offsets) != 3:
-            raise ModelError(f"expected 3 offsets, got {len(self.offsets)}")
-
-    def _row(self, x) -> list:
-        return self.offsets.copy()
-
-    def predict_batch(self, X) -> np.ndarray:
-        X = self._check_batch(X)
-        return self._add_reported(X, np.tile(self.offsets, (len(X), 1)))
-
-    def payload(self) -> dict:
-        return {"offsets": self.offsets}
-
-    @classmethod
-    def payload_check(cls, mode, schema):
-        return ({"offsets": ("number", (3,), True)},
-                lambda p: cls(mode, schema, p["offsets"]))
-
-
 class _AffineModel(CalibrationModel):
-    """y = intercept + weights.T @ phi(x) in a subclass's basis phi, given
-    for one row by ``_basis(x)`` and for a matrix in ``predict_batch``."""
+    """y = intercept + weights.T @ phi(x) in a subclass's basis phi of
+    ``_terms(d)`` terms, given for one row by ``_basis(x)`` and for a matrix
+    in ``predict_batch``. A ``_normalized`` basis applies ``norm`` first."""
+
+    _normalized = False
 
     def __init__(self, mode: str, schema: FeatureSchema, weights, intercept,
-                 n_terms: int):
+                 norm: Optional[NormStats] = None):
         super().__init__(mode, schema)
-        self.weights = np.asarray(weights, dtype=float)     # (n_terms, 3)
+        self.weights = np.asarray(weights, dtype=float)     # (terms, 3)
         self.intercept = np.asarray(intercept, dtype=float)  # (3,)
-        if self.weights.shape != (n_terms, 3) or self.intercept.shape != (3,):
-            raise ModelError(f"bad {self.kind} parameter shapes "
-                             f"{self.weights.shape}, {self.intercept.shape}")
-        self._wt = self.weights.T.tolist()   # 3 rows of n_terms floats
+        self.norm = norm
+        if (self.weights.shape != (self._terms(self._dim), 3)
+                or self.intercept.shape != (3,) or (norm is None) == self._normalized):
+            raise ModelError(f"bad {self.kind} parameters: weights {self.weights.shape}, "
+                             f"intercept {self.intercept.shape}, norm {norm is not None}")
+        self._wt = self.weights.T.tolist()   # 3 rows of terms floats
         self._b = self.intercept.tolist()
+        if norm is not None:
+            self._mean, self._sd = norm.mean.tolist(), norm.sd.tolist()
 
     def _row(self, x) -> list:
         # unrolled: a comprehension adds a call frame to every servo-path row
@@ -202,6 +178,39 @@ class _AffineModel(CalibrationModel):
 
     def _affine(self, phi: np.ndarray) -> np.ndarray:
         return phi @ self.weights + self.intercept
+
+    def payload(self) -> dict:
+        out = {"intercept": self._b, "weights": self.weights.tolist(),
+               "norm": self.norm and self.norm.to_dict()}
+        return {k: v for k, v in out.items() if v}  # no empty weights, no None norm
+
+    @classmethod
+    def payload_check(cls, mode, schema):
+        d = schema.dim_selected
+        return ({"intercept": ("number", (3,), True),
+                 "weights": ("number", (cls._terms(d), 3), cls._terms(d) > 0),
+                 "norm": ("object", _norm_check(d), cls._normalized)},
+                lambda p: cls(mode, schema, p.get("weights", np.empty((0, 3))),
+                              p["intercept"], p.get("norm")))
+
+
+class FixedOffsetModel(_AffineModel):
+    """Corrected position = reported position + a constant per-joint offset,
+    the intercept of an empty basis; ``_row`` copies it, as a sum over no
+    terms would turn -0.0 into 0.0. The offset adds onto the reported joints
+    in both modes, so the on-error and end-to-end fits coincide: either way
+    it is the mean training error."""
+
+    kind = "offset"
+    _correcting_modes = MODES
+    _terms = staticmethod(lambda d: 0)
+
+    def _row(self, x) -> list:
+        return self._b.copy()
+
+    def predict_batch(self, X) -> np.ndarray:
+        X = self._check_batch(X)
+        return self._add_reported(X, np.tile(self.intercept, (len(X), 1)))
 
 
 class LinearModel(_AffineModel):
@@ -213,9 +222,7 @@ class LinearModel(_AffineModel):
     """
 
     kind = "linear"
-
-    def __init__(self, mode: str, schema: FeatureSchema, weights, intercept):
-        super().__init__(mode, schema, weights, intercept, schema.dim_selected)
+    _terms = staticmethod(lambda d: d)
 
     def _basis(self, x):
         return x
@@ -223,19 +230,6 @@ class LinearModel(_AffineModel):
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
         return self._add_reported(X, self._affine(X))
-
-    def payload(self) -> dict:
-        return {"weights": self.weights.tolist(), "intercept": self.intercept.tolist()}
-
-    @classmethod
-    def payload_check(cls, mode, schema):
-        return ({"weights": ("number", (schema.dim_selected, 3), True),
-                 "intercept": ("number", (3,), True)},
-                lambda p: cls(mode, schema, p["weights"], p["intercept"]))
-
-
-def _poly2_n_terms(d: int) -> int:
-    return d + d * (d + 1) // 2
 
 
 def _poly2_expand(Z: np.ndarray) -> np.ndarray:
@@ -252,19 +246,12 @@ class PolyModel(_AffineModel):
 
     Unlike the linear model the normalization cannot be folded into the
     coefficients (the quadratic terms mix it), so the stats travel with the
-    model and are applied inside predict. The file stores ``weights`` under
-    the payload key ``coef``.
+    model and are applied inside predict.
     """
 
     kind = "poly2"
-
-    def __init__(self, mode: str, schema: FeatureSchema, norm: NormStats,
-                 coef, intercept):
-        super().__init__(mode, schema, coef, intercept,
-                         _poly2_n_terms(schema.dim_selected))
-        self.norm = norm
-        self._mean = norm.mean.tolist()
-        self._sd = norm.sd.tolist()
+    _normalized = True
+    _terms = staticmethod(lambda d: d + d * (d + 1) // 2)
 
     def _basis(self, x) -> list:
         z = [(v - m) / s for v, m, s in zip(x, self._mean, self._sd)]
@@ -277,18 +264,6 @@ class PolyModel(_AffineModel):
         X = self._check_batch(X)
         return self._add_reported(
             X, self._affine(_poly2_expand(self.norm.apply(X))))
-
-    def payload(self) -> dict:
-        return {"norm": self.norm.to_dict(), "coef": self.weights.tolist(),
-                "intercept": self.intercept.tolist()}
-
-    @classmethod
-    def payload_check(cls, mode, schema):
-        d = schema.dim_selected
-        return ({"norm": ("object", _norm_check(d), True),
-                 "coef": ("number", (_poly2_n_terms(d), 3), True),
-                 "intercept": ("number", (3,), True)},
-                lambda p: cls(mode, schema, p["norm"], p["coef"], p["intercept"]))
 
 
 #: The check of an MLP ``config`` entry: each ``MlpConfig`` field, of its
@@ -424,7 +399,7 @@ def _solve_affine(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> tuple:
 
 def fit_offset(ds: Dataset, mode: str = ON_ERROR) -> FixedOffsetModel:
     """Constant per-joint correction: the mean training error."""
-    return FixedOffsetModel(mode, ds.schema, ds.errors.mean(axis=0))
+    return FixedOffsetModel(mode, ds.schema, np.empty((0, 3)), ds.errors.mean(axis=0))
 
 
 def fit_linear(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> LinearModel:
@@ -440,12 +415,12 @@ def fit_poly2(ds: Dataset, mode: str = ON_ERROR, ridge: float = 0.0) -> PolyMode
     d = ds.inputs.shape[1]
     if d > POLY2_MAX_INPUTS:
         raise ModelError(
-            f"poly2 on {d} inputs expands to {_poly2_n_terms(d)} terms; "
+            f"poly2 on {d} inputs expands to {PolyModel._terms(d)} terms; "
             f"at most {POLY2_MAX_INPUTS} inputs are supported")
     norm = _input_norm(ds)
     phi = _poly2_expand(norm.apply(ds.inputs))
     b, C = _solve_affine(phi, _fit_targets(ds, mode), ridge)
-    return PolyModel(mode, ds.schema, norm, C, b)
+    return PolyModel(mode, ds.schema, C, b, norm)
 
 
 def fit_mlp(ds: Dataset, mode: str = ON_ERROR,
@@ -504,7 +479,6 @@ def serialize(model: CalibrationModel, path) -> None:
         "kind": model.kind,
         "mode": model.mode,
         "schema": model.schema.to_dict(),
-        "schema_hash": model.schema.hash(),
         "payload": model.payload(),
     }
     if not _finite(doc["payload"]):
@@ -525,7 +499,6 @@ def deserialize(path) -> CalibrationModel:
         "kind": ("string", check_kind, True),
         "mode": ("string", check_mode, True),
         "schema": ("object", _SCHEMA_CHECK, True),
-        "schema_hash": lambda got: ("string", _one_of(got["schema"].hash()), True),
         "payload": lambda got: ("object", _KINDS[got["kind"]].payload_check(
             got["mode"], got["schema"]), True),
     }, path, ModelError)["payload"]

@@ -449,6 +449,40 @@ def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
     assert not (out / "rmse_report.csv").exists()
 
 
+@pytest.mark.parametrize("command, writer, fail_on, outputs", [
+    ("record", "save_bag", 1, ["bag_j1j2j3_0.5"]),
+    ("process", "save_dataset", 2, ["train.csv", "train.json", "test.csv", "test.json"]),
+], ids=["bag-directory", "dataset-files"])
+def test_failed_stage_removes_what_it_wrote(runner, fast_cfg, tmp_path, monkeypatch,
+                                            command, writer, fail_on, outputs):
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + ["record", "--name", "bag0"])
+    real, calls = getattr(cablecal.data, writer), []
+
+    def write_then_fail(obj, path):
+        real(obj, path)
+        calls.append(path)
+        if len(calls) == fail_on:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cablecal.data, writer, write_then_fail)
+    args = ["--bag", str(out / "bag0")] if command == "process" else []
+    result = runner.invoke(main, out_args(fast_cfg, out) + [command] + args)
+    assert result.exit_code == 3 and len(calls) == fail_on
+    assert "disk full" in result.output + (result.stderr or "")
+    assert [p for p in outputs if (out / p).exists()] == []
+
+
+def test_pipeline_times_the_configured_number_of_predictions(runner, tmp_path):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(FAST_TOML.replace("latency_samples = 500", "latency_samples = 6000")
+                   .replace("repeats = 2", "repeats = 1"))
+    out = tmp_path / "o"
+    invoke(runner, ["--config", str(cfg), "--out-dir", str(out), "pipeline"])
+    (report,) = json.loads((out / "latency.json").read_text())
+    assert report["n_samples"] == 6000 and report["repeats"] == 1
+
+
 def test_record_names_a_sidecar_without_direction(runner, fast_cfg, tmp_path):
     out = tmp_path / "o"
     invoke(runner, out_args(fast_cfg, out) + ["generate", "--direction", "j2"])

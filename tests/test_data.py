@@ -425,7 +425,7 @@ def write_matrix(path, header, blocks):
 
 
 @pytest.mark.filterwarnings("error")        # no numpy warning on any value
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(blocks=column_blocks())
 @example(blocks=[np.array(SPECIAL)])
 def test_write_matrix_matches_savetxt(blocks):

@@ -39,7 +39,7 @@ def make_dataset(err, t=None, seed=0):
 
 
 def zero_model():
-    return FixedOffsetModel("on-error", FULL_SCHEMA, [0.0, 0.0, 0.0])
+    return FixedOffsetModel("on-error", FULL_SCHEMA, np.empty((0, 3)), [0.0, 0.0, 0.0])
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Every name a ``cablecal`` module imports is used in that module, and
-only ``core`` writes files.
+"""Every name a ``cablecal`` module imports is used in that module, every
+module-level private name is read somewhere in the package, and only
+``core`` writes files.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
-for one. ``__init__.py`` is skipped: its imports are the package's public
-re-exports. ``core`` owns the artifact file format, and its ``_replacing``
-replaces all the files of an artifact together, so a write anywhere else
-would bypass that guarantee.
+for one. The unused-import scan skips ``__init__.py``: its imports are the
+package's public re-exports. ``core`` owns the artifact file format, and
+its ``_replacing`` replaces all the files of an artifact together, so a
+write anywhere else would bypass that guarantee.
 """
 
 import ast
@@ -56,6 +57,51 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in _referenced(tree)}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def _private_definitions(tree) -> dict:
+    """Each private name a module-level statement defines, with its line
+    number; a decorated function is left out, as its decorator may be its
+    use (a registered command, a context manager)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) or (isinstance(node, ast.FunctionDef)
+                                             and not node.decorator_list):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                names.update((n.id, node.lineno) for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+    return {k: v for k, v in names.items() if k.startswith("_") and not k.startswith("__")}
+
+
+def _read(tree) -> set:
+    """Names loaded, read as an attribute or imported by name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used
+
+
+def test_scan_flags_an_unread_private_name():
+    tree = ast.parse("import m\n_A = 1\n_B, (_C, d) = 2, (3, 4)\n_D: int = 5\n"
+                     "def _f(): return _A\nclass _K: pass\n@m.command\ndef _g(): pass\n"
+                     "def _h(): pass\n_E = 6\n_E = 7\n__all__ = []\nm._B\n"
+                     "from m import _C\nx = _K\n")
+    assert set(_private_definitions(tree)) - _read(tree) == {"_D", "_f", "_h", "_E"}
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    read = set().union(*map(_read, trees.values()))
+    unread = [f"{name}:{line} {k}" for name, tree in sorted(trees.items())
+              for k, line in _private_definitions(tree).items() if k not in read]
+    assert not unread, f"module-level private names never read: {unread}"
 
 
 def _file_writes(tree) -> list:

@@ -59,7 +59,7 @@ def test_offset_is_mean_error():
     noise = rng.normal(scale=0.2, size=(300, 3))
     ds = make_dataset(lambda X: np.array([1.5, -2.0, 4.0]) + noise[: len(X)], n=300)
     m = fit_offset(ds)
-    assert np.allclose(m.offsets, ds.errors.mean(axis=0), rtol=0, atol=0)
+    assert np.allclose(m.intercept, ds.errors.mean(axis=0), rtol=0, atol=0)
 
 
 def test_offset_prediction_adds_constant():
@@ -76,7 +76,7 @@ def test_offset_modes_coincide():
     ds = make_dataset(const_err([1.0, 2.0, 3.0]), n=60, seed=3)
     a = fit_offset(ds, ON_ERROR)
     b = fit_offset(ds, END_TO_END)
-    assert a.offsets == b.offsets
+    assert np.array_equal(a.intercept, b.intercept)
     assert np.array_equal(a.predict_batch(ds.inputs), b.predict_batch(ds.inputs))
 
 
@@ -477,7 +477,7 @@ def test_large_mlp_holds_scalar_tables_only_after_first_predict():
 
 
 NON_FINITE_PARAMETER = [
-    ("offset", "offsets", lambda p: p["offsets"].__setitem__(0, float("nan"))),
+    ("offset", "intercept", lambda p: p["intercept"].__setitem__(0, float("nan"))),
     ("linear", "weights", lambda p: p["weights"][3].__setitem__(1, float("inf"))),
     ("poly2", "norm", lambda p: p["norm"]["sd"].__setitem__(2, float("-inf"))),
     ("mlp", "biases", lambda p: p["biases"][0].__setitem__(4, float("nan"))),
@@ -574,7 +574,7 @@ def offset_file(tmp_path):
 
 def test_checksum_detects_payload_edit(offset_file):
     def mutate(doc):
-        doc["payload"]["offsets"][0] += 1.0
+        doc["payload"]["intercept"][0] += 1.0
         return False
 
     with pytest.raises(ModelError, match="checksum"):
@@ -617,13 +617,13 @@ def test_bad_mode_in_file_rejected(offset_file):
         deserialize(_tampered(offset_file, mutate))
 
 
-@pytest.mark.parametrize("entry", ["mode", "schema", "offsets"])
+@pytest.mark.parametrize("entry", ["mode", "schema", "intercept"])
 def test_missing_entry_rejected(offset_file, entry):
     def mutate(doc):
-        del (doc["payload"] if entry == "offsets" else doc)[entry]
+        del (doc["payload"] if entry == "intercept" else doc)[entry]
         return True
 
-    key = "payload.offsets" if entry == "offsets" else entry
+    key = "payload.intercept" if entry == "intercept" else entry
     with pytest.raises(ModelError, match=f"tampered.ccm: entry '{key}': missing"):
         deserialize(_tampered(offset_file, mutate))
 
@@ -638,7 +638,7 @@ def linear_file(tmp_path):
 @pytest.mark.parametrize("edit, entry", [
     (lambda doc: doc.update(kind=["linear"]), "kind"),
     (lambda doc: doc.update(format="zzz"), "format"),
-    (lambda doc: doc.update(version=2), "version"),
+    (lambda doc: doc.update(version=1), "version"),
     (lambda doc: doc.update(version=True), "version"),
     (lambda doc: doc.update(extra=1), "extra"),
     (lambda doc: doc.update(schema_hash="0" * 64), "schema_hash"),
@@ -647,7 +647,8 @@ def linear_file(tmp_path):
     (lambda doc: doc["payload"].pop("intercept"), "payload.intercept"),
     (lambda doc: doc["payload"].update(weights=[[True] * 3] * 16), "payload.weights"),
     (lambda doc: doc["payload"].update(extra=1), "payload.extra"),
-], ids=["list-kind", "format", "version", "bool-version", "unknown-key", "schema-hash",
+], ids=["list-kind", "format", "version", "bool-version", "unknown-key",
+        "schema-hash-unknown-key",
         "int-names", "string-mask", "no-intercept", "bool-weights",
         "unknown-payload-key"])
 def test_every_model_file_error_names_file_and_entry(linear_file, edit, entry):
