@@ -39,6 +39,7 @@ import click
 from . import data as data_mod
 from . import trajectory as traj_mod
 from .config import Config, ConfigError, load_config
+from .core import _staged
 from .evaluate import (bench_latency, check_directions, decay_curve,
                        direction_sweep, evaluate_model, write_report)
 from .manifest import RunManifest
@@ -203,14 +204,14 @@ def _record(state: CliState, traj, name=None):
 
 def _process(state: CliState, bags, full_features=False):
     """Pair each bag's streams (bags are loaded one at a time), concatenate
-    and split into train and test datasets."""
-    train_path = state.out_dir / "train.csv"
-    test_path = state.out_dir / "test.csv"
-    with _stage(state, "process", _sidecars(train_path, test_path)):
+    and split into train and test datasets, which replace an earlier pair
+    together or not at all."""
+    outputs = _sidecars(state.out_dir / "train.csv", state.out_dir / "test.csv")
+    with _stage(state, "process", outputs), _staged(*outputs) as (train, _, test, _):
         train_ds, test_ds = state.config.split(
             (_loaded(b, data_mod.load_bag) for b in bags), full_features)
-        data_mod.save_dataset(train_ds, train_path)
-        data_mod.save_dataset(test_ds, test_path)
+        data_mod.save_dataset(train_ds, train)
+        data_mod.save_dataset(test_ds, test)
         click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows "
                    f"({train_ds.inputs.shape[1]} input columns)")
     return train_ds, test_ds

@@ -74,10 +74,6 @@ class JointLimits:
     def to_dict(self) -> dict:
         return {"min": list(self.min), "max": list(self.max)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "JointLimits":
-        return cls(d["min"], d["max"])
-
 
 def _finite(value) -> bool:
     """No NaN, infinity or integer too large for a float in a parsed JSON or
@@ -232,23 +228,30 @@ _SCHEMA_CHECK = ({"names": ("string", (None,), True),
 
 
 @contextmanager
-def _replacing(*paths):
-    """One text handle per path, each on a temporary sibling; every path is
-    replaced only when the block completes, so a failed write leaves all the
-    previous files as they were and no temporary file behind. Newlines are
-    written untranslated, so every artifact has the same bytes on every
-    platform."""
+def _staged(*paths):
+    """One temporary sibling per path, with the path's suffix, so a CSV's
+    sidecar is staged beside it; every path is replaced by its sibling only
+    when the block completes, so a failed write leaves all the previous
+    files as they were and no temporary file behind."""
     paths = [Path(p) for p in paths]
-    tmps = [p.with_name(f".{p.name}.tmp") for p in paths]
+    tmps = [p.with_name(f".{p.stem}.tmp{p.suffix}") for p in paths]
     try:
-        with ExitStack() as stack:
-            yield tuple(stack.enter_context(
-                open(t, "w", encoding="utf-8", newline="")) for t in tmps)
+        yield tmps
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     finally:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _replacing(*paths):
+    """One text handle per path, on its ``_staged`` sibling. Newlines are
+    written untranslated, so every artifact has the same bytes on every
+    platform."""
+    with _staged(*paths) as tmps, ExitStack() as stack:
+        yield tuple(stack.enter_context(
+            open(t, "w", encoding="utf-8", newline="")) for t in tmps)
 
 
 def write_json(obj, fh) -> None:

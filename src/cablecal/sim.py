@@ -198,8 +198,6 @@ class TrajectoryFollower:
     """Tracks a scaled trajectory at constant per-joint speeds, then holds."""
 
     def __init__(self, traj: Trajectory, speeds=DEFAULT_SPEEDS):
-        if traj.normalized:
-            raise SimError("follower needs a scaled trajectory")
         if len(traj) < 2:
             raise SimError("cannot follow a trajectory with fewer than 2 waypoints")
         self._pts = traj.waypoints
@@ -238,6 +236,8 @@ class HoldPolicy:
 #: joint's maximum speed.
 SINUSOID_SPEED_RANGE = (0.25, 2.0 / math.pi)
 
+_check_horizon = _rule("horizon", "a finite number > 0", lambda v: v > 0, SimError)
+
 
 class RandomSinusoidPolicy:
     """Each joint independently chases random targets with cosine easing.
@@ -252,7 +252,7 @@ class RandomSinusoidPolicy:
     def __init__(self, limits: JointLimits = DEFAULT_LIMITS, seed: int = 0,
                  horizon: float = 7200.0):
         rng = np.random.default_rng(seed)
-        self.duration = float(horizon)
+        self.duration = float(_check_horizon(horizon))
         lo, hi = limits.min, limits.max
         self._knots = []
         self._values = []
@@ -486,7 +486,7 @@ class SimSession:
     def _check_limits(self, q: np.ndarray) -> None:
         lo = np.array(self.limits.min) - 1e-9
         hi = np.array(self.limits.max) + 1e-9
-        if np.any(q < lo) or np.any(q > hi):
+        if not np.all((q >= lo) & (q <= hi)):     # NaN is out of bounds too
             j = int(np.argmax(np.maximum(lo - q, q - hi).max(axis=0)))
             raise LimitViolationError(
                 f"policy leaves joint limits on j{j + 1}: "

@@ -1,6 +1,7 @@
 """Zig-zag calibration trajectory generation in 3-joint space.
 
-A base raster sweeps joint 1 back and forth across a centered unit cube,
+``generate`` makes every trajectory in three array steps. A base raster
+sweeps joint 1 back and forth across a centered unit cube,
 stepping joint 2 between passes and joint 3 between planes. Rotating that
 raster yields seven direction classes (which joint axes are swept without
 gaps). One module table owns them: it maps each class to its rotation,
@@ -10,14 +11,14 @@ per-class span rule: with c the limit center and r the range (per joint),
 single-joint classes occupy c +- r/(2*sqrt(3)), two-joint classes
 c +- sqrt(2)*r/(2*sqrt(3)), and the three-joint class the full c +- r/2.
 Trajectories are saved in the CSV + JSON sidecar format that ``core`` owns.
-"""
+The sidecar's ``direction``, ``sparsity``, ``limits`` and ``step`` are all
+required, so an older sidecar (``normalized``, ``meta``, no ``step``) is refused."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -53,21 +54,14 @@ check_speeds = _rule("speeds", "3 finite numbers > 0", lambda v: v > 0, Trajecto
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An ordered joint-space path with its generation settings.
-
-    ``normalized`` distinguishes the dimensionless stage (waypoints in a
-    unit-scale frame, ``limits`` unset) from the scaled stage (waypoints in
-    deg/deg/mm inside ``limits``). ``meta['frame']`` narrows the normalized
-    stage further: 'centered' for the raw raster on [-0.5, 0.5]^3, 'unit'
-    after the direction transform maps it into [0, 1]^3.
-    """
+    """An ordered joint-space path inside ``limits`` (waypoints in
+    deg/deg/mm), with the settings ``generate`` made it from."""
 
     waypoints: np.ndarray          # (N, 3) float
     direction: str
     sparsity: float
-    normalized: bool
-    limits: Optional[JointLimits] = None
-    meta: dict = field(default_factory=dict)
+    limits: JointLimits = DEFAULT_LIMITS
+    step: float = DEFAULT_STEP
 
     def __len__(self) -> int:
         return len(self.waypoints)
@@ -177,48 +171,33 @@ def _densify(waypoints: np.ndarray, step: float) -> np.ndarray:
                            waypoints[seg] + delta[seg] * frac[:, None]])
 
 
-def generate_base_zigzag(sparsity: float, step: float = DEFAULT_STEP) -> Trajectory:
-    """Serpentine raster on the centered cube [-0.5, 0.5]^3 (direction j1).
-
-    Joint 1 is swept back and forth without gaps; joint 2 steps by
-    ``sparsity`` per pass and joint 3 per completed plane, each pass
-    reversing sweep sign so consecutive waypoints stay adjacent. Points are
-    densified so spacing along sweeps never exceeds ``step``.
-    """
-    return Trajectory(_densify(_raster_corners(sparsity), step), "j1", float(sparsity),
-                      True, None, {"frame": "centered", "step": float(step)})
+def _raster(sparsity: float, step: float) -> np.ndarray:
+    """Serpentine raster on the centered cube [-0.5, 0.5]^3 (direction j1):
+    joint 1 is swept back and forth without gaps, joint 2 steps by
+    ``sparsity`` per pass and joint 3 per plane, each pass reversing sweep
+    sign; points are densified so spacing never exceeds ``step``."""
+    return _densify(_raster_corners(sparsity), step)
 
 
-def rotate_to_direction(traj: Trajectory, direction: str) -> Trajectory:
-    """Reorient the base raster to a direction class, landing in [0, 1]^3."""
-    if not traj.normalized or traj.meta.get("frame") != "centered":
-        raise TrajectoryError("rotate_to_direction expects the centered base raster")
-    pts = direction_transform(direction).apply(traj.waypoints)
-    return replace(traj, waypoints=pts, direction=direction,
-                   meta={**traj.meta, "frame": "unit"})
-
-
-def scale_to_limits(traj: Trajectory, limits: JointLimits = DEFAULT_LIMITS) -> Trajectory:
-    """Affinely place a normalized trajectory inside the joint limits.
-
-    The achieved bounding box of each joint coordinate is mapped onto the
-    class target interval c +- f*r/2 (f from :func:`span_fraction`), so
-    every direction shares the center c exactly and the three-joint class
-    spans the full limit range.
-    """
-    if not traj.normalized:
-        raise TrajectoryError("trajectory is already scaled")
-    pts = traj.waypoints
-    if np.any(pts < -1e-9) or np.any(pts > 1.0 + 1e-9):
-        raise TrajectoryError("normalized waypoints must lie in [0, 1]")
-    c, r, f = limits.center, limits.range, span_fraction(traj.direction)
+def _scaled(pts: np.ndarray, direction: str, limits: JointLimits) -> np.ndarray:
+    """Unit-cube points placed inside the joint limits: the bounding box of
+    each joint coordinate is mapped onto the class target interval c +- f*r/2
+    (f from :func:`span_fraction`), so every direction shares the center c
+    exactly and the three-joint class spans the full limit range."""
+    c, r, f = limits.center, limits.range, span_fraction(direction)
     tgt_lo, tgt_hi = c - 0.5 * f * r, c + 0.5 * f * r
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     flat = hi - lo < 1e-12           # a joint the raster does not move
-    out = np.where(flat, 0.5 * (tgt_lo + tgt_hi), tgt_lo + (pts - lo) * (tgt_hi - tgt_lo)
-                   / np.where(flat, 1.0, hi - lo))
-    return replace(traj, waypoints=out, normalized=False, limits=limits,
-                   meta={**traj.meta, "frame": "scaled"})
+    return np.where(flat, 0.5 * (tgt_lo + tgt_hi), tgt_lo + (pts - lo) * (tgt_hi - tgt_lo)
+                    / np.where(flat, 1.0, hi - lo))
+
+
+def generate(direction: str, sparsity: float, limits: JointLimits = DEFAULT_LIMITS,
+             step: float = DEFAULT_STEP) -> Trajectory:
+    """Base raster -> direction transform -> scale to limits, in one call."""
+    pts = direction_transform(direction).apply(_raster(sparsity, step))
+    return Trajectory(_scaled(pts, direction, limits), direction, float(sparsity),
+                      limits, float(step))
 
 
 def trajectory_duration(traj: Trajectory, speeds=DEFAULT_SPEEDS) -> float:
@@ -239,16 +218,6 @@ def segment_times(points: np.ndarray, speeds=DEFAULT_SPEEDS) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def generate(
-    direction: str,
-    sparsity: float,
-    limits: JointLimits = DEFAULT_LIMITS,
-    step: float = DEFAULT_STEP,
-) -> Trajectory:
-    """Base raster -> direction transform -> scale to limits, in one call."""
-    return scale_to_limits(rotate_to_direction(generate_base_zigzag(sparsity, step), direction), limits)
-
-
 def save(traj: Trajectory, csv_path) -> None:
     """Write waypoints as CSV plus a JSON sidecar of generation settings,
     both replaced together.
@@ -257,13 +226,8 @@ def save(traj: Trajectory, csv_path) -> None:
     round-trips bit-identically.
     """
     csv_path = Path(csv_path)
-    sidecar = {
-        "direction": traj.direction,
-        "sparsity": traj.sparsity,
-        "normalized": traj.normalized,
-        "limits": traj.limits.to_dict() if traj.limits is not None else None,
-        "meta": traj.meta,
-    }
+    sidecar = {"direction": traj.direction, "sparsity": traj.sparsity,
+               "limits": traj.limits.to_dict(), "step": traj.step}
     with _replacing(csv_path, csv_path.with_suffix(".json")) as (fh, side):
         _write_matrix(fh, _HEADER, [np.arange(len(traj)), traj.waypoints])
         write_json(sidecar, side)
@@ -272,19 +236,20 @@ def save(traj: Trajectory, csv_path) -> None:
 def load(csv_path) -> Trajectory:
     """Read a trajectory written by :func:`save` (sidecar required); a
     malformed file raises ``TrajectoryError`` naming the file, and the bad
-    entry or the first non-finite row."""
+    entry or the first row that is not finite or out of ``t_index`` order."""
     csv_path = Path(csv_path)
     rows = _read_matrix(csv_path, _HEADER, TrajectoryError)
+    bad = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+    if len(bad):
+        raise TrajectoryError(f"{csv_path}: row {bad[0]} has t_index "
+                              f"{rows[bad[0], 0]:g}, expected {bad[0]}")
     side_path = csv_path.with_suffix(".json")
     side = _checked(_read_json(side_path, TrajectoryError), {
         "direction": ("string", check_direction, True),
         "sparsity": ("number", check_sparsity, True),
-        "normalized": ("boolean", None, True),
-        "limits": (("object", "null"), ({"min": ("number", (3,), True),
-                                         "max": ("number", (3,), True)},
-                                        JointLimits.from_dict), False),
-        "meta": ("object", None, False),
+        "limits": ("object", ({"min": ("number", (3,), True),
+                               "max": ("number", (3,), True)},
+                              lambda d: JointLimits(**d)), True),
+        "step": ("number", check_step, True),
     }, side_path, TrajectoryError)
-    return Trajectory(rows[:, 1:], side["direction"], side["sparsity"],
-                      side["normalized"], side.get("limits"),
-                      side.get("meta", {}))
+    return Trajectory(rows[:, 1:], **side)

@@ -473,6 +473,31 @@ def test_failed_stage_removes_what_it_wrote(runner, fast_cfg, tmp_path, monkeypa
     assert [p for p in outputs if (out / p).exists()] == []
 
 
+def test_failed_process_rerun_keeps_the_previous_pair(runner, fast_cfg, tmp_path,
+                                                      monkeypatch):
+    out = tmp_path / "o"
+    base = out_args(fast_cfg, out)
+    invoke(runner, base + ["--seed", "1", "record", "--name", "a"])
+    invoke(runner, base + ["--seed", "2", "record", "--name", "b"])
+    invoke(runner, base + ["process", "--bag", str(out / "a")])
+    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in out.iterdir() if p.is_file()}
+    assert {"train.csv", "train.json", "test.csv", "test.json", "manifest.json"} <= set(before)
+    real, calls = cablecal.data.save_dataset, []
+
+    def write_then_fail(ds, path):
+        real(ds, path)
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cablecal.data, "save_dataset", write_then_fail)
+    result = runner.invoke(main, base + ["process", "--bag", str(out / "b")])
+    assert result.exit_code == 3 and len(calls) == 2
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if p.is_file()} == before
+
+
 def test_pipeline_times_the_configured_number_of_predictions(runner, tmp_path):
     cfg = tmp_path / "c.toml"
     cfg.write_text(FAST_TOML.replace("latency_samples = 500", "latency_samples = 6000")

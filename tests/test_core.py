@@ -32,7 +32,7 @@ def _limit_pairs(draw):
 @given(_limit_pairs())
 def test_limits_dict_round_trip_keeps_equality_and_hash(pair):
     lim = JointLimits(*pair)
-    back = JointLimits.from_dict(json.loads(json.dumps(lim.to_dict())))
+    back = JointLimits(**json.loads(json.dumps(lim.to_dict())))
     assert back == lim and hash(back) == hash(lim)
     assert back.min == lim.min == tuple(float(v) for v in pair[0])
 

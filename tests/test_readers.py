@@ -6,8 +6,8 @@ an equal object. Then every key of the written document is deleted (where
 the reader requires it) and swapped to another JSON type, one at a time:
 the reader must refuse each edit in its own error class, with a message
 that starts ``<file>: entry '<key>': ``. Free-form objects (bag and dataset
-metadata, trajectory meta, the manifest's config) are checked as a whole,
-so the walk does not enter them.
+metadata, the manifest's config) are checked as a whole, so the walk does
+not enter them.
 
 A CSV artifact's header line must name its layout's columns in order, so
 a file whose columns were swapped, renamed or dropped is refused in the
@@ -96,8 +96,7 @@ READERS = {
     "dataset": Reader(_dataset, "d.json", lambda tmp: dt.load_dataset(tmp / "d.csv"),
                       dt.DataError, optional=[("norm",), ("meta",)], free=("meta",)),
     "trajectory": Reader(_trajectory, "t.json", lambda tmp: tj.load(tmp / "t.csv"),
-                         tj.TrajectoryError, optional=[("limits",), ("meta",)],
-                         free=("meta",)),
+                         tj.TrajectoryError),
     "manifest": Reader(_manifest, "manifest.json", load_manifest, ValueError,
                        optional=[("inputs", "*"), ("outputs", "*"),
                                  ("stages", "*", "sim_s")], free=("config",)),

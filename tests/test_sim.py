@@ -94,7 +94,7 @@ def test_hysteresis_jump_on_reversal():
     em = sm.CableErrorModel(hysteresis_width=(0.5, 0.0, 0.0))
     # triangle wave on j1: forward then backward
     pts = np.array([[0.0, 45, 125], [30.0, 45, 125], [0.0, 45, 125]])
-    traj = tj.Trajectory(pts, "j1", 0.5, False, DEFAULT_LIMITS)
+    traj = tj.Trajectory(pts, "j1", 0.5, DEFAULT_LIMITS)
     state, truth = session(traj, em, rates=(50.0, 50.0), seed=0)
     err = reported(state)[:, 0] - truth.q[:, 0]
     tau1 = torques(state)[:, 0]
@@ -225,6 +225,19 @@ def test_limit_violation_raises():
     with pytest.raises(sm.LimitViolationError):
         session(short_traj(), sm.CableErrorModel(), seed=0,
                 limits=small, duration=30.0)
+
+
+def test_nan_position_is_a_limit_violation():
+    # NaN compares False both ways, so only an in-bounds test refuses it
+    with pytest.raises(sm.LimitViolationError, match="j1"):
+        sm.SimSession(sm.default_error_model()).run(
+            sm.HoldPolicy([float("nan"), 45, 125]), duration=1.0)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+def test_random_policy_rejects_bad_horizon(horizon):
+    with pytest.raises(sm.SimError, match="horizon"):
+        sm.RandomSinusoidPolicy(seed=1, horizon=horizon)
 
 
 # --- torque proxy ---------------------------------------------------------------

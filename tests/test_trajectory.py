@@ -105,10 +105,9 @@ def test_transform_table_is_read_only():
 
 @pytest.mark.parametrize("direction", tj.DIRECTIONS)
 def test_transform_lands_in_unit_cube(direction):
-    base = tj.generate_base_zigzag(0.5)
-    unit = tj.rotate_to_direction(base, direction)
-    assert unit.waypoints.min() >= -1e-12
-    assert unit.waypoints.max() <= 1.0 + 1e-12
+    unit = tj.direction_transform(direction).apply(tj._raster(0.5, tj.DEFAULT_STEP))
+    assert unit.min() >= -1e-12
+    assert unit.max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("direction", tj.DIRECTIONS)
@@ -140,37 +139,37 @@ def test_sweep_segments_align_with_direction_diagonal():
 # --- base raster geometry -------------------------------------------------
 
 def test_base_raster_levels_sparsity_half():
-    base = tj.generate_base_zigzag(0.5, step=0.5)
+    base = tj._raster(0.5, 0.5)
     for axis in (1, 2):
-        levels = np.unique(base.waypoints[:, axis])
+        levels = np.unique(base[:, axis])
         assert np.allclose(levels, [-0.5, 0.0, 0.5])
 
 
 def test_base_raster_extremes_exact():
     for sparsity in (0.5, 1 / 3, 0.25):
-        base = tj.generate_base_zigzag(sparsity)
-        assert base.waypoints.min(axis=0) == pytest.approx([-0.5] * 3, abs=0)
-        assert base.waypoints.max(axis=0) == pytest.approx([0.5] * 3, abs=0)
+        base = tj._raster(sparsity, tj.DEFAULT_STEP)
+        assert base.min(axis=0) == pytest.approx([-0.5] * 3, abs=0)
+        assert base.max(axis=0) == pytest.approx([0.5] * 3, abs=0)
 
 
 def test_base_raster_segments_axis_aligned_and_continuous():
-    base = tj.generate_base_zigzag(0.25)
-    deltas = np.diff(base.waypoints, axis=0)
+    base = tj._raster(0.25, tj.DEFAULT_STEP)
+    deltas = np.diff(base, axis=0)
     changed = np.sum(np.abs(deltas) > 1e-12, axis=1)
     assert changed.max() <= 1  # one coordinate moves at a time
     assert np.max(np.abs(deltas)) <= tj.DEFAULT_STEP + 1e-12
 
 
 def test_base_raster_sweep_axis_has_no_gap():
-    base = tj.generate_base_zigzag(0.5, step=0.01)
-    deltas = np.abs(np.diff(base.waypoints, axis=0))
+    base = tj._raster(0.5, 0.01)
+    deltas = np.abs(np.diff(base, axis=0))
     sweep_moves = deltas[deltas[:, 0] > 1e-12, 0]
     assert sweep_moves.max() <= 0.01 + 1e-12
 
 
 def test_finer_sparsity_has_more_waypoints():
-    n_half = len(tj.generate_base_zigzag(0.5))
-    n_quarter = len(tj.generate_base_zigzag(0.25))
+    n_half = len(tj._raster(0.5, tj.DEFAULT_STEP))
+    n_quarter = len(tj._raster(0.25, tj.DEFAULT_STEP))
     assert n_quarter > n_half
 
 
@@ -217,14 +216,7 @@ def test_densify_matches_reference_loop(waypoints, step):
 def test_invalid_sparsity_rejected():
     for bad in (0.0, -0.1, 0.6, 1.0):
         with pytest.raises(tj.TrajectoryError):
-            tj.generate_base_zigzag(bad)
-
-
-def test_rotate_requires_centered_base():
-    base = tj.generate_base_zigzag(0.5)
-    unit = tj.rotate_to_direction(base, "j2")
-    with pytest.raises(tj.TrajectoryError):
-        tj.rotate_to_direction(unit, "j3")
+            tj.generate("j1", bad)
 
 
 # --- scaling to limits ----------------------------------------------------
@@ -264,18 +256,6 @@ def test_single_direction_known_span():
     assert 0.5 * (hi + lo) == pytest.approx(45.0, rel=1e-12)
 
 
-def test_scale_rejects_out_of_unit_input():
-    base = tj.generate_base_zigzag(0.5)  # centered frame: has negatives
-    with pytest.raises(tj.TrajectoryError):
-        tj.scale_to_limits(base)
-
-
-def test_scale_rejects_already_scaled():
-    traj = tj.generate("j2", 0.5)
-    with pytest.raises(tj.TrajectoryError):
-        tj.scale_to_limits(traj)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     direction=st.sampled_from(tj.DIRECTIONS),
@@ -292,7 +272,7 @@ def test_scaled_trajectory_property(direction, n, j3max):
 
 
 def _scale_to_limits_ref(pts, limits, f):
-    """The original per-joint loop form of ``scale_to_limits``."""
+    """The original per-joint loop form of ``_scaled``."""
     c, r = limits.center, limits.range
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     out = np.empty_like(pts)
@@ -316,8 +296,7 @@ def _scale_to_limits_ref(pts, limits, f):
 def test_scale_to_limits_matches_reference_loop(direction, pts, flat, limits):
     pts = np.array(pts)
     pts[:, list(flat)] = 0.25                   # joints the raster does not move
-    traj = tj.Trajectory(pts, direction, 0.5, True, None, {"frame": "unit"})
-    got = tj.scale_to_limits(traj, limits).waypoints
+    got = tj._scaled(pts, direction, limits)
     want = _scale_to_limits_ref(pts, limits, tj.span_fraction(direction))
     assert got.tobytes() == want.tobytes()
 
@@ -325,8 +304,8 @@ def test_scale_to_limits_matches_reference_loop(direction, pts, flat, limits):
 # --- timing ---------------------------------------------------------------
 
 def test_duration_empty_and_single():
-    empty = tj.Trajectory(np.zeros((0, 3)), "j1", 0.5, False, DEFAULT_LIMITS)
-    single = tj.Trajectory(np.zeros((1, 3)), "j1", 0.5, False, DEFAULT_LIMITS)
+    empty = tj.Trajectory(np.zeros((0, 3)), "j1", 0.5, DEFAULT_LIMITS)
+    single = tj.Trajectory(np.zeros((1, 3)), "j1", 0.5, DEFAULT_LIMITS)
     assert tj.trajectory_duration(empty) == 0.0
     assert tj.trajectory_duration(single) == 0.0
 
@@ -334,7 +313,7 @@ def test_duration_empty_and_single():
 def test_duration_slowest_joint_paces_segment():
     pts = np.array([[0.0, 0.0, 0.0], [3.0, 6.0, 9.5]])
     # speeds (3, 3, 9.5): times per joint = (1, 2, 1) -> segment takes 2 s
-    t = tj.trajectory_duration(tj.Trajectory(pts, "j1", 0.5, False, DEFAULT_LIMITS))
+    t = tj.trajectory_duration(tj.Trajectory(pts, "j1", 0.5, DEFAULT_LIMITS))
     assert t == pytest.approx(2.0)
 
 
@@ -369,8 +348,7 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.waypoints, traj.waypoints)
     assert back.direction == traj.direction
     assert back.sparsity == traj.sparsity
-    assert back.normalized == traj.normalized
-    assert back.limits == traj.limits
+    assert back.limits == traj.limits and back.step == traj.step
     assert (tmp_path / "traj.json").exists()
 
 
@@ -399,15 +377,6 @@ def test_failed_save_keeps_previous_files(tmp_path, monkeypatch, name, broken):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_save_load_normalized(tmp_path):
-    base = tj.generate_base_zigzag(0.5)
-    path = tmp_path / "base.csv"
-    tj.save(base, path)
-    back = tj.load(path)
-    assert np.array_equal(back.waypoints, base.waypoints)
-    assert back.normalized and back.limits is None
-
-
 def _drop_direction(csv_path):
     side = csv_path.with_suffix(".json")
     doc = json.loads(side.read_text())
@@ -424,10 +393,26 @@ def _set_entry(name, value):
     return corrupt
 
 
+def _old_sidecar(csv_path):
+    """The sidecar as written before ``step`` became an entry of its own."""
+    side = csv_path.with_suffix(".json")
+    doc = json.loads(side.read_text())
+    doc.update(normalized=False, meta={"frame": "scaled", "step": doc.pop("step")})
+    side.write_text(json.dumps(doc))
+
+
 def _replace_line(csv_path, lineno, text):
     lines = csv_path.read_text().splitlines(keepends=True)
     lines[lineno] = text
     csv_path.write_text("".join(lines))
+
+
+def _edit_rows(edit):
+    """Rewrite the data rows (the header kept) as ``edit(rows)``."""
+    def corrupt(csv_path):
+        head, *rows = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join([head, *edit(rows)]))
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt, bad_file, entry", [
@@ -444,15 +429,22 @@ def _replace_line(csv_path, lineno, text):
     (_set_entry("direction", ["j1"]), "traj.json", "'direction'"),
     (_set_entry("sparsity", 7.0), "traj.json", "'sparsity'"),
     (_set_entry("sparsity", 0.0), "traj.json", "'sparsity'"),
-    (_set_entry("normalized", "no"), "traj.json", "'normalized'"),
-    (_set_entry("normalized", 0), "traj.json", "'normalized'"),
+    (_set_entry("normalized", "no"), "traj.json", "entry 'normalized': unknown key"),
+    (_set_entry("normalized", 0), "traj.json", "entry 'normalized': unknown key"),
     (_set_entry("sparsity", "0.5"), "traj.json", "entry 'sparsity': expected number"),
-    (_set_entry("meta", 5), "traj.json", "entry 'meta': expected object"),
+    (_set_entry("meta", 5), "traj.json", "entry 'meta': unknown key"),
+    (_old_sidecar, "traj.json", "entry 'step': missing"),
+    (_set_entry("step", 0), "traj.json", "entry 'step': step must be"),
+    (_set_entry("step", "0.005"), "traj.json", "entry 'step': expected number"),
+    (_set_entry("limits", None), "traj.json", "entry 'limits': expected object"),
+    (_edit_rows(lambda r: [r[0], r[2], r[1], *r[3:]]), "traj.csv", "row 1 has t_index 2,"),
+    (_edit_rows(lambda r: r[:4] + r[5:]), "traj.csv", "row 4 has t_index 5,"),
 ], ids=["no-direction", "sidecar-not-json", "sidecar-list", "null-sparsity",
          "short-limits", "inf-waypoint",
         "non-numeric", "three-columns", "unknown-direction", "list-direction",
         "sparsity-above-half", "zero-sparsity", "string-normalized",
-        "int-normalized", "string-sparsity", "int-meta"])
+        "int-normalized", "string-sparsity", "int-meta", "old-sidecar",
+        "zero-step", "string-step", "null-limits", "swapped-rows", "dropped-row"])
 def test_load_error_names_file_and_entry(tmp_path, corrupt, bad_file, entry):
     path = tmp_path / "traj.csv"
     tj.save(tj.generate("j1j3", 1 / 3), path)
