@@ -121,7 +121,7 @@ def _rule(name: str, rule: str, ok, error, count=None, number=True):
 
 def json_digest(obj) -> str:
     """sha256 (hex) of ``obj`` as compact, key-sorted JSON: the one digest
-    behind schema hashes, model checksums and manifest config hashes."""
+    behind model checksums and manifest config hashes."""
     return hashlib.sha256(json.dumps(obj, sort_keys=True,
                                      separators=(",", ":")).encode()).hexdigest()
 
@@ -135,8 +135,8 @@ class FeatureSchema:
     """Ordered robot-state feature catalog plus the model-input selection mask.
 
     The name list fixes the column order of every recorded stream, dataset
-    and trained model; a schema hash ties those artifacts together so a
-    model can refuse inputs laid out differently.
+    and trained model; each of those artifacts stores its schema, so a model
+    can refuse inputs laid out differently.
     """
 
     names: tuple
@@ -164,9 +164,6 @@ class FeatureSchema:
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
-
-    def hash(self) -> str:
-        return json_digest(self.to_dict())
 
     def with_all_selected(self) -> "FeatureSchema":
         return FeatureSchema(self.names, tuple(True for _ in self.names))
@@ -374,9 +371,12 @@ def _write_matrix(fh, header: list, blocks) -> None:
     is cast to float64 (an object that has no float value raises), its
     text is built by ``_format_17g`` in a fixed-width byte table, and the
     padding is dropped before one ``write``. ``%.17g`` reloads every float
-    bit-identically.
+    bit-identically. No stage writes an artifact without rows, so zero rows
+    raise ``ValueError`` before anything is written.
     """
     cols = [b.reshape(-1, 1) if b.ndim == 1 else b for b in blocks]
+    if not len(cols[0]):
+        raise ValueError("no data rows to write")
     width = sum(c.shape[1] for c in cols)
     rows = max(1, _CSV_CHUNK_VALUES // width)
     table = np.empty((_TEXT_WIDTH + 1, rows, width), np.uint8)
@@ -394,18 +394,21 @@ def _write_matrix(fh, header: list, blocks) -> None:
 
 def _read_matrix(path: Path, header, error) -> np.ndarray:
     """A CSV that ``_write_matrix`` wrote with ``header``: its header line
-    must name the same columns in the same order, and its rows hold as many
-    finite values. ``error`` (the caller's error class) names the file and
-    the first column that differs, or the first bad row."""
+    must name the same columns in the same order, and one or more rows of
+    as many finite values follow. ``error`` (the caller's error class) names
+    the file and the first column that differs, or the first bad row."""
     header = list(header)
     try:
         with open(path, encoding="utf-8") as fh:
             names = fh.readline().rstrip("\n").split(",")
+            rows = any(line.strip() for line in fh)     # stops at the first row
         if names != header:
             k = len(os.path.commonprefix([names, header]))
             got, want = (repr(h[k]) if k < len(h) else "none" for h in (names, header))
             raise _Bad(f"header column {k + 1} is {got}, expected {want} "
                        f"({len(names)} columns, expected {len(header)})")
+        if not rows:
+            raise _Bad("no data rows")
         mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (ValueError, _Bad) as exc:       # UnicodeDecodeError too
         raise error(f"{path}: {exc}") from exc

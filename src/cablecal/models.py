@@ -107,7 +107,7 @@ class CalibrationModel:
 
     def check_compatible(self, schema: FeatureSchema) -> None:
         """Refuse feature layouts other than the one the model was fit on."""
-        if schema.hash() != self.schema.hash():
+        if schema != self.schema:
             raise ModelError(
                 "feature schema mismatch: model was fit on a different "
                 "column layout or selection mask")
@@ -322,18 +322,11 @@ class MlpModel(CalibrationModel):
 
     def _row(self, x) -> list:
         hidden, out_w, out_b = self._tables
-        exp = math.exp
+        tanh = math.tanh            # nn._sigmoid's logistic, finite for every s
         a = x
         for rows, bias in hidden:
-            nxt = []
-            for row, b0 in zip(rows, bias):
-                s = b0 + sum(map(mul, row, a))
-                if s >= 0.0:
-                    nxt.append(1.0 / (1.0 + exp(-s)))
-                else:
-                    e = exp(s)
-                    nxt.append(e / (1.0 + e))
-            a = nxt
+            a = [0.5 * (1.0 + tanh(0.5 * (b0 + sum(map(mul, row, a)))))
+                 for row, b0 in zip(rows, bias)]
         return [b0 + sum(map(mul, row, a)) for row, b0 in zip(out_w, out_b)]
 
     def predict_batch(self, X) -> np.ndarray:

@@ -15,7 +15,7 @@ Loss definition (what the gradients implement):
 
 Training runs in float32; the stored model is float64. ``train_mlp`` is the
 one place that casts: it rounds the data and the seeded initial parameters
-to float32, runs every epoch in float32 (half the GEMM and ``exp`` cost of
+to float32, runs every epoch in float32 (half the GEMM and ``tanh`` cost of
 float64), and hands the trained parameters back as float64, so the
 normalization fold, the model file and both predict paths stay float64.
 The learned inputs are z-scored and the targets standardized, so float32's
@@ -35,8 +35,7 @@ short batches (952 or 500 rows) and the ``LARGE_CONFIG`` forward GEMMs of
 inner width 600 and 500 move their last bits, so the trained weights of the
 default network differ across thread counts too. The hot path is therefore
 written in place -- fewer temporaries, the same operations in the same
-order -- rather than rearranged. The cheaper ``0.5 * (1 + tanh(z / 2))``
-sigmoid was rejected because it changes trained bits.
+order -- rather than rearranged.
 
 Activations are released right after their last use, with no change to the
 arithmetic. ``forward`` lets go of a layer's input once its GEMM is done
@@ -106,23 +105,14 @@ LARGE_CONFIG = MlpConfig(hidden=(600, 500, 400), kernel_l2=1e-4, kernel_l1=1e-5,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic of ``z``, written over ``z`` and returned.
-
-    Equal bit for bit to the two-branch form 1/(1+e^-z) for z >= 0 and
-    e^z/(1+e^z) otherwise (-0.0 and +-inf included; NaN maps to NaN):
-    ``exp(-|z|)`` is ``exp(-z)`` on the first branch and ``exp(z)`` on the
-    second, so one exponential serves both and no boolean-mask gather or
-    scatter is needed. Working in place leaves one float temporary and one
-    boolean mask per call.
-    """
-    pos = z >= 0
-    np.abs(z, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    den = z + 1.0
-    # numerator: 1 where z >= 0 (there e <= 1), e elsewhere (there e >= 0)
-    np.maximum(z, pos, out=z)
-    z /= den
+    """Logistic of ``z`` as ``0.5 * (1 + tanh(z / 2))``, written over ``z``
+    and returned. ``tanh`` cannot overflow, so the one formula holds for
+    every z (+-inf map to 0 and 1, NaN to NaN), and the in-place steps round
+    exactly as the out-of-place expression does."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
     return z
 
 

@@ -121,15 +121,16 @@ def test_schema_round_trip_and_hash_stability():
     s2 = _checked(json.loads(f'{{"schema": {blob}}}'),
                   {"schema": ("object", _SCHEMA_CHECK, True)}, "s.json", ValueError)["schema"]
     assert s2 == s
-    assert s2.hash() == s.hash()
-    # changing the mask changes the hash
-    assert s.with_all_selected().hash() != s.hash()
+    assert json_digest(s2.to_dict()) == json_digest(s.to_dict())
+    # changing the mask changes the schema and its digest
+    assert s.with_all_selected() != s
+    assert json_digest(s.with_all_selected().to_dict()) != json_digest(s.to_dict())
 
 
 def test_json_digest_keeps_its_values():
-    # schema hashes sit in every dataset and model file and config hashes in
-    # every manifest, so the canonical digest must not change its bytes
-    assert FULL_SCHEMA.hash() == (
+    # config hashes sit in every manifest, so the canonical digest must not
+    # change its bytes; the schema's digest pins the feature layout
+    assert json_digest(FULL_SCHEMA.to_dict()) == (
         "8c8e50adbd19d29367a139b29f59678a0122c3973ec6011e8dc936d3b4fa35c0")
     assert json_digest({"b": [1, 2.5, None], "a": {"y": True, "x": "é"}}) == (
         "939075563d1fec2997dd324b5476211902d0a036c3ff5736d55db2282ca668f3")

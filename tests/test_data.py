@@ -428,11 +428,17 @@ def write_matrix(path, header, blocks):
 @settings(max_examples=150, deadline=None)
 @given(blocks=column_blocks())
 @example(blocks=[np.array(SPECIAL)])
+@example(blocks=[np.empty(0), np.empty((0, 2))])
 def test_write_matrix_matches_savetxt(blocks):
     width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
     header = [f"c{i}" for i in range(width)]
     with tempfile.TemporaryDirectory() as d:
         got, want = Path(d) / "got.csv", Path(d) / "want.csv"
+        if len(blocks[0]) == 0:             # no rows: refused, nothing written
+            with pytest.raises(ValueError, match="no data rows to write"):
+                write_matrix(got, header, blocks)
+            assert not any(Path(d).iterdir())
+            return
         write_matrix(got, header, blocks)
         savetxt_ref(want, header, blocks)
         assert got.read_bytes() == want.read_bytes()

@@ -433,17 +433,12 @@ def test_round_trip_preserves_predictions_exactly(tmp_path):
 
 def _scalar_predict_ref(model, x):
     """The scalar MLP path over tables built eagerly from the stored arrays."""
-    exp = math.exp
     a = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         nxt = []
         for row, b0 in zip(w.T.tolist(), b.tolist()):
             s = b0 + sum(map(mul, row, a))
-            if s >= 0.0:
-                nxt.append(1.0 / (1.0 + exp(-s)))
-            else:
-                e = exp(s)
-                nxt.append(e / (1.0 + e))
+            nxt.append(0.5 * (1 + math.tanh(s / 2)))
         a = nxt
     out = [b0 + sum(map(mul, row, a))
            for row, b0 in zip(model.weights[-1].T.tolist(), model.biases[-1].tolist())]
@@ -474,6 +469,21 @@ def test_large_mlp_holds_scalar_tables_only_after_first_predict():
     assert retained < 1e6
     for row in X.tolist():
         assert m.predict(row) == _scalar_predict_ref(m, row)
+
+
+def test_scalar_mlp_predict_stays_finite_where_exp_would_overflow():
+    rng = np.random.default_rng(32)
+    d = FULL_SCHEMA.dim_selected
+    weights = [rng.normal(scale=200.0, size=(d, 6)), rng.normal(size=(6, 3))]
+    biases = [np.zeros(6), rng.normal(size=3)]
+    m = MlpModel(END_TO_END, FULL_SCHEMA, weights, biases, MlpConfig(hidden=(6,)))
+    X = rng.normal(size=(20, d))
+    s = X @ weights[0]
+    # math.exp(-s) overflows (OverflowError) beyond s = -709.78
+    assert s.min() < -1000 and s.max() > 1000
+    scalar = np.array([m.predict(row) for row in X.tolist()])
+    assert np.all(np.isfinite(scalar))
+    assert np.max(np.abs(scalar - m.predict_batch(X))) <= 1e-12
 
 
 NON_FINITE_PARAMETER = [

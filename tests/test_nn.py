@@ -16,12 +16,7 @@ from cablecal.nn import (LARGE_CONFIG, Adam, Mlp, MlpConfig, TrainingDivergedErr
 # The engine computes these in place; it must reproduce them bit for bit.
 
 def sigmoid_ref(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return 0.5 * (1 + np.tanh(z / 2))
 
 
 def forward_ref(net, X):
@@ -291,6 +286,14 @@ def test_default_hyperparameters():
 
 # --- numerics ----------------------------------------------------------------
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_within_one_eps_of_the_long_double_logistic(dtype):
+    z = np.concatenate([np.linspace(-60.0, 60.0, 4801), [-0.0, 1e-3, -1e-3]]).astype(dtype)
+    want = 1 / (1 + np.exp(-z.astype(np.longdouble)))
+    err = np.abs(_sigmoid(z.copy()).astype(np.longdouble) - want)
+    assert err.max() <= np.finfo(dtype).eps
+
+
 def test_sigmoid_stable_at_extremes():
     z = np.array([-1e308, -1e3, -800.0, -40.0, 0.0, 40.0, 800.0, 1e3, 1e308])
     with np.errstate(over="raise", invalid="raise"):   # underflow to 0 is fine
@@ -303,7 +306,7 @@ def test_sigmoid_stable_at_extremes():
 # --- bit identity with the reference formulas -------------------------------
 
 SPECIAL = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
-           5e-324, -5e-324]
+           5e-324, -5e-324, 1e-45, -1e-45]      # the last two: float32 subnormals
 ALL_PENALTIES = MlpConfig(hidden=(7, 5), kernel_l2=1e-4, kernel_l1=1e-5,
                           bias_l2=1e-4, activity_l2=1e-5)
 
@@ -323,12 +326,14 @@ def _bits_equal(a, b):
                   elements=st.one_of(st.floats(), st.sampled_from(SPECIAL))))
 @example(np.array(SPECIAL))
 @example(np.empty((0, 3)))
-def test_sigmoid_matches_masked_reference_bitwise(z):
-    want = sigmoid_ref(z)
-    buf = z.copy()
-    got = _sigmoid(buf)
-    assert got is buf                          # computed in place
-    assert _bits_equal(got, want)
+def test_sigmoid_matches_tanh_reference_bitwise(z):
+    with np.errstate(over="ignore"):            # float32 casts overflow to inf
+        z32 = z.astype(np.float32)
+    for v in (z, z32):
+        buf = v.copy()
+        got = _sigmoid(buf)
+        assert got is buf                      # computed in place
+        assert _bits_equal(got, sigmoid_ref(v))
 
 
 def _nudged_net(config, dims=(6, 3), seed=5):
@@ -463,12 +468,11 @@ def test_forward_releases_each_layer_input_before_its_sigmoid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # live at once, per hidden layer: its input and its GEMM output, or that
-    # output with the sigmoid's float denominator and boolean sign mask;
-    # holding the input through the sigmoid as well exceeds this bound
+    # live at once, per hidden layer: its input and its GEMM output, which
+    # the sigmoid overwrites; holding a layer's input into the next layer's
+    # GEMM exceeds this bound
     n, f8 = len(X), X.itemsize
-    bound = max(max(n * p * f8 + n * q * f8, n * q * (2 * f8 + 1))
-                for p, q in zip(net.dims[:-2], net.dims[1:-1]))
+    bound = max(n * p * f8 + n * q * f8 for p, q in zip(net.dims[:-2], net.dims[1:-1]))
     assert peak < 1.1 * bound
 
 

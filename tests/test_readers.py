@@ -12,11 +12,14 @@ not enter them.
 A CSV artifact's header line must name its layout's columns in order, so
 a file whose columns were swapped, renamed or dropped is refused in the
 reader's own error class, naming the file and the first column that
-differs, even where every row still has the right width.
+differs, even where every row still has the right width. A CSV cut after its
+header line is refused as having no data rows, and the savers refuse to
+write one.
 """
 
 import json
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from cablecal.manifest import RunManifest, load_manifest
 from cablecal.models import (ModelError, _checksum, deserialize, fit_linear,
                              fit_mlp, fit_offset, fit_poly2, serialize)
 from cablecal.nn import MlpConfig
-from cablecal.sim import default_error_model
+from cablecal.sim import StateStream, TruthStream, default_error_model
 
 
 @dataclass
@@ -246,3 +249,36 @@ def test_csv_header_must_match_its_layout(tmp_path, artifact, edit):
     assert type(info.value) is reader.error
     assert str(info.value).startswith(f"{path}: header column ")
     assert repr(lines[0].split(",")[column]) in str(info.value)
+
+
+@pytest.mark.parametrize("artifact", list(CSV_FILES))
+def test_header_only_csv_is_refused_without_a_warning(tmp_path, artifact):
+    reader = READERS[CSV_FILES[artifact][0]]
+    reader.write(tmp_path)
+    path = tmp_path / CSV_FILES[artifact][1]
+    path.write_text(path.read_text().split("\n", 1)[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy "no data" warning
+        with pytest.raises(reader.error) as info:
+            reader.load(tmp_path)
+    assert str(info.value) == f"{path}: no data rows"
+
+
+#: The artifacts that can hold no rows (a ``Dataset`` cannot): each one's
+#: saver, given an empty copy of what ``reader.write`` wrote.
+EMPTY_SAVES = {
+    "bag": lambda tmp, bag: dt.save_bag(dt.RecordedBag(
+        StateStream(bag.state.t[:0], bag.state.features[:0]),
+        TruthStream(bag.truth.t[:0], bag.truth.q[:0]), bag.schema), tmp / "bag"),
+    "trajectory": lambda tmp, traj: tj.save(
+        replace(traj, waypoints=traj.waypoints[:0]), tmp / "t.csv"),
+}
+
+
+@pytest.mark.parametrize("artifact", list(EMPTY_SAVES))
+def test_saving_no_rows_raises_and_keeps_the_previous_files(tmp_path, artifact):
+    written = READERS[artifact].write(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match="no data rows to write"):
+        EMPTY_SAVES[artifact](tmp_path, written)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
