@@ -229,8 +229,13 @@ def _staged(*paths):
     """One temporary sibling per path, with the path's suffix, so a CSV's
     sidecar is staged beside it; every path is replaced by its sibling only
     when the block completes, so a failed write leaves all the previous
-    files as they were and no temporary file behind."""
+    files as they were and no temporary file behind. Paths that resolve to
+    one file raise ValueError before anything is written."""
     paths = [Path(p) for p in paths]
+    real = [p.resolve() for p in paths]
+    twice = [p for p, r in zip(paths, real) if real.count(r) > 1]
+    if twice:
+        raise ValueError(f"{twice[-1]}: one file named twice in one artifact")
     tmps = [p.with_name(f".{p.stem}.tmp{p.suffix}") for p in paths]
     try:
         yield tmps
@@ -265,53 +270,53 @@ _CSV_CHUNK_VALUES = 4096
 #: Longest ``%.17g`` text of a float64, as in ``-2.2250738585072014e-308``.
 _TEXT_WIDTH = 24
 
-#: 10**k for k = 0..20, exact in float64 (as is every power up to 10**22)
-#: and so in long double.
-_POW10 = np.array([float(10 ** k) for k in range(21)], dtype=np.longdouble)
 
-#: How far from one half the fraction of a value scaled to 17 integer digits
-#: must lie for numpy to round it: 0 with a 64-bit significand, where the one
-#: rounding of a product below 10**17 < 2**57 (ulp <= 2**-7) can reach n + 1/2
-#: but never cross it; else twice the rounding error (about 22 for IEEE double).
-_TIE_BAND = (0.0 if np.finfo(np.longdouble).nmant >= 63
-             else 1e17 * float(np.finfo(np.longdouble).eps))
+def _halves(x):
+    """Veltkamp's split of float64 ``x`` into hi + lo == x, each of at most
+    26 significant bits, so the product of two halves is exact."""
+    t = x * 134217729.0                     # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+#: Rows 10**k, hi, lo for k = 0..20: each power is exact in float64.
+_POW10 = np.array([(p, *_halves(p)) for p in (float(10 ** k) for k in range(21))]).T
 
 _DIGIT = np.arange(17, dtype=np.int8)[:, None]
 _ZERO, _POINT, _MINUS = (np.uint8(ord(c)) for c in "0.-")
 
 
-def _format_17g(values: np.ndarray, text: np.ndarray) -> None:
+def _format_17g(values: np.ndarray, text: np.ndarray) -> int:
     """Write the ``'%.17g' % v`` text of each float64 ``values[i]`` into
     ``text[:, i]`` (``_TEXT_WIDTH`` rows of uint8), padded with NUL bytes.
 
     A value takes the vectorised path when ``%.17g`` prints it in fixed
     notation, with its decimal exponent e = floor(log10|v|) in -4..16, or
-    when it is ±0. Its 17 significant digits are D = round(|v| * 10**(16-e)),
-    and the product is rounded once, in long double (a 64-bit significand
-    on x86), because both factors are exact there. If the product's fraction
-    lies more than ``_TIE_BAND`` from one half, D is the correctly rounded
-    value that Python's ``%`` prints too. e is clipped to -4..16, so a value
-    outside that range scales to a D of other than 17 digits. Every value
-    that fails a check is formatted by Python's ``%`` itself: the half-way
-    band (exact ties included), an estimate of e that 10**16 <= D < 10**17
+    when it is ±0. Its 17 significant digits are D = round(|v| * 10**k),
+    k = 16 - e, from Dekker's exact product in float64: p = |v| * 10**k is
+    rounded, and the ``_halves`` of both factors give its exact error err,
+    so D = p + floor(err + 1/2). Nothing overflows (|v| <= 1e17 and
+    10**k <= 1e20) and, wherever 10**16 <= D < 10**17, nothing underflows;
+    there p is whole, |err| <= 8 and err has no bit below 2**-46, so
+    err + 1/2 and its floor are exact. e is clipped to -4..16, so a value
+    outside that range scales to a D of other than 17 digits. Python's ``%``
+    itself formats every value that fails a check, and their count is
+    returned: exact ties (err + 1/2 whole), an e that 10**16 <= D < 10**17
     refutes (a misestimate or a carry into another decade), scientific
-    notation, NaN, infinities and subnormals. About 0.35% of a recorded
-    bag's values take that path on x86, where the band is 0; where long
-    double is IEEE double, all but ±0 do, and the bytes stay the same.
+    notation, NaN, infinities and subnormals.
     """
     m = len(values)
     mag = np.abs(values)
     zero = mag == 0
     np.copyto(mag, 1e17, where=~(mag <= 1e17))  # NaN, inf: 18 digits
     e = np.clip(np.floor(np.log10(mag + zero)), -4, 16).astype(np.int8)
-    scaled = mag.astype(np.longdouble)      # ±0: e = 0 and D = 0
-    scaled *= _POW10[16 - e]
-    whole = scaled.astype(np.uint64)        # truncates: scaled >= 0
-    scaled -= whole
-    frac = scaled.astype(np.float64) - 0.5
-    d = whole + (frac > 0)
-    fast = (np.abs(frac) > _TIE_BAND) & (d >= 10 ** 16) & (d < 10 ** 17)
-    fast |= zero
+    pow10, bh, bl = _POW10[:, 16 - e]
+    p = mag * pow10                         # ±0: e = 0 and D = 0
+    ah, al = _halves(mag)
+    err = al * bl - (((p - ah * bh) - al * bh) - ah * bl) + 0.5
+    up = np.floor(err)
+    d = p.astype(np.int64) + up.astype(np.int64)
+    fast = ((up != err) & (d >= 10 ** 16) & (d < 10 ** 17)) | zero
 
     # the 17 digits, position-major: d -> 1 + 4 groups of 4 -> digits
     hi, lo = np.divmod(d, 10 ** 8)
@@ -354,11 +359,10 @@ def _format_17g(values: np.ndarray, text: np.ndarray) -> None:
     body[:17] += (keep & (_DIGIT == point)) * _POINT
 
     slow = np.flatnonzero(~fast)
-    if len(slow):
-        pad = "".join(("%.17g" % v).ljust(_TEXT_WIDTH, "\0")
-                      for v in values[slow].tolist())
-        text[:, slow] = np.frombuffer(pad.encode("ascii"), np.uint8).reshape(
-            len(slow), _TEXT_WIDTH).T
+    pad = "".join(("%.17g" % v).ljust(_TEXT_WIDTH, "\0") for v in values[slow].tolist())
+    text[:, slow] = np.frombuffer(pad.encode("ascii"), np.uint8).reshape(
+        len(slow), _TEXT_WIDTH).T
+    return len(slow)
 
 
 def _write_matrix(fh, header: list, blocks) -> None:

@@ -47,6 +47,15 @@ check_train_frac = _rule("train_frac", "a finite number in (0, 1)", lambda v: 0 
 # recorded bags
 
 
+def _reported(schema: FeatureSchema) -> FeatureSchema:
+    """``schema``, if it names every column of ``REPORTED_JOINTS``, which
+    ``synchronize`` reads; else DataError names the missing columns."""
+    missing = [n for n in REPORTED_JOINTS if n not in schema.names]
+    if missing:
+        raise DataError(f"no reported joint column(s) {', '.join(map(repr, missing))}")
+    return schema
+
+
 def _bag_headers(schema: FeatureSchema) -> tuple:
     """The columns of a bag's state.csv and truth.csv: time, then features."""
     return ["t", *schema.names], ["t", "q1", "q2", "q3"]
@@ -62,6 +71,7 @@ class RecordedBag:
     def __post_init__(self):
         if self.state.features.shape[1] != self.schema.dim_full:
             raise DataError("state feature width does not match schema")
+        _reported(self.schema)
         for t in (self.state.t, self.truth.t):
             if not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
                 raise DataError(
@@ -107,7 +117,8 @@ def load_bag(bag_dir) -> RecordedBag:
     bag_dir = Path(bag_dir)
     side_path = bag_dir / "metadata.json"
     head = _checked(_read_json(side_path, DataError), {
-        "schema": ("object", _SCHEMA_CHECK, True),
+        "schema": ("object", (_SCHEMA_CHECK[0],
+                              lambda d: _reported(_SCHEMA_CHECK[1](d))), True),
         "metadata": ("object", None, False),
     }, side_path, DataError)
     schema = head["schema"]

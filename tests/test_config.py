@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cablecal.cli import main
 from cablecal.config import (Config, ConfigError, EvalConfig, TrainingConfig,
                              TrajectoryConfig, load_config)
 from cablecal.data import EmptyDatasetError
@@ -373,3 +374,92 @@ def test_readme_config_example_loads(tmp_path):
     block = re.search(r"```toml\n(.*?)```", section, re.S).group(1)
     cfg = load_config(write(tmp_path, "readme.toml", block))
     assert cfg.error_model.noise_sd == (0.06, 0.07, 0.10)
+
+
+# --- every key: who reads it, and what it refuses -----------------------------------
+
+_SIM = ("record", "sweep", "pipeline")      # record a session
+_FIT = ("train", "sweep", "pipeline")       # fit the configured model
+
+#: Every flat key of every config section, with the commands that read it
+#: (on the branch that uses it: a drift rate under its load, an MLP key in
+#: an MLP fit). ``homing_offset_sd`` has none: only ``SimSession.home``
+#: reads it, in the homing study. A new key must be added here.
+CONFIG_READERS = {
+    **{f"limits.{k}": ("generate", *_SIM) for k in ("min", "max")},
+    **{f"error_model.{k}": _SIM for k in (
+        "offset", "position_gain", "stiffness_gain", "hysteresis_width",
+        "drift_rate_unloaded", "drift_rate_loaded", "drift_rate_idle", "noise_sd",
+        "aux_noise_sd", "load_ref_g")},
+    "error_model.homing_offset_sd": (),
+    "trajectory.direction": ("generate", "record", "pipeline"),
+    "trajectory.sparsity": ("generate", "record", "pipeline"),
+    "trajectory.sparsities": ("sweep",),
+    "trajectory.step": ("generate", *_SIM),
+    "trajectory.speeds": ("generate", *_SIM),
+    "training.model": ("train", "pipeline"),
+    "training.mode": _FIT,
+    "training.ridge": _FIT,
+    "training.train_frac": ("process", "sweep", "pipeline"),
+    "training.seed": ("record", "train", "sweep", "pipeline"),
+    **{f"training.{k}": _FIT for k in (
+        "hidden", "epochs", "lr", "batch_size", "beta1", "beta2", "eps",
+        "kernel_l2", "kernel_l1", "bias_l2", "activity_l2")},
+    "eval.rates": _SIM,
+    "eval.sync_tolerance_s": ("process", "sweep", "pipeline"),
+    "eval.time_scale": _SIM,
+    "eval.budget_hz": ("bench", "pipeline"),
+    "eval.latency_samples": ("bench", "pipeline"),
+    "eval.repeats": ("bench", "pipeline"),
+    "eval.load": _SIM,
+}
+
+_DEFAULTS = {f"{section}.{key}": value for section, table in Config().to_dict().items()
+             for key, value in table.items()}
+
+
+def test_every_config_key_is_in_the_readers_table():
+    assert sorted(set(_DEFAULTS) ^ set(CONFIG_READERS)) == []
+    assert {c for cmds in CONFIG_READERS.values() for c in cmds} <= set(main.commands)
+    assert [k for k, cmds in CONFIG_READERS.items() if not cmds] == [
+        "error_model.homing_offset_sd"]
+
+
+def _numeric(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: TOML values no numeric key takes: not finite, a boolean, and an integer
+#: too large for a float. (An empty ``training.hidden`` loads, by design.)
+_NOT_NUMBERS = ("inf", "nan", "true", str(10 ** 400))
+
+
+def _toml(value) -> str:
+    return f"[{', '.join(map(_toml, value))}]" if isinstance(value, list) else str(value)
+
+
+def _spoiled(value):
+    """``value`` replaced by each of ``_NOT_NUMBERS``, and so is each number
+    inside it, at any depth, one at a time."""
+    yield from _NOT_NUMBERS
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            for bad in _spoiled(item):
+                yield [*value[:i], bad, *value[i + 1:]]
+
+
+@pytest.mark.parametrize("key", [k for k, v in _DEFAULTS.items()
+                                 if _numeric(v) or k == "eval.load"])
+def test_a_non_number_in_a_numeric_key_is_refused_naming_it(tmp_path, key):
+    section, name = key.split(".")
+    p = tmp_path / "c.toml"
+    for bad in _spoiled(_DEFAULTS[key]):
+        p.write_text(f"[{section}]\n{name} = {_toml(bad)}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        # the key's own entry, or the section's check with the key in its reason
+        shape = re.match(rf"{re.escape(str(p))}: entry '{section}(\.{name})?': (.*)",
+                         str(info.value), re.S)
+        assert shape and (shape[1] or re.search(rf"\b{name}\b", shape[2])), str(info.value)

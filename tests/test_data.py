@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from cablecal import core
 from cablecal.core import FULL_SCHEMA
 from cablecal import data as dt
+from cablecal import evaluate as ev
 from cablecal import sim as sm
 from cablecal import trajectory as tj
 
@@ -477,17 +478,18 @@ def test_saved_bag_and_dataset_bytes_match_savetxt(tmp_path):
         assert (tmp_path / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def test_python_fallback_writes_the_same_bytes(tmp_path, monkeypatch):
-    # a tie band of one half sends every nonzero value to Python's %, as
-    # where long double is IEEE double
+def test_only_scientific_notation_and_ties_take_the_python_path():
+    # the float64 exact product rounds every other value, on any IEEE-754
+    # platform: of a recorded bag, only the values that %.17g prints in
+    # scientific notation (0 < |v| < 1e-4) go to Python's %, and so does
+    # every exact tie
     bag = make_bag(seed=11)
-    monkeypatch.setattr(core, "_TIE_BAND", 0.5)
-    dt.save_bag(bag, tmp_path / "bag")
-    savetxt_ref(tmp_path / "state.csv", ["t"] + list(bag.schema.names),
-                [bag.state.t, bag.state.features])
-    savetxt_ref(tmp_path / "truth.csv", ["t", "q1", "q2", "q3"], [bag.truth.t, bag.truth.q])
-    for name in ("state.csv", "truth.csv"):
-        assert (tmp_path / "bag" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    values = np.column_stack([bag.state.t, bag.state.features]).ravel()
+    mag = np.abs(values)
+    ties = np.array([_tie(j, a) for j in range(2, 22) for a in _tie_bounds(j)])
+    for pool, slow in ((values, np.count_nonzero((mag > 0) & (mag < 1e-4))),
+                       (ties, len(ties))):
+        assert core._format_17g(pool, np.empty((core._TEXT_WIDTH, len(pool)), np.uint8)) == slow
 
 
 # --- atomic writes ------------------------------------------------------------------
@@ -540,6 +542,31 @@ def test_failed_sidecar_write_keeps_previous_dataset(tmp_path):
     assert _files(tmp_path) == before
 
 
+_PREVIOUS = b'{"previous": true}\n'
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: tj.save(tj.generate("j1", 0.5), path),
+    lambda path: dt.save_dataset(
+        dt.split_and_normalize(dt.synchronize(make_bag(duration=5.0)))[0], path),
+    lambda path: ev.write_report([{"a": 1.0}], {"a": 1.0}, path),
+], ids=["trajectory", "dataset", "report"])
+def test_csv_named_like_its_sidecar_is_refused_and_keeps_the_previous_file(tmp_path, save):
+    # x.json would be both the CSV and its sidecar, staged into one file
+    path = tmp_path / "x.json"
+    path.write_bytes(_PREVIOUS)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: one file named twice")):
+        save(path)
+    assert _files(tmp_path) == {"x.json": _PREVIOUS}
+
+
+def test_staged_refuses_paths_that_resolve_to_one_file(tmp_path):
+    with pytest.raises(ValueError, match="one file named twice"):
+        with core._staged(tmp_path / "x.txt", tmp_path / "sub" / ".." / "x.txt"):
+            pass
+    assert not any(tmp_path.iterdir())
+
+
 # --- load boundary ------------------------------------------------------------------
 
 def _saved(tmp_path):
@@ -554,6 +581,29 @@ def _load(tmp_path, name):
     if name.startswith("bag/"):
         return dt.load_bag(tmp_path / "bag")
     return dt.load_dataset(tmp_path / "d.csv")
+
+
+def test_bag_without_a_reported_joint_is_refused_naming_the_sidecar(tmp_path):
+    # the schema and the state.csv header agree, but synchronize would not
+    # find the reported position of joint 1
+    dt.save_bag(make_bag(duration=2.0), tmp_path / "bag")
+    side, state = tmp_path / "bag" / "metadata.json", tmp_path / "bag" / "state.csv"
+    side.write_text(side.read_text().replace('"joint_position_j1"', '"j1_position"'))
+    state.write_text(state.read_text().replace(",joint_position_j1,", ",j1_position,"))
+    with pytest.raises(dt.DataError, match=re.escape(
+            f"{side}: entry 'schema': no reported joint column(s) 'joint_position_j1'")):
+        dt.load_bag(tmp_path / "bag")
+
+
+def test_bag_built_without_the_reported_joints_is_refused_naming_them():
+    bag = make_bag(duration=2.0)
+    names = tuple(n.replace("joint_position_j", "position_j") if n.startswith("joint_") else n
+                  for n in bag.schema.names)
+    schema = core.FeatureSchema(names, bag.schema.selected_mask)
+    with pytest.raises(dt.DataError, match=re.escape(
+            "no reported joint column(s) 'joint_position_j1', 'joint_position_j2', "
+            "'joint_position_j3'")):
+        dt.RecordedBag(bag.state, bag.truth, schema)
 
 
 @pytest.mark.parametrize("name", ["bag/metadata.json", "d.json"])

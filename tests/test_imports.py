@@ -1,6 +1,6 @@
 """Every name a ``cablecal`` module imports is used in that module, every
-module-level private name is read somewhere in the package, and only
-``core`` writes files.
+module-level private name is read somewhere in the package, only ``core``
+writes files, and no module computes in long double.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for one. The unused-import scan skips ``__init__.py``: its imports are the
@@ -10,6 +10,7 @@ write anywhere else would bypass that guarantee.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -151,3 +152,12 @@ def test_trajectory_and_data_leave_the_formats_to_core():
                          ("data.py", {"json"})):
         tree = ast.parse((SRC / name).read_text())
         assert not banned & set(_imported(tree)), name
+
+
+def test_no_module_computes_in_long_double():
+    # the %.17g writer is exact in float64 alone, so it takes one path on
+    # every IEEE-754 platform, where long double may be IEEE double too
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        assert not {"longdouble", "float128", "_TIE_BAND"} & set(
+            re.findall(r"\w+", text)), path.name
