@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import secrets
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,18 +227,24 @@ _SCHEMA_CHECK = ({"names": ("string", (None,), True),
 
 @contextmanager
 def _staged(*paths):
-    """One temporary sibling per path, with the path's suffix, so a CSV's
-    sidecar is staged beside it; every path is replaced by its sibling only
-    when the block completes, so a failed write leaves all the previous
-    files as they were and no temporary file behind. Paths that resolve to
-    one file raise ValueError before anything is written."""
+    """One temporary sibling per path, ``.<stem>.<tag>.tmp<suffix>``, created
+    exclusively: the random tag, one per block, keeps the siblings of two
+    writers of one path apart, and a CSV's sidecar is staged beside it.
+    Every path is replaced by its sibling only when the block completes,
+    so a failed write leaves all the previous files as they were and no
+    temporary file behind. Paths that resolve to one file raise ValueError
+    before anything is written."""
     paths = [Path(p) for p in paths]
     real = [p.resolve() for p in paths]
     twice = [p for p, r in zip(paths, real) if real.count(r) > 1]
     if twice:
         raise ValueError(f"{twice[-1]}: one file named twice in one artifact")
-    tmps = [p.with_name(f".{p.stem}.tmp{p.suffix}") for p in paths]
+    tag, tmps = secrets.token_hex(8), []
     try:
+        for p in paths:
+            tmp = p.with_name(f".{p.stem}.{tag}.tmp{p.suffix}")
+            open(tmp, "x").close()          # fails on a name another writer holds
+            tmps.append(tmp)
         yield tmps
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)

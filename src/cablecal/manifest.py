@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
+from fnmatch import fnmatch
 from pathlib import Path
 
 from . import __version__
@@ -30,11 +31,13 @@ def hash_file(path) -> str:
 
 
 def hash_tree(path) -> str:
-    """Hash of a directory artifact: file names + contents, order-stable."""
+    """Hash of a directory artifact: file names + contents, order-stable.
+    A ``_staged`` temporary (``.<stem>.<tag>.tmp<suffix>``) that a killed
+    writer left behind is no part of the artifact."""
     path = Path(path)
     h = hashlib.sha256()
     for p in sorted(path.rglob("*")):
-        if p.is_file():
+        if p.is_file() and not fnmatch(p.name, ".*.tmp*"):
             h.update(p.relative_to(path).as_posix().encode())
             h.update(bytes.fromhex(hash_file(p)))
     return h.hexdigest()

@@ -253,12 +253,15 @@ def train_mlp(X: np.ndarray, Y: np.ndarray, config: MlpConfig, seed: int = 0) ->
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         losses = []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            loss, grads = net.loss_and_grads(X[idx], Y[idx])
-            opt.step(params, grads)
-            losses.append(loss)
-        epoch_loss = float(np.mean(losses))
+        # a diverging epoch overflows; the check below names it, with no
+        # numpy warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                loss, grads = net.loss_and_grads(X[idx], Y[idx])
+                opt.step(params, grads)
+                losses.append(loss)
+            epoch_loss = float(np.mean(losses))
         if not np.isfinite(epoch_loss):
             last = ", ".join(f"{v:.6g}" for v in curve[-3:]) or "none"
             raise TrainingDivergedError(

@@ -21,7 +21,7 @@ implicit relation ((I - P) @ reported = truth + the remaining terms).
 The robot's own constants (gear ratios, encoder, torque-proxy and Jacobian
 coefficients) are module constants, built once; their arrays are read-only.
 The state vector's layout is ``core.STATE_BLOCKS``: the simulator walks that
-table and looks up each block's values by name.
+table and writes each block, made by name, into its own columns of one matrix.
 
 Everything is deterministic given the session seed; a session can be run in
 chunks that share the clock, drift history, hysteresis state and rng, which
@@ -323,8 +323,7 @@ JACOBIAN_VELOCITY_MAP = _read_only(np.random.default_rng(101).uniform(-1, 1, (6,
 JACOBIAN_FORCE_MAP = _read_only(np.random.default_rng(102).uniform(-1, 1, (6, 3)))
 
 
-def motor_torques(q: np.ndarray, dirsign: np.ndarray,
-                  grams: np.ndarray) -> np.ndarray:
+def motor_torques(q: np.ndarray, dirsign: np.ndarray, grams: float) -> np.ndarray:
     """Gravity/load torque proxy plus direction-dependent friction.
 
     Monotone in load mass and in arm extension (q3) at the default
@@ -336,8 +335,7 @@ def motor_torques(q: np.ndarray, dirsign: np.ndarray,
     basis = np.stack([np.ones_like(q1), np.sin(q1), np.cos(q1),
                       np.sin(q2), np.cos(q2), ext], axis=1)
     grav = basis @ TORQUE_GRAVITY.T
-    load_factor = (1.0 + np.asarray(grams, dtype=float) / TORQUE_DOUBLING_G)[:, None]
-    return load_factor * grav + dirsign * TORQUE_FRICTION
+    return (1.0 + grams / TORQUE_DOUBLING_G) * grav + dirsign * TORQUE_FRICTION
 
 
 def _forward_fill_sign(v: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -463,20 +461,20 @@ class SimSession:
         q_true_s = policy.positions(ts - t0)
         v_true_s = policy.velocities(ts - t0)
         self._check_limits(q_true_s)
-        q_true_t = policy.positions(tt - t0)
 
         em = self.error_model
-        # every sample lies inside this run's own load interval
-        grams = np.full(n_state, 0.0 if load == "idle" else float(load))
         dirsign = _forward_fill_sign(v_true_s, self._last_dir)
-        tau = motor_torques(q_true_s, dirsign, grams)
-        drift = profile.drift_at(ts, em)
-        noise = self.rng.normal(0.0, 1.0, (n_state, 3)) * np.array(em.noise_sd)
-
-        rhs = q_true_s + em.b + tau @ em.S.T + dirsign * np.array(em.hysteresis_width) + drift + noise
+        # every sample lies inside this run's own load interval
+        tau = motor_torques(q_true_s, dirsign, 0.0 if load == "idle" else float(load))
+        rhs = q_true_s + em.b   # then stiffness, hysteresis, drift, noise, in this order
+        rhs += tau @ em.S.T
+        rhs += dirsign * np.array(em.hysteresis_width)
+        rhs += profile.drift_at(ts, em)
+        rhs += self.rng.normal(0.0, 1.0, (n_state, 3)) * np.array(em.noise_sd)
         q_rep = rhs @ np.linalg.inv(np.eye(3) - em.P).T
 
         features = self._features(ts, q_rep, tau)
+        q_true_t = policy.positions(tt - t0)
 
         self.clock = t0 + duration
         self._last_dir = dirsign[-1].copy()
@@ -495,46 +493,48 @@ class SimSession:
 
     def _features(self, ts, q_rep, tau) -> np.ndarray:
         """The (N, 138) state matrix: ``STATE_BLOCKS`` walked in order, each
-        block's values looked up by name. An 8-channel block's values are its
-        three joints and the fills of joints 4-7 and the grasper, which draw
-        aux noise as the walk reaches them, in table order too."""
+        block's values made by name as the walk reaches it and written into its
+        own columns of one matrix. An 8-channel block's values are its three
+        joints and the fills of joints 4-7 and the grasper, which draw aux
+        noise as the walk reaches them, in table order too."""
         n = len(ts)
         v_rep = np.gradient(q_rep, ts, axis=0) if n >= 2 else np.zeros_like(q_rep)
         desired = q_rep + LOOKAHEAD_S * v_rep
         gear, counts, enc_off = GEAR_RATIO, COUNTS_PER_UNIT, ENCODER_OFFSET_COUNTS
         aux_sd = self.error_model.aux_noise_sd
         ph, zero5 = PLACEHOLDER_POSITIONS, (0.0,) * 5
-        values = {
-            "status": np.column_stack([
-                ts, np.full(n, RUN_LEVEL), np.zeros(n),
-                self._seq + np.arange(n, dtype=float),
-                np.full(n, ARM_TYPE), np.full(n, GRASPER_DESIRED)]),
-            "encoder_value": (q_rep * counts + enc_off, ph),
-            "encoder_offset": (np.tile(enc_off, (n, 1)), zero5),
-            "motor_position": (q_rep * gear, ph),
-            "joint_position": (q_rep, ph),
-            "motor_velocity": (v_rep * gear, zero5),
-            "joint_velocity": (v_rep, zero5),
-            "desired_joint_position": (desired, ph),
-            "desired_motor_position": (desired * gear, ph),
-            "desired_joint_velocity": (v_rep, zero5),
-            "desired_motor_velocity": (v_rep * gear, zero5),
-            "motor_current": (tau * 0.8 + 0.1, (0.05,) * 5),
-            "motor_torque": (tau, zero5),
-            "jacobian_velocity": v_rep @ JACOBIAN_VELOCITY_MAP.T,
-            "jacobian_force": tau @ JACOBIAN_FORCE_MAP.T,
-            "ee": _ee_pose(q_rep),
-            "desired_ee": _ee_pose(desired),
+        values = {      # name -> (the block's leading columns, its fills)
+            "status": lambda: (np.column_stack(np.broadcast_arrays(
+                ts, RUN_LEVEL, 0.0, self._seq + np.arange(n, dtype=float),
+                ARM_TYPE, GRASPER_DESIRED)), ()),
+            "encoder_value": lambda: (q_rep * counts + enc_off, ph),
+            "encoder_offset": lambda: (enc_off, zero5),
+            "motor_position": lambda: (q_rep * gear, ph),
+            "joint_position": lambda: (q_rep, ph),
+            "motor_velocity": lambda: (v_rep * gear, zero5),
+            "joint_velocity": lambda: (v_rep, zero5),
+            "desired_joint_position": lambda: (desired, ph),
+            "desired_motor_position": lambda: (desired * gear, ph),
+            "desired_joint_velocity": lambda: (v_rep, zero5),
+            "desired_motor_velocity": lambda: (v_rep * gear, zero5),
+            "motor_current": lambda: (tau * 0.8 + 0.1, (0.05,) * 5),
+            "motor_torque": lambda: (tau, zero5),
+            "jacobian_velocity": lambda: (v_rep @ JACOBIAN_VELOCITY_MAP.T, ()),
+            "jacobian_force": lambda: (tau @ JACOBIAN_FORCE_MAP.T, ()),
+            "ee": lambda: (_ee_pose(q_rep), ()),
+            "desired_ee": lambda: (_ee_pose(desired), ()),
         }
-        blocks = []
+        out = np.empty((n, sum(len(columns) for _, columns, _ in STATE_BLOCKS)))
+        end = 0
         for name, columns, _ in STATE_BLOCKS:
-            block = values.pop(name, None)      # its inputs go once it is built
-            if isinstance(block, tuple):        # three joints, five fills
-                block = np.column_stack([block[0]] + [
-                    np.full(n, v) + (self.rng.normal(0.0, aux_sd, n) if aux_sd > 0 else 0.0)
-                    for v in block[1]])
-            if block is None or block.shape[1] != len(columns):
-                got = "no values" if block is None else f"{block.shape[1]} columns"
+            start, end = end, end + len(columns)
+            lead, fills = values[name]() if name in values else (None, ())
+            k = None if lead is None else np.shape(lead)[-1]
+            if k is None or k + len(fills) != len(columns):
+                got = "no values" if k is None else f"{k + len(fills)} columns"
                 raise SimError(f"state block '{name}': {got}, the layout has {len(columns)}")
-            blocks.append(block)
-        return np.hstack(blocks)
+            out[:, start:start + k] = lead
+            out[:, start + k:end] = fills
+            if aux_sd > 0:                  # one draw, the fill columns in turn
+                out[:, start + k:end] += self.rng.normal(0.0, aux_sd, (len(fills), n)).T
+        return out

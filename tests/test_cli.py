@@ -598,6 +598,9 @@ def test_hash_tree_covers_nested_content(tmp_path):
     (d / "sub" / "b.txt").write_text("2")
     assert hash_tree(d) == h1
     assert h3 != h1
+    # a killed writer's staging file is not part of the artifact
+    (d / "sub" / ".b.0123abcd.tmp.txt").write_text("partial")
+    assert hash_tree(d) == h1
 
 
 def test_hash_config_ignores_key_order():

@@ -567,6 +567,33 @@ def test_staged_refuses_paths_that_resolve_to_one_file(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("last", ["A", "B"])
+def test_interleaved_writers_each_replace_the_file_whole(tmp_path, last):
+    # two writers of one path, open at once: each stages at its own name,
+    # so whichever finishes last leaves its whole text and no temporary
+    path = tmp_path / "x.csv"
+    path.write_bytes(_PREVIOUS)
+    blocks = {w: core._replacing(path) for w in "AB"}
+    handles = {w: block.__enter__()[0] for w, block in blocks.items()}
+    for w in "AB":
+        handles[w].write(f"{w} partial\n")
+    for w in sorted("AB", key=lambda w: w == last):
+        handles[w].write(f"{w} done\n")
+        blocks[w].__exit__(None, None, None)
+        assert path.read_text() == f"{w} partial\n{w} done\n"
+    assert _files(tmp_path) == {"x.csv": f"{last} partial\n{last} done\n".encode()}
+
+
+def test_a_staged_name_another_writer_holds_is_not_touched(tmp_path, monkeypatch):
+    monkeypatch.setattr(core.secrets, "token_hex", lambda n: "ab" * n)
+    held = tmp_path / f".x.{'ab' * 8}.tmp.csv"
+    held.write_bytes(_PREVIOUS)
+    with pytest.raises(FileExistsError):
+        with core._replacing(tmp_path / "x.csv", tmp_path / "x.json"):
+            pass
+    assert _files(tmp_path) == {held.name: _PREVIOUS}
+
+
 # --- load boundary ------------------------------------------------------------------
 
 def _saved(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -240,12 +241,20 @@ def test_divergence_names_the_epoch_and_the_last_finite_losses():
     X, Y = small_problem()
     cfg = MlpConfig(hidden=(8,), epochs=5, batch_size=256, lr=1e18)
     _, finite = train_mlp(X, Y, replace(cfg, epochs=1), seed=0)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(TrainingDivergedError) as info:
+    with pytest.raises(TrainingDivergedError) as info:
         train_mlp(X, Y, cfg, seed=0)     # one step of 1e18 overflows float32
     msg = str(info.value)
     assert "at epoch 1 of 5 (lr=1e+18)" in msg
     assert msg.endswith(f"last finite epoch losses: {finite[0]:.6g}")
+
+
+def test_divergence_raises_its_own_error_with_no_warning_first():
+    X, Y = small_problem()
+    cfg = MlpConfig(hidden=(8,), epochs=5, batch_size=256, lr=1e30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # an overflow warning would raise first
+        with pytest.raises(TrainingDivergedError, match="non-finite loss inf at epoch 1"):
+            train_mlp(X, Y, cfg, seed=0)
 
 
 def test_final_short_batch_is_used():

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -245,12 +246,12 @@ def test_random_policy_rejects_bad_horizon(horizon):
 def test_torque_monotone_in_load_and_extension():
     q = np.array([[30.0, 50.0, 100.0]])
     d = np.zeros((1, 3))
-    t0 = sm.motor_torques(q, d, np.array([0.0]))
-    t500 = sm.motor_torques(q, d, np.array([500.0]))
+    t0 = sm.motor_torques(q, d, 0.0)
+    t500 = sm.motor_torques(q, d, 500.0)
     assert np.all(t500 > t0)
     q_ext = q.copy()
     q_ext[0, 2] = 200.0
-    assert np.all(sm.motor_torques(q_ext, d, np.array([0.0])) > t0)
+    assert np.all(sm.motor_torques(q_ext, d, 0.0) > t0)
 
 
 @pytest.mark.parametrize("first", ["loaded", "idle"])
@@ -291,8 +292,8 @@ def test_forward_fill_sign_matches_reference_loop(v, initial):
 
 def test_torque_carries_direction_sign():
     q = np.array([[30.0, 50.0, 100.0]])
-    up = sm.motor_torques(q, np.ones((1, 3)), np.array([0.0]))
-    dn = sm.motor_torques(q, -np.ones((1, 3)), np.array([0.0]))
+    up = sm.motor_torques(q, np.ones((1, 3)), 0.0)
+    dn = sm.motor_torques(q, -np.ones((1, 3)), 0.0)
     assert np.allclose(up - dn, 2 * sm.TORQUE_FRICTION)
 
 
@@ -343,6 +344,58 @@ def test_drift_continues_across_chunks():
     err_b = reported(b)[:, 0] - tb.q[: len(b.t), 0]
     # drift rate 1 unit/s (3600/h): second chunk starts exactly 10 units higher
     assert err_b[0] - err_a[0] == pytest.approx(10.0, abs=1e-9)
+
+
+# --- run's error arithmetic -------------------------------------------------------
+
+def _reported_ref(sess, policy, duration, load):
+    """The reported positions of the next ``sess.run(policy, duration, load)``
+    by the original out-of-place formulas, the load as one gram value per
+    row, from the session as it stands before the call."""
+    em, rng = sess.error_model, copy.deepcopy(sess.rng)
+    load, t0 = em.grams(load), sess.clock
+    profile = sm.LoadProfile((*sess._load_history, (t0, t0 + duration, load)))
+    dt = sess.time_scale / sess.rates[0]
+    ts = t0 + np.arange(max(int(math.floor(duration / dt)), 1)) * dt
+    q = policy.positions(ts - t0)
+    dirsign = sm._forward_fill_sign(policy.velocities(ts - t0), sess._last_dir)
+    q1, q2 = np.radians(q[:, 0]), np.radians(q[:, 1])
+    grav = np.stack([np.ones_like(q1), np.sin(q1), np.cos(q1), np.sin(q2), np.cos(q2),
+                     q[:, 2] / sm.EXT_REF_MM], axis=1) @ sm.TORQUE_GRAVITY.T
+    grams = np.full(len(ts), 0.0 if load == "idle" else float(load))
+    tau = (1.0 + grams / sm.TORQUE_DOUBLING_G)[:, None] * grav + dirsign * sm.TORQUE_FRICTION
+    drift = profile.drift_at(ts, em)
+    noise = rng.normal(0.0, 1.0, (len(ts), 3)) * np.array(em.noise_sd)
+    rhs = q + em.b + tau @ em.S.T + dirsign * np.array(em.hysteresis_width) + drift + noise
+    return rhs @ np.linalg.inv(np.eye(3) - em.P).T
+
+
+@pytest.mark.parametrize("time_scale", [1.0, 2.5])
+@pytest.mark.parametrize("aux_sd", [0.05, 0.0], ids=["aux-noise", "no-aux-noise"])
+def test_run_reports_the_reference_sum_bit_for_bit(aux_sd, time_scale):
+    em = replace(sm.default_error_model(), aux_noise_sd=aux_sd)
+    sess = sm.SimSession(em, seed=13, time_scale=time_scale)
+    pol = sm.RandomSinusoidPolicy(seed=4, horizon=100.0)
+    for load in ("unloaded", "loaded", "idle", 250.0):     # one chunk each, homed between
+        want = _reported_ref(sess, pol, 10.0, load)
+        state, _ = sess.run(pol, duration=10.0, load=load)
+        assert reported(state).tobytes() == want.tobytes(), load
+        sess.home()
+
+
+def test_record_peaks_below_one_and_three_quarter_state_matrices():
+    pol = sm.RandomSinusoidPolicy(seed=5, horizon=110.0)
+    tracemalloc.start()
+    try:
+        bag = data.record(pol, sm.default_error_model(), duration=100.0, load="loaded")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state matrix is written block by block into one preallocated
+    # array; building the blocks apart and then joining them peaks at
+    # about 2.3 matrices
+    assert bag.state.features.shape == (3000, FULL_SCHEMA.dim_full)
+    assert peak <= 1.75 * bag.state.features.nbytes
 
 
 # --- feature block ---------------------------------------------------------------
