@@ -18,10 +18,13 @@ through that config's ``generate``, ``record`` and ``split`` and ``models.fit``.
 
 The ``main`` group owns what every command shares. It loads the config and
 starts the run manifest, into which input-path options hash themselves; it
-writes the manifest, with the config the run used, only when the command
-succeeds, and maps errors to the exit codes: 0 success, 2 configuration/usage
-error, 3 stage failure. The output directory is made by the first stage, so
-``--help`` and usage errors write nothing.
+writes the manifest, with the config the run used, when the command succeeds
+or when a stage fails after an earlier stage of the command completed. That
+manifest lists the completed stages and their outputs, and its ``failed``
+entry names the failed stage and its error; a command whose first stage fails
+leaves an earlier manifest as it was. The group maps errors to the exit codes:
+0 success, 2 configuration/usage error, 3 stage failure. The output directory
+is made by the first stage, so ``--help`` and usage errors write nothing.
 """
 
 from __future__ import annotations
@@ -68,14 +71,22 @@ class CliState:
 def _stage(state: CliState, name: str, outputs):
     """Run the ``with`` body as stage ``name`` and hash its outputs into the
     manifest; the body may set ``sim_s`` (simulated seconds) on the yielded
-    note.
+    note, and name an output it learns only as it runs with
+    ``note.output(path)`` before writing it.
 
     On failure, remove the outputs this run created and raise StageError;
     an output that existed before the stage (an earlier run's artifact) is
     kept.
     """
-    fresh = [p for p in outputs if not p.exists()]
-    note = SimpleNamespace(sim_s=None)
+    outputs, fresh = list(outputs), [p for p in outputs if not p.exists()]
+
+    def output(path):
+        outputs.append(path)
+        if not path.exists():
+            fresh.append(path)
+        return path
+
+    note = SimpleNamespace(sim_s=None, output=output)
     t0 = time.perf_counter()
     try:
         state.out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,13 +198,13 @@ def _generate(state: CliState, direction, name="generate"):
 def _record(state: CliState, traj, name=None):
     """Follow ``traj`` (or, when None, the configured trajectory generated in
     memory) into bag directory ``name``, by default one named after the
-    configured direction and sparsity."""
+    followed trajectory's direction and sparsity."""
     cfg = state.config
-    direction, sparsity = cfg.trajectory.direction, cfg.trajectory.sparsity
-    bag_dir = state.out_dir / (name or f"bag_{direction}_{sparsity:g}")
-    with _stage(state, "record", [bag_dir]) as note:
-        traj = (cfg.generate(direction, sparsity) if traj is None
-                else _loaded(traj, traj_mod.load))
+    with _stage(state, "record", []) as note:
+        traj = (cfg.generate(cfg.trajectory.direction, cfg.trajectory.sparsity)
+                if traj is None else _loaded(traj, traj_mod.load))
+        bag_dir = note.output(state.out_dir / (
+            name or f"bag_{traj.direction}_{traj.sparsity:g}"))
         bag = cfg.record(traj, state.seed)
         data_mod.save_bag(bag, bag_dir)
         note.sim_s = bag.metadata.get("duration_s")
@@ -291,7 +302,9 @@ class _Main(click.Group):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except StageError:
+        except StageError as exc:
+            if ctx.obj.manifest.stages:     # earlier stages replaced their outputs
+                _write_manifest(ctx.obj, {"stage": str(exc), "error": str(exc.__cause__)})
             sys.exit(EXIT_STAGE)
 
 
@@ -310,11 +323,18 @@ def main(ctx, config_path, seed, out_dir):
         command=ctx.invoked_subcommand, seed=seed, config=cfg.to_dict()))
 
 
+def _write_manifest(state: CliState, failed=None):
+    """Write the run's manifest, naming the failed stage if there is one (and
+    then on stderr, so a failed run's stdout is unchanged)."""
+    state.manifest.config = state.config.to_dict()  # options applied
+    state.manifest.failed = failed
+    click.echo(f"manifest: {state.manifest.write(state.out_dir)}", err=bool(failed))
+
+
 @main.result_callback()
 @click.pass_obj
-def _write_manifest(state: CliState, result, **params):
-    state.manifest.config = state.config.to_dict()  # options applied
-    click.echo(f"manifest: {state.manifest.write(state.out_dir)}")
+def _succeeded(state: CliState, result, **params):
+    _write_manifest(state)
 
 
 @main.command("generate")

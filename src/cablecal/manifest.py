@@ -5,7 +5,9 @@ effective configuration, hashes of every input artifact consumed and every
 output artifact produced, and per-stage timings (wall clock, and simulated
 session time where that differs). Rerunning a command with the same config,
 seed and inputs must reproduce byte-identical outputs; the timing fields are
-the only part of a manifest expected to vary between such reruns.
+the only part of a manifest expected to vary between such reruns. A run whose
+stage failed after earlier stages completed lists only those stages and their
+outputs, and names the failed stage and its error in a ``failed`` entry.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatch
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .core import (_checked, _one_of, _read_json, _replacing, _rule, json_digest,
@@ -56,6 +59,7 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     stages: list = field(default_factory=list)
+    failed: Optional[dict] = None       # {"stage": name, "error": text}
 
     @property
     def config_hash(self) -> str:
@@ -86,6 +90,7 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": self.outputs,
             "stages": self.stages,
+            **({} if self.failed is None else {"failed": self.failed}),
         }
 
     def write(self, out_dir) -> Path:
@@ -115,6 +120,8 @@ _MANIFEST = {
                                          "wall_s": ("number", None, True),
                                          "sim_s": ("number", None, False)},
                                True)}, True),
+    "failed": ("object", {"stage": ("string", None, True),
+                          "error": ("string", None, True)}, False),
 }
 
 
@@ -125,4 +132,4 @@ def load_manifest(path) -> RunManifest:
     if path.is_dir():
         path = path / MANIFEST_NAME
     doc = _checked(_read_json(path, ValueError), _MANIFEST, path, ValueError)
-    return RunManifest(**{f.name: doc[f.name] for f in fields(RunManifest)})
+    return RunManifest(**{f.name: doc[f.name] for f in fields(RunManifest) if f.name in doc})

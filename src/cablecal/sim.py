@@ -21,7 +21,7 @@ implicit relation ((I - P) @ reported = truth + the remaining terms).
 The robot's own constants (gear ratios, encoder, torque-proxy and Jacobian
 coefficients) are module constants, built once; their arrays are read-only.
 The state vector's layout is ``core.STATE_BLOCKS``: the simulator walks that
-table and writes each block, made by name, into its own columns of one matrix.
+table and writes each column of a block, made by name, into one matrix.
 
 Everything is deterministic given the session seed; a session can be run in
 chunks that share the clock, drift history, hysteresis state and rng, which
@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DEFAULT_LIMITS, STATE_BLOCKS, JointLimits, _real, _rule
+from .core import CHANNELS, DEFAULT_LIMITS, STATE_BLOCKS, JointLimits, _real, _rule
 from .trajectory import DEFAULT_SPEEDS, Trajectory, segment_times
 
 
@@ -345,18 +345,17 @@ def _forward_fill_sign(v: np.ndarray, initial: np.ndarray) -> np.ndarray:
     return np.where(last >= 0, np.take_along_axis(s, np.maximum(last, 0), axis=0), initial)
 
 
-def _ee_pose(q: np.ndarray) -> np.ndarray:
+def _ee_pose(q: np.ndarray):
     """Spherical-arm pose proxy: insertion q3 rotated by q1 about the base
-    axis and q2 about the elevated axis. Returns (N, 12): xyz + row-major R."""
+    axis and q2 about the elevated axis. Yields its 12 columns, xyz then
+    row-major R; each row of three is made when the walk asks for it."""
     a, b = np.radians(q[:, 0]), np.radians(q[:, 1])
     r = q[:, 2]
     ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-    x, y, z = r * sb * ca, r * sb * sa, -r * cb
-    zero = np.zeros_like(ca)
-    rot = np.stack([ca * cb, -sa, ca * sb,
-                    sa * cb, ca, sa * sb,
-                    -sb, zero, cb], axis=1)
-    return np.concatenate([np.stack([x, y, z], axis=1), rot], axis=1)
+    yield from (r * sb * ca, r * sb * sa, -r * cb)
+    yield from (ca * cb, -sa, ca * sb)
+    yield from (sa * cb, ca, sa * sb)
+    yield from (-sb, 0.0, cb)
 
 
 # --------------------------------------------------------------------------
@@ -458,6 +457,7 @@ class SimSession:
         ts = t0 + np.arange(n_state) * state_dt
         tt = t0 + np.arange(n_truth) * truth_dt
 
+        q_true_t = policy.positions(tt - t0)    # no rng: made before the state matrix
         q_true_s = policy.positions(ts - t0)
         v_true_s = policy.velocities(ts - t0)
         self._check_limits(q_true_s)
@@ -472,12 +472,12 @@ class SimSession:
         rhs += profile.drift_at(ts, em)
         rhs += self.rng.normal(0.0, 1.0, (n_state, 3)) * np.array(em.noise_sd)
         q_rep = rhs @ np.linalg.inv(np.eye(3) - em.P).T
+        self._last_dir = dirsign[-1].copy()
+        del q_true_s, v_true_s, dirsign, rhs    # let go before the state matrix exists
 
         features = self._features(ts, q_rep, tau)
-        q_true_t = policy.positions(tt - t0)
 
         self.clock = t0 + duration
-        self._last_dir = dirsign[-1].copy()
         self._seq += n_state
         return StateStream(ts, features), TruthStream(tt, q_true_t)
 
@@ -493,48 +493,47 @@ class SimSession:
 
     def _features(self, ts, q_rep, tau) -> np.ndarray:
         """The (N, 138) state matrix: ``STATE_BLOCKS`` walked in order, each
-        block's values made by name as the walk reaches it and written into its
-        own columns of one matrix. An 8-channel block's values are its three
-        joints and the fills of joints 4-7 and the grasper, which draw aux
-        noise as the walk reaches them, in table order too."""
+        block's columns made by name in layout order as the walk reaches them,
+        and each column (an (N,) array or a number) written into one matrix as
+        it arrives. The last five columns of an 8-channel block, joints 4-7 and
+        the grasper, then take their aux noise from one draw, in table order."""
         n = len(ts)
         v_rep = np.gradient(q_rep, ts, axis=0) if n >= 2 else np.zeros_like(q_rep)
         desired = q_rep + LOOKAHEAD_S * v_rep
         gear, counts, enc_off = GEAR_RATIO, COUNTS_PER_UNIT, ENCODER_OFFSET_COUNTS
         aux_sd = self.error_model.aux_noise_sd
         ph, zero5 = PLACEHOLDER_POSITIONS, (0.0,) * 5
-        values = {      # name -> (the block's leading columns, its fills)
-            "status": lambda: (np.column_stack(np.broadcast_arrays(
-                ts, RUN_LEVEL, 0.0, self._seq + np.arange(n, dtype=float),
-                ARM_TYPE, GRASPER_DESIRED)), ()),
-            "encoder_value": lambda: (q_rep * counts + enc_off, ph),
-            "encoder_offset": lambda: (enc_off, zero5),
-            "motor_position": lambda: (q_rep * gear, ph),
-            "joint_position": lambda: (q_rep, ph),
-            "motor_velocity": lambda: (v_rep * gear, zero5),
-            "joint_velocity": lambda: (v_rep, zero5),
-            "desired_joint_position": lambda: (desired, ph),
-            "desired_motor_position": lambda: (desired * gear, ph),
-            "desired_joint_velocity": lambda: (v_rep, zero5),
-            "desired_motor_velocity": lambda: (v_rep * gear, zero5),
-            "motor_current": lambda: (tau * 0.8 + 0.1, (0.05,) * 5),
-            "motor_torque": lambda: (tau, zero5),
-            "jacobian_velocity": lambda: (v_rep @ JACOBIAN_VELOCITY_MAP.T, ()),
-            "jacobian_force": lambda: (tau @ JACOBIAN_FORCE_MAP.T, ()),
-            "ee": lambda: (_ee_pose(q_rep), ()),
-            "desired_ee": lambda: (_ee_pose(desired), ()),
+        values = {      # name -> the block's columns in layout order
+            "status": lambda: (ts, RUN_LEVEL, 0.0, self._seq + np.arange(n, dtype=float),
+                               ARM_TYPE, GRASPER_DESIRED),
+            "encoder_value": lambda: (*(q_rep * counts + enc_off).T, *ph),
+            "encoder_offset": lambda: (*enc_off, *zero5),
+            "motor_position": lambda: (*(q_rep * gear).T, *ph),
+            "joint_position": lambda: (*q_rep.T, *ph),
+            "motor_velocity": lambda: (*(v_rep * gear).T, *zero5),
+            "joint_velocity": lambda: (*v_rep.T, *zero5),
+            "desired_joint_position": lambda: (*desired.T, *ph),
+            "desired_motor_position": lambda: (*(desired * gear).T, *ph),
+            "desired_joint_velocity": lambda: (*v_rep.T, *zero5),
+            "desired_motor_velocity": lambda: (*(v_rep * gear).T, *zero5),
+            "motor_current": lambda: (*(tau * 0.8 + 0.1).T, *(0.05,) * 5),
+            "motor_torque": lambda: (*tau.T, *zero5),
+            "jacobian_velocity": lambda: (v_rep @ JACOBIAN_VELOCITY_MAP.T).T,
+            "jacobian_force": lambda: (tau @ JACOBIAN_FORCE_MAP.T).T,
+            "ee": lambda: _ee_pose(q_rep),
+            "desired_ee": lambda: _ee_pose(desired),
         }
         out = np.empty((n, sum(len(columns) for _, columns, _ in STATE_BLOCKS)))
         end = 0
         for name, columns, _ in STATE_BLOCKS:
-            start, end = end, end + len(columns)
-            lead, fills = values[name]() if name in values else (None, ())
-            k = None if lead is None else np.shape(lead)[-1]
-            if k is None or k + len(fills) != len(columns):
-                got = "no values" if k is None else f"{k + len(fills)} columns"
+            start, end, made = end, end + len(columns), 0
+            for column in values[name]() if name in values else ():
+                if made < len(columns):
+                    out[:, start + made] = column
+                made += 1
+            if name not in values or made != len(columns):
+                got = "no values" if name not in values else f"{made} columns"
                 raise SimError(f"state block '{name}': {got}, the layout has {len(columns)}")
-            out[:, start:start + k] = lead
-            out[:, start + k:end] = fills
-            if aux_sd > 0:                  # one draw, the fill columns in turn
-                out[:, start + k:end] += self.rng.normal(0.0, aux_sd, (len(fills), n)).T
+            if aux_sd > 0 and len(columns) == len(CHANNELS):    # joints 4-7, grasper
+                out[:, end - 5:end] += self.rng.normal(0.0, aux_sd, (5, n)).T
         return out

@@ -544,6 +544,51 @@ def test_failed_train_keeps_earlier_model(runner, fast_cfg, tmp_path):
             == hash_file(out / "model.ccm"))
 
 
+def test_failed_rerun_writes_a_manifest_that_names_the_failure(runner, fast_cfg, tmp_path):
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + ["--seed", "1", "pipeline"])
+    stale = hash_file(out / "model.ccm")
+    diverging = tmp_path / "diverging.toml"
+    diverging.write_text(FAST_TOML.replace('model = "linear"',
+                                           'model = "mlp"\nepochs = 2\nlr = 1e30'))
+    result = runner.invoke(main, ["--config", str(diverging), "--out-dir", str(out),
+                                  "--seed", "2", "pipeline"])
+    assert result.exit_code == 3
+    assert "manifest:" not in result.stdout           # stdout as before
+    m = load_manifest(out)
+    assert m.seed == 2 and m.config["training"]["model"] == "mlp"
+    assert [s["name"] for s in m.stages] == ["generate", "record", "process"]
+    assert m.failed["stage"] == "train[mlp]"
+    assert m.failed["error"].startswith("non-finite loss inf at epoch 1")
+    # every output the manifest lists is the file on disk; the earlier
+    # run's model, which the failed stage kept, is not listed
+    assert {Path(k).name for k in m.outputs} == {
+        "traj_j1j2j3_0.5.csv", "traj_j1j2j3_0.5.json", "bag_j1j2j3_0.5",
+        "train.csv", "train.json", "test.csv", "test.json"}
+    for entry in m.outputs.values():
+        p = Path(entry["path"])
+        assert entry["sha256"] == (hash_tree(p) if p.is_dir() else hash_file(p)), p
+    assert hash_file(out / "model.ccm") == stale
+    # a successful run's manifest has no such entry
+    invoke(runner, out_args(fast_cfg, out) + ["pipeline"])
+    assert load_manifest(out).failed is None
+    assert "failed" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_record_names_each_bag_after_the_trajectory_it_follows(runner, fast_cfg, tmp_path):
+    out = tmp_path / "o"
+    base = out_args(fast_cfg, out)
+    invoke(runner, base + ["generate", "--direction", "j1", "--sparsity", "0.25"])
+    invoke(runner, base + ["generate", "--direction", "j2"])
+    for traj in ("traj_j1_0.25.csv", "traj_j2_0.5.csv"):
+        invoke(runner, base + ["record", "--trajectory", str(out / traj)])
+    for bag, direction, sparsity in (("bag_j1_0.25", "j1", 0.25), ("bag_j2_0.5", "j2", 0.5)):
+        meta = json.loads((out / bag / "metadata.json").read_text())["metadata"]
+        assert meta["trajectory"] == {"direction": direction, "sparsity": sparsity}
+    assert not (out / "bag_j1j2j3_0.5").exists()    # not the configured pair
+    assert set(load_manifest(out).outputs) == {str(out / "bag_j2_0.5")}
+
+
 def test_missing_artifact_is_usage_error(runner, fast_cfg, tmp_path):
     result = runner.invoke(main, out_args(fast_cfg, tmp_path / "o") + [
         "train", "--dataset", str(tmp_path / "missing.csv")])
@@ -615,6 +660,7 @@ def test_manifest_round_trip(tmp_path):
     m = RunManifest(command="train", seed=5, config={"x": 1})
     m.add_input(f)
     m.add_stage("train", 1.25, sim_s=60.0)
+    m.failed = {"stage": "evaluate", "error": "disk full"}
     path = m.write(tmp_path)
     assert path.name == "manifest.json"
     back = load_manifest(tmp_path)       # by directory
@@ -657,8 +703,12 @@ def test_load_manifest_names_wrong_typed_entry(tmp_path, key, value):
     ("stages", [{"name": "train", "wall_s": 1.0, "sim_s": "x"}], "stages.0.sim_s"),
     ("config_hash", "0" * 64, "config_hash"),
     ("tool", "other", "tool"),
+    ("failed", "train", "failed"),
+    ("failed", {"stage": "train"}, "failed.error"),
+    ("failed", {"stage": 1, "error": "x"}, "failed.stage"),
 ], ids=["input-int", "output-without-sha", "output-short-sha", "stage-int-name",
-        "stage-without-wall", "stage-string-sim", "config-hash", "tool"])
+        "stage-without-wall", "stage-string-sim", "config-hash", "tool",
+        "failed-string", "failed-without-error", "failed-int-stage"])
 def test_load_manifest_checks_nested_entries(tmp_path, key, value, entry):
     path = RunManifest(command="train", seed=5, config={"x": 1}).write(tmp_path)
     doc = json.loads(path.read_text())
