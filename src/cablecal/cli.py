@@ -11,10 +11,12 @@ Each stage function names its artifacts under ``--out-dir``, runs as one
 earlier stage, handed over in memory, or a path, loaded inside the stage so
 that a bad file is a stage failure. A subcommand resolves its options and
 calls one stage function; ``pipeline`` chains all six and reads back
-nothing it wrote. An option that restates a config key sets that key in the
-run's config before any stage starts, so it meets the key's own checks and
-the manifest hashes it. Every stage, ``sweep`` included, calls the library
-through that config's ``generate``, ``record`` and ``split`` and ``models.fit``.
+nothing it wrote. An option that restates a config key, ``--seed`` included,
+sets that key in the run's config (``Config.with_key``) before any stage
+starts, so it meets the key's own checks and the manifest records it; the
+config is the only place a command keeps a setting. Every stage, ``sweep``
+included, calls the library through that config's ``generate``, ``record``
+and ``split`` and ``models.fit``.
 
 The ``main`` group owns what every command shares. It loads the config and
 starts the run manifest, into which input-path options hash themselves; it
@@ -33,11 +35,12 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import click
+from click.core import ParameterSource
 
 from . import data as data_mod
 from . import trajectory as traj_mod
@@ -47,7 +50,6 @@ from .evaluate import (bench_latency, check_directions, decay_curve,
                        direction_sweep, evaluate_model, write_report)
 from .manifest import RunManifest
 from .models import MODEL_KINDS, MODES, deserialize, fit, fit_offset, serialize
-from .sim import check_load
 from .trajectory import DIRECTIONS, check_direction
 
 EXIT_CONFIG = 2
@@ -62,7 +64,6 @@ class StageError(RuntimeError):
 @dataclass
 class CliState:
     config: Config
-    seed: int
     out_dir: Path
     manifest: RunManifest
 
@@ -118,27 +119,18 @@ def _loaded(source, load):
     return load(source) if isinstance(source, (str, Path)) else source
 
 
-def _replaced(obj, path, value):
-    """Frozen dataclass ``obj`` with the field at ``path`` (a list of nested
-    field names) set to ``value``; each rebuilt dataclass checks itself."""
-    head, *rest = path
-    return replace(obj, **{head: _replaced(getattr(obj, head), rest, value)
-                           if rest else value})
-
-
-def _option(*decls, key: str, parse=None, keep=(), **kwargs):
-    """An option that restates config ``key`` (``"section.field"``): a given
-    value goes through ``parse`` and replaces the key in the run's config,
-    where the key's own checks apply; a ValueError from either is a usage
-    error. A value in ``keep`` is passed to the command instead, which then
-    receives the option."""
+def _option(*decls, key: str, parse=lambda v: v, keep=(), **kwargs):
+    """An option that restates config ``key`` (``"<section>.<key>"``, as a
+    config file spells it): a given value goes through ``parse`` and is set
+    in the run's config by ``Config.with_key``, where the key's own checks
+    apply; a ValueError from either is a usage error. A value in ``keep`` is
+    passed to the command instead, which then receives the option."""
 
     def callback(ctx, param, value):
         if value is None or value in keep:
             return value
         try:
-            value = value if parse is None else parse(value)
-            ctx.obj.config = _replaced(ctx.obj.config, key.split("."), value)
+            ctx.obj.config = ctx.obj.config.with_key(key, parse(value))
         except ValueError as exc:           # ConfigError too
             raise click.BadParameter(str(exc))
 
@@ -168,13 +160,12 @@ def _floats(text: str) -> tuple:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
 
 
-_load_option = _option(
-    "--load", key="eval.load", parse=check_load,
-    help="'unloaded', 'loaded', 'idle' or grams (default: eval.load).")
+_load_option = _option("--load", key="eval.load",
+                       help="'unloaded', 'loaded', 'idle' or grams (default: eval.load).")
 _time_scale_option = _option(
     "--time-scale", key="eval.time_scale", type=float,
     help="Emit 1/k of the samples while keeping simulated time.")
-_epochs_option = _option("--epochs", key="training.mlp.epochs", type=int,
+_epochs_option = _option("--epochs", key="training.epochs", type=int,
                          help="MLP epochs (default: [training] epochs).")
 
 
@@ -205,7 +196,7 @@ def _record(state: CliState, traj, name=None):
                 if traj is None else _loaded(traj, traj_mod.load))
         bag_dir = note.output(state.out_dir / (
             name or f"bag_{traj.direction}_{traj.sparsity:g}"))
-        bag = cfg.record(traj, state.seed)
+        bag = cfg.record(traj, cfg.training.seed)
         data_mod.save_bag(bag, bag_dir)
         note.sim_s = bag.metadata.get("duration_s")
         click.echo(f"  {len(bag.state.t)} state / {len(bag.truth.t)} truth "
@@ -234,7 +225,7 @@ def _train(state: CliState, ds, name=MODEL_FILE):
     path = state.out_dir / name
     with _stage(state, f"train[{kind}]", [path]):
         ds = _loaded(ds, data_mod.load_dataset)
-        model = fit(kind, ds, mode, cfg.ridge, cfg.mlp, state.seed)
+        model = fit(kind, ds, mode, cfg.ridge, cfg.mlp, cfg.seed)
         serialize(model, path)
         click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {path}")
     return model
@@ -312,15 +303,16 @@ class _Main(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="TOML (or JSON) config file; defaults used when omitted.")
 @click.option("--seed", type=int, default=None,
-              help="Global RNG seed (default: training.seed from config).")
+              help="RNG seed; restates training.seed, which the manifest's "
+                   "config records (default from config).")
 @click.option("--out-dir", type=click.Path(), default="cablecal-out",
               show_default=True, help="Directory for artifacts + manifest.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir):
     cfg = load_config(config_path)
-    seed = cfg.training.seed if seed is None else seed
-    ctx.obj = CliState(cfg, seed, Path(out_dir), RunManifest(
-        command=ctx.invoked_subcommand, seed=seed, config=cfg.to_dict()))
+    cfg = cfg if seed is None else cfg.with_key("training.seed", seed)
+    ctx.obj = CliState(cfg, Path(out_dir), RunManifest(
+        command=ctx.invoked_subcommand, seed=cfg.training.seed, config=cfg.to_dict()))
 
 
 def _write_manifest(state: CliState, failed=None):
@@ -354,16 +346,22 @@ def generate_command(state, direction):
 @main.command("record")
 @_input_option("--trajectory", "traj_path",
                help="Trajectory CSV to follow (else generated).")
-@_option("--direction", key="trajectory.direction",
-         type=click.Choice(DIRECTIONS))
-@_option("--sparsity", key="trajectory.sparsity", type=float)
+@_option("--direction", key="trajectory.direction", type=click.Choice(DIRECTIONS),
+         help="Direction of the generated trajectory (not with --trajectory).")
+@_option("--sparsity", key="trajectory.sparsity", type=float,
+         help="Sparsity of the generated trajectory (not with --trajectory).")
 @_load_option
 @_time_scale_option
 @click.option("--name", default=None, help="Bag directory name.")
-@click.pass_obj
-def record_command(state, traj_path, name):
+@click.pass_context
+def record_command(ctx, traj_path, name):
     """Record one simulated session into a bag directory."""
-    _record(state, traj_path, name)
+    given = [f"--{p}" for p in ("direction", "sparsity")
+             if ctx.get_parameter_source(p) is not ParameterSource.DEFAULT]
+    if traj_path and given:
+        raise click.UsageError(f"{' and '.join(given)} set the generated trajectory; "
+                               "a --trajectory file names its own")
+    _record(ctx.obj, traj_path, name)
 
 
 @main.command("process")
@@ -443,7 +441,7 @@ def sweep_command(state, directions, with_mlp):
     sweep_csv = state.out_dir / "sweep.csv"
     with _stage(state, "sweep", _sidecars(sweep_csv)):
         kinds = ("linear", "mlp") if with_mlp else ("linear",)
-        table = direction_sweep(state.config, directions, kinds, state.seed)
+        table = direction_sweep(state.config, directions, kinds, state.config.training.seed)
         rows = table.to_rows()
         write_report(rows, rows, sweep_csv)
         for model in dict.fromkeys(s.labels["model"] for s in table.scores):

@@ -20,8 +20,10 @@ type of its default (or be a number where that is a list, or for
 
 This module writes no rule of its own: a section applies the checks of
 the modules that use its values whenever it is built, from a file, an
-option or code (``_Section``), so every value meets one rule. Settings
-become calls in one place: ``Config.generate``, ``record`` and ``split``.
+option or code (``_Section``), so every value meets one rule. An option
+sets one key, spelled as a file spells it, with ``Config.with_key``.
+Settings become calls in one place: ``Config.generate``, ``record`` and
+``split``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .data import SYNC_TOLERANCE_S, check_tolerance, check_train_frac
 from .evaluate import check_budget, check_repeats, check_samples, check_sparsities
 from .models import ON_ERROR, check_kind, check_mode, check_ridge
 from .nn import MlpConfig
-from .sim import (CableErrorModel, check_load, check_rates, check_time_scale,
-                  default_error_model)
+from .sim import (CableErrorModel, check_load, check_rates, check_seed,
+                  check_time_scale, default_error_model)
 from .trajectory import (DEFAULT_SPEEDS, DEFAULT_STEP, check_direction,
                          check_sparsity, check_speeds, check_step)
 
@@ -84,7 +86,7 @@ class TrainingConfig(_Section):
     mlp: MlpConfig = MlpConfig()
 
     CHECKS = {"model": check_kind, "mode": check_mode, "ridge": check_ridge,
-              "train_frac": check_train_frac}
+              "train_frac": check_train_frac, "seed": check_seed}
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,16 @@ class Config:
 
     def to_dict(self) -> dict:
         return {name: _table(getattr(self, name)) for name in _SECTIONS}
+
+    def with_key(self, key: str, value) -> Config:
+        """This config with ``key``, ``"<section>.<key>"`` as a file spells it, set
+        to ``value`` by its section's build and checks; a refusal names the key."""
+        section, name = key.split(".")
+        build = _section_check(section, self)[1]
+        try:
+            return replace(self, **{section: build({name: value})})
+        except ValueError as exc:       # ``nn.MlpConfig`` names the field alone
+            raise ConfigError(f"{key}: {str(exc).removeprefix(f'{key}: ')}") from exc
 
     def generate(self, direction: str, sparsity: float):
         return traj_mod.generate(direction, sparsity, self.limits,

@@ -21,7 +21,7 @@ from .core import (_SCHEMA_CHECK, DEFAULT_LIMITS, FULL_SCHEMA, REPORTED_JOINTS,
                    FeatureSchema, _checked, _read_json, _read_matrix,
                    _replacing, _rule, _write_matrix, write_json)
 from .sim import (CableErrorModel, SimSession, StateStream, TrajectoryFollower,
-                  TruthStream)
+                  TruthStream, check_load)
 from .trajectory import DEFAULT_SPEEDS, Trajectory
 
 #: Default pairing tolerance: well under half a 30 Hz state period.
@@ -86,11 +86,11 @@ def record(policy_or_traj, error_model: CableErrorModel, *, duration=None,
               if isinstance(policy_or_traj, Trajectory) else policy_or_traj)
     session = SimSession(error_model, limits, rates, seed, time_scale)
     state, truth = session.run(policy, duration, load)
-    meta = {
-        "load": load,
+    meta = {    # the values the session used, however they were spelled
+        "load": check_load(load),
         "seed": seed,
-        "rates": list(rates),
-        "time_scale": time_scale,
+        "rates": list(session.rates),
+        "time_scale": session.time_scale,
         "duration_s": float(session.clock),
     }
     if isinstance(policy_or_traj, Trajectory):
@@ -260,7 +260,7 @@ def synchronize(bag: RecordedBag, tolerance: float = SYNC_TOLERANCE_S,
     rep_cols = [bag.schema.index_of(name) for name in REPORTED_JOINTS]
     reported = feats_t[np.ix_(rep_cols, idx)].T
     meta = dict(bag.metadata)
-    meta["sync_tolerance_s"] = tolerance
+    meta["sync_tolerance_s"] = float(tolerance)
     return Dataset(bag.state.t[idx], X, targets, reported, schema, None, meta)
 
 

@@ -31,6 +31,7 @@ is how multi-hour decay studies and homing sequences are built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
@@ -52,9 +53,10 @@ class SimError(ValueError):
 # error model
 
 
-#: The checks of the stream rates (state, truth; Hz) and the time scale.
+#: The checks of the stream rates (state, truth; Hz), the time scale and the seed.
 check_rates = _rule("rates", "2 finite numbers > 0", lambda v: v > 0, SimError, count=2)
 check_time_scale = _rule("time_scale", "a finite number >= 1", lambda v: v >= 1, SimError)
+check_seed = _rule("seed", "an integer >= 0", lambda v: operator.index(v) >= 0, SimError)
 
 
 _check_grams = _rule("load", "'unloaded', 'loaded', 'idle' or grams >= 0",
@@ -419,7 +421,7 @@ class SimSession:
         self.limits = limits
         self.rates = tuple(map(float, check_rates(rates)))
         self.time_scale = float(check_time_scale(time_scale))
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(check_seed(seed))
         self.clock = 0.0
         self._last_dir = np.zeros(3)
         self._seq = 0

@@ -378,6 +378,78 @@ def test_infinite_option_exits_2_and_keeps_the_output_directory(
     assert _files(out) == before
 
 
+#: Every option that restates a key and is not a choice, with a value the
+#: key's rule refuses: (arguments, the key as a config file spells it).
+REFUSED = {
+    "--sparsity": (["generate", "--sparsity", "0.9"], "trajectory.sparsity"),
+    "--sparsities": (["sweep", "--sparsities", "0.5,0"], "trajectory.sparsities"),
+    "--load": (["record", "--load", "heavy"], "eval.load"),
+    "--time-scale": (["record", "--time-scale", "0.5"], "eval.time_scale"),
+    "--train-frac": (["process", "--bag", "{o}/bag0", "--train-frac", "1"],
+                     "training.train_frac"),
+    "--tolerance": (["process", "--bag", "{o}/bag0", "--tolerance", "-1"],
+                    "eval.sync_tolerance_s"),
+    "--epochs": (["train", "--dataset", "{o}/train.csv", "--epochs", "0"],
+                 "training.epochs"),
+    "--ridge": (["train", "--dataset", "{o}/train.csv", "--ridge", "-1"],
+                "training.ridge"),
+    "--samples": (["bench", "--model-file", "{o}/model.ccm", "--dataset",
+                   "{o}/test.csv", "--samples", "0"], "eval.latency_samples"),
+    "--budget-hz": (["bench", "--model-file", "{o}/model.ccm", "--dataset",
+                     "{o}/test.csv", "--budget-hz", "0"], "eval.budget_hz"),
+    "--seed": (["--seed", "-1", "pipeline"], "training.seed"),
+}
+
+
+@pytest.mark.parametrize("option", list(REFUSED))
+def test_a_refused_option_names_its_key_and_keeps_the_output_directory(
+        runner, fast_cfg, made, tmp_path, option):
+    args, key = REFUSED[option]
+    out = tmp_path / "o"
+    shutil.copytree(made, out)
+    before = _files(out)
+    result = runner.invoke(main, out_args(fast_cfg, out) + [a.format(o=out) for a in args])
+    text = result.output + (result.stderr or "")
+    assert result.exit_code == 2, text
+    assert f"{key}: " in text and "Traceback" not in text
+    assert _files(out) == before
+
+
+def test_record_refuses_direction_and_sparsity_beside_a_trajectory_file(
+        runner, fast_cfg, made, tmp_path):
+    # the file names its own direction and sparsity, which name the bag
+    out = tmp_path / "o"
+    traj = str(made / "traj_j1j2j3_0.5.csv")
+    for extra in (["--direction", "j3"], ["--sparsity", "0.25"],
+                  ["--direction", "j3", "--sparsity", "0.25"]):
+        result = runner.invoke(main, out_args(fast_cfg, out) + [
+            "record", "--trajectory", traj, *extra])
+        text = result.output + (result.stderr or "")
+        assert result.exit_code == 2, text
+        assert extra[0] in text and "--trajectory" in text
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key, spellings", [
+    ("time_scale", [("time_scale = 30", []), ("time_scale = 30.0", []),
+                    ("", ["--time-scale", "30"])]),
+    ("load", [("load = 250", []), ('load = "250"', []), ("", ["--load", "250"])])],
+    ids=["time_scale", "load"])
+def test_a_setting_writes_the_same_bytes_however_it_is_spelled(
+        runner, tmp_path, key, spellings):
+    trees = []
+    for i, (line, option) in enumerate(spellings):
+        body = "\n".join(x for x in FAST_TOML.split("\n") if not x.startswith(key))
+        cfg = tmp_path / f"{i}.toml"
+        cfg.write_text(body + line + "\n")
+        out = tmp_path / str(i)
+        base = out_args(str(cfg), out)
+        invoke(runner, base + ["record", "--name", "bag0", *option])
+        invoke(runner, base + ["process", "--bag", str(out / "bag0")])
+        trees.append(_artifact_hashes(out))
+    assert len(trees[0]) == 7 and trees[0] == trees[1] == trees[2]
+
+
 @pytest.mark.parametrize("body, key", [
     ("[eval]\nrates = [true, 100]\n", "eval.rates"),
     ("[trajectory]\nspeeds = [true, 3, 9]\n", "trajectory.speeds"),
@@ -605,6 +677,23 @@ def test_train_rerun_is_bit_identical(runner, fast_cfg, tmp_path):
     invoke(runner, base + ["train", "--dataset", str(out / "train.csv"),
                            "--name", "m2.ccm"])
     assert (out / "m1.ccm").read_bytes() == (out / "m2.ccm").read_bytes()
+
+
+def test_the_manifest_config_reruns_the_run(runner, tmp_path):
+    # --seed and the options are recorded in the manifest's config, so that
+    # config alone, passed back with --config, writes the same artifacts
+    cfg = tmp_path / "mlp.toml"
+    cfg.write_text(THREADS_TOML.format(kind="mlp"))
+    first, again = tmp_path / "first", tmp_path / "again"
+    invoke(runner, ["--config", str(cfg), "--seed", "3", "--out-dir", str(first),
+                    "pipeline", "--time-scale", "30", "--epochs", "2"])
+    m = load_manifest(first)
+    assert m.seed == m.config["training"]["seed"] == 3
+    written = tmp_path / "written.json"
+    written.write_text(json.dumps(m.config))
+    invoke(runner, ["--config", str(written), "--out-dir", str(again), "pipeline"])
+    assert "model.ccm" in _artifact_hashes(first)
+    assert _artifact_hashes(again) == _artifact_hashes(first)
 
 
 def test_seed_option_changes_recording(runner, fast_cfg, tmp_path):

@@ -1,5 +1,6 @@
 """Config loading: defaults, file overrides, strict validation."""
 
+import inspect
 import json
 import re
 import tempfile
@@ -423,6 +424,44 @@ def test_every_config_key_is_in_the_readers_table():
     assert {c for cmds in CONFIG_READERS.values() for c in cmds} <= set(main.commands)
     assert [k for k, cmds in CONFIG_READERS.items() if not cmds] == [
         "error_model.homing_offset_sd"]
+
+
+def _option_keys() -> dict:
+    """Each option that restates a config key, by command: the ``key`` its
+    callback sets."""
+    return {(name, p.name): inspect.getclosurevars(p.callback).nonlocals["key"]
+            for name, cmd in main.commands.items() for p in cmd.params
+            if p.callback and "key" in inspect.getclosurevars(p.callback).nonlocals}
+
+
+def test_every_option_key_is_a_config_key_as_a_file_spells_it():
+    keys = _option_keys()
+    assert len(set(keys.values())) == 13
+    assert {k: v for k, v in keys.items() if v not in CONFIG_READERS} == {}
+
+
+def test_with_key_sets_one_key_and_refuses_as_its_section_does():
+    cfg = Config().with_key("training.epochs", 2).with_key("training.seed", 5)
+    assert (cfg.training.mlp.epochs, cfg.training.seed) == (2, 5)
+    assert cfg.with_key("eval.load", "250").to_dict()["eval"]["load"] == "250"
+    for key, value, rule in [("training.epochs", 0, "epochs must be an integer >= 1"),
+                             ("training.seed", -1, "seed must be an integer >= 0"),
+                             ("training.seed", 1.0, "seed must be an integer >= 0"),
+                             ("eval.load", "heavy", "load must be"),
+                             ("trajectory.sparsity", 0.9, "sparsity must be")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{key}: {rule}')}"):
+            cfg.with_key(key, value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: load_config(write(tmp, "c.toml", "[training]\nseed = -3\n")),
+    lambda tmp: TrainingConfig(seed=-1),
+    lambda tmp: TrainingConfig(seed=True),
+    lambda tmp: SimSession(CableErrorModel(), seed=-1)],
+    ids=["file", "section", "boolean", "session"])
+def test_a_seed_that_is_not_an_integer_from_0_is_refused(tmp_path, build):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        build(tmp_path)
 
 
 def _numeric(value) -> bool:
