@@ -119,12 +119,16 @@ def _loaded(source, load):
     return load(source) if isinstance(source, (str, Path)) else source
 
 
-def _option(*decls, key: str, parse=lambda v: v, keep=(), **kwargs):
+def _option(*decls, key: str, parse=lambda v: v, keep=(), choices=(), **kwargs):
     """An option that restates config ``key`` (``"<section>.<key>"``, as a
     config file spells it): a given value goes through ``parse`` and is set
     in the run's config by ``Config.with_key``, where the key's own checks
     apply; a ValueError from either is a usage error. A value in ``keep`` is
-    passed to the command instead, which then receives the option."""
+    passed to the command instead, which then receives the option. The
+    ``choices`` of a choice option (``keep`` included) are listed in
+    ``--help``; the key's check refuses any other."""
+    if choices:
+        kwargs["metavar"] = f"[{'|'.join(choices + keep)}]"
 
     def callback(ctx, param, value):
         if value is None or value in keep:
@@ -330,8 +334,7 @@ def _succeeded(state: CliState, result, **params):
 
 
 @main.command("generate")
-@_option("--direction", key="trajectory.direction", keep=("all",),
-         type=click.Choice(DIRECTIONS + ("all",)),
+@_option("--direction", key="trajectory.direction", keep=("all",), choices=DIRECTIONS,
          help="Sweep direction (default from config).")
 @_option("--sparsity", key="trajectory.sparsity", type=float,
          help="Raster spacing fraction in (0, 1/2].")
@@ -346,7 +349,7 @@ def generate_command(state, direction):
 @main.command("record")
 @_input_option("--trajectory", "traj_path",
                help="Trajectory CSV to follow (else generated).")
-@_option("--direction", key="trajectory.direction", type=click.Choice(DIRECTIONS),
+@_option("--direction", key="trajectory.direction", choices=DIRECTIONS,
          help="Direction of the generated trajectory (not with --trajectory).")
 @_option("--sparsity", key="trajectory.sparsity", type=float,
          help="Sparsity of the generated trajectory (not with --trajectory).")
@@ -381,10 +384,9 @@ def process_command(state, bags, full_features):
 @main.command("train")
 @_input_option("--dataset", "dataset_path", required=True,
                help="Training dataset CSV.")
-@_option("--model", key="training.model",
-         type=click.Choice(MODEL_KINDS),
+@_option("--model", key="training.model", choices=MODEL_KINDS,
          help="Model family (default from config).")
-@_option("--mode", key="training.mode", type=click.Choice(MODES))
+@_option("--mode", key="training.mode", choices=MODES)
 @_epochs_option
 @_option("--ridge", key="training.ridge", type=float)
 @click.option("--name", default=MODEL_FILE, show_default=True)

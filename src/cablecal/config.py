@@ -52,15 +52,25 @@ class ConfigError(ValueError):
 class _Section:
     """A config section ``<name>Config``: ``CHECKS`` maps keys to the checks
     of the modules that use their values, and building the section runs
-    each one; a refused value raises ConfigError naming ``<name>.<key>``."""
+    each one and keeps the value it returns, a float field's as a Python
+    float, so two spellings of one value (``20`` and ``20.0``, ``"250"``
+    and ``250``) record one config; a refused value raises ConfigError
+    naming ``<name>.<key>``."""
 
     def __post_init__(self):
-        for key, check in self.CHECKS.items():
+        for f in fields(self):
+            if f.name not in self.CHECKS:
+                continue
             try:
-                check(getattr(self, key))
+                value = self.CHECKS[f.name](getattr(self, f.name))
             except (ValueError, TypeError) as exc:
                 section = type(self).__name__.removesuffix("Config").lower()
-                raise ConfigError(f"{section}.{key}: {exc}") from exc
+                raise ConfigError(f"{section}.{f.name}: {exc}") from exc
+            if isinstance(f.default, float):
+                value = float(value)
+            elif isinstance(f.default, tuple) and isinstance(f.default[0], float):
+                value = tuple(map(float, value))
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ trajectory, model, report and manifest file is written through
 ``_replacing``, which replaces all the files of one artifact together or
 none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
 (``write_json``), and read back through the checked ``_read_matrix`` and
-``_read_json``: a CSV must have the header its saver wrote, and every JSON
+``_read_json``: a CSV must have the header its saver wrote (its rows are
+parsed with the writer's own exact digit arithmetic, ``np.loadtxt`` only
+for text the writer never writes), and every JSON
 reader is one table of entries for ``_checked``, which reports a bad entry
 as ``<file>: entry '<key>': <reason>``. Each setting's rule is one ``_rule``
 check in the module that uses the value.
@@ -26,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import secrets
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -293,37 +296,57 @@ _DIGIT = np.arange(17, dtype=np.int8)[:, None]
 _ZERO, _POINT, _MINUS = (np.uint8(ord(c)) for c in "0.-")
 
 
+def _times_pow10(a: np.ndarray, k: np.ndarray):
+    """Dekker's exact product of float64 ``a`` and 10**k (k in 0..20): p,
+    the rounded product, and err, with a * 10**k == p + err exactly while
+    nothing underflows. The ``_halves`` of ``a`` and of the power make each
+    partial product exact."""
+    pow10, bh, bl = np.take(_POW10, k, axis=1)
+    p = a * pow10
+    ah, al = _halves(a)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _digits17(mag: np.ndarray):
+    """The ``%.17g`` digits of each float64 ``mag`` >= 0 (at most 1e17): its
+    decimal exponent e = floor(log10(mag)) clipped to -4..16, its 17
+    significant digits D = round(mag * 10**k), k = 16 - e, and whether D is
+    exact.
+
+    D comes from ``_times_pow10``: p = mag * 10**k is rounded, err is its
+    exact error, so D = p + floor(err + 1/2). Nothing overflows (mag <=
+    1e17 and 10**k <= 1e20) and, wherever 10**16 <= D < 10**17, nothing
+    underflows; there p is whole, |err| <= 8 and err has no bit below
+    2**-46, so err + 1/2 and its floor are exact. D is exact (the mask is
+    True) when 10**16 <= D < 10**17 and it is no tie (err + 1/2 not
+    whole), and for zero (e = 0, D = 0). Elsewhere e was misestimated,
+    the rounding carried into another decade, or ``%.17g`` prints the value
+    in scientific notation; a subnormal or nonzero value below 1e-4 scales
+    to a D of other than 17 digits.
+    """
+    zero = mag == 0
+    e = np.clip(np.floor(np.log10(mag + zero)), -4, 16).astype(np.int8)
+    p, err = _times_pow10(mag, 16 - e)      # ±0: e = 0 and D = 0
+    err += 0.5
+    up = np.floor(err)
+    d = p.astype(np.int64) + up.astype(np.int64)
+    return d, e, ((up != err) & (d >= 10 ** 16) & (d < 10 ** 17)) | zero
+
+
 def _format_17g(values: np.ndarray, text: np.ndarray) -> int:
     """Write the ``'%.17g' % v`` text of each float64 ``values[i]`` into
     ``text[:, i]`` (``_TEXT_WIDTH`` rows of uint8), padded with NUL bytes.
 
-    A value takes the vectorised path when ``%.17g`` prints it in fixed
-    notation, with its decimal exponent e = floor(log10|v|) in -4..16, or
-    when it is ±0. Its 17 significant digits are D = round(|v| * 10**k),
-    k = 16 - e, from Dekker's exact product in float64: p = |v| * 10**k is
-    rounded, and the ``_halves`` of both factors give its exact error err,
-    so D = p + floor(err + 1/2). Nothing overflows (|v| <= 1e17 and
-    10**k <= 1e20) and, wherever 10**16 <= D < 10**17, nothing underflows;
-    there p is whole, |err| <= 8 and err has no bit below 2**-46, so
-    err + 1/2 and its floor are exact. e is clipped to -4..16, so a value
-    outside that range scales to a D of other than 17 digits. Python's ``%``
-    itself formats every value that fails a check, and their count is
-    returned: exact ties (err + 1/2 whole), an e that 10**16 <= D < 10**17
-    refutes (a misestimate or a carry into another decade), scientific
-    notation, NaN, infinities and subnormals.
+    A value takes the vectorised path when ``_digits17`` gives its exact
+    digits, which ``%.17g`` prints in fixed notation. Python's ``%`` itself
+    formats every other value, and their count is returned: exact ties, an
+    exponent the digits refute, scientific notation, NaN, infinities and
+    subnormals.
     """
     m = len(values)
     mag = np.abs(values)
-    zero = mag == 0
     np.copyto(mag, 1e17, where=~(mag <= 1e17))  # NaN, inf: 18 digits
-    e = np.clip(np.floor(np.log10(mag + zero)), -4, 16).astype(np.int8)
-    pow10, bh, bl = _POW10[:, 16 - e]
-    p = mag * pow10                         # ±0: e = 0 and D = 0
-    ah, al = _halves(mag)
-    err = al * bl - (((p - ah * bh) - al * bh) - ah * bl) + 0.5
-    up = np.floor(err)
-    d = p.astype(np.int64) + up.astype(np.int64)
-    fast = ((up != err) & (d >= 10 ** 16) & (d < 10 ** 17)) | zero
+    d, e, fast = _digits17(mag)
 
     # the 17 digits, position-major: d -> 1 + 4 groups of 4 -> digits
     hi, lo = np.divmod(d, 10 ** 8)
@@ -403,11 +426,211 @@ def _write_matrix(fh, header: list, blocks) -> None:
         fh.write(text.T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
+#: Bytes of a CSV read per block when loading it (cut after the block's
+#: last newline): about 6,500 values of a recorded bag, whose temporaries
+#: take about 1.6 MB. On a 2-vCPU x86 machine 64 KB blocks read a bag's
+#: state.csv about 15% slower, and 256 KB blocks about 10% faster with
+#: twice the temporaries.
+_READ_BLOCK_BYTES = 1 << 17
+
+
+def _words(fields) -> np.ndarray:
+    """Masks of a 24-byte field (ints, byte i at bits 8i..8i+7) as columns
+    of three little-endian uint64 words."""
+    return np.array([[f >> s & (1 << 64) - 1 for s in (0, 64, 128)] for f in fields],
+                    np.uint64).T.copy()
+
+
+_FIELD = (1 << 192) - 1
+#: Row n: the last n bytes of a field, where a token of n bytes sits.
+_TAIL = _words(_FIELD ^ (1 << 8 * (24 - n)) - 1 for n in range(25))
+#: Row j: a point at byte j - 1 (row 0: no point), as its high bit, the
+#: bytes before it (the integer digits) and the bytes after it.
+_POINT_BIT = _words([0] + [0x80 << 8 * q for q in range(24)])
+_BEFORE = _words([0] + [(1 << 8 * q) - 1 for q in range(24)])
+_AFTER = _words([_FIELD] + [_FIELD ^ (1 << 8 * q + 8) - 1 for q in range(24)])
+#: Row j: the digits after the point.
+_FRACTION = np.array([0] + list(range(23, -1, -1)), np.int64)
+#: The integer 10**k, and 10**(17 - k), for k = 0..16.
+_P10 = 10 ** np.arange(17, dtype=np.int64)
+_BOUND = _P10[::-1] * 10
+
+
+def _each_byte(b: int) -> np.uint64:
+    return np.uint64(0x0101010101010101 * b)
+
+
+_LOW7, _HIGH, _LOW4 = map(_each_byte, (0x7F, 0x80, 0x0F))
+_SIGN = np.array([1.0, -1.0])
+
+#: The text ``_format_17g`` writes: fixed notation with no trailing zero
+#: after the point, or scientific notation.
+_TEXT_17G = re.compile(rb"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]*[1-9])?"
+                       rb"|[1-9](?:\.[0-9]*[1-9])?e[-+][0-9]{2,3})")
+
+
+def _zero_bytes(x: np.ndarray) -> np.ndarray:
+    """The high bit of each byte of ``x`` that is 0 (no carry crosses
+    bytes), in place of ``x``."""
+    y = x & _LOW7
+    y += _LOW7
+    x |= y
+    x |= _LOW7
+    return np.invert(x, out=x)
+
+
+def _parse_17g(buf: np.ndarray, field: np.ndarray, seps: np.ndarray, out: np.ndarray) -> bool:
+    """Parse the tokens that end at ``seps`` (``buf`` offsets, each after the
+    previous one) into ``out``, one float64 each, bit-identical to strtod;
+    False if one is outside ``_TEXT_17G``. ``field[i]`` is the 24 bytes of
+    ``buf`` that end at offset i + 24.
+
+    Each token of at most 24 bytes is read as three uint64 words that end
+    where it ends, masked to the bytes after its sign. Bit tricks on the
+    words find its point and refuse any other byte but a digit; they move
+    the integer digits over the point, and Lemire's multiply-shift turns
+    each word of 8 digits into an integer, so the token is D / 10**F with
+    D < 10**17 exact. One candidate c is the division, compensated by the
+    exact remainder from ``_times_pow10``. c is accepted only if its
+    ``_digits17`` are D's digits and the token has the writer's form (no
+    leading zero, no trailing zero after the point): then c is within half
+    a unit of the 17th digit of the token, closer than any other float64,
+    so strtod reads c. A token that is not accepted (scientific notation,
+    a rare wrong candidate) must match ``_TEXT_17G`` and goes to
+    ``float``, the same correctly rounded strtod.
+    """
+    starts = np.empty_like(seps)
+    starts[0], starts[1:] = 24, seps[:-1] + 1
+    body = seps - starts
+    if body.max() > 24:
+        return False
+    neg = buf[starts] == ord("-")
+    body -= neg                             # the bytes after the sign
+    tail = np.take(_TAIL, body, axis=1)
+    x = field[seps - 24].view(np.uint64).reshape(-1, 3).T.copy()
+    x &= tail
+    dots = _zero_bytes(x ^ _each_byte(ord(".")))
+    # the point's byte, from the exponent of its high bit as one float
+    _, exp = np.frexp(dots[0] + dots[1] * 2.0 ** 64 + dots[2] * 2.0 ** 128)
+    j = exp // 8
+    frac = np.take(_FRACTION, j)
+    # the high bit of each byte but a digit, and of no point but the one at j
+    other = x ^ _each_byte(ord("0"))        # a digit byte becomes 0..9
+    np.bitwise_and(other, _LOW7, out=dots)  # dots is scratch from here
+    dots += _each_byte(0x76)
+    other |= dots
+    other &= tail
+    other &= _HIGH
+    other ^= np.take(_POINT_BIT, j, axis=1)
+    del dots, tail
+    whole = body - frac - (j > 0)           # integer digits
+    first = buf[starts + neg]
+    ok = (((other[0] | other[1] | other[2]) == 0)
+          & (whole >= 1) & ((frac > 0) | (j == 0)) & (frac <= 20)
+          & ((first != ord("0")) | (whole == 1))
+          & ((frac == 0) | (x[2] >> np.uint64(56) != ord("0"))))
+    del other
+
+    # drop the point: the integer digits move one byte on, then Lemire's
+    # multiply-shift makes each word of 8 digits one integer
+    before = x & np.take(_BEFORE, j, axis=1)
+    x &= np.take(_AFTER, j, axis=1)
+    x |= before << np.uint64(8)
+    x[1:] |= before[:-1] >> np.uint64(56)
+    x &= _LOW4
+    np.right_shift(x, np.uint64(8), out=before)
+    x *= np.uint64(10)
+    x += before
+    mask = np.uint64(0x000000FF000000FF)
+    np.bitwise_and(x, mask, out=before)
+    before *= np.uint64(100 + (1000000 << 32))
+    x >>= np.uint64(16)
+    x &= mask
+    x *= np.uint64(1 + (10000 << 32))
+    x += before
+    x >>= np.uint64(32)
+    del before
+    v = x.view(np.int64)
+    ok &= v[0] < 10                         # at most 17 digits
+    np.minimum(v[0], 9, out=v[0])
+    D = v[0] * 10 ** 16 + v[1] * 10 ** 8 + v[2]
+    del x, v
+
+    frac = np.minimum(frac, 20)
+    Dh = D.astype(np.float64)
+    Dl = (D - Dh.astype(np.int64)).astype(np.float64)
+    P = np.take(_POW10[0], frac)
+    c = Dh / P
+    p, err = _times_pow10(c, frac)
+    c += ((Dh - p) - err + Dl) / P
+
+    digits, e, exact = _digits17(c)
+    k = 16 - e - frac
+    ok &= exact & (k >= 0) & (k <= 16)
+    k = np.clip(k, 0, 16)
+    ok &= (D < np.take(_BOUND, k)) & (D * np.take(_P10, k) == digits)
+    c *= np.take(_SIGN, neg.view(np.int8))
+    for i in np.flatnonzero(~ok).tolist():
+        text = buf[starts[i]:seps[i]].tobytes()
+        if not _TEXT_17G.fullmatch(text):
+            return False
+        c[i] = float(text)
+    out[:] = c
+    return True
+
+
+def _load_17g(path: Path, width: int):
+    """The rows after the header of the CSV at ``path`` as one float64
+    matrix, bit-identical to ``np.loadtxt``, or None if its text is not
+    what ``_write_matrix`` writes: rows of ``width`` tokens of
+    ``_TEXT_17G`` joined by ``,``, each ending in ``\n``.
+
+    A first pass counts the rows, so the matrix is allocated once; the
+    second reads blocks of about ``_READ_BLOCK_BYTES`` into one buffer,
+    cuts each after its last newline and parses it with ``_parse_17g``.
+    """
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():
+            return None
+        data = fh.tell()
+        rows = sum(block.count(b"\n") for block in
+                   iter(lambda: fh.read(_READ_BLOCK_BYTES), b""))
+        fh.seek(data)
+        mat = np.empty((rows, width))
+        flat = mat.reshape(-1)
+        buf = np.zeros(24 + _READ_BLOCK_BYTES, np.uint8)
+        field = np.ndarray((len(buf) - 23,), "V24", buf, strides=(1,))
+        done = held = 0
+        while got := fh.readinto(memoryview(buf)[24 + held:]):
+            n = held + got
+            cut = buf[24:24 + n].tobytes().rfind(b"\n") + 1
+            if not cut:
+                return None                 # a row longer than a block
+            seps = np.flatnonzero((buf[24:24 + cut] == ord(",")) | (buf[24:24 + cut] == ord("\n")))
+            nl = buf[24 + seps] == ord("\n")
+            if (len(seps) % width or done + len(seps) > len(flat)
+                    or not nl[width - 1::width].all() or np.count_nonzero(nl) * width != len(seps)
+                    or not _parse_17g(buf, field, seps + 24, flat[done:done + len(seps)])):
+                return None
+            done += len(seps)
+            held = n - cut
+            buf[24:24 + held] = buf[24 + cut:24 + n]
+        return mat if held == 0 and done == len(flat) else None
+
+
 def _read_matrix(path: Path, header, error) -> np.ndarray:
     """A CSV that ``_write_matrix`` wrote with ``header``: its header line
     must name the same columns in the same order, and one or more rows of
     as many finite values follow. ``error`` (the caller's error class) names
-    the file and the first column that differs, or the first bad row."""
+    the file and the first column that differs, or the first bad row.
+
+    The rows are read by ``_load_17g``, which accepts a value only where
+    the writer's own digits (``_digits17``) reproduce its text, and passes
+    other tokens of the writer's grammar to ``float``; each value has the
+    bits ``np.loadtxt`` gives. strtod's slow path for 16-17 significant
+    digits is most of ``np.loadtxt``'s time on this text. A file with any
+    text outside that grammar goes whole to ``np.loadtxt``, so every
+    accepted input and every error message is as before."""
     header = list(header)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -420,7 +643,9 @@ def _read_matrix(path: Path, header, error) -> np.ndarray:
                        f"({len(names)} columns, expected {len(header)})")
         if not rows:
             raise _Bad("no data rows")
-        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        mat = _load_17g(path, len(header))
+        if mat is None:
+            mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (ValueError, _Bad) as exc:       # UnicodeDecodeError too
         raise error(f"{path}: {exc}") from exc
     if mat.shape[1] != len(header):

@@ -168,14 +168,15 @@ def bench_latency(model: CalibrationModel, X, n_samples: int = 10_000,
     """Time the batch-1 predict path over ``n_samples`` calls per run, each
     run after 200 untimed warm-up calls.
 
-    Rows are pre-converted to Python lists so the measurement covers the
-    model arithmetic, not input marshalling. The garbage collector is
-    paused during timed sections.
+    The rows the calls read (row i % len(X) for call i, so at most the
+    first max(200, n_samples)) are pre-converted to Python lists so the
+    measurement covers the model arithmetic, not input marshalling. The
+    garbage collector is paused during timed sections.
     """
     check_samples(n_samples)
     check_budget(budget_hz)
     check_repeats(repeats)
-    rows = [list(map(float, r)) for r in np.asarray(X, dtype=float)]
+    rows = np.asarray(X, dtype=float)[:max(200, n_samples)].tolist()
     if not rows:
         raise EvalError("need at least one feature row to benchmark")
     n_rows = len(rows)

@@ -94,7 +94,8 @@ class CableErrorModel:
     load_ref_g: float = 500.0
 
     def __post_init__(self):
-        # tuple fields become tuples of floats (a scalar applies to every joint)
+        # every field becomes floats: a tuple field a tuple of floats (a scalar
+        # applies to every joint)
         for f in fields(self):
             v = getattr(self, f.name)
             shape = () if isinstance(f.default, float) else (3, 3) if "gain" in f.name else (3,)
@@ -102,10 +103,9 @@ class CableErrorModel:
             a = np.full(3, v, dtype=object) if shape == (3,) and a.ndim == 0 else a
             if a.shape != shape or not all(map(_real, a.flat)):
                 raise SimError(f"{f.name} must be finite numbers of shape {shape}, got {v!r}")
-            if shape:
-                t = a.astype(float).tolist()
-                object.__setattr__(self, f.name, tuple(map(tuple, t)) if a.ndim == 2
-                                   else tuple(t))
+            t = a.astype(float).tolist()
+            object.__setattr__(self, f.name, tuple(map(tuple, t)) if a.ndim == 2
+                               else tuple(t) if shape else t)
         if min(self.hysteresis_width + self.noise_sd + (self.aux_noise_sd,)) < 0:
             raise SimError("hysteresis widths and noise sds must be non-negative")
         if not self.load_ref_g > 0:

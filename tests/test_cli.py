@@ -378,9 +378,14 @@ def test_infinite_option_exits_2_and_keeps_the_output_directory(
     assert _files(out) == before
 
 
-#: Every option that restates a key and is not a choice, with a value the
-#: key's rule refuses: (arguments, the key as a config file spells it).
+#: Every option that restates a key, with a value the key's rule refuses:
+#: (arguments, the key as a config file spells it).
 REFUSED = {
+    "--direction": (["generate", "--direction", "j4"], "trajectory.direction"),
+    "--model": (["train", "--dataset", "{o}/train.csv", "--model", "forest"],
+                "training.model"),
+    "--mode": (["train", "--dataset", "{o}/train.csv", "--mode", "sideways"],
+               "training.mode"),
     "--sparsity": (["generate", "--sparsity", "0.9"], "trajectory.sparsity"),
     "--sparsities": (["sweep", "--sparsities", "0.5,0"], "trajectory.sparsities"),
     "--load": (["record", "--load", "heavy"], "eval.load"),
@@ -448,6 +453,27 @@ def test_a_setting_writes_the_same_bytes_however_it_is_spelled(
         invoke(runner, base + ["process", "--bag", str(out / "bag0")])
         trees.append(_artifact_hashes(out))
     assert len(trees[0]) == 7 and trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("key, spellings", [
+    ("time_scale", [("time_scale = 20", []), ("time_scale = 20.0", []),
+                    ("", ["--time-scale", "20"])]),
+    ("load", [("load = 250", []), ('load = "250"', []), ("", ["--load", "250"])])],
+    ids=["time_scale", "load"])
+def test_a_setting_records_one_config_however_it_is_spelled(runner, tmp_path, key, spellings):
+    # the manifest keeps the checked value, so its config and config_hash
+    # are one for every spelling, as the artifacts are
+    manifests = []
+    for i, (line, option) in enumerate(spellings):
+        body = "\n".join(x for x in FAST_TOML.split("\n") if not x.startswith(key))
+        cfg = tmp_path / f"{i}.toml"
+        cfg.write_text(body + line + "\n")
+        out = tmp_path / str(i)
+        invoke(runner, out_args(str(cfg), out) + ["record", "--name", "bag0", *option])
+        m = json.loads((out / "manifest.json").read_text())
+        manifests.append((m["config"], m["config_hash"]))
+    assert manifests[0] == manifests[1] == manifests[2]
+    assert isinstance(manifests[0][0]["eval"][key], float)
 
 
 @pytest.mark.parametrize("body, key", [

@@ -492,6 +492,80 @@ def test_only_scientific_notation_and_ties_take_the_python_path():
         assert core._format_17g(pool, np.empty((core._TEXT_WIDTH, len(pool)), np.uint8)) == slow
 
 
+# --- CSV reader against np.loadtxt -------------------------------------------------
+
+def _refuse_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called")
+
+
+#: Finite values at the reader's edges: ±0, subnormals, integers, the
+#: 1e16/1e17 and 1e-4/1e-5 decade edges, the largest float and exact ties.
+EDGES = np.array([v for v in SPECIAL + HARD + [-v for v in HARD]
+                  + [np.finfo(float).max, -np.finfo(float).tiny] if math.isfinite(v)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=column_blocks(), block_bytes=st.sampled_from([4096, 1 << 18]))
+@example(blocks=[EDGES], block_bytes=4096)
+@example(blocks=[EDGES[:len(EDGES) // 4 * 4].reshape(-1, 4)], block_bytes=1 << 18)
+def test_read_matrix_equals_loadtxt_without_calling_it(blocks, block_bytes):
+    # finite values only: the reader refuses NaN and infinities
+    blocks = [np.nan_to_num(b, nan=0.0) for b in blocks]
+    if len(blocks[0]) == 0:
+        return
+    width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+    header = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.csv"
+        write_matrix(path, header, blocks)
+        want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", _refuse_loadtxt)
+            mp.setattr(core, "_READ_BLOCK_BYTES", block_bytes)
+            got = core._read_matrix(path, header, dt.DataError)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_read_matrix_of_a_bag_never_calls_loadtxt(tmp_path, monkeypatch):
+    bag = make_bag(seed=3)
+    dt.save_bag(bag, tmp_path / "bag")
+    monkeypatch.setattr(np, "loadtxt", _refuse_loadtxt)
+    loaded = dt.load_bag(tmp_path / "bag")
+    for got, want in [(loaded.state.t, bag.state.t), (loaded.state.features, bag.state.features),
+                      (loaded.truth.t, bag.truth.t), (loaded.truth.q, bag.truth.q)]:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [
+    "0.1000,1,2\n", "1.,1,2\n", ".5,1,2\n", "+1,1,2\n", "1E5,1,2\n", "1e5,1,2\n",
+    "1,2,3\r\n4,5,6\r\n", " 1,2,3\n", "1, 2,3\n", "1,2,3 \n", "nan,1,2\n",
+    "1,-inf,2\n", "0.12345678901234567890123,1,2\n", "1,2,3\n4,5\n", "1,2,3\n4,5,6",
+    "1,2,3\n\n4,5,6\n", "1,2,3,4\n", "1,2,3\n# note\n", "1,,3\n", "1--2,1,2\n",
+    "1.2.3,1,2\n", "-,1,2\n", "1_0,1,2\n", "1,2,3\n4,5,6\n7,8,x\n", "0x1,1,2\n",
+    "007,1,2\n", "-0.0,1,2\n", "1,2,3\n\n",
+])
+def test_read_matrix_outside_the_writer_grammar_is_loadtxt(tmp_path, monkeypatch, rows):
+    # text _write_matrix never writes goes whole to np.loadtxt: the same
+    # array, or the same error, as np.loadtxt alone gives
+    path = tmp_path / "m.csv"
+    path.write_bytes(("a,b,c\n" + rows).encode())
+    assert core._load_17g(path, 3) is None
+
+    def read():
+        try:
+            return core._read_matrix(path, ["a", "b", "c"], dt.DataError)
+        except dt.DataError as exc:
+            return str(exc)
+    got = read()
+    monkeypatch.setattr(core, "_load_17g", lambda path, width: None)
+    want = read()
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # --- atomic writes ------------------------------------------------------------------
 
 class _Unformattable:

@@ -177,6 +177,19 @@ def test_bench_latency_mlp_slower_than_linear():
     assert r_mlp.p50_s > 3.0 * r_lin.p50_s
 
 
+@pytest.mark.parametrize("rows, n_samples", [(1000, 300), (1000, 150), (120, 300)])
+def test_bench_latency_calls_predict_on_rows_in_their_order(rows, n_samples):
+    # call i reads row i % len(X): two repeats of 200 warm-up calls and
+    # n_samples timed ones, each a list of the row's Python floats
+    ds = make_dataset(np.zeros((rows, 3)))
+    X, m, seen = ds.inputs, fit_offset(ds), []
+    object.__setattr__(m, "predict", seen.append)
+    bench_latency(m, X, n_samples=n_samples, repeats=2)
+    calls = [i % rows for i in [*range(200), *range(n_samples)] * 2]
+    assert seen == [X[i].tolist() for i in calls]
+    assert all(type(v) is float for row in seen for v in row)
+
+
 def test_bench_latency_validation():
     ds = make_dataset(np.zeros((5, 3)))
     m = fit_offset(ds)
