@@ -119,23 +119,23 @@ def _loaded(source, load):
     return load(source) if isinstance(source, (str, Path)) else source
 
 
-def _option(*decls, key: str, parse=lambda v: v, keep=(), choices=(), **kwargs):
+def _option(*decls, key: str, parse=str, keep=(), choices=(), **kwargs):
     """An option that restates config ``key`` (``"<section>.<key>"``, as a
-    config file spells it): a given value goes through ``parse`` and is set
-    in the run's config by ``Config.with_key``, where the key's own checks
-    apply; a ValueError from either is a usage error. A value in ``keep`` is
-    passed to the command instead, which then receives the option. The
-    ``choices`` of a choice option (``keep`` included) are listed in
-    ``--help``; the key's check refuses any other."""
-    if choices:
-        kwargs["metavar"] = f"[{'|'.join(choices + keep)}]"
+    config file spells it): a given value, ``_parsed`` by ``parse``, is set
+    in the run's config by ``Config.with_key``, whose checks make a refused
+    value a usage error that names the key. A value in ``keep`` is passed to
+    the command instead, which then receives the option. The ``choices`` of
+    a choice option (``keep`` included) are listed in ``--help``; the key's
+    check refuses any other."""
+    kwargs["metavar"] = (f"[{'|'.join(choices + keep)}]" if choices
+                         else {float: "FLOAT", int: "INTEGER"}.get(parse, "TEXT"))
 
     def callback(ctx, param, value):
         if value is None or value in keep:
             return value
         try:
-            ctx.obj.config = ctx.obj.config.with_key(key, parse(value))
-        except ValueError as exc:           # ConfigError too
+            ctx.obj.config = ctx.obj.config.with_key(key, _parsed(parse, value))
+        except ConfigError as exc:
             raise click.BadParameter(str(exc))
 
     return click.option(*decls, default=None, callback=callback,
@@ -156,20 +156,27 @@ def _input_option(*decls, **kwargs):
                         callback=callback, **kwargs)
 
 
-def _floats(text: str) -> tuple:
-    """Comma-separated numbers as a tuple."""
+def _parsed(parse, text: str):
+    """``parse(text)``, or the text itself where ``parse`` refuses it: the
+    key's own check then refuses it by name, as it refuses a string in a
+    config file."""
     try:
-        return tuple(float(s) for s in text.split(",") if s.strip())
+        return parse(text)
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+        return text
+
+
+def _floats(text: str) -> tuple:
+    """Comma-separated numbers as a tuple, each ``_parsed`` by ``float``."""
+    return tuple(_parsed(float, s) for s in text.split(",") if s.strip())
 
 
 _load_option = _option("--load", key="eval.load",
                        help="'unloaded', 'loaded', 'idle' or grams (default: eval.load).")
 _time_scale_option = _option(
-    "--time-scale", key="eval.time_scale", type=float,
+    "--time-scale", key="eval.time_scale", parse=float,
     help="Emit 1/k of the samples while keeping simulated time.")
-_epochs_option = _option("--epochs", key="training.epochs", type=int,
+_epochs_option = _option("--epochs", key="training.epochs", parse=int,
                          help="MLP epochs (default: [training] epochs).")
 
 
@@ -306,7 +313,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="TOML (or JSON) config file; defaults used when omitted.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", default=None, metavar="INTEGER",
               help="RNG seed; restates training.seed, which the manifest's "
                    "config records (default from config).")
 @click.option("--out-dir", type=click.Path(), default="cablecal-out",
@@ -314,7 +321,7 @@ class _Main(click.Group):
 @click.pass_context
 def main(ctx, config_path, seed, out_dir):
     cfg = load_config(config_path)
-    cfg = cfg if seed is None else cfg.with_key("training.seed", seed)
+    cfg = cfg if seed is None else cfg.with_key("training.seed", _parsed(int, seed))
     ctx.obj = CliState(cfg, Path(out_dir), RunManifest(
         command=ctx.invoked_subcommand, seed=cfg.training.seed, config=cfg.to_dict()))
 
@@ -336,7 +343,7 @@ def _succeeded(state: CliState, result, **params):
 @main.command("generate")
 @_option("--direction", key="trajectory.direction", keep=("all",), choices=DIRECTIONS,
          help="Sweep direction (default from config).")
-@_option("--sparsity", key="trajectory.sparsity", type=float,
+@_option("--sparsity", key="trajectory.sparsity", parse=float,
          help="Raster spacing fraction in (0, 1/2].")
 @click.pass_obj
 def generate_command(state, direction):
@@ -351,7 +358,7 @@ def generate_command(state, direction):
                help="Trajectory CSV to follow (else generated).")
 @_option("--direction", key="trajectory.direction", choices=DIRECTIONS,
          help="Direction of the generated trajectory (not with --trajectory).")
-@_option("--sparsity", key="trajectory.sparsity", type=float,
+@_option("--sparsity", key="trajectory.sparsity", parse=float,
          help="Sparsity of the generated trajectory (not with --trajectory).")
 @_load_option
 @_time_scale_option
@@ -372,8 +379,8 @@ def record_command(ctx, traj_path, name):
                help="Bag directory (repeatable).")
 @click.option("--full-features", is_flag=True,
               help="Keep every logged column instead of the selected 16.")
-@_option("--train-frac", key="training.train_frac", type=float)
-@_option("--tolerance", key="eval.sync_tolerance_s", type=float,
+@_option("--train-frac", key="training.train_frac", parse=float)
+@_option("--tolerance", key="eval.sync_tolerance_s", parse=float,
          help="Stream pairing tolerance in seconds.")
 @click.pass_obj
 def process_command(state, bags, full_features):
@@ -388,7 +395,7 @@ def process_command(state, bags, full_features):
          help="Model family (default from config).")
 @_option("--mode", key="training.mode", choices=MODES)
 @_epochs_option
-@_option("--ridge", key="training.ridge", type=float)
+@_option("--ridge", key="training.ridge", parse=float)
 @click.option("--name", default=MODEL_FILE, show_default=True)
 @click.pass_obj
 def train_command(state, dataset_path, name):
@@ -414,9 +421,9 @@ def evaluate_command(state, model_file, dataset_path, train_dataset, decay):
                help="Model .ccm (repeatable).")
 @_input_option("--dataset", "dataset_path", required=True,
                help="Dataset supplying realistic feature rows.")
-@_option("--samples", key="eval.latency_samples", type=int,
+@_option("--samples", key="eval.latency_samples", parse=int,
          help="Timed predictions per run (default eval.latency_samples).")
-@_option("--budget-hz", key="eval.budget_hz", type=float)
+@_option("--budget-hz", key="eval.budget_hz", parse=float)
 @click.pass_obj
 def bench_command(state, model_files, dataset_path):
     """Measure batch-1 predict latency against the servo budget."""

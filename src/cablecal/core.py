@@ -14,9 +14,9 @@ trajectory, model, report and manifest file is written through
 ``_replacing``, which replaces all the files of one artifact together or
 none of them, as ``%.17g`` CSV (``_write_matrix``) or indented JSON
 (``write_json``), and read back through the checked ``_read_matrix`` and
-``_read_json``: a CSV must have the header its saver wrote (its rows are
-parsed with the writer's own exact digit arithmetic, ``np.loadtxt`` only
-for text the writer never writes), and every JSON
+``_read_json``: a CSV must have the header its saver wrote and only the
+rows the writer writes, parsed with its own exact digit arithmetic (any
+other text is refused by row and column), and every JSON
 reader is one table of entries for ``_checked``, which reports a bad entry
 as ``<file>: entry '<key>': <reason>``. Each setting's rule is one ``_rule``
 check in the module that uses the value.
@@ -427,10 +427,10 @@ def _write_matrix(fh, header: list, blocks) -> None:
 
 
 #: Bytes of a CSV read per block when loading it (cut after the block's
-#: last newline): about 6,500 values of a recorded bag, whose temporaries
-#: take about 1.6 MB. On a 2-vCPU x86 machine 64 KB blocks read a bag's
-#: state.csv about 15% slower, and 256 KB blocks about 10% faster with
-#: twice the temporaries.
+#: last newline), at least one row of ``_TEXT_WIDTH``-byte values: about
+#: 6,500 values of a recorded bag, whose temporaries take about 1.6 MB. On
+#: a 2-vCPU x86 machine 64 KB blocks read a bag's state.csv about 15%
+#: slower, and 256 KB blocks about 10% faster with twice the temporaries.
 _READ_BLOCK_BYTES = 1 << 17
 
 
@@ -463,9 +463,9 @@ def _each_byte(b: int) -> np.uint64:
 _LOW7, _HIGH, _LOW4 = map(_each_byte, (0x7F, 0x80, 0x0F))
 _SIGN = np.array([1.0, -1.0])
 
-#: The text ``_format_17g`` writes: fixed notation with no trailing zero
-#: after the point, or scientific notation.
-_TEXT_17G = re.compile(rb"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]*[1-9])?"
+#: The text ``'%.17g' %`` writes: fixed notation with no trailing zero
+#: after the point, scientific notation, ``nan`` and ``inf``.
+_TEXT_17G = re.compile(rb"nan|-?(?:inf|(?:0|[1-9][0-9]*)(?:\.[0-9]*[1-9])?"
                        rb"|[1-9](?:\.[0-9]*[1-9])?e[-+][0-9]{2,3})")
 
 
@@ -479,11 +479,12 @@ def _zero_bytes(x: np.ndarray) -> np.ndarray:
     return np.invert(x, out=x)
 
 
-def _parse_17g(buf: np.ndarray, field: np.ndarray, seps: np.ndarray, out: np.ndarray) -> bool:
+def _parse_17g(buf: np.ndarray, field: np.ndarray, seps: np.ndarray, out: np.ndarray) -> int:
     """Parse the tokens that end at ``seps`` (``buf`` offsets, each after the
-    previous one) into ``out``, one float64 each, bit-identical to strtod;
-    False if one is outside ``_TEXT_17G``. ``field[i]`` is the 24 bytes of
-    ``buf`` that end at offset i + 24.
+    previous one) into ``out``, one float64 each, bit-identical to strtod.
+    Returns the index of the first token that is not ``_TEXT_17G`` of at
+    most ``_TEXT_WIDTH`` bytes, or ``len(seps)`` when there is none.
+    ``field[i]`` is the 24 bytes of ``buf`` that end at offset i + 24.
 
     Each token of at most 24 bytes is read as three uint64 words that end
     where it ends, masked to the bytes after its sign. Bit tricks on the
@@ -495,17 +496,16 @@ def _parse_17g(buf: np.ndarray, field: np.ndarray, seps: np.ndarray, out: np.nda
     ``_digits17`` are D's digits and the token has the writer's form (no
     leading zero, no trailing zero after the point): then c is within half
     a unit of the 17th digit of the token, closer than any other float64,
-    so strtod reads c. A token that is not accepted (scientific notation,
-    a rare wrong candidate) must match ``_TEXT_17G`` and goes to
-    ``float``, the same correctly rounded strtod.
+    so strtod reads c. Any other token goes to ``float``, the same
+    correctly rounded strtod, if the writer writes it (scientific notation,
+    ``nan``, ``inf``, a rare wrong candidate).
     """
     starts = np.empty_like(seps)
-    starts[0], starts[1:] = 24, seps[:-1] + 1
-    body = seps - starts
-    if body.max() > 24:
-        return False
+    starts[:1], starts[1:] = 24, seps[:-1] + 1
     neg = buf[starts] == ord("-")
-    body -= neg                             # the bytes after the sign
+    body = seps - starts - neg              # the bytes after the sign
+    short = body <= 24
+    np.minimum(body, 24, out=body)
     tail = np.take(_TAIL, body, axis=1)
     x = field[seps - 24].view(np.uint64).reshape(-1, 3).T.copy()
     x &= tail
@@ -525,7 +525,7 @@ def _parse_17g(buf: np.ndarray, field: np.ndarray, seps: np.ndarray, out: np.nda
     del dots, tail
     whole = body - frac - (j > 0)           # integer digits
     first = buf[starts + neg]
-    ok = (((other[0] | other[1] | other[2]) == 0)
+    ok = (short & ((other[0] | other[1] | other[2]) == 0)
           & (whole >= 1) & ((frac > 0) | (j == 0)) & (frac <= 20)
           & ((first != ord("0")) | (whole == 1))
           & ((frac == 0) | (x[2] >> np.uint64(56) != ord("0"))))
@@ -572,84 +572,75 @@ def _parse_17g(buf: np.ndarray, field: np.ndarray, seps: np.ndarray, out: np.nda
     c *= np.take(_SIGN, neg.view(np.int8))
     for i in np.flatnonzero(~ok).tolist():
         text = buf[starts[i]:seps[i]].tobytes()
-        if not _TEXT_17G.fullmatch(text):
-            return False
+        if len(text) > _TEXT_WIDTH or not _TEXT_17G.fullmatch(text):
+            return i
         c[i] = float(text)
     out[:] = c
-    return True
-
-
-def _load_17g(path: Path, width: int):
-    """The rows after the header of the CSV at ``path`` as one float64
-    matrix, bit-identical to ``np.loadtxt``, or None if its text is not
-    what ``_write_matrix`` writes: rows of ``width`` tokens of
-    ``_TEXT_17G`` joined by ``,``, each ending in ``\n``.
-
-    A first pass counts the rows, so the matrix is allocated once; the
-    second reads blocks of about ``_READ_BLOCK_BYTES`` into one buffer,
-    cuts each after its last newline and parses it with ``_parse_17g``.
-    """
-    with open(path, "rb") as fh:
-        if b"\r" in fh.readline():
-            return None
-        data = fh.tell()
-        rows = sum(block.count(b"\n") for block in
-                   iter(lambda: fh.read(_READ_BLOCK_BYTES), b""))
-        fh.seek(data)
-        mat = np.empty((rows, width))
-        flat = mat.reshape(-1)
-        buf = np.zeros(24 + _READ_BLOCK_BYTES, np.uint8)
-        field = np.ndarray((len(buf) - 23,), "V24", buf, strides=(1,))
-        done = held = 0
-        while got := fh.readinto(memoryview(buf)[24 + held:]):
-            n = held + got
-            cut = buf[24:24 + n].tobytes().rfind(b"\n") + 1
-            if not cut:
-                return None                 # a row longer than a block
-            seps = np.flatnonzero((buf[24:24 + cut] == ord(",")) | (buf[24:24 + cut] == ord("\n")))
-            nl = buf[24 + seps] == ord("\n")
-            if (len(seps) % width or done + len(seps) > len(flat)
-                    or not nl[width - 1::width].all() or np.count_nonzero(nl) * width != len(seps)
-                    or not _parse_17g(buf, field, seps + 24, flat[done:done + len(seps)])):
-                return None
-            done += len(seps)
-            held = n - cut
-            buf[24:24 + held] = buf[24 + cut:24 + n]
-        return mat if held == 0 and done == len(flat) else None
+    return len(seps)
 
 
 def _read_matrix(path: Path, header, error) -> np.ndarray:
-    """A CSV that ``_write_matrix`` wrote with ``header``: its header line
-    must name the same columns in the same order, and one or more rows of
-    as many finite values follow. ``error`` (the caller's error class) names
-    the file and the first column that differs, or the first bad row.
+    """The rows of a CSV that ``_write_matrix`` wrote with ``header``, as one
+    float64 matrix: the header line must name the same columns in the same
+    order, and one or more rows of as many finite values follow, each value
+    as ``'%.17g' %`` writes it and each row ending in a newline. ``error``
+    (the caller's error class) names the file and the first column of the
+    header that differs, or the first bad row (0-based, after the header):
+    one with too few or too many columns (a blank or ``#`` line too), a
+    value the writer never writes, NaN or infinity, or no final newline.
 
-    The rows are read by ``_load_17g``, which accepts a value only where
-    the writer's own digits (``_digits17``) reproduce its text, and passes
-    other tokens of the writer's grammar to ``float``; each value has the
-    bits ``np.loadtxt`` gives. strtod's slow path for 16-17 significant
-    digits is most of ``np.loadtxt``'s time on this text. A file with any
-    text outside that grammar goes whole to ``np.loadtxt``, so every
-    accepted input and every error message is as before."""
+    The file is read in one pass that counts its rows, so the matrix is
+    allocated once, and one that reads blocks of at least
+    ``_READ_BLOCK_BYTES`` (every row the writer writes fits in one), cuts
+    each after its last newline and parses it with ``_parse_17g``. That
+    gives each value the bits ``np.loadtxt`` gives; strtod's slow path for
+    16-17 significant digits is most of ``np.loadtxt``'s time on this
+    text."""
     header = list(header)
+    width = len(header)
+    size = max(_READ_BLOCK_BYTES, (_TEXT_WIDTH + 1) * width)
     try:
-        with open(path, encoding="utf-8") as fh:
-            names = fh.readline().rstrip("\n").split(",")
-            rows = any(line.strip() for line in fh)     # stops at the first row
-        if names != header:
-            k = len(os.path.commonprefix([names, header]))
-            got, want = (repr(h[k]) if k < len(h) else "none" for h in (names, header))
-            raise _Bad(f"header column {k + 1} is {got}, expected {want} "
-                       f"({len(names)} columns, expected {len(header)})")
-        if not rows:
-            raise _Bad("no data rows")
-        mat = _load_17g(path, len(header))
-        if mat is None:
-            mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, "rb") as fh:
+            names = fh.readline().decode().removesuffix("\n").split(",")
+            if names != header:
+                k = len(os.path.commonprefix([names, header]))
+                got, want = (repr(h[k]) if k < len(h) else "none" for h in (names, header))
+                raise _Bad(f"header column {k + 1} is {got}, expected {want} "
+                           f"({len(names)} columns, expected {width})")
+            data = fh.tell()
+            rows = sum(block.count(b"\n") for block in iter(lambda: fh.read(size), b""))
+            if fh.tell() == data:
+                raise _Bad("no data rows")
+            fh.seek(data)
+            mat = np.empty((rows, width))
+            flat = mat.reshape(-1)
+            buf = np.zeros(24 + size, np.uint8)
+            field = np.ndarray((len(buf) - 23,), "V24", buf, strides=(1,))
+            done = held = 0
+            while got := fh.readinto(memoryview(buf)[24 + held:]):
+                n = held + got
+                cut = buf[24:24 + n].tobytes().rfind(b"\n") + 1
+                if not cut and n == size:
+                    raise _Bad(f"row {done // width} has more than {width} columns "
+                               f"or a value of over {_TEXT_WIDTH} bytes")
+                seps = 24 + np.flatnonzero((buf[24:24 + cut] == ord(",")) | (buf[24:24 + cut] == ord("\n")))
+                cols = np.diff(np.flatnonzero(buf[seps] == ord("\n")), prepend=-1)
+                wrong = np.flatnonzero(cols != width)
+                m = wrong[0] * width if len(wrong) else len(seps)   # the rows before it
+                if (i := _parse_17g(buf, field, seps[:m], flat[done:done + m])) < m:
+                    token = buf[seps[i - 1] + 1 if i else 24:seps[i]].tobytes().decode(errors="replace")
+                    raise _Bad(f"row {(done + i) // width}, column {header[(done + i) % width]!r}: "
+                               f"{token!r} is not a %.17g number")
+                if len(wrong):
+                    raise _Bad(f"row {(done + m) // width} has {cols[wrong[0]]} columns, "
+                               f"expected {width}")
+                done += m
+                held = n - cut
+                buf[24:24 + held] = buf[24 + cut:24 + n]
+            if held:
+                raise _Bad(f"row {rows} has no final newline")
     except (ValueError, _Bad) as exc:       # UnicodeDecodeError too
         raise error(f"{path}: {exc}") from exc
-    if mat.shape[1] != len(header):
-        raise error(f"{path}: {mat.shape[1]} columns, expected {len(header)}")
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if len(bad):
         raise error(f"{path}: row {bad[0]} holds NaN or infinite values")

@@ -403,6 +403,23 @@ REFUSED = {
     "--budget-hz": (["bench", "--model-file", "{o}/model.ccm", "--dataset",
                      "{o}/test.csv", "--budget-hz", "0"], "eval.budget_hz"),
     "--seed": (["--seed", "-1", "pipeline"], "training.seed"),
+    # a value that is no number at all meets the key's own check too
+    "--sparsity abc": (["generate", "--sparsity", "abc"], "trajectory.sparsity"),
+    "--sparsities abc": (["sweep", "--sparsities", "0.5,abc"], "trajectory.sparsities"),
+    "--time-scale abc": (["record", "--time-scale", "abc"], "eval.time_scale"),
+    "--train-frac abc": (["process", "--bag", "{o}/bag0", "--train-frac", "abc"],
+                         "training.train_frac"),
+    "--tolerance abc": (["process", "--bag", "{o}/bag0", "--tolerance", "abc"],
+                        "eval.sync_tolerance_s"),
+    "--epochs abc": (["train", "--dataset", "{o}/train.csv", "--epochs", "abc"],
+                     "training.epochs"),
+    "--ridge abc": (["train", "--dataset", "{o}/train.csv", "--ridge", "abc"],
+                    "training.ridge"),
+    "--samples abc": (["bench", "--model-file", "{o}/model.ccm", "--dataset",
+                       "{o}/test.csv", "--samples", "abc"], "eval.latency_samples"),
+    "--budget-hz abc": (["bench", "--model-file", "{o}/model.ccm", "--dataset",
+                         "{o}/test.csv", "--budget-hz", "abc"], "eval.budget_hz"),
+    "--seed abc": (["--seed", "abc", "pipeline"], "training.seed"),
 }
 
 

@@ -1,6 +1,7 @@
 """Every name a ``cablecal`` module imports is used in that module, every
 module-level private name is read somewhere in the package, only ``core``
-writes files, and no module computes in long double.
+writes files, no module parses text with numpy, and no module computes in
+long double.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for one. The unused-import scan skips ``__init__.py``: its imports are the
@@ -161,3 +162,11 @@ def test_no_module_computes_in_long_double():
         text = path.read_text()
         assert not {"longdouble", "float128", "_TIE_BAND"} & set(
             re.findall(r"\w+", text)), path.name
+
+
+def test_no_module_parses_text_with_numpy():
+    # core._read_matrix is the one CSV reader and accepts only the text
+    # _write_matrix writes; numpy's text parsers accept more and skip lines
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not {"loadtxt", "genfromtxt", "fromstring"} & _read(tree), path.name

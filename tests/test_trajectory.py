@@ -422,7 +422,7 @@ def _edit_rows(edit):
     (_set_entry("sparsity", None), "traj.json", "'sparsity'"),
     (_set_entry("limits", {"min": [0, 0], "max": [90, 90, 250]}), "traj.json",
      "entry 'limits.min'"),
-    (lambda p: _replace_line(p, 4, "3,inf,1.0,2.0\n"), "traj.csv", "row 3"),
+    (lambda p: _replace_line(p, 4, "3,inf,1,2\n"), "traj.csv", "row 3 holds NaN"),
     (lambda p: _replace_line(p, 2, "1,abc,1.0,2.0\n"), "traj.csv", "abc"),
     (lambda p: p.write_text("t_index,j1,j2\n0,1.0,2.0\n1,2.0,3.0\n"), "traj.csv", "3 columns"),
     (_set_entry("direction", "zz"), "traj.json", "'direction'"),
