@@ -6,7 +6,7 @@ into train/test datasets, ``train`` a calibration model, ``evaluate`` its
 accuracy (optionally hour-by-hour), ``bench`` its servo-budget latency,
 ``sweep`` directions, and ``pipeline`` to run the whole chain.
 
-Each stage function names its artifacts under ``--out-dir``, runs as one
+Each stage function stages its artifacts for publishing, runs as one
 ``_stage`` and returns its product. An input is either the product of an
 earlier stage, handed over in memory, or a path, loaded inside the stage so
 that a bad file is a stage failure. A subcommand resolves its options and
@@ -19,20 +19,20 @@ included, calls the library through that config's ``generate``, ``record``
 and ``split`` and ``models.fit``.
 
 The ``main`` group owns what every command shares. It loads the config and
-starts the run manifest, into which input-path options hash themselves; it
-writes the manifest, with the config the run used, when the command succeeds
-or when a stage fails after an earlier stage of the command completed. That
-manifest lists the completed stages and their outputs, and its ``failed``
-entry names the failed stage and its error; a command whose first stage fails
-leaves an earlier manifest as it was. The group maps errors to the exit codes:
-0 success, 2 configuration/usage error, 3 stage failure. The output directory
-is made by the first stage, so ``--help`` and usage errors write nothing.
+starts the run manifest, into which input-path options hash themselves. The
+first stage makes ``--out-dir`` and a staging directory ``.<tag>.run`` in
+it, so ``--help`` and usage errors write nothing. When every stage has
+passed, the group publishes the run (``core._publish``) and writes its
+manifest, with the config the run used; a command that fails leaves
+``--out-dir`` as it found it. The group maps errors to the exit codes: 0
+success, 2 configuration/usage error, 3 stage or publish failure.
 """
 
 from __future__ import annotations
 
 import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,10 +45,10 @@ from click.core import ParameterSource
 from . import data as data_mod
 from . import trajectory as traj_mod
 from .config import Config, ConfigError, load_config
-from .core import _staged
+from .core import _publish
 from .evaluate import (bench_latency, check_directions, decay_curve,
                        direction_sweep, evaluate_model, write_report)
-from .manifest import RunManifest
+from .manifest import MANIFEST_NAME, RunManifest, hash_file
 from .models import MODEL_KINDS, MODES, deserialize, fit, fit_offset, serialize
 from .trajectory import DIRECTIONS, check_direction
 
@@ -66,51 +66,33 @@ class CliState:
     config: Config
     out_dir: Path
     manifest: RunManifest
+    run_dir: Path | None = None     # the staging directory
+    made: Path | None = None        # the outermost directory made, until published
 
 
 @contextmanager
-def _stage(state: CliState, name: str, outputs):
-    """Run the ``with`` body as stage ``name`` and hash its outputs into the
-    manifest; the body may set ``sim_s`` (simulated seconds) on the yielded
-    note, and name an output it learns only as it runs with
-    ``note.output(path)`` before writing it.
-
-    On failure, remove the outputs this run created and raise StageError;
-    an output that existed before the stage (an earlier run's artifact) is
-    kept.
-    """
-    outputs, fresh = list(outputs), [p for p in outputs if not p.exists()]
-
-    def output(path):
-        outputs.append(path)
-        if not path.exists():
-            fresh.append(path)
-        return path
-
-    note = SimpleNamespace(sim_s=None, output=output)
+def _stage(state: CliState, name: str):
+    """Run the ``with`` body as stage ``name``. The body writes its outputs
+    into the yielded note's ``dir``, the run's staging directory, which the
+    first stage makes, and may set ``sim_s`` (simulated seconds) on the note.
+    A failure is reported and raised as StageError."""
+    note = SimpleNamespace(sim_s=None, dir=state.run_dir)
     t0 = time.perf_counter()
     try:
-        state.out_dir.mkdir(parents=True, exist_ok=True)
+        if note.dir is None:
+            missing = [p for p in (state.out_dir, *state.out_dir.parents) if not p.exists()]
+            state.made = missing[-1] if missing else None
+            state.out_dir.mkdir(parents=True, exist_ok=True)
+            note.dir = state.run_dir = Path(tempfile.mkdtemp(
+                prefix=".", suffix=".run", dir=state.out_dir))
         yield note
     except Exception as exc:
-        for p in fresh:
-            if p.is_dir():
-                shutil.rmtree(p, ignore_errors=True)
-            elif p.exists():
-                p.unlink()
         click.echo(f"stage '{name}' failed: {exc}", err=True)
         raise StageError(name) from exc
     wall = time.perf_counter() - t0
     state.manifest.add_stage(name, wall, note.sim_s)
     sim = f" (simulated {note.sim_s:.0f} s)" if note.sim_s else ""
     click.echo(f"[{name}] done in {wall:.2f} s{sim}")
-    for p in outputs:
-        state.manifest.add_output(p)
-
-
-def _sidecars(*csv_paths) -> list:
-    """Each CSV artifact followed by its JSON sidecar."""
-    return [p for csv in csv_paths for p in (csv, csv.with_suffix(".json"))]
 
 
 def _loaded(source, load):
@@ -156,6 +138,31 @@ def _input_option(*decls, **kwargs):
                         callback=callback, **kwargs)
 
 
+def _entry_name(ctx, param, value):
+    """A ``--name`` names one entry of ``--out-dir``, other than the
+    manifest, where the run's output is published under that name."""
+    if value is not None and (value in ("", "..", MANIFEST_NAME)
+                              or Path(value).name != value):
+        raise click.BadParameter(f"{value!r} must be one file name in --out-dir "
+                                 f"other than {MANIFEST_NAME}")
+    return value
+
+
+def _one_bag_each(bags) -> None:
+    """Refuse a bag named twice, or two bags of one recording (equal
+    ``state.csv``, hashed when there is more than one bag): its rows would
+    be both train and test rows."""
+    seen = {}
+    for bag in bags:
+        csv = Path(bag) / "state.csv"
+        digest = len(bags) > 1 and csv.is_file() and hash_file(csv)
+        for key in filter(None, (Path(bag).resolve(), digest)):
+            if key in seen:
+                raise click.BadParameter(f"{seen[key]} and {bag} are one recording",
+                                         param_hint="'--bag'")
+            seen[key] = bag
+
+
 def _parsed(parse, text: str):
     """``parse(text)``, or the text itself where ``parse`` refuses it: the
     key's own check then refuses it by name, as it refuses a string in a
@@ -187,10 +194,9 @@ _epochs_option = _option("--epochs", key="training.epochs", parse=int,
 def _generate(state: CliState, direction, name="generate"):
     cfg = state.config
     sparsity = cfg.trajectory.sparsity
-    path = state.out_dir / f"traj_{direction}_{sparsity:g}.csv"
-    with _stage(state, name, _sidecars(path)):
+    with _stage(state, name) as note:
         traj = cfg.generate(direction, sparsity)
-        traj_mod.save(traj, path)
+        traj_mod.save(traj, note.dir / f"traj_{direction}_{sparsity:g}.csv")
         dur = traj_mod.trajectory_duration(traj, cfg.trajectory.speeds)
         click.echo(f"  {direction} sparsity {sparsity:g}: "
                    f"{len(traj.waypoints)} waypoints, {dur:.0f} s to follow")
@@ -202,29 +208,26 @@ def _record(state: CliState, traj, name=None):
     memory) into bag directory ``name``, by default one named after the
     followed trajectory's direction and sparsity."""
     cfg = state.config
-    with _stage(state, "record", []) as note:
+    with _stage(state, "record") as note:
         traj = (cfg.generate(cfg.trajectory.direction, cfg.trajectory.sparsity)
                 if traj is None else _loaded(traj, traj_mod.load))
-        bag_dir = note.output(state.out_dir / (
-            name or f"bag_{traj.direction}_{traj.sparsity:g}"))
+        name = name or f"bag_{traj.direction}_{traj.sparsity:g}"
         bag = cfg.record(traj, cfg.training.seed)
-        data_mod.save_bag(bag, bag_dir)
+        data_mod.save_bag(bag, note.dir / name)
         note.sim_s = bag.metadata.get("duration_s")
         click.echo(f"  {len(bag.state.t)} state / {len(bag.truth.t)} truth "
-                   f"samples -> {bag_dir}")
+                   f"samples -> {state.out_dir / name}")
     return bag
 
 
 def _process(state: CliState, bags, full_features=False):
     """Pair each bag's streams (bags are loaded one at a time), concatenate
-    and split into train and test datasets, which replace an earlier pair
-    together or not at all."""
-    outputs = _sidecars(state.out_dir / "train.csv", state.out_dir / "test.csv")
-    with _stage(state, "process", outputs), _staged(*outputs) as (train, _, test, _):
+    and split into train and test datasets."""
+    with _stage(state, "process") as note:
         train_ds, test_ds = state.config.split(
             (_loaded(b, data_mod.load_bag) for b in bags), full_features)
-        data_mod.save_dataset(train_ds, train)
-        data_mod.save_dataset(test_ds, test)
+        data_mod.save_dataset(train_ds, note.dir / "train.csv")
+        data_mod.save_dataset(test_ds, note.dir / "test.csv")
         click.echo(f"  {len(train_ds)} train / {len(test_ds)} test rows "
                    f"({train_ds.inputs.shape[1]} input columns)")
     return train_ds, test_ds
@@ -233,20 +236,18 @@ def _process(state: CliState, bags, full_features=False):
 def _train(state: CliState, ds, name=MODEL_FILE):
     cfg = state.config.training
     kind, mode = cfg.model, cfg.mode
-    path = state.out_dir / name
-    with _stage(state, f"train[{kind}]", [path]):
+    with _stage(state, f"train[{kind}]") as note:
         ds = _loaded(ds, data_mod.load_dataset)
         model = fit(kind, ds, mode, cfg.ridge, cfg.mlp, cfg.seed)
-        serialize(model, path)
-        click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {path}")
+        serialize(model, note.dir / name)
+        click.echo(f"  {kind} [{mode}] on {len(ds)} rows -> {state.out_dir / name}")
     return model
 
 
 def _evaluate(state: CliState, model, ds, base_ds=None, decay=False):
     """Score ``model`` on ``ds`` against a fixed offset fit on ``base_ds``
     (default: ``ds``); ``decay`` adds hour-bucket decay rows."""
-    csv_path = state.out_dir / "rmse_report.csv"
-    with _stage(state, "evaluate", _sidecars(csv_path)):
+    with _stage(state, "evaluate") as note:
         model = _loaded(model, deserialize)
         ds = _loaded(ds, data_mod.load_dataset)
         base_ds = ds if base_ds is None else _loaded(base_ds,
@@ -261,7 +262,7 @@ def _evaluate(state: CliState, model, ds, base_ds=None, decay=False):
         for row in rows:
             row["model"] = model.kind
             row["mode"] = model.mode
-        write_report(rows, rows, csv_path)
+        write_report(rows, rows, note.dir / "rmse_report.csv")
         for row in report.to_rows():
             click.echo(f"  {row['joint']}: raw {row['raw_rmse']:.3f}  "
                        f"offset {row['fixed_offset_rmse']:.3f}  "
@@ -272,8 +273,7 @@ def _evaluate(state: CliState, model, ds, base_ds=None, decay=False):
 
 def _bench(state: CliState, models, ds):
     ev = state.config.eval
-    csv_path = state.out_dir / "latency.csv"
-    with _stage(state, "bench", _sidecars(csv_path)):
+    with _stage(state, "bench") as note:
         models = [_loaded(m, deserialize) for m in models]
         ds = _loaded(ds, data_mod.load_dataset)
         rows, dicts = [], []
@@ -287,7 +287,7 @@ def _bench(state: CliState, models, ds):
             click.echo(f"  {model.kind}: p50 {rep.p50_s * 1e3:.4f} ms  "
                        f"p99 {rep.p99_s * 1e3:.4f} ms  "
                        f"[{verdict} vs {ev.budget_hz:.0f} Hz]")
-        write_report(rows, dicts, csv_path)
+        write_report(rows, dicts, note.dir / "latency.csv")
     return rows
 
 
@@ -296,7 +296,8 @@ def _bench(state: CliState, models, ds):
 
 
 class _Main(click.Group):
-    """The command group; maps domain errors to the documented exit codes."""
+    """The command group; maps domain errors to the documented exit codes and
+    removes the staging directory, or on failure an ``--out-dir`` it made."""
 
     def invoke(self, ctx):
         try:
@@ -304,10 +305,12 @@ class _Main(click.Group):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except StageError as exc:
-            if ctx.obj.manifest.stages:     # earlier stages replaced their outputs
-                _write_manifest(ctx.obj, {"stage": str(exc), "error": str(exc.__cause__)})
+        except StageError:
             sys.exit(EXIT_STAGE)
+        finally:
+            left = ctx.obj and (ctx.obj.made or ctx.obj.run_dir)
+            if left:
+                shutil.rmtree(left, ignore_errors=True)
 
 
 @click.group(cls=_Main)
@@ -316,7 +319,7 @@ class _Main(click.Group):
 @click.option("--seed", default=None, metavar="INTEGER",
               help="RNG seed; restates training.seed, which the manifest's "
                    "config records (default from config).")
-@click.option("--out-dir", type=click.Path(), default="cablecal-out",
+@click.option("--out-dir", type=click.Path(file_okay=False), default="cablecal-out",
               show_default=True, help="Directory for artifacts + manifest.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir):
@@ -326,18 +329,20 @@ def main(ctx, config_path, seed, out_dir):
         command=ctx.invoked_subcommand, seed=cfg.training.seed, config=cfg.to_dict()))
 
 
-def _write_manifest(state: CliState, failed=None):
-    """Write the run's manifest, naming the failed stage if there is one (and
-    then on stderr, so a failed run's stdout is unchanged)."""
-    state.manifest.config = state.config.to_dict()  # options applied
-    state.manifest.failed = failed
-    click.echo(f"manifest: {state.manifest.write(state.out_dir)}", err=bool(failed))
-
-
 @main.result_callback()
 @click.pass_obj
 def _succeeded(state: CliState, result, **params):
-    _write_manifest(state)
+    """Publish the run: move its outputs into ``--out-dir``, hash each into
+    the manifest, and write it with the options applied to its config."""
+    try:
+        for path in _publish(state.run_dir, state.out_dir, state.out_dir / MANIFEST_NAME):
+            state.manifest.add_output(path)
+        state.manifest.config = state.config.to_dict()
+        click.echo(f"manifest: {state.manifest.write(state.out_dir)}")
+    except OSError as exc:
+        click.echo(f"publish failed: {exc}", err=True)
+        raise StageError("publish") from exc
+    state.made = None
 
 
 @main.command("generate")
@@ -362,7 +367,7 @@ def generate_command(state, direction):
          help="Sparsity of the generated trajectory (not with --trajectory).")
 @_load_option
 @_time_scale_option
-@click.option("--name", default=None, help="Bag directory name.")
+@click.option("--name", default=None, callback=_entry_name, help="Bag directory name.")
 @click.pass_context
 def record_command(ctx, traj_path, name):
     """Record one simulated session into a bag directory."""
@@ -385,6 +390,7 @@ def record_command(ctx, traj_path, name):
 @click.pass_obj
 def process_command(state, bags, full_features):
     """Synchronize bag streams and split into train/test datasets."""
+    _one_bag_each(bags)
     _process(state, bags, full_features)
 
 
@@ -396,7 +402,7 @@ def process_command(state, bags, full_features):
 @_option("--mode", key="training.mode", choices=MODES)
 @_epochs_option
 @_option("--ridge", key="training.ridge", parse=float)
-@click.option("--name", default=MODEL_FILE, show_default=True)
+@click.option("--name", default=MODEL_FILE, show_default=True, callback=_entry_name)
 @click.pass_obj
 def train_command(state, dataset_path, name):
     """Fit a calibration model and write a .ccm model file."""
@@ -447,12 +453,11 @@ def sweep_command(state, directions, with_mlp):
             check_direction, directions.replace(",", " ").split())))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sweep_csv = state.out_dir / "sweep.csv"
-    with _stage(state, "sweep", _sidecars(sweep_csv)):
+    with _stage(state, "sweep") as note:
         kinds = ("linear", "mlp") if with_mlp else ("linear",)
         table = direction_sweep(state.config, directions, kinds, state.config.training.seed)
         rows = table.to_rows()
-        write_report(rows, rows, sweep_csv)
+        write_report(rows, rows, note.dir / "sweep.csv")
         for model in dict.fromkeys(s.labels["model"] for s in table.scores):
             scores = [s for s in table.scores if s.labels["model"] == model]
             best = [min(scores, key=lambda s: s.rmse[j]).labels["direction"]

@@ -19,7 +19,8 @@ rows the writer writes, parsed with its own exact digit arithmetic (any
 other text is refused by row and column), and every JSON
 reader is one table of entries for ``_checked``, which reports a bad entry
 as ``<file>: entry '<key>': <reason>``. Each setting's rule is one ``_rule``
-check in the module that uses the value.
+check in the module that uses the value. ``_publish`` moves a command's
+staged artifacts into place.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import os
 import re
 import secrets
+import shutil
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,6 +266,24 @@ def _replacing(*paths):
     with _staged(*paths) as tmps, ExitStack() as stack:
         yield tuple(stack.enter_context(
             open(t, "w", encoding="utf-8", newline="")) for t in tmps)
+
+
+def _publish(staging: Path, out: Path, stale: Path) -> list:
+    """Move each entry of directory ``staging`` into ``out``, in name order,
+    a file over a file and a directory over a directory, and return the new
+    paths; a change of kind raises OSError before anything moves. ``stale``
+    goes first, so a publish that stops part-way leaves none. Renames are
+    not fsynced, so a power loss is not covered."""
+    moves = [(p, out / p.name) for p in sorted(staging.iterdir())]
+    for new, old in moves:
+        if old.exists() and old.is_dir() != new.is_dir():
+            raise OSError(f"{old}: exists and is {'not ' * new.is_dir()}a directory")
+    stale.unlink(missing_ok=True)
+    for new, old in moves:
+        if new.is_dir() and old.exists():
+            shutil.rmtree(old)
+        os.replace(new, old)
+    return [old for _, old in moves]
 
 
 def write_json(obj, fh) -> None:

@@ -325,19 +325,6 @@ def feature_robustness(train_bag, test_bag, *, n_train: Optional[int] = None,
 
 
 # --------------------------------------------------------------------------
-# homing segments
-
-
-def segment_rmse(model: CalibrationModel, datasets: Sequence) -> np.ndarray:
-    """Per-joint model RMSE for each dataset in a sequence (shape (K, 3)).
-
-    Used by the homing study: each element is one between-homings segment.
-    """
-    return np.array([rmse(model.predict_batch(ds.inputs), ds.targets)
-                     for ds in datasets])
-
-
-# --------------------------------------------------------------------------
 # report emission
 
 

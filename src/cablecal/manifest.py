@@ -5,9 +5,9 @@ effective configuration, hashes of every input artifact consumed and every
 output artifact produced, and per-stage timings (wall clock, and simulated
 session time where that differs). Rerunning a command with the same config,
 seed and inputs must reproduce byte-identical outputs; the timing fields are
-the only part of a manifest expected to vary between such reruns. A run whose
-stage failed after earlier stages completed lists only those stages and their
-outputs, and names the failed stage and its error in a ``failed`` entry.
+the only part of a manifest expected to vary between such reruns. A command
+writes its manifest only when every stage has passed and its outputs are in
+place, so a manifest always describes the files beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .core import (_checked, _one_of, _read_json, _replacing, _rule, json_digest,
@@ -59,7 +58,6 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     stages: list = field(default_factory=list)
-    failed: Optional[dict] = None       # {"stage": name, "error": text}
 
     @property
     def config_hash(self) -> str:
@@ -90,7 +88,6 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": self.outputs,
             "stages": self.stages,
-            **({} if self.failed is None else {"failed": self.failed}),
         }
 
     def write(self, out_dir) -> Path:
@@ -120,8 +117,6 @@ _MANIFEST = {
                                          "wall_s": ("number", None, True),
                                          "sim_s": ("number", None, False)},
                                True)}, True),
-    "failed": ("object", {"stage": ("string", None, True),
-                          "error": ("string", None, True)}, False),
 }
 
 

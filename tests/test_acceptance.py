@@ -18,8 +18,7 @@ import numpy as np
 from cablecal.core import DEFAULT_LIMITS, FULL_SCHEMA
 from cablecal.data import (RecordedBag, concat, load_dataset, record,
                            save_dataset, split_and_normalize, synchronize)
-from cablecal.evaluate import (bench_latency, decay_curve, feature_robustness,
-                               rmse, segment_rmse)
+from cablecal.evaluate import bench_latency, decay_curve, feature_robustness, rmse
 from cablecal.models import (END_TO_END, ON_ERROR, deserialize, fit_linear,
                              fit_mlp, fit_offset, fit_poly2, serialize)
 from cablecal.nn import Adam, Mlp, MlpConfig, train_mlp
@@ -388,8 +387,8 @@ def test_criterion_12_homing_study():
 
     no_homing = fit_linear(segments[0])
     spans_one = fit_linear(concat([segments[0], segments[1]]))
-    r_a = segment_rmse(no_homing, segments)
-    r_b = segment_rmse(spans_one, segments)
+    r_a, r_b = (np.array([rmse(m.predict_batch(s.inputs), s.targets) for s in segments])
+                for m in (no_homing, spans_one))
 
     # model trained before any homing: every post-homing segment is worse on j2
     assert np.all(r_a[1:, 1] > r_a[0, 1])

@@ -537,13 +537,56 @@ def test_help_and_usage_errors_leave_no_directory(runner, tmp_path, args):
 
 
 def test_out_dir_that_is_a_file_is_a_stage_failure(runner, fast_cfg, tmp_path):
+    # a usage error, checked before any stage
     out = tmp_path / "f"
     out.write_text("x")
     result = runner.invoke(main, out_args(fast_cfg, out) + ["generate"])
-    assert result.exit_code == 3
-    assert "stage 'generate[j1j2j3,0.5]' failed" in result.output + (
-        result.stderr or "")
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert "Invalid value for '--out-dir'" in text and str(out) in text
+    assert "done in" not in result.stdout           # no stage ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "fast.toml"]
     assert out.read_text() == "x"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("record", "sub/bag0"), ("record", ".."), ("record", "manifest.json"),
+    ("train", "sub/m.ccm"), ("train", "")])
+def test_a_name_that_is_not_one_entry_of_out_dir_is_a_usage_error(
+        runner, fast_cfg, made, tmp_path, command, name):
+    # outputs are published into --out-dir by name, beside the manifest
+    out = tmp_path / "o"
+    args = ["--dataset", str(made / "train.csv")] if command == "train" else []
+    result = runner.invoke(main, out_args(fast_cfg, out) + [command, "--name", name, *args])
+    assert result.exit_code == 2
+    assert "Invalid value for '--name'" in result.output + (result.stderr or "")
+    assert not out.exists()
+
+
+def _same_bag_twice(out):
+    return [str(out / "a"), os.path.relpath(out / "a")]
+
+
+def _two_bags_of_one_recording(out):
+    shutil.copytree(out / "a", out / "b")
+    return [str(out / "a"), str(out / "b")]
+
+
+@pytest.mark.parametrize("bags", [_same_bag_twice, _two_bags_of_one_recording],
+                         ids=["same-path", "same-state"])
+def test_process_refuses_one_recording_given_twice(runner, fast_cfg, tmp_path, bags):
+    # its rows would be both train and test rows
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + ["record", "--name", "a"])
+    before = _files(out)
+    first, second = bags(out)
+    result = runner.invoke(main, out_args(fast_cfg, out) + [
+        "process", "--bag", first, "--bag", second])
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert "Invalid value for '--bag'" in text and first in text and second in text
+    assert "[process]" not in result.stdout
+    assert _files(out) == {**before, **_files(out / "b", "b/")}
 
 
 def test_stage_failure_exits_3_and_cleans_partials(runner, fast_cfg, tmp_path):
@@ -659,35 +702,111 @@ def test_failed_train_keeps_earlier_model(runner, fast_cfg, tmp_path):
             == hash_file(out / "model.ccm"))
 
 
-def test_failed_rerun_writes_a_manifest_that_names_the_failure(runner, fast_cfg, tmp_path):
+def _files(root: Path, prefix="") -> dict:
+    """Every file under ``root``, hidden ones included, with its bytes."""
+    return {prefix + p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _diverging(tmp_path) -> Path:
+    """A config whose MLP fit fails at its first epoch."""
+    path = tmp_path / "diverging.toml"
+    path.write_text(FAST_TOML.replace('model = "linear"',
+                                      'model = "mlp"\nepochs = 2\nlr = 1e30'))
+    return path
+
+
+def _listed_outputs_match(out: Path) -> bool:
+    """No manifest, or one whose every output has its recorded hash."""
+    if not (out / "manifest.json").exists():
+        return True
+    return all(e["sha256"] == (hash_tree if Path(e["path"]).is_dir() else hash_file)(e["path"])
+               for e in load_manifest(out).outputs.values())
+
+
+def test_failed_rerun_changes_nothing(runner, fast_cfg, tmp_path):
     out = tmp_path / "o"
     invoke(runner, out_args(fast_cfg, out) + ["--seed", "1", "pipeline"])
-    stale = hash_file(out / "model.ccm")
-    diverging = tmp_path / "diverging.toml"
-    diverging.write_text(FAST_TOML.replace('model = "linear"',
-                                           'model = "mlp"\nepochs = 2\nlr = 1e30'))
-    result = runner.invoke(main, ["--config", str(diverging), "--out-dir", str(out),
-                                  "--seed", "2", "pipeline"])
+    before = _files(out)
+    result = runner.invoke(main, ["--config", str(_diverging(tmp_path)), "--out-dir",
+                                  str(out), "--seed", "2", "pipeline"])
     assert result.exit_code == 3
-    assert "manifest:" not in result.stdout           # stdout as before
-    m = load_manifest(out)
-    assert m.seed == 2 and m.config["training"]["model"] == "mlp"
-    assert [s["name"] for s in m.stages] == ["generate", "record", "process"]
-    assert m.failed["stage"] == "train[mlp]"
-    assert m.failed["error"].startswith("non-finite loss inf at epoch 1")
-    # every output the manifest lists is the file on disk; the earlier
-    # run's model, which the failed stage kept, is not listed
-    assert {Path(k).name for k in m.outputs} == {
-        "traj_j1j2j3_0.5.csv", "traj_j1j2j3_0.5.json", "bag_j1j2j3_0.5",
-        "train.csv", "train.json", "test.csv", "test.json"}
-    for entry in m.outputs.values():
-        p = Path(entry["path"])
-        assert entry["sha256"] == (hash_tree(p) if p.is_dir() else hash_file(p)), p
-    assert hash_file(out / "model.ccm") == stale
-    # a successful run's manifest has no such entry
-    invoke(runner, out_args(fast_cfg, out) + ["pipeline"])
-    assert load_manifest(out).failed is None
-    assert "failed" not in json.loads((out / "manifest.json").read_text())
+    assert "stage 'train[mlp]' failed: non-finite loss inf at epoch 1" in result.stderr
+    assert "manifest:" not in result.output
+    # the seed-1 run's files, manifest included, and no staging directory
+    assert _files(out) == before
+    assert not list(out.glob(".*.run"))
+    assert load_manifest(out).seed == 1 and _listed_outputs_match(out)
+
+
+def test_failed_run_removes_the_out_dir_it_made(runner, tmp_path):
+    out = tmp_path / "new" / "o"
+    result = runner.invoke(main, ["--config", str(_diverging(tmp_path)), "--out-dir",
+                                  str(out), "pipeline"])
+    assert result.exit_code == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverging.toml"]
+
+
+def test_an_output_that_would_replace_another_kind_is_refused_before_publishing(
+        runner, fast_cfg, made, tmp_path):
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + ["record", "--name", "bag0"])
+    before = _files(out)
+    result = runner.invoke(main, out_args(fast_cfg, out) + [
+        "train", "--dataset", str(made / "train.csv"), "--name", "bag0"])
+    assert result.exit_code == 3
+    assert f"publish failed: {out / 'bag0'}: exists and is a directory" in result.stderr
+    assert _files(out) == before and not list(out.glob(".*.run"))
+
+
+def test_a_rerun_replaces_a_bag_directory_whole(runner, fast_cfg, tmp_path):
+    out = tmp_path / "o"
+    invoke(runner, out_args(fast_cfg, out) + ["--seed", "1", "record", "--name", "b"])
+    (out / "b" / "extra.txt").write_text("left by hand")
+    invoke(runner, out_args(fast_cfg, tmp_path / "fresh") + ["--seed", "2", "record",
+                                                             "--name", "b"])
+    invoke(runner, out_args(fast_cfg, out) + ["--seed", "2", "record", "--name", "b"])
+    assert _files(out / "b") == _files(tmp_path / "fresh" / "b")
+    assert _listed_outputs_match(out)
+
+
+def test_a_failed_rename_anywhere_leaves_the_run_or_no_manifest(runner, fast_cfg, tmp_path,
+                                                              monkeypatch):
+    # the Nth os.replace of a seed-2 rerun over a seed-1 run raises, for
+    # every N the rerun reaches; a failure before publishing (a replace into
+    # the staging directory) changes nothing, and any failure leaves no
+    # manifest or one that matches the files
+    pristine = tmp_path / "seed1"
+    invoke(runner, out_args(fast_cfg, pristine) + ["--seed", "1", "pipeline"])
+    before = _files(pristine)
+    real, targets, fail_at = os.replace, [], [0]
+
+    def replace(src, dst, **kwargs):
+        targets.append(Path(dst))
+        if len(targets) == fail_at[0]:
+            raise OSError("injected")
+        return real(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    out = tmp_path / "count"
+    shutil.copytree(pristine, out)
+    invoke(runner, out_args(fast_cfg, out) + ["--seed", "2", "pipeline"])
+    staged = [any(part.endswith(".run") for part in p.parts) for p in targets]
+    assert staged.count(True) == 14 and staged.index(False) == 14
+    for n in range(1, len(staged) + 1):
+        out = tmp_path / f"n{n}"
+        shutil.copytree(pristine, out)
+        targets.clear()
+        fail_at[0] = n
+        result = runner.invoke(main, out_args(fast_cfg, out) + ["--seed", "2", "pipeline"])
+        assert result.exit_code == 3 and len(targets) == n, n
+        assert not list(out.glob(".*.run")), n
+        if staged[n - 1]:
+            assert _files(out) == before, n
+        else:
+            assert "publish failed: injected" in result.stderr, n
+            assert not (out / "manifest.json").exists(), n
+        assert _listed_outputs_match(out), n
 
 
 def test_record_names_each_bag_after_the_trajectory_it_follows(runner, fast_cfg, tmp_path):
@@ -792,7 +911,6 @@ def test_manifest_round_trip(tmp_path):
     m = RunManifest(command="train", seed=5, config={"x": 1})
     m.add_input(f)
     m.add_stage("train", 1.25, sim_s=60.0)
-    m.failed = {"stage": "evaluate", "error": "disk full"}
     path = m.write(tmp_path)
     assert path.name == "manifest.json"
     back = load_manifest(tmp_path)       # by directory
@@ -835,12 +953,10 @@ def test_load_manifest_names_wrong_typed_entry(tmp_path, key, value):
     ("stages", [{"name": "train", "wall_s": 1.0, "sim_s": "x"}], "stages.0.sim_s"),
     ("config_hash", "0" * 64, "config_hash"),
     ("tool", "other", "tool"),
-    ("failed", "train", "failed"),
-    ("failed", {"stage": "train"}, "failed.error"),
-    ("failed", {"stage": 1, "error": "x"}, "failed.stage"),
+    ("failed", {"stage": "train[mlp]", "error": "x"}, "failed"),
 ], ids=["input-int", "output-without-sha", "output-short-sha", "stage-int-name",
         "stage-without-wall", "stage-string-sim", "config-hash", "tool",
-        "failed-string", "failed-without-error", "failed-int-stage"])
+        "failed-entry"])
 def test_load_manifest_checks_nested_entries(tmp_path, key, value, entry):
     path = RunManifest(command="train", seed=5, config={"x": 1}).write(tmp_path)
     doc = json.loads(path.read_text())

@@ -16,8 +16,7 @@ from cablecal.core import FULL_SCHEMA, _replacing, write_json
 from cablecal.data import Dataset, record, synchronize
 from cablecal.evaluate import (EvalError, LatencyReport, RmseReport, bench_latency,
                                decay_curve, direction_sweep, evaluate_model,
-                               feature_robustness, rmse, segment_rmse,
-                               write_report)
+                               feature_robustness, rmse, write_report)
 from cablecal.models import (FixedOffsetModel, fit_linear, fit_mlp,
                              fit_offset)
 from cablecal.nn import MlpConfig
@@ -281,15 +280,7 @@ def test_feature_robustness_subsampling():
 
 
 # --------------------------------------------------------------------------
-# homing segments + emitters
-
-
-def test_segment_rmse_shape():
-    parts = [make_dataset(np.full((20, 3), v), seed=s)
-             for s, v in enumerate((0.5, 1.0, 1.5))]
-    out = segment_rmse(zero_model(), parts)
-    assert out.shape == (3, 3)
-    assert np.allclose(out[:, 0], (0.5, 1.0, 1.5))
+# emitters
 
 
 def test_write_rows_csv_round_trip(tmp_path):
